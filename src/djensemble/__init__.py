@@ -23,10 +23,8 @@ from .ensemble import (
 )
 from .manybody import (
     AtomRotation,
-    AtomState,
     EnsembleEvolution,
     PhotonRotation,
-    apply_per_atom,
     full_simulate_dicke,
     full_simulate_naive,
 )
@@ -71,7 +69,6 @@ from .qstate import (
 __all__ = [
     "__version__",
     "AtomRotation",
-    "AtomState",
     "BooleanFunction",
     "EnsembleConfig",
     "EnsembleEvolution",
@@ -87,7 +84,6 @@ __all__ = [
     "SpaceLabel",
     "StateVector",
     "WavePlateSpec",
-    "apply_per_atom",
     "basis_convert",
     "basis_state",
     "born_distribution",

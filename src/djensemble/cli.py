@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .checks import run_all_checks
 from .ensemble import EnsembleConfig
-from .manybody import full_simulate_naive
+from .manybody import NAIVE_ATOM_LIMIT, full_simulate_naive
 from .params import PRESETS, MediumSpec, ensemble_config_from_report, required_detuning
 from .polarization import clicks_for_pattern
 from .protocol import (
@@ -122,6 +122,12 @@ def _cmd_run(args) -> int:
     if args.mode not in MODES:
         print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print("error: --seed must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
+    if args.n_atoms_oracle is not None and not 1 <= args.n_atoms_oracle <= NAIVE_ATOM_LIMIT:
+        print(f"error: --n-atoms-oracle must be between 1 and {NAIVE_ATOM_LIMIT}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         functions = _resolve_functions(args.function)
     except ValueError as exc:
@@ -206,6 +212,9 @@ def _cmd_params(args) -> int:
 def _cmd_sample(args) -> int:
     if args.shots < 1:
         print("error: sample requires --shots >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("error: --seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     if args.mode not in MODES:
         print(f"error: unknown mode {args.mode!r}", file=sys.stderr)

@@ -75,6 +75,8 @@ class EnsembleConfig:
         interaction_time: float,
         dispersive_threshold: float = 5.0,
     ) -> "EnsembleConfig":
+        if not all(math.isfinite(v) and v > 0 for v in (coupling, detuning)):
+            raise ValueError("coupling and detuning must be finite and positive")
         lam = coupling**2 / detuning
         theta = lam * n_atoms * interaction_time
         warns = ()

@@ -8,7 +8,10 @@ is what makes the protocol runnable at realistic atom numbers.
 
 Both simulators consume the same small operation vocabulary (per-atom
 rotation, medium evolution, single-photon rotation), so a protocol sequence
-can be replayed on either and compared.
+can be replayed on either and compared. Both start from a product state:
+one normalized single-atom 2-vector replicated over the ensemble, and a
+two-photon 4-vector. ``protocol.run_protocol`` replays the same sequences
+on the compact (atom, photon1, photon2) space.
 """
 
 from __future__ import annotations
@@ -148,81 +151,6 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int) -> np.ndarray:
     return phase * rot.matrix
 
 
-@dataclass(frozen=True)
-class AtomState:
-    """Ensemble state in one of three representations.
-
-    collective: a 2-vector over the two extreme product states.
-    product: one single-atom 2-vector, implicitly replicated N times.
-    dicke: N+1 amplitudes over the symmetric excitation-number basis.
-    """
-
-    representation: str
-    n_atoms: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.representation not in ("collective", "product", "dicke"):
-            raise ValueError(f"unknown representation {self.representation!r}")
-        data = np.array(self.data, dtype=complex)
-        expected = self.n_atoms + 1 if self.representation == "dicke" else 2
-        if data.shape != (expected,):
-            raise ValueError(f"{self.representation} data must have length {expected}")
-        if abs(np.linalg.norm(data) - 1.0) > CONSTRUCTION_ATOL:
-            raise ValueError("atom state must be normalized")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def collective(cls, level: int, n_atoms: int) -> "AtomState":
-        vec = np.zeros(2, dtype=complex)
-        vec[level] = 1.0
-        return cls("collective", n_atoms, vec)
-
-    @classmethod
-    def product(cls, single, n_atoms: int) -> "AtomState":
-        return cls("product", n_atoms, np.asarray(single, dtype=complex))
-
-    @classmethod
-    def dicke(cls, amplitudes) -> "AtomState":
-        amps = np.asarray(amplitudes, dtype=complex)
-        return cls("dicke", amps.size - 1, amps)
-
-    def to_dicke(self) -> "AtomState":
-        if self.representation == "dicke":
-            return self
-        if self.representation == "collective":
-            # level 0 is the zero-excitation extreme, level 1 the full one
-            amps = np.zeros(self.n_atoms + 1, dtype=complex)
-            amps[0] = self.data[0]
-            amps[self.n_atoms] += self.data[1]
-            return AtomState("dicke", self.n_atoms, amps)
-        return AtomState("dicke", self.n_atoms, coherent_dicke_amplitudes(self.data, self.n_atoms))
-
-
-def apply_per_atom(op, state: AtomState) -> AtomState:
-    """Rotate every atom by the same single-atom unitary.
-
-    Product states stay product. Dicke states get the exact symmetric-sector
-    rotation. Collective states are lifted to the product representation
-    first, which is faithful because the extremes are product states.
-    """
-    u = op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-    u = _check_unitary_2x2(u)
-    if state.representation == "collective":
-        if min(abs(state.data[0]), abs(state.data[1])) > 1e-12:
-            state = state.to_dicke()
-        else:
-            level = int(np.argmax(np.abs(state.data)))
-            single = np.zeros(2, dtype=complex)
-            single[level] = state.data[level]
-            state = AtomState("product", state.n_atoms, single)
-    if state.representation == "product":
-        return AtomState("product", state.n_atoms, u @ state.data)
-    rot = symmetric_rotation(u, state.n_atoms)
-    return AtomState("dicke", state.n_atoms, rot @ state.data)
-
-
 # ---------------------------------------------------------------------------
 # Unreduced brute-force simulator.
 # ---------------------------------------------------------------------------
@@ -336,19 +264,11 @@ class _DickeRun:
     photon basis.
     """
 
-    def __init__(self, n_atoms: int, atom_state: AtomState, photon_init: np.ndarray):
+    def __init__(self, n_atoms: int, atom_vec: np.ndarray, photon_init: np.ndarray):
         self.n = n_atoms
         self.general: np.ndarray | None = None
-        self.atom_vec: np.ndarray | None = None
-        self.photon_vec: np.ndarray | None = None
-        if atom_state.representation == "dicke":
-            self.general = np.outer(atom_state.data, photon_init).astype(complex)
-        elif atom_state.representation == "collective":
-            lifted = atom_state.to_dicke()
-            self.general = np.outer(lifted.data, photon_init).astype(complex)
-        else:
-            self.atom_vec = np.array(atom_state.data, dtype=complex)
-            self.photon_vec = np.array(photon_init, dtype=complex)
+        self.atom_vec: np.ndarray | None = np.array(atom_vec, dtype=complex)
+        self.photon_vec: np.ndarray | None = np.array(photon_init, dtype=complex)
 
     def _materialize(self) -> None:
         if self.general is None:
@@ -392,11 +312,8 @@ class _DickeRun:
 
     def to_state(self) -> StateVector:
         self._materialize()
-        amps = self.general.reshape(-1)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
-            raise AssertionError(f"symmetric-sector norm drifted to {norm!r}")
-        return StateVector(dicke_space(self.n), amps / norm)
+        # not renormalized: StateVector rejects any drift of the squared norm
+        return StateVector(dicke_space(self.n), self.general.reshape(-1))
 
 
 def full_simulate_dicke(
@@ -407,21 +324,20 @@ def full_simulate_dicke(
 ) -> StateVector:
     """Evolve the symmetric sector: identical physics to the naive simulator.
 
-    ``atom_init`` may be an AtomState in any representation or a bare single
-    atom 2-vector (taken as a product state). Cost is O(N) in the atomic
-    dimension along the protocol path.
+    ``atom_init`` is the normalized single-atom 2-vector replicated across
+    the ensemble, as for ``full_simulate_naive``; ``photon_init`` likewise.
+    Cost is O(N) in the atomic dimension along the protocol path.
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
-    if isinstance(atom_init, AtomState):
-        atom_state = atom_init
-        if atom_state.n_atoms != n_atoms:
-            raise ValueError("atom_init was built for a different ensemble size")
-    else:
-        atom_state = AtomState.product(np.asarray(atom_init, dtype=complex), n_atoms)
+    single = np.asarray(atom_init, dtype=complex)
+    if single.shape != (2,):
+        raise ValueError("atom_init must be a single-atom 2-vector")
+    if abs(np.linalg.norm(single) - 1.0) > CONSTRUCTION_ATOL:
+        raise ValueError("atom_init must be normalized")
     if photon_init is None:
         photon_init = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    run = _DickeRun(n_atoms, atom_state, np.asarray(photon_init, dtype=complex))
+    run = _DickeRun(n_atoms, single, np.asarray(photon_init, dtype=complex))
     for op in ops:
         if isinstance(op, AtomRotation):
             run.atom_rotation(op.matrix)

@@ -24,8 +24,9 @@ class MediumSpec:
     relaxation_time: float = 1e-6  # s, ground-state coherence timescale
 
     def __post_init__(self):
-        if self.length <= 0 or self.n_atoms <= 0 or self.coupling <= 0 or self.relaxation_time <= 0:
-            raise ValueError("all medium parameters must be positive")
+        values = (self.length, self.n_atoms, self.coupling, self.relaxation_time)
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ValueError("all medium parameters must be finite and positive")
 
 
 @dataclass(frozen=True)

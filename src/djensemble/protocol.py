@@ -6,12 +6,13 @@ balanced functions: per-atom rotation, one medium traversal, then composite
 photon rotations; for constant functions: identity or an atomic NOT), and a
 final photon Hadamard maps the result onto a coincidence pattern.
 
-Protocol states are tracked on the compact (atom, photon1, photon2) space
+The protocol is one operation sequence, ``exact_operation_sequence``.
+``run_protocol`` replays it on the compact (atom, photon1, photon2) space,
 where the atom slot holds the shared single-atom state; the physical
 ensemble state is its N-fold product, so the two agree up to a global phase
 and coincide exactly at the collective extremes. The unreduced and
-symmetric-sector simulators in ``manybody`` replay the same operation
-sequence for cross-checks.
+symmetric-sector simulators in ``manybody`` replay the same sequence for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -172,7 +173,11 @@ def build_oracle(f: BooleanFunction, config: EnsembleConfig) -> tuple:
 
 
 def exact_operation_sequence(f: BooleanFunction, config: EnsembleConfig) -> tuple:
-    """The full protocol as a replayable operation list for the oracles."""
+    """The full protocol as one replayable operation list.
+
+    Three Hadamards (atoms, photon 1, photon 2), the function oracle, then
+    Hadamards on photon 1 and photon 2.
+    """
     h1 = hadamard_variant(1).matrix
     pre = (AtomRotation(h1), PhotonRotation(1, h1), PhotonRotation(2, h1))
     post = (PhotonRotation(1, h1), PhotonRotation(2, h1))
@@ -237,45 +242,33 @@ class ProtocolTrace:
         yield "psi3", self.psi3
 
 
-def _atom_extreme_level(state: StateVector) -> int:
-    weights = np.linalg.norm(state.amplitudes.reshape(2, 4), axis=1)
-    if min(weights) > 1e-12:
-        raise ValueError(
-            "medium traversal reached with atoms away from the collective extremes "
-            "(protocol sequencing bug)"
-        )
-    return int(np.argmax(weights))
-
-
 def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> ProtocolTrace:
-    """Execute initialize -> Hadamards -> oracle -> Hadamards and record the trace."""
+    """Replay ``exact_operation_sequence`` on the compact space and record the trace.
+
+    The medium step is the exact unitary or, in paper mode, the declared
+    polarizer rewrite; either needs the atoms at a collective extreme.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     balanced = f.classification == "balanced"
     if balanced and abs(config.theta - math.pi / 2) > 1e-9:
         raise ValueError("balanced functions require the medium angle theta = pi/2")
-    steps = build_oracle(f, config)
+    ops = exact_operation_sequence(f, config)
 
-    h1 = hadamard_variant(1).matrix
     amps = np.kron(np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0]))
-    psi0 = StateVector(PROTOCOL_SPACE, amps)
-
-    state = embed_single("photon1", h1, PROTOCOL_SPACE).apply(psi0)
-    state = embed_single("photon2", h1, PROTOCOL_SPACE).apply(state)
-    state = embed_single("atom", h1, PROTOCOL_SPACE).apply(state)
-    psi1 = state
-
-    psi1_prime = None
-    psi1_double_prime = None
+    state = StateVector(PROTOCOL_SPACE, amps)
+    states = [state]
     post_selection = 1.0
     evolution_calls = 0
-    for op in steps:
+    for op in ops:
         if isinstance(op, AtomRotation):
             state = embed_single("atom", op.matrix, PROTOCOL_SPACE).apply(state)
-            if balanced:
-                psi1_prime = state
         elif isinstance(op, EnsembleEvolution):
-            _atom_extreme_level(state)
+            if min(np.linalg.norm(state.amplitudes.reshape(2, 4), axis=1)) > 1e-12:
+                raise ValueError(
+                    "medium traversal reached with atoms away from the collective extremes "
+                    "(protocol sequencing bug)"
+                )
             evolution_calls += 1
             if mode == "exact":
                 state = u_eff_exact(config).apply(state)
@@ -283,26 +276,24 @@ def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> Proto
                 result = u_eff_paper(op.theta).apply(state)
                 state = result.state
                 post_selection = result.post_selection_probability
-            psi1_double_prime = state
         elif isinstance(op, PhotonRotation):
             state = embed_single(f"photon{op.photon}", op.matrix, PROTOCOL_SPACE).apply(state)
         else:
             raise TypeError(f"unknown operation {op!r}")
-    psi2 = state
+        states.append(state)
 
-    state = embed_single("photon1", h1, PROTOCOL_SPACE).apply(state)
-    state = embed_single("photon2", h1, PROTOCOL_SPACE).apply(state)
-    psi3 = state
-
+    # states[k] follows the first k ops: three pre-Hadamards, the oracle (for
+    # a balanced function: atom rotation, medium, two photon rotations), and
+    # the two post-Hadamards.
     return ProtocolTrace(
         function=f,
         mode=mode,
-        psi0=psi0,
-        psi1=psi1,
-        psi1_prime=psi1_prime,
-        psi1_double_prime=psi1_double_prime,
-        psi2=psi2,
-        psi3=psi3,
+        psi0=states[0],
+        psi1=states[3],
+        psi1_prime=states[4] if balanced else None,
+        psi1_double_prime=states[5] if balanced else None,
+        psi2=states[-3],
+        psi3=states[-1],
         post_selection_probability=post_selection,
         ensemble_evolution_calls=evolution_calls,
     )

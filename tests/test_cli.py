@@ -62,6 +62,16 @@ class TestRunCommand:
             main(["run", "--function", "f1", "--mode", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--n-atoms-oracle", "13"],
+        ["--n-atoms-oracle", "0"],
+        ["--shots", "10", "--seed", "-1"],
+    ])
+    def test_bad_input_exits_2(self, extra, capsys):
+        assert main(["run", "--function", "f3", "--mode", "exact"] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_report_round_trips(self, tmp_path):
         out = tmp_path / "report.json"
         main(["run", "--function", "all", "--mode", "paper", "--shots", "50", "--out", str(out)])
@@ -155,6 +165,15 @@ class TestParamsCommand:
         assert main(["params", "--medium", str(spec)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("length_m", "NaN"), ("relaxation_s", "Infinity")])
+    def test_non_finite_spec_exits_2(self, tmp_path, capsys, key, value):
+        fields = {"length_m": "200e-6", "n_atoms": "100000", "coupling_rad_s": "2.91e8", key: value}
+        spec = tmp_path / "medium.json"
+        spec.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        assert main(["params", "--medium", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
     def test_missing_medium_exits_2(self):
         assert main(["params", "--medium", "does-not-exist"]) == 2
 
@@ -189,6 +208,11 @@ class TestSampleCommand:
     def test_zero_shots_rejected(self, capsys):
         assert main(["sample", "--function", "f3", "--shots", "0"]) == 2
         assert "shots" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["sample", "--function", "f3", "--shots", "10", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
 
 
 class TestTraceCommand:

@@ -62,6 +62,11 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError, match="theta"):
             EnsembleConfig(10, 1.0, 10.0, 1.0, 0.1, 2.0)
 
+    @pytest.mark.parametrize("coupling,detuning", [(0.0, 10.0), (1.0, 0.0), (math.nan, 10.0)])
+    def test_nonpositive_physics_rejected(self, coupling, detuning):
+        with pytest.raises(ValueError, match="finite and positive"):
+            EnsembleConfig.from_physics(coupling, detuning, 10, 1.0)
+
     def test_dispersive_warning(self):
         config = EnsembleConfig.from_physics(1.0, 3.0, 10, 1.0)
         assert config.warnings and "dispersive" in config.warnings[0]

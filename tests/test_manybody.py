@@ -6,10 +6,8 @@ import pytest
 from djensemble.ensemble import EnsembleConfig, u_eff_exact
 from djensemble.manybody import (
     AtomRotation,
-    AtomState,
     EnsembleEvolution,
     PhotonRotation,
-    apply_per_atom,
     atom_photon_entropy,
     coherent_dicke_amplitudes,
     collective_op,
@@ -137,6 +135,8 @@ class TestSymmetricRotation:
     def test_near_identity_special_case(self):
         built = symmetric_rotation(-np.eye(2), 3)
         np.testing.assert_allclose(built, -np.eye(4), atol=1e-12)
+        amps = coherent_dicke_amplitudes(np.array([0.6, 0.8]), 6)
+        np.testing.assert_allclose(symmetric_rotation(np.eye(2), 6) @ amps, amps, atol=1e-12)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="limit"):
@@ -144,42 +144,29 @@ class TestSymmetricRotation:
 
 
 class TestAtomState:
-    def test_collective_embeds_to_dicke_extremes(self):
-        lifted = AtomState.collective(0, 6).to_dicke()
-        assert lifted.data[0] == pytest.approx(1.0)
-        lifted = AtomState.collective(1, 6).to_dicke()
-        assert lifted.data[6] == pytest.approx(1.0)
+    """The ensemble starts in a product state: one single-atom 2-vector."""
 
     def test_product_to_dicke_matches_binomial(self):
         vec = np.array([1.0, -1.0]) / SQRT2
-        amps = AtomState.product(vec, 4).to_dicke().data
+        amps = coherent_dicke_amplitudes(vec, 4)
         expected = [math.sqrt(math.comb(4, m)) * (1 / SQRT2) ** 4 * (-1.0) ** m for m in range(5)]
         np.testing.assert_allclose(amps, expected, atol=1e-14)
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
-            AtomState.product([1.0, 1.0], 3)
+            full_simulate_dicke(3, [1.0, 1.0], [])
 
-    def test_apply_per_atom_prepares_plain_extreme(self):
-        state = AtomState.product(np.array([1.0, -1.0]) / SQRT2, 5)
-        rotated = apply_per_atom(H1, state)
-        np.testing.assert_allclose(rotated.data, [1.0, 0.0], atol=1e-14)
+    def test_rotation_from_full_extreme(self):
+        out = full_simulate_dicke(5, (0.0, 1.0), [AtomRotation(H1)])
+        expected = coherent_dicke_amplitudes(np.array([-1.0, 1.0]) / SQRT2, 5)
+        np.testing.assert_allclose(out.amplitudes.reshape(6, 4)[:, 0], expected, atol=1e-14)
 
-    def test_apply_per_atom_on_full_extreme(self):
-        rotated = apply_per_atom(H1, AtomState.collective(1, 5))
-        np.testing.assert_allclose(rotated.data, np.array([-1.0, 1.0]) / SQRT2, atol=1e-14)
-
-    def test_apply_per_atom_identity(self):
-        state = AtomState.dicke(coherent_dicke_amplitudes(np.array([0.6, 0.8]), 6))
-        out = apply_per_atom(np.eye(2), state)
-        np.testing.assert_allclose(out.data, state.data, atol=1e-12)
-
-    def test_apply_per_atom_dicke_matches_product_route(self):
+    def test_dicke_rotation_matches_product_route(self):
         vec = np.array([0.6, 0.8j])
         rng = np.random.default_rng(71)
         u = random_su2(rng)
-        via_dicke = apply_per_atom(u, AtomState.product(vec, 7).to_dicke()).data
-        via_product = apply_per_atom(u, AtomState.product(vec, 7)).to_dicke().data
+        via_dicke = symmetric_rotation(u, 7) @ coherent_dicke_amplitudes(vec, 7)
+        via_product = coherent_dicke_amplitudes(u @ vec, 7)
         np.testing.assert_allclose(via_dicke, via_product, atol=1e-11)
 
 
@@ -286,18 +273,19 @@ class TestDickeSimulator:
             extracted = dicke_amplitudes_from_naive(naive, n).reshape(-1)
             np.testing.assert_allclose(extracted, dicke.amplitudes, atol=1e-10)
 
-    def test_accepts_atom_state_inputs(self):
-        amps = coherent_dicke_amplitudes(np.array([1.0, 1.0]) / SQRT2, 4)
-        out = full_simulate_dicke(4, AtomState.dicke(amps), [])
-        np.testing.assert_allclose(
-            out.amplitudes.reshape(5, 4)[:, 0], amps, atol=1e-12
-        )
-
     def test_zero_excitation_is_plain_extreme(self):
-        out = full_simulate_dicke(6, AtomState.collective(0, 6), [])
         expected = np.zeros(7 * 4)
         expected[0] = 1.0
+        out = full_simulate_dicke(6, (1.0, 0.0), [])
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
+        # H1 takes (|g> - |g'>)/sqrt2 to the plain extreme on every atom
+        out = full_simulate_dicke(6, np.array([1.0, -1.0]) / SQRT2, [AtomRotation(H1)])
+        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
+
+    def test_norm_drift_is_not_renormalized(self):
+        photons = np.array([1.0 + 1e-7, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="normalized"):
+            full_simulate_dicke(4, (0.0, 1.0), [], photons)
 
     def test_large_ensemble_protocol_matches_collective(self):
         from djensemble.protocol import run_protocol

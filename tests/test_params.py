@@ -68,6 +68,10 @@ class TestRequiredDetuning:
             MediumSpec(0.0, 10, 1e6)
         with pytest.raises(ValueError):
             MediumSpec(1e-4, 10, -1e6)
+        with pytest.raises(ValueError, match="finite"):
+            MediumSpec(math.nan, 10, 1e6)
+        with pytest.raises(ValueError, match="finite"):
+            MediumSpec(1e-4, 10, 1e6, relaxation_time=math.inf)
 
 
 class TestRoundTrip:

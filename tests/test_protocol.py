@@ -260,6 +260,21 @@ class TestExactModeTraces:
         trace = run_protocol(table1_function("f3"), "exact", CONFIG)
         assert trace.post_selection_probability == 1.0
 
+    @pytest.mark.parametrize("fid", sorted(EXPECTED_PATTERNS))
+    def test_trace_states_are_sequence_prefixes(self, fid):
+        # at N = 1 the compact state is the physical state, so every recorded
+        # state is the naive replay of a prefix of the operation sequence
+        f = table1_function(fid)
+        ops = exact_operation_sequence(f, CONFIG)
+        trace = run_protocol(f, "exact", CONFIG)
+        prefix = {"psi0": 0, "psi1": 3, "psi1_prime": 4, "psi1_double_prime": 5,
+                  "psi2": len(ops) - 2, "psi3": len(ops)}
+        names = [name for name, _ in trace.named_states()]
+        assert len(names) == (6 if f.classification == "balanced" else 4)
+        for name, state in trace.named_states():
+            naive = full_simulate_naive(1, (0.0, 1.0), ops[: prefix[name]])
+            np.testing.assert_allclose(state.amplitudes, naive.amplitudes, atol=1e-12)
+
 
 class TestClassify:
     @pytest.mark.parametrize(
