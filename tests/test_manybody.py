@@ -135,8 +135,6 @@ class TestSymmetricRotation:
     def test_near_identity_special_case(self):
         built = symmetric_rotation(-np.eye(2), 3)
         np.testing.assert_allclose(built, -np.eye(4), atol=1e-12)
-        amps = coherent_dicke_amplitudes(np.array([0.6, 0.8]), 6)
-        np.testing.assert_allclose(symmetric_rotation(np.eye(2), 6) @ amps, amps, atol=1e-12)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="limit"):
@@ -155,6 +153,17 @@ class TestAtomState:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             full_simulate_dicke(3, [1.0, 1.0], [])
+
+    def test_apply_per_atom_prepares_plain_extreme(self):
+        # H1 on every atom takes (|g> - |g'>)/sqrt2 to the plain extreme
+        out = full_simulate_dicke(5, np.array([1.0, -1.0]) / SQRT2, [AtomRotation(H1)])
+        expected = np.zeros(6 * 4)
+        expected[0] = 1.0
+        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
+
+    def test_apply_per_atom_identity(self):
+        amps = coherent_dicke_amplitudes(np.array([0.6, 0.8]), 6)
+        np.testing.assert_allclose(symmetric_rotation(np.eye(2), 6) @ amps, amps, atol=1e-12)
 
     def test_rotation_from_full_extreme(self):
         out = full_simulate_dicke(5, (0.0, 1.0), [AtomRotation(H1)])
@@ -278,9 +287,6 @@ class TestDickeSimulator:
         expected[0] = 1.0
         out = full_simulate_dicke(6, (1.0, 0.0), [])
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
-        # H1 takes (|g> - |g'>)/sqrt2 to the plain extreme on every atom
-        out = full_simulate_dicke(6, np.array([1.0, -1.0]) / SQRT2, [AtomRotation(H1)])
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
 
     def test_norm_drift_is_not_renormalized(self):
         photons = np.array([1.0 + 1e-7, 0.0, 0.0, 0.0])
