@@ -122,6 +122,9 @@ def _cmd_run(args) -> int:
     if args.mode not in MODES:
         print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
         return EXIT_USAGE
+    if args.shots < 0:
+        print("error: --shots must be non-negative (0 means no sampling)", file=sys.stderr)
+        return EXIT_USAGE
     if args.seed < 0:
         print("error: --seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
@@ -171,15 +174,22 @@ def _load_medium(token: str) -> MediumSpec:
     path = Path(token)
     if not path.exists():
         raise ValueError(f"medium {token!r} is neither a preset ({', '.join(PRESETS)}) nor a file")
-    data = json.loads(path.read_text(encoding="utf-8"))
     try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read medium file {token!r}: {exc.strerror or exc}") from exc
+    data = json.loads(text)
+    try:
+        n_atoms = data["n_atoms"]
+        if isinstance(n_atoms, float) and n_atoms.is_integer():
+            n_atoms = int(n_atoms)  # JSON writes 1e5 as a float
         return MediumSpec(
             length=float(data["length_m"]),
-            n_atoms=int(data["n_atoms"]),
+            n_atoms=n_atoms,
             coupling=float(data["coupling_rad_s"]),
             relaxation_time=float(data.get("relaxation_s", 1e-6)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed medium spec {token!r}: {exc}") from exc
 
 
@@ -187,10 +197,10 @@ def _cmd_params(args) -> int:
     try:
         spec = _load_medium(args.medium)
         feas = required_detuning(spec)
+        config = ensemble_config_from_report(spec, feas)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    config = ensemble_config_from_report(spec, feas)
     report = _report_skeleton("params", {"medium": args.medium})
     report["medium"] = {
         "length_m": spec.length,

@@ -7,6 +7,7 @@ cyclic value detuning/2pi for convenience.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .ensemble import EnsembleConfig
@@ -24,6 +25,8 @@ class MediumSpec:
     relaxation_time: float = 1e-6  # s, ground-state coherence timescale
 
     def __post_init__(self):
+        if isinstance(self.n_atoms, bool) or not isinstance(self.n_atoms, numbers.Integral):
+            raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
         values = (self.length, self.n_atoms, self.coupling, self.relaxation_time)
         if not all(math.isfinite(v) and v > 0 for v in values):
             raise ValueError("all medium parameters must be finite and positive")
@@ -71,11 +74,17 @@ def required_detuning(
     With the evolution angle fixed at pi/2 and lambda = coupling^2/detuning,
     the detuning is 2 g^2 N T / pi for transit time T.
     """
+    out_of_range = "medium parameters put the detuning or a derived quantity out of floating-point range"
     t = transit_time(spec.length)
-    detuning = 2.0 * spec.coupling**2 * spec.n_atoms * t / math.pi
-    lam = spec.coupling**2 / detuning
-    ratio = detuning / spec.coupling
-    margin = spec.relaxation_time / t
+    try:
+        detuning = 2.0 * spec.coupling**2 * spec.n_atoms * t / math.pi
+        lam = spec.coupling**2 / detuning
+        ratio = detuning / spec.coupling
+        margin = spec.relaxation_time / t
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(out_of_range) from exc
+    if not all(math.isfinite(v) and v > 0 for v in (t, detuning, lam, ratio, margin)):
+        raise ValueError(out_of_range)
     dispersive_ok = ratio >= dispersive_threshold
     decoherence_ok = margin >= decoherence_threshold
     notes = []

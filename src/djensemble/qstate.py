@@ -17,6 +17,9 @@ import numpy as np
 # Construction-time tolerance for normalization, unitarity and hermiticity.
 CONSTRUCTION_ATOL = 1e-12
 
+# Uniforms drawn per vectorised step of sample_shots; bounds its memory only.
+_SHOT_BLOCK = 1 << 20
+
 __all__ = [
     "CONSTRUCTION_ATOL",
     "SpaceLabel",
@@ -287,9 +290,12 @@ def born_distribution(
 def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:
     """Draw ``shots`` outcomes from a probability table, reproducibly.
 
-    Splitting rule: the master seed spawns one child ``SeedSequence`` per shot
-    (``SeedSequence(seed).spawn(shots)``); shot i consumes a single uniform
-    from child i, so shot outcomes do not depend on evaluation order.
+    Counter-based rule: the seed keys one Philox stream
+    (``Generator(Philox(SeedSequence(seed)))``), and shot i reads the i-th
+    ``random()`` double of that stream against the cumulative table. Shot i
+    is a pure function of (seed, i), so the counts do not depend on
+    evaluation order or on the block size used to bound memory, and the
+    first k shots of a larger draw are exactly the k-shot draw.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -299,13 +305,16 @@ def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:
         raise ValueError("malformed distribution: probabilities must be >= 0 and sum to 1")
     p = np.clip(p, 0.0, None)
     cdf = np.cumsum(p / p.sum())
-    cdf[-1] = 1.0
-    counts = {o: 0 for o in outcomes}
-    for child in np.random.SeedSequence(int(seed)).spawn(int(shots)):
-        u = np.random.Generator(np.random.PCG64(child)).random()
-        idx = min(int(np.searchsorted(cdf, u, side="right")), len(outcomes) - 1)
-        counts[outcomes[idx]] += 1
-    return counts
+    # Close the table at the last non-zero entry, so a rounding gap below 1
+    # never falls to a trailing zero-probability outcome.
+    cdf[np.flatnonzero(p)[-1]:] = 1.0
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    shots = int(shots)
+    totals = np.zeros(len(outcomes), dtype=np.int64)
+    for start in range(0, shots, _SHOT_BLOCK):
+        u = rng.random(min(_SHOT_BLOCK, shots - start))
+        totals += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(outcomes))
+    return {o: int(n) for o, n in zip(outcomes, totals)}
 
 
 class PhaseMatch(NamedTuple):

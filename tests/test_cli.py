@@ -66,6 +66,7 @@ class TestRunCommand:
         ["--n-atoms-oracle", "13"],
         ["--n-atoms-oracle", "0"],
         ["--shots", "10", "--seed", "-1"],
+        ["--shots", "-5"],
     ])
     def test_bad_input_exits_2(self, extra, capsys):
         assert main(["run", "--function", "f3", "--mode", "exact"] + extra) == 2
@@ -173,6 +174,32 @@ class TestParamsCommand:
         assert main(["params", "--medium", str(spec)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("fields", [
+        {"coupling_rad_s": "1e200"},
+        {"coupling_rad_s": "1e-200"},
+        {"n_atoms": "1.7"},
+        {"n_atoms": "true"},
+    ])
+    def test_out_of_range_spec_exits_2(self, tmp_path, capsys, fields):
+        fields = {"length_m": "200e-6", "n_atoms": "100000", "coupling_rad_s": "2.91e8", **fields}
+        spec = tmp_path / "medium.json"
+        spec.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        assert main(["params", "--medium", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_integral_float_atom_count_accepted(self, tmp_path):
+        spec = tmp_path / "medium.json"
+        spec.write_text('{"length_m": 200e-6, "n_atoms": 1e5, "coupling_rad_s": 2.91e8}')
+        out = tmp_path / "params.json"
+        assert main(["params", "--medium", str(spec), "--out", str(out)]) == 0
+        assert read_report(out)["medium"]["n_atoms"] == 100000
+
+    def test_directory_medium_exits_2(self, tmp_path, capsys):
+        assert main(["params", "--medium", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_medium_exits_2(self):
         assert main(["params", "--medium", "does-not-exist"]) == 2

@@ -72,6 +72,14 @@ class TestRequiredDetuning:
             MediumSpec(math.nan, 10, 1e6)
         with pytest.raises(ValueError, match="finite"):
             MediumSpec(1e-4, 10, 1e6, relaxation_time=math.inf)
+        with pytest.raises(ValueError, match="integer"):
+            MediumSpec(1e-4, 1.7, 1e6)
+        with pytest.raises(ValueError, match="integer"):
+            MediumSpec(1e-4, True, 1e6)
+        with pytest.raises(ValueError, match="floating-point range"):
+            required_detuning(MediumSpec(1e-4, 10, 1e200))
+        with pytest.raises(ValueError, match="floating-point range"):
+            required_detuning(MediumSpec(1e-4, 10, 1e-200))
 
 
 class TestRoundTrip:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from djensemble.qstate import (
+    _SHOT_BLOCK,
     Operator,
     SpaceLabel,
     StateVector,
@@ -247,6 +249,41 @@ class TestSampleShots:
             sample_shots({0: 0.5, 1: 0.5}, 0, seed=1)
         with pytest.raises(ValueError, match="malformed"):
             sample_shots({0: 0.5, 1: 0.6}, 10, seed=1)
+
+    def test_prefix_property(self):
+        # Shot i depends only on (seed, i): a shorter draw is a prefix of a
+        # longer one, also across a block boundary.
+        dist = {"a": 0.2, "b": 0.3, "c": 0.5}
+        longer = sample_shots(dist, _SHOT_BLOCK + 3, seed=11)
+        for k in (1, 1000, _SHOT_BLOCK - 5, _SHOT_BLOCK + 1):
+            shorter = sample_shots(dist, k, seed=11)
+            assert all(shorter[o] <= longer[o] for o in dist)
+
+    def test_multi_block_counts_sum_to_shots(self):
+        shots = 2 * _SHOT_BLOCK + 7
+        counts = sample_shots({0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, shots, seed=5)
+        assert sum(counts.values()) == shots
+        assert all(isinstance(n, int) for n in counts.values())
+
+    @pytest.mark.parametrize("zero", [0, 2, 4])
+    def test_zero_probability_never_drawn(self, zero):
+        dist = {i: (0.0 if i == zero else 0.25) for i in range(5)}
+        counts = sample_shots(dist, 100_000, seed=8)
+        assert counts[zero] == 0
+        assert sum(counts.values()) == 100_000
+
+    def test_memory_bounded_by_block(self):
+        block_bytes = _SHOT_BLOCK * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            sample_shots({0: 0.25, 1: 0.75}, 3 * _SHOT_BLOCK + 7, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * block_bytes
+
+    def test_pinned_counts(self):
+        assert sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=42) == {0: 5017, 1: 4983}
 
 
 class TestEqualUpToGlobalPhase:
