@@ -80,15 +80,6 @@ class PhotonRotation:
         object.__setattr__(self, "matrix", m)
 
 
-def ln_binom(n: int, m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    return (
-        math.lgamma(n + 1)
-        - np.vectorize(math.lgamma)(m + 1)
-        - np.vectorize(math.lgamma)(n - m + 1)
-    )
-
-
 def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> np.ndarray:
     """Symmetric-sector amplitudes of the N-fold product of one qubit state.
 
@@ -104,7 +95,12 @@ def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> np.ndarray:
         amps[n_atoms] = beta**n_atoms
         return amps
     m = np.arange(n_atoms + 1)
-    log_mag = 0.5 * ln_binom(n_atoms, m) + (n_atoms - m) * math.log(abs(alpha)) + m * math.log(abs(beta))
+    # lg[k] = ln k!, so ln C(N, m) = lg[N] - lg[m] - lg[N - m]; the sum is
+    # accumulated in place to keep (N + 1)-long temporaries off the peak
+    lg = np.fromiter(map(math.lgamma, range(1, n_atoms + 2)), float, n_atoms + 1)
+    log_mag = 0.5 * (lg[-1] - lg - lg[::-1])
+    log_mag += (n_atoms - m) * math.log(abs(alpha))
+    log_mag += m * math.log(abs(beta))
     phase = (n_atoms - m) * np.angle(alpha) + m * np.angle(beta)
     with np.errstate(under="ignore"):
         amps = np.exp(log_mag + 1j * phase)

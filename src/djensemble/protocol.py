@@ -311,15 +311,17 @@ class ReferenceCircuitResult:
     classification_probability: float
     top_pattern: tuple[int, ...]
     top_probability: float
-    query_distribution: dict
     oracle_calls: int
 
 
-_H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
 def reference_dj_circuit(f: BooleanFunction) -> ReferenceCircuitResult:
-    """Textbook n-bit circuit: query qubits |0..0>, ancilla |1>, one oracle call.
+    """Textbook n-bit circuit: query qubits |0..0>, one oracle call, Hadamards.
+
+    With the ancilla in |->, the oracle call is the phase (-1)^f(x) on the
+    query register, so the ancilla is left out. The final Hadamards are an
+    unnormalised fast Walsh-Hadamard transform, one butterfly pass per
+    qubit; pattern bits are big-endian (the first bit is the most
+    significant input bit).
 
     The function is constant iff every query qubit measures 0. That event has
     probability exactly 1 or 0 for constant/balanced inputs, so the verdict
@@ -327,25 +329,11 @@ def reference_dj_circuit(f: BooleanFunction) -> ReferenceCircuitResult:
     spread; other truth tables give a probabilistic verdict and are flagged.
     """
     n = f.n_bits
-    n_qubits = n + 1
-    state = np.zeros(2**n_qubits, dtype=complex)
-    state[1] = 1.0  # query register all zero, ancilla one
-    shaped = state.reshape((2,) * n_qubits)
-    for axis in range(n_qubits):
-        shaped = np.moveaxis(np.tensordot(_H_GATE, shaped, axes=([1], [axis])), 0, axis)
-    flat = shaped.reshape(-1)
-
-    oracle_calls = 0
-    permuted = np.empty_like(flat)
-    for idx in range(flat.size):
-        x, y = idx >> 1, idx & 1
-        permuted[(x << 1) | (y ^ f.value(x))] = flat[idx]
-    oracle_calls += 1
-
-    shaped = permuted.reshape((2,) * n_qubits)
-    for axis in range(n):
-        shaped = np.moveaxis(np.tensordot(_H_GATE, shaped, axes=([1], [axis])), 0, axis)
-    probs = (np.abs(shaped) ** 2).sum(axis=-1).reshape(-1)
+    amps = 1.0 - 2.0 * np.array(f.table, dtype=float)
+    for k in range(n):
+        pairs = amps.reshape(2**k, 2, -1)
+        amps = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
+    probs = (amps / 2**n) ** 2
 
     p_all_zero = float(probs[0])
     top_index = int(np.argmax(probs))
@@ -359,17 +347,11 @@ def reference_dj_circuit(f: BooleanFunction) -> ReferenceCircuitResult:
         classification = "constant" if p_all_zero >= 0.5 else "balanced"
         p_class = max(p_all_zero, 1.0 - p_all_zero)
         deterministic = False
-    dist = {
-        tuple((i >> (n - 1 - k)) & 1 for k in range(n)): float(p)
-        for i, p in enumerate(probs)
-        if p > 1e-15
-    }
     return ReferenceCircuitResult(
         classification=classification,
         deterministic=deterministic,
         classification_probability=p_class,
         top_pattern=top_pattern,
         top_probability=float(probs[top_index]),
-        query_distribution=dist,
-        oracle_calls=oracle_calls,
+        oracle_calls=1,
     )

@@ -145,10 +145,15 @@ class TestAtomState:
     """The ensemble starts in a product state: one single-atom 2-vector."""
 
     def test_product_to_dicke_matches_binomial(self):
+        # N = 200 is large enough that an off-by-one in the ln C(N, m) table
+        # shows in every entry
         vec = np.array([1.0, -1.0]) / SQRT2
-        amps = coherent_dicke_amplitudes(vec, 4)
-        expected = [math.sqrt(math.comb(4, m)) * (1 / SQRT2) ** 4 * (-1.0) ** m for m in range(5)]
-        np.testing.assert_allclose(amps, expected, atol=1e-14)
+        for n in (4, 200):
+            amps = coherent_dicke_amplitudes(vec, n)
+            expected = [
+                math.sqrt(math.comb(n, m)) * (1 / SQRT2) ** n * (-1.0) ** m for m in range(n + 1)
+            ]
+            np.testing.assert_allclose(amps, expected, rtol=1e-12, atol=1e-14)
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):

@@ -350,3 +350,43 @@ class TestReferenceCircuit:
         result = reference_dj_circuit(BooleanFunction(2, (0, 0, 0, 1)))
         assert not result.deterministic
         assert 0.0 < result.classification_probability < 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pattern_bits_are_big_endian(self, n):
+        msb = BooleanFunction(n, [(x >> (n - 1)) & 1 for x in range(2**n)])
+        lsb = BooleanFunction(n, [x & 1 for x in range(2**n)])
+        for f, pattern in ((msb, (1,) + (0,) * (n - 1)), (lsb, (0,) * (n - 1) + (1,))):
+            result = reference_dj_circuit(f)
+            assert result.top_pattern == pattern
+            assert result.top_probability == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_dense_hadamard_circuit(self, n):
+        rng = np.random.default_rng(1000 + n)
+        size = 2**n
+        hadamard_n = np.ones((1, 1))
+        for _ in range(n):
+            hadamard_n = np.kron(hadamard_n, np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2)
+        ones_counts = [0, size, size // 2, size // 2]
+        neither = np.delete(np.arange(1, size), size // 2 - 1)  # not 0, size / 2 or size
+        if neither.size:
+            ones_counts += list(rng.choice(neither, 3))
+        for ones in ones_counts:
+            table = np.zeros(size, dtype=int)
+            table[rng.permutation(size)[:ones]] = 1
+            result = reference_dj_circuit(BooleanFunction(n, table))
+            probs = np.abs(hadamard_n @ ((-1.0) ** table / 2 ** (n / 2))) ** 2
+            p_all_zero = probs[0]
+            assert result.top_probability == pytest.approx(probs.max(), abs=1e-12)
+            assert result.classification_probability == pytest.approx(
+                max(p_all_zero, 1.0 - p_all_zero), abs=1e-12
+            )
+            assert result.deterministic == (min(p_all_zero, 1.0 - p_all_zero) <= 1e-9)
+
+    def test_sixteen_bit_balanced_is_deterministic(self):
+        table = np.zeros(2**16, dtype=int)
+        table[np.random.default_rng(16).permutation(2**16)[: 2**15]] = 1
+        result = reference_dj_circuit(BooleanFunction(16, table))
+        assert result.classification == "balanced"
+        assert result.deterministic
+        assert result.oracle_calls == 1
