@@ -32,9 +32,9 @@ DENSE_ROTATION_LIMIT = 1024
 
 _I2 = np.eye(2)
 _B2 = np.kron(LIN_TO_CIRC, LIN_TO_CIRC)
-# Photon-pair mode counts in the circular product basis (++, +-, -+, --).
-_PLUS_COUNTS = np.array([2.0, 1.0, 1.0, 0.0])
-_MINUS_COUNTS = np.array([0.0, 1.0, 1.0, 2.0])
+# Rows of the (N+1) x 4 Dicke array that the medium step phases at once;
+# bounds its temporaries only.
+_ROW_BLOCK = 1 << 16
 
 
 def _check_unitary_2x2(matrix) -> np.ndarray:
@@ -80,30 +80,118 @@ class PhotonRotation:
         object.__setattr__(self, "matrix", m)
 
 
+# Loader's saddle-point form of the binomial weight ("Fast and Accurate
+# Computation of Binomial Probabilities", 2000): ln b(m; N, p) is a sum of
+# stirlerr and bd0 terms of size O(1), never a difference of ln k! terms of
+# size N ln N, which cancelled about 9 digits at N = 10^6.
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# stirlerr(n) for n <= 15, where the asymptotic series is not yet exact to
+# double precision; the cancellation here is among numbers below 30
+_STIRLERR_SMALL = np.array(
+    [0.0] + [math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LN_2PI for n in range(1, 16)]
+)
+# exp() of a log amplitude below this is exactly 0: ln 2^-1074 is about
+# -744.4, and the margin absorbs any rounding in the log
+_LOG_AMP_CUT = math.log(2.0**-1074) - 16.0
+
+
+def _stirlerr(n):
+    """ln n! - ln(sqrt(2 pi n) (n/e)^n) for integer-valued n >= 0."""
+    r = 1.0 / np.maximum(n, 16.0)
+    r2 = r * r
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r2 / 1188) * r2) * r2) * r2) * r
+    return np.where(n <= 15, _STIRLERR_SMALL[np.minimum(n, 15).astype(int)], series)
+
+
+def _bd0(x: np.ndarray, lam: float) -> np.ndarray:
+    """x ln(x / lam) + lam - x, without the cancellation near x = lam."""
+    d = x - lam
+    v = d / (x + lam)
+    # for |v| < 0.1 each term of the series is below 1% of the one before
+    v2 = v * v
+    term = 2.0 * x * v
+    series = d * v
+    for j in range(1, 10):
+        term *= v2
+        series += term * (1.0 / (2 * j + 1))
+    with np.errstate(divide="ignore", over="ignore"):
+        direct = x * np.log(np.where(x > 0, x / lam, 1.0)) + lam - x
+    return np.where(np.abs(v) < 0.1, series, direct)
+
+
+def _log_binomial(m: np.ndarray, n_atoms: int, lam: float, mu: float) -> np.ndarray:
+    """ln[C(N, m) p^m q^(N-m)] for float m in [0, N], with lam = N p and mu = N q.
+
+    The form carries a factor exp(N - lam - mu), which cancels the rounding
+    of p + q to first order: the weights sum to 1 to rounding at any N.
+    """
+    k = n_atoms - m
+    with np.errstate(divide="ignore"):
+        spread = np.where((m > 0) & (k > 0), np.log(2.0 * math.pi * m * k / n_atoms), 0.0)
+    return (
+        _stirlerr(float(n_atoms))
+        - _stirlerr(m)
+        - _stirlerr(k)
+        - _bd0(m, lam)
+        - _bd0(k, mu)
+        - 0.5 * spread
+    )
+
+
+def _coherent_band(n_atoms: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices m and log amplitudes of the entries that do not underflow.
+
+    ln b(m) is concave in m, so these entries form one interval about the
+    mode. A window about the mode is widened until both of its ends fall
+    below the cut or reach 0 and N; it starts at the Gaussian estimate of
+    the interval, about 55 standard deviations to each side.
+    """
+    mode = min(n_atoms, int((n_atoms + 1) * p))
+    half = 32 + int(56.0 * math.sqrt(n_atoms * p * q))
+    while True:
+        lo, hi = max(0, mode - half), min(n_atoms + 1, mode + half + 1)
+        m = np.arange(lo, hi, dtype=float)
+        log_amp = 0.5 * _log_binomial(m, n_atoms, n_atoms * p, n_atoms * q)
+        if (lo == 0 or log_amp[0] < _LOG_AMP_CUT) and (hi == n_atoms + 1 or log_amp[-1] < _LOG_AMP_CUT):
+            break
+        half *= 2
+    kept = np.flatnonzero(log_amp >= _LOG_AMP_CUT)
+    band = slice(kept[0], kept[-1] + 1)
+    return m[band], log_amp[band]
+
+
 def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> np.ndarray:
     """Symmetric-sector amplitudes of the N-fold product of one qubit state.
 
-    Index m counts atoms in the primed level. Computed in log space so large
-    N underflows gracefully to zero tails instead of overflowing.
+    Index m counts atoms in the primed level. The single-atom vector is taken
+    at unit norm, (alpha, beta) / s with s = sqrt(|alpha|^2 + |beta|^2), the
+    rule ``_DickeRun.atom_rotation`` applies after every rotation, so the
+    squared magnitudes are exactly the binomial weights b(m; N, |beta/s|^2).
+    Only the band of m whose amplitude does not underflow is evaluated: about
+    110 sqrt(N p q) entries about the mode N p, with p = |beta/s|^2 and
+    q = 1 - p, each in Loader's saddle-point form to a few ulps, so the
+    squared norm is 1 to rounding at any N. Every other entry is exactly
+    zero; the cost is O(sqrt(N p q)) besides the zeroed (N+1)-array.
     """
     alpha, beta = complex(single[0]), complex(single[1])
+    scale = math.hypot(abs(alpha), abs(beta))
+    if scale == 0.0:
+        raise ValueError("the single-atom vector is zero")
+    p = (abs(beta) / scale) ** 2
+    q = (abs(alpha) / scale) ** 2
     amps = np.zeros(n_atoms + 1, dtype=complex)
-    if abs(beta) == 0.0:
-        amps[0] = alpha**n_atoms
+    # p or q underflows to 0 only for |beta/s| or |alpha/s| below about
+    # 1.6e-162; the dropped amplitudes are then at most sqrt(N) times that
+    if p == 0.0:
+        amps[0] = (alpha / abs(alpha)) ** n_atoms
         return amps
-    if abs(alpha) == 0.0:
-        amps[n_atoms] = beta**n_atoms
+    if q == 0.0:
+        amps[n_atoms] = (beta / abs(beta)) ** n_atoms
         return amps
-    m = np.arange(n_atoms + 1)
-    # lg[k] = ln k!, so ln C(N, m) = lg[N] - lg[m] - lg[N - m]; the sum is
-    # accumulated in place to keep (N + 1)-long temporaries off the peak
-    lg = np.fromiter(map(math.lgamma, range(1, n_atoms + 2)), float, n_atoms + 1)
-    log_mag = 0.5 * (lg[-1] - lg - lg[::-1])
-    log_mag += (n_atoms - m) * math.log(abs(alpha))
-    log_mag += m * math.log(abs(beta))
+    m, log_amp = _coherent_band(n_atoms, p, q)
     phase = (n_atoms - m) * np.angle(alpha) + m * np.angle(beta)
     with np.errstate(under="ignore"):
-        amps = np.exp(log_mag + 1j * phase)
+        amps[int(m[0]) : int(m[-1]) + 1] = np.exp(log_amp + 1j * phase)
     return amps
 
 
@@ -121,9 +209,14 @@ def collective_op(single: np.ndarray, n_atoms: int) -> np.ndarray:
 def symmetric_rotation(u: np.ndarray, n_atoms: int) -> np.ndarray:
     """The N-fold tensor power of a single-qubit unitary on the symmetric sector.
 
-    Splits off the global phase, writes the special-unitary part as the
-    exponential of a Pauli axis, and exponentiates the matching collective
-    generator.
+    Splits off the global phase and writes the special-unitary part as
+    exp(-i t n.sigma). The collective generator of the axis n.sigma is
+    Hermitian tridiagonal; conjugating it by P = diag(exp(i m phi)), with
+    phi = arg of its (1, 0) entry, makes it a real symmetric T, so the
+    rotation is P exp(-i t T) P^dag with a real eigendecomposition. The
+    angle is t = atan2(sin t, cos t), with sin t read off the entries of the
+    special-unitary part, so rotations by t below 1e-8 are not rounded to
+    the identity as acos(cos t) would round them.
     """
     if n_atoms > DENSE_ROTATION_LIMIT:
         raise ValueError(
@@ -135,16 +228,21 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int) -> np.ndarray:
     delta = np.angle(det) / 2.0
     v = u * np.exp(-1j * delta)
     cos_half = float(np.clip(np.real(np.trace(v)) / 2.0, -1.0, 1.0))
-    t = math.acos(cos_half)
+    sin_half = math.hypot(v[0, 0].imag, abs(v[0, 1]))
     phase = np.exp(1j * n_atoms * delta)
-    if abs(math.sin(t)) < 1e-12:
+    if sin_half == 0.0:
         sign = 1.0 if cos_half > 0 else -1.0
         return phase * (sign**n_atoms) * np.eye(n_atoms + 1, dtype=complex)
-    axis = (v - cos_half * _I2) * (1j / math.sin(t))
+    axis = (v - cos_half * _I2) * (1j / sin_half)
     axis = (axis + axis.conj().T) / 2.0
+    phi = np.angle(axis[1, 0])
+    off = abs(axis[1, 0])
+    real_axis = np.array([[axis[0, 0].real, off], [off, axis[1, 1].real]])
     space = SpaceLabel((("atoms", n_atoms + 1),))
-    rot = expm_hermitian(Operator(space, collective_op(axis, n_atoms)), t)
-    return phase * rot.matrix
+    t = math.atan2(sin_half, cos_half)
+    rot = expm_hermitian(Operator(space, collective_op(real_axis, n_atoms)), t).matrix
+    p = np.exp(1j * phi * np.arange(n_atoms + 1))
+    return (phase * p)[:, None] * rot * p.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +367,12 @@ class _DickeRun:
     def _materialize(self) -> None:
         if self.general is None:
             amps = coherent_dicke_amplitudes(self.atom_vec, self.n)
-            self.general = np.outer(amps, self.photon_vec)
+            # write only the band that does not underflow: the zero pages of
+            # the rest are never touched, so they never become resident
+            band = np.flatnonzero(amps)
+            lo, hi = band[0], band[-1] + 1
+            self.general = np.zeros((self.n + 1, 4), dtype=complex)
+            self.general[lo:hi] = np.outer(amps[lo:hi], self.photon_vec)
             self.atom_vec = None
             self.photon_vec = None
 
@@ -299,12 +402,18 @@ class _DickeRun:
                 self.photon_vec = block @ self.photon_vec
                 return
             self._materialize()
-        m = np.arange(self.n + 1)[:, None]
-        exponent = (self.n - m) * _PLUS_COUNTS[None, :] + m * _MINUS_COUNTS[None, :]
-        phases = np.exp(-1j * lam_t * exponent)
-        circ = self.general @ _B2.T
-        circ = circ * phases
-        self.general = circ @ _B2.conj()
+        # In the circular basis the phase is exp(-i lam t [(N - m) n+ + m n-]):
+        # exp(-i theta) times tilt_m = exp(-i lam t (N - 2m)) on ++, times 1 on
+        # +- and -+, and times conj(tilt_m) on --. It is applied in place, one
+        # block of rows at a time, so no temporary grows with N.
+        back = np.exp(-1j * theta) * _B2.conj()
+        for lo in range(0, self.n + 1, _ROW_BLOCK):
+            rows = self.general[lo : lo + _ROW_BLOCK]
+            tilt = np.exp(-1j * lam_t * (self.n - 2.0 * np.arange(lo, lo + len(rows))))
+            circ = rows @ _B2.T
+            circ[:, 0] *= tilt
+            circ[:, 3] *= tilt.conj()
+            np.matmul(circ, back, out=rows)
 
     def to_state(self) -> StateVector:
         self._materialize()
@@ -322,7 +431,15 @@ def full_simulate_dicke(
 
     ``atom_init`` is the normalized single-atom 2-vector replicated across
     the ensemble, as for ``full_simulate_naive``; ``photon_init`` likewise.
-    Cost is O(N) in the atomic dimension along the protocol path.
+    The single-atom vector is kept at unit norm after every rotation, and
+    the Dicke amplitudes are taken from it at unit norm, so the state's
+    squared norm drifts by rounding only, at any N.
+
+    Cost: rotations and medium steps on a product state with the atoms at an
+    extreme are O(1). The first medium step off the extremes, or the end of
+    the run, writes the (N+1) x 4 array, of which only the O(sqrt(N))
+    coherent band is computed. After that a medium step is O(N) in place
+    and an atom rotation is a dense O(N^3) symmetric rotation (N <= 1024).
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")

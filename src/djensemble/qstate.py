@@ -240,7 +240,9 @@ def expm_hermitian(h: Operator, theta: float) -> Operator:
     dev = float(np.max(np.abs(mat - mat.conj().T)))
     if dev > CONSTRUCTION_ATOL * scale:
         raise ValueError(f"generator is not Hermitian: max |H - H^dag| = {dev:.3e}")
-    w, v = np.linalg.eigh(mat)
+    # a real symmetric generator has a real eigenbasis; its eigh costs a
+    # fraction of the complex one
+    w, v = np.linalg.eigh(mat if mat.imag.any() else mat.real)
     u = (v * np.exp(-1j * float(theta) * w)) @ v.conj().T
     return Operator(h.space, u, unitary_claim=True)
 
@@ -256,7 +258,8 @@ def born_distribution(
     when a single subsystem is requested. Raises on an unnormalized state
     unless ``renormalize`` is set.
     """
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.amplitudes)
+    probs *= probs
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         if not renormalize:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,19 @@ class TestSymmetricRotation:
         built = symmetric_rotation(-np.eye(2), 3)
         np.testing.assert_allclose(built, -np.eye(4), atol=1e-12)
 
+    def test_small_angles_are_not_rounded_away(self):
+        # cos t rounds to 1 for t below ~1e-8; the angle must come from sin t
+        n = 512
+        vec = np.array([0.6, 0.8j])
+        nx, ny, nz = 0.48, 0.6, 0.64
+        for t in (1e-8, 1e-10, 1e-13):
+            c, s = math.cos(t), math.sin(t)
+            u = np.array([[c - 1j * s * nz, (-1j * nx - ny) * s], [(-1j * nx + ny) * s, c + 1j * s * nz]])
+            rotated = symmetric_rotation(u, n) @ coherent_dicke_amplitudes(vec, n)
+            np.testing.assert_allclose(rotated, coherent_dicke_amplitudes(u @ vec, n), rtol=0, atol=1e-12)
+        identity = symmetric_rotation(np.eye(2), n) @ coherent_dicke_amplitudes(vec, n)
+        np.testing.assert_array_equal(identity, coherent_dicke_amplitudes(vec, n))
+
     def test_size_guard(self):
         with pytest.raises(ValueError, match="limit"):
             symmetric_rotation(H1, 100_000)
@@ -154,6 +168,32 @@ class TestAtomState:
                 math.sqrt(math.comb(n, m)) * (1 / SQRT2) ** n * (-1.0) ** m for m in range(n + 1)
             ]
             np.testing.assert_allclose(amps, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_norm_is_one_to_rounding_at_large_n(self, n):
+        for vec in ((0.6, 0.8), (0.8, 0.6j), (1 / SQRT2, 1 / SQRT2)):
+            amps = coherent_dicke_amplitudes(np.array(vec), n)
+            assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-13
+
+    def test_only_the_underflow_tails_are_zero(self):
+        # near an extreme the band is a few entries; each matches the closed
+        # form, and the first one past the band would underflow anyway
+        n = 10**6
+        beta = 1e-16
+        vec = np.array([-math.sqrt(1.0 - beta**2), beta])
+        amps = coherent_dicke_amplitudes(vec, n)
+        band = np.flatnonzero(amps)
+        np.testing.assert_array_equal(band, np.arange(band.size))
+        for m in range(band.size + 1):
+            log_mag = 0.5 * math.log(math.comb(n, m)) + m * math.log(beta) + 0.5 * (n - m) * math.log1p(-beta**2)
+            if m < band.size:
+                assert abs(amps[m]) == pytest.approx(math.exp(log_mag), rel=1e-12)
+            else:
+                assert log_mag < math.log(2.0**-1074)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError, match="zero"):
+            coherent_dicke_amplitudes(np.zeros(2), 3)
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -297,6 +337,23 @@ class TestDickeSimulator:
         photons = np.array([1.0 + 1e-7, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="normalized"):
             full_simulate_dicke(4, (0.0, 1.0), [], photons)
+
+    def test_off_extreme_medium_step_at_a_million_atoms(self):
+        # the coherent amplitudes' norm drift once made this state fail
+        # StateVector's normalization check
+        out = full_simulate_dicke(10**6, (0.6, 0.8), [EnsembleEvolution(0.3)])
+        assert sum(born_distribution(out, ("photon1", "photon2")).values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_medium_step_memory_stays_near_the_state(self):
+        # the returned state and the run's own array coexist for a moment;
+        # the medium step itself must add only block-sized temporaries
+        tracemalloc.start()
+        try:
+            out = full_simulate_dicke(10**5, (0.6, 0.8), [EnsembleEvolution(0.3)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.amplitudes.nbytes
 
     def test_large_ensemble_protocol_matches_collective(self):
         from djensemble.protocol import run_protocol

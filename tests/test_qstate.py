@@ -168,6 +168,17 @@ class TestExpmHermitian:
         h2 = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
         np.testing.assert_allclose(u, h2, atol=1e-14)
 
+    def test_real_generator_matches_complex_route(self):
+        # a real symmetric generator takes the real eigendecomposition; a
+        # diagonal phase conjugation moves it to the complex one
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(6, 6))
+        space = SpaceLabel((("s", 6),))
+        p = np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, size=6)))
+        real = expm_hermitian(Operator(space, m + m.T), 0.7).matrix
+        cplx = expm_hermitian(Operator(space, p @ (m + m.T) @ p.conj().T), 0.7).matrix
+        np.testing.assert_allclose(real, p.conj().T @ cplx @ p, atol=1e-13)
+
     def test_non_hermitian_rejected(self):
         h = Operator(QUBIT_A, np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="Hermitian"):
