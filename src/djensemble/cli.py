@@ -119,9 +119,6 @@ def _print_run_summary(entries) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.mode not in MODES:
-        print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
-        return EXIT_USAGE
     if args.shots < 0:
         print("error: --shots must be non-negative (0 means no sampling)", file=sys.stderr)
         return EXIT_USAGE
@@ -226,9 +223,6 @@ def _cmd_sample(args) -> int:
     if args.seed < 0:
         print("error: --seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
-    if args.mode not in MODES:
-        print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         functions = _resolve_functions(args.function)
     except ValueError as exc:
@@ -269,9 +263,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if args.mode not in MODES:
-        print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         functions = _resolve_functions(args.function)
     except ValueError as exc:

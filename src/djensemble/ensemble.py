@@ -54,7 +54,6 @@ class EnsembleConfig:
     interaction_time: float
     lambda_value: float
     theta: float
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.n_atoms < 1:
@@ -73,20 +72,13 @@ class EnsembleConfig:
         detuning: float,
         n_atoms: int,
         interaction_time: float,
-        dispersive_threshold: float = 5.0,
     ) -> "EnsembleConfig":
+        """Config from physical parameters; ``params.required_detuning`` judges the dispersive limit."""
         if not all(math.isfinite(v) and v > 0 for v in (coupling, detuning)):
             raise ValueError("coupling and detuning must be finite and positive")
         lam = coupling**2 / detuning
         theta = lam * n_atoms * interaction_time
-        warns = ()
-        ratio = detuning / coupling
-        if ratio < dispersive_threshold:
-            warns = (
-                f"detuning/coupling = {ratio:.3g} is below the dispersive threshold "
-                f"{dispersive_threshold:g}; the second-order treatment is unreliable",
-            )
-        return cls(int(n_atoms), coupling, detuning, interaction_time, lam, theta, warns)
+        return cls(int(n_atoms), coupling, detuning, interaction_time, lam, theta)
 
     @classmethod
     def from_theta(

@@ -9,9 +9,9 @@ is what makes the protocol runnable at realistic atom numbers.
 Both simulators consume the same small operation vocabulary (per-atom
 rotation, medium evolution, single-photon rotation), so a protocol sequence
 can be replayed on either and compared. Both start from a product state:
-one normalized single-atom 2-vector replicated over the ensemble, and a
-two-photon 4-vector. ``protocol.run_protocol`` replays the same sequences
-on the compact (atom, photon1, photon2) space.
+one normalized single-atom 2-vector replicated over the ensemble, and both
+photons horizontal, |HH>. ``protocol.run_protocol`` replays the same
+sequences on the compact (atom, photon1, photon2) space.
 """
 
 from __future__ import annotations
@@ -32,9 +32,23 @@ DENSE_ROTATION_LIMIT = 1024
 
 _I2 = np.eye(2)
 _B2 = np.kron(LIN_TO_CIRC, LIN_TO_CIRC)
+# Both photons horizontal, the source output every simulation starts from.
+_PHOTONS_HH = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 # Rows of the (N+1) x 4 Dicke array that the medium step phases at once;
 # bounds its temporaries only.
 _ROW_BLOCK = 1 << 16
+
+
+def _check_atom_init(atom_init) -> np.ndarray:
+    """The single-atom start vector: shape (2,), finite and of unit norm."""
+    single = np.asarray(atom_init, dtype=complex)
+    if single.shape != (2,):
+        raise ValueError(f"atom_init must be a single-atom 2-vector, got shape {single.shape}")
+    if not np.all(np.isfinite(single)):
+        raise ValueError("atom_init must be finite (no NaN or Inf)")
+    if abs(np.linalg.norm(single) - 1.0) > CONSTRUCTION_ATOL:
+        raise ValueError("atom_init must be normalized")
+    return single
 
 
 def _check_unitary_2x2(matrix) -> np.ndarray:
@@ -268,29 +282,20 @@ def _apply_axis(state: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(moved, 0, axis)
 
 
-def full_simulate_naive(
-    n_atoms: int,
-    atom_init,
-    ops,
-    photon_init=None,
-) -> StateVector:
+def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
     """Evolve the full product space of N atoms and both photons.
 
-    ``atom_init`` is a per-atom 2-vector replicated across the ensemble;
-    ``photon_init`` a 4-vector over the two photons in the linear basis
-    (default: both horizontal). The medium evolution is evaluated per atomic
-    configuration by counting atoms in each level, which is the literal
-    action of the per-atom Hamiltonian sum.
+    ``atom_init`` is the normalized single-atom 2-vector replicated across
+    the ensemble; the photons start horizontal. The medium evolution is
+    evaluated per atomic configuration by counting atoms in each level,
+    which is the literal action of the per-atom Hamiltonian sum.
     """
+    single = _check_atom_init(atom_init)
     if n_atoms > NAIVE_ATOM_LIMIT:
         raise ValueError(f"naive simulator is capped at {NAIVE_ATOM_LIMIT} atoms")
     if n_atoms < 1:
         raise ValueError("need at least one atom")
-    single = np.asarray(atom_init, dtype=complex)
-    if photon_init is None:
-        photon_init = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    photons = np.asarray(photon_init, dtype=complex).reshape(2, 2)
-    state = photons
+    state = _PHOTONS_HH.reshape(2, 2)
     for _ in range(n_atoms):
         state = np.tensordot(single, state, axes=0)
     popcount = np.array([bin(i).count("1") for i in range(2**n_atoms)])
@@ -305,8 +310,6 @@ def full_simulate_naive(
             flat = state.reshape(2**n_atoms, 4).copy()
             for m in range(n_atoms + 1):
                 rows = popcount == m
-                if not rows.any():
-                    continue
                 block = _evolution_block(lam_t, n_atoms - m, m)
                 flat[rows] = flat[rows] @ block.T
             state = flat.reshape(state.shape)
@@ -329,16 +332,6 @@ def dicke_amplitudes_from_naive(state: StateVector, n_atoms: int) -> np.ndarray:
     return out
 
 
-def atom_photon_entropy(state: StateVector) -> float:
-    """Von Neumann entropy (nats) of the atoms/photons bipartition."""
-    dims = state.space.dims
-    flat = state.amplitudes.reshape(-1, dims[-2] * dims[-1])
-    svals = np.linalg.svd(flat, compute_uv=False)
-    p = svals**2
-    p = p[p > 1e-15]
-    return float(-(p * np.log(p)).sum())
-
-
 # ---------------------------------------------------------------------------
 # Symmetric-sector simulator.
 # ---------------------------------------------------------------------------
@@ -358,11 +351,11 @@ class _DickeRun:
     photon basis.
     """
 
-    def __init__(self, n_atoms: int, atom_vec: np.ndarray, photon_init: np.ndarray):
+    def __init__(self, n_atoms: int, atom_vec: np.ndarray):
         self.n = n_atoms
         self.general: np.ndarray | None = None
         self.atom_vec: np.ndarray | None = np.array(atom_vec, dtype=complex)
-        self.photon_vec: np.ndarray | None = np.array(photon_init, dtype=complex)
+        self.photon_vec: np.ndarray | None = _PHOTONS_HH.copy()
 
     def _materialize(self) -> None:
         if self.general is None:
@@ -421,19 +414,14 @@ class _DickeRun:
         return StateVector(dicke_space(self.n), self.general.reshape(-1))
 
 
-def full_simulate_dicke(
-    n_atoms: int,
-    atom_init,
-    ops,
-    photon_init=None,
-) -> StateVector:
+def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     """Evolve the symmetric sector: identical physics to the naive simulator.
 
     ``atom_init`` is the normalized single-atom 2-vector replicated across
-    the ensemble, as for ``full_simulate_naive``; ``photon_init`` likewise.
-    The single-atom vector is kept at unit norm after every rotation, and
-    the Dicke amplitudes are taken from it at unit norm, so the state's
-    squared norm drifts by rounding only, at any N.
+    the ensemble, and the photons start horizontal, as for
+    ``full_simulate_naive``. The single-atom vector is kept at unit norm
+    after every rotation, and the Dicke amplitudes are taken from it at unit
+    norm, so the state's squared norm drifts by rounding only, at any N.
 
     Cost: rotations and medium steps on a product state with the atoms at an
     extreme are O(1). The first medium step off the extremes, or the end of
@@ -441,16 +429,10 @@ def full_simulate_dicke(
     coherent band is computed. After that a medium step is O(N) in place
     and an atom rotation is a dense O(N^3) symmetric rotation (N <= 1024).
     """
+    single = _check_atom_init(atom_init)
     if n_atoms < 1:
         raise ValueError("need at least one atom")
-    single = np.asarray(atom_init, dtype=complex)
-    if single.shape != (2,):
-        raise ValueError("atom_init must be a single-atom 2-vector")
-    if abs(np.linalg.norm(single) - 1.0) > CONSTRUCTION_ATOL:
-        raise ValueError("atom_init must be normalized")
-    if photon_init is None:
-        photon_init = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    run = _DickeRun(n_atoms, single, np.asarray(photon_init, dtype=complex))
+    run = _DickeRun(n_atoms, single)
     for op in ops:
         if isinstance(op, AtomRotation):
             run.atom_rotation(op.matrix)

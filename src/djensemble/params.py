@@ -13,6 +13,12 @@ from dataclasses import dataclass
 from .ensemble import EnsembleConfig
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
+# detuning/coupling at or above which the second-order (dispersive)
+# treatment of the medium holds
+DISPERSIVE_THRESHOLD = 5.0
+# relaxation time over transit time at or above which decoherence during the
+# traversal is negligible
+DECOHERENCE_THRESHOLD = 1e3
 
 
 @dataclass(frozen=True)
@@ -64,11 +70,7 @@ def transit_time(length: float) -> float:
     return length / SPEED_OF_LIGHT
 
 
-def required_detuning(
-    spec: MediumSpec,
-    dispersive_threshold: float = 5.0,
-    decoherence_threshold: float = 1e3,
-) -> FeasibilityReport:
+def required_detuning(spec: MediumSpec) -> FeasibilityReport:
     """Detuning that puts the medium traversal at a quarter-turn evolution angle.
 
     With the evolution angle fixed at pi/2 and lambda = coupling^2/detuning,
@@ -85,16 +87,16 @@ def required_detuning(
         raise ValueError(out_of_range) from exc
     if not all(math.isfinite(v) and v > 0 for v in (t, detuning, lam, ratio, margin)):
         raise ValueError(out_of_range)
-    dispersive_ok = ratio >= dispersive_threshold
-    decoherence_ok = margin >= decoherence_threshold
+    dispersive_ok = ratio >= DISPERSIVE_THRESHOLD
+    decoherence_ok = margin >= DECOHERENCE_THRESHOLD
     notes = []
     if not dispersive_ok:
         notes.append(
-            f"detuning is only {ratio:.3g} couplings; below threshold {dispersive_threshold:g}"
+            f"detuning is only {ratio:.3g} couplings; below threshold {DISPERSIVE_THRESHOLD:g}"
         )
     if not decoherence_ok:
         notes.append(
-            f"relaxation margin {margin:.3g} is below threshold {decoherence_threshold:g}"
+            f"relaxation margin {margin:.3g} is below threshold {DECOHERENCE_THRESHOLD:g}"
         )
     return FeasibilityReport(
         transit_time=t,

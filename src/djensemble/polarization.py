@@ -1,31 +1,22 @@
 """Jones-calculus layer for the two polarization qubits.
 
 Conventions: every photonic state and matrix is expressed in the linear
-polarization basis, index 0 horizontal and index 1 vertical, unless it has
-been explicitly pushed through ``basis_convert``. The circular mode basis
-orders the single-photon-in-plus mode before the single-photon-in-minus mode.
+polarization basis, index 0 horizontal and index 1 vertical. ``LIN_TO_CIRC``
+gives circular-mode coordinates where the medium needs them; the circular
+mode basis orders the single-photon-in-plus mode before the
+single-photon-in-minus mode.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (
-    Operator,
-    SpaceLabel,
-    StateVector,
-    born_distribution,
-    embed,
-    sample_shots,
-    tensor,
-)
+from .qstate import Operator, SpaceLabel, embed
 
 PHOTON = SpaceLabel((("photon", 2),))
-TWO_PHOTONS = SpaceLabel((("photon1", 2), ("photon2", 2)))
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -39,11 +30,6 @@ _HADAMARD_VARIANTS = {
     3: np.array([[1.0, 1.0], [-1.0, 1.0]]) / _SQRT2,
     4: np.array([[1.0, -1.0j], [-1.0j, 1.0]]) / _SQRT2,
 }
-
-
-class PhotonBasis(enum.Enum):
-    LINEAR = "linear"
-    CIRCULAR = "circular"
 
 
 def quarter_wave(angle: float) -> Operator:
@@ -125,61 +111,10 @@ def composite_h(kind: str) -> Operator:
     return out
 
 
-def _photon_positions(space: SpaceLabel, subsystems) -> list[int]:
-    if subsystems is None:
-        subsystems = [n for n in space.names if n.startswith("photon")]
-        if not subsystems:
-            raise ValueError("no photon subsystems found in space")
-    positions = []
-    for name in subsystems:
-        p = space.index(name)
-        if not name.startswith("photon") or space.dims[p] != 2:
-            raise ValueError(f"subsystem {name!r} is not a photon qubit")
-        positions.append(p)
-    return positions
-
-
-def basis_convert(x, to: PhotonBasis, subsystems=None):
-    """Re-express a state or operator in the requested photon basis.
-
-    By default every subsystem whose name starts with ``photon`` is converted.
-    Converting to CIRCULAR applies the linear-to-circular change of
-    coordinates; converting to LINEAR applies its inverse.
-    """
-    space = x.space
-    positions = _photon_positions(space, subsystems)
-    b = LIN_TO_CIRC if to is PhotonBasis.CIRCULAR else LIN_TO_CIRC.conj().T
-    result = x
-    for p in positions:
-        name = space.names[p]
-        conv = embed_single(name, b, space)
-        if isinstance(x, StateVector):
-            result = conv.apply(result)
-        elif isinstance(x, Operator):
-            result = conv @ result @ conv.dagger()
-        else:
-            raise TypeError("basis_convert expects a StateVector or Operator")
-    return result
-
-
 def embed_single(name: str, matrix_2x2: np.ndarray, space: SpaceLabel) -> Operator:
     """Embed a 2x2 matrix acting on the named qubit subsystem."""
     op = Operator(SpaceLabel(((name, 2),)), matrix_2x2, unitary_claim=True)
     return embed(op, name, space)
-
-
-def source_and_initialize() -> StateVector:
-    """Two-photon source output after the preparation optics.
-
-    The pair is born with photon 1 horizontal and photon 2 vertical; photon 2
-    is then rotated by a half-wave plate at pi/4, leaving both photons
-    horizontal up to a global phase.
-    """
-    photon1 = StateVector(SpaceLabel((("photon1", 2),)), np.array([1.0, 0.0]))
-    vertical = np.array([0.0, 1.0], dtype=complex)
-    rotated = half_wave(math.pi / 4).matrix @ vertical
-    photon2 = StateVector(SpaceLabel((("photon2", 2),)), rotated)
-    return tensor(photon1, photon2)
 
 
 _DETECTORS = {(1, 0): "HD1", (1, 1): "VD1", (2, 0): "HD2", (2, 1): "VD2"}
@@ -188,40 +123,3 @@ _DETECTORS = {(1, 0): "HD1", (1, 1): "VD1", (2, 0): "HD2", (2, 1): "VD2"}
 def clicks_for_pattern(pattern) -> tuple[str, str]:
     b1, b2 = pattern
     return _DETECTORS[(1, int(b1))], _DETECTORS[(2, int(b2))]
-
-
-def detect_coincidence(state: StateVector, seed: int):
-    """Sample one coincidence pattern from the two-photon linear-basis Born rule.
-
-    Any non-photon subsystems must be in a product with the photons; an
-    entangled register signals a protocol-sequencing bug and raises.
-    """
-    space = state.space
-    for name in ("photon1", "photon2"):
-        if name not in space.names or space.dims[space.index(name)] != 2:
-            raise ValueError("state must contain photon1 and photon2 qubits")
-    p1, p2 = space.index("photon1"), space.index("photon2")
-    others = [i for i in range(len(space.dims)) if i not in (p1, p2)]
-    shaped = state.amplitudes.reshape(space.dims)
-    shaped = np.transpose(shaped, others + [p1, p2])
-    flat = shaped.reshape(-1, 4)
-    if flat.shape[0] > 1:
-        svals = np.linalg.svd(flat, compute_uv=False)
-        if svals.size > 1 and svals[1] > 1e-9:
-            raise ValueError(
-                "photons are entangled with another register; measure or trace it explicitly first"
-            )
-        _, _, vh = np.linalg.svd(flat)
-        photon_amps = vh[0]
-    else:
-        photon_amps = flat[0]
-    photon_state = StateVector(TWO_PHOTONS, photon_amps / np.linalg.norm(photon_amps))
-    dist = born_distribution(photon_state)
-    counts = sample_shots(dist, 1, seed)
-    pattern = next(o for o, c in counts.items() if c == 1)
-    record = {
-        "pattern": pattern,
-        "clicks": clicks_for_pattern(pattern),
-        "distribution": dist,
-    }
-    return pattern, record

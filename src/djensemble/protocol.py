@@ -38,6 +38,10 @@ from .qstate import StateVector, born_distribution
 
 MODES = ("exact", "paper")
 
+# A run or circuit is deterministic when its verdict has probability within
+# this distance of 1.
+DETERMINISTIC_EPS = 1e-9
+
 TABLE1_TABLES = {
     "f1": (0, 0, 0, 0),
     "f2": (1, 1, 1, 1),
@@ -228,8 +232,8 @@ class ProtocolTrace:
         best = max(dist, key=dist.get)
         return best, dist[best]
 
-    def deterministic(self, eps: float = 1e-9) -> bool:
-        return self.pattern()[1] >= 1.0 - eps
+    def deterministic(self) -> bool:
+        return self.pattern()[1] >= 1.0 - DETERMINISTIC_EPS
 
     def named_states(self):
         yield "psi0", self.psi0
@@ -338,10 +342,9 @@ def reference_dj_circuit(f: BooleanFunction) -> ReferenceCircuitResult:
     p_all_zero = float(probs[0])
     top_index = int(np.argmax(probs))
     top_pattern = tuple((top_index >> (n - 1 - i)) & 1 for i in range(n))
-    eps = 1e-9
-    if p_all_zero >= 1.0 - eps:
+    if p_all_zero >= 1.0 - DETERMINISTIC_EPS:
         classification, p_class, deterministic = "constant", p_all_zero, True
-    elif p_all_zero <= eps:
+    elif p_all_zero <= DETERMINISTIC_EPS:
         classification, p_class, deterministic = "balanced", 1.0 - p_all_zero, True
     else:
         classification = "constant" if p_all_zero >= 0.5 else "balanced"

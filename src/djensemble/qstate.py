@@ -27,7 +27,6 @@ __all__ = [
     "Operator",
     "PhaseMatch",
     "basis_state",
-    "tensor",
     "embed",
     "expm_hermitian",
     "born_distribution",
@@ -79,20 +78,13 @@ class SpaceLabel:
                 return i
         raise ValueError(f"unknown subsystem {name!r}; have {self.names}")
 
-    def concat(self, other: "SpaceLabel") -> "SpaceLabel":
-        clash = set(self.names) & set(other.names)
-        if clash:
-            raise ValueError(f"subsystem name collision: {sorted(clash)}")
-        return SpaceLabel(self.subsystems + other.subsystems)
-
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitude vector over a labeled space, in row-major subsystem order."""
+    """Unit-norm complex amplitude vector over a labeled space, in row-major subsystem order."""
 
     space: SpaceLabel
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         amps = _as_frozen_complex(self.amplitudes).reshape(-1)
@@ -100,29 +92,16 @@ class StateVector:
             raise ValueError(
                 f"amplitude length {amps.size} does not match space dimension {self.space.dim}"
             )
-        if self.normalized:
-            norm2 = float(np.vdot(amps, amps).real)
-            if abs(norm2 - 1.0) > CONSTRUCTION_ATOL:
-                raise ValueError(f"state flagged normalized but <psi|psi> = {norm2!r}")
+        norm2 = float(np.vdot(amps, amps).real)
+        if abs(norm2 - 1.0) > CONSTRUCTION_ATOL:
+            raise ValueError(f"state must be normalized but <psi|psi> = {norm2!r}")
         object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def overlap(self, other: "StateVector") -> complex:
         """<self|other>; spaces must match."""
         if self.space != other.space:
             raise ValueError("states live on different spaces")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def renormalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.space, self.amplitudes / n, normalized=True)
-
-    def tensor_view(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.space.dims)
 
 
 @dataclass(frozen=True)
@@ -148,15 +127,11 @@ class Operator:
     def dim(self) -> int:
         return self.space.dim
 
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T, unitary_claim=self.unitary_claim)
-
     def apply(self, state: StateVector) -> StateVector:
+        """The image state; raises ValueError if the operator changed its norm."""
         if state.space != self.space:
             raise ValueError("operator and state live on different spaces")
-        return StateVector(
-            self.space, self.matrix @ state.amplitudes, normalized=state.normalized and self.unitary_claim
-        )
+        return StateVector(self.space, self.matrix @ state.amplitudes)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.space != other.space:
@@ -182,23 +157,6 @@ def basis_state(space: SpaceLabel, occupancy: Sequence[int]) -> StateVector:
         flat = flat * dim + level
     amps[flat] = 1.0
     return StateVector(space, amps)
-
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators; labels concatenate."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(
-            a.space.concat(b.space),
-            np.kron(a.amplitudes, b.amplitudes),
-            normalized=a.normalized and b.normalized,
-        )
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(
-            a.space.concat(b.space),
-            np.kron(a.matrix, b.matrix),
-            unitary_claim=a.unitary_claim and b.unitary_claim,
-        )
-    raise TypeError("tensor expects two StateVectors or two Operators")
 
 
 def embed(op: Operator, targets, space: SpaceLabel) -> Operator:
@@ -247,26 +205,15 @@ def expm_hermitian(h: Operator, theta: float) -> Operator:
     return Operator(h.space, u, unitary_claim=True)
 
 
-def born_distribution(
-    state: StateVector,
-    subsystems: Sequence[str] | None = None,
-    renormalize: bool = False,
-) -> dict:
+def born_distribution(state: StateVector, subsystems: Sequence[str] | None = None) -> dict:
     """Measurement probabilities over the product basis of the named subsystems.
 
     Unnamed subsystems are marginalized. Keys are level tuples, or plain ints
-    when a single subsystem is requested. Raises on an unnormalized state
-    unless ``renormalize`` is set.
+    when a single subsystem is requested. The state has unit norm by
+    construction, so the probabilities sum to 1 to rounding.
     """
     probs = np.abs(state.amplitudes)
     probs *= probs
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        if not renormalize:
-            raise ValueError(
-                f"state norm^2 = {total!r}; pass renormalize=True to measure it anyway"
-            )
-        probs = probs / total
     shaped = probs.reshape(state.space.dims)
     names = state.space.names
     if subsystems is None:
@@ -329,9 +276,6 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float) -> Phas
     """True iff |<a|b>| >= 1 - tol; also returns arg<a|b> on success."""
     if a.space.dims != b.space.dims:
         raise ValueError("dimension mismatch")
-    for s, name in ((a, "a"), (b, "b")):
-        if abs(s.norm() - 1.0) > 1e-9:
-            raise ValueError(f"state {name} is not normalized")
     ov = complex(np.vdot(a.amplitudes, b.amplitudes))
     if abs(ov) >= 1.0 - tol:
         return PhaseMatch(True, float(np.angle(ov)))

@@ -21,6 +21,7 @@ from djensemble.ensemble import (
 )
 from djensemble.manybody import (
     EnsembleEvolution,
+    PhotonRotation,
     dicke_amplitudes_from_naive,
     full_simulate_dicke,
     full_simulate_naive,
@@ -178,9 +179,12 @@ def test_09_oracle_equivalence():
             atom = np.zeros(2)
             atom[level] = 1.0
             for _ in range(2):
-                photons = rng.normal(size=4) + 1j * rng.normal(size=4)
-                photons = photons / np.linalg.norm(photons)
-                naive = full_simulate_naive(n, atom, [EnsembleEvolution(math.pi / 2)], photons)
+                # the photons start horizontal; random rotations give a random product input
+                u1, u2 = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                          for _ in range(2))
+                photons = np.kron(u1[:, 0], u2[:, 0])
+                ops = [PhotonRotation(1, u1), PhotonRotation(2, u2), EnsembleEvolution(math.pi / 2)]
+                naive = full_simulate_naive(n, atom, ops)
                 marg = born_distribution(naive, ("photon1", "photon2"))
                 amps = np.zeros(8, dtype=complex)
                 amps[4 * level : 4 * level + 4] = photons

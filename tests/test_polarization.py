@@ -3,27 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from djensemble.ensemble import P_PLUS, PROTOCOL_SPACE, EnsembleConfig
 from djensemble.polarization import (
     HADAMARD_GADGETS,
     LIN_TO_CIRC,
-    PhotonBasis,
-    TWO_PHOTONS,
     WavePlateSpec,
-    basis_convert,
+    clicks_for_pattern,
     composite_h,
-    detect_coincidence,
     gadget_compose,
     hadamard_variant,
     half_wave,
     quarter_wave,
-    source_and_initialize,
 )
+from djensemble.protocol import run_protocol, table1_function
 from djensemble.qstate import (
-    Operator,
     SpaceLabel,
     StateVector,
     born_distribution,
     equal_up_to_global_phase,
+    sample_shots,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -145,7 +143,7 @@ class TestCompositeRotations:
 
 
 class TestBasisConvert:
-    SPACE = SpaceLabel((("photon", 2),))
+    """The linear-to-circular change of coordinates, ``LIN_TO_CIRC``."""
 
     def test_change_of_basis_matrix(self):
         np.testing.assert_allclose(LIN_TO_CIRC.conj().T @ LIN_TO_CIRC, np.eye(2), atol=1e-15)
@@ -156,99 +154,78 @@ class TestBasisConvert:
         )
 
     def test_horizontal_to_circular(self):
-        state = StateVector(self.SPACE, np.array([1.0, 0.0]))
-        converted = basis_convert(state, PhotonBasis.CIRCULAR)
-        np.testing.assert_allclose(converted.amplitudes, np.array([1.0, 1.0]) / SQRT2, atol=1e-15)
+        converted = LIN_TO_CIRC @ np.array([1.0, 0.0])
+        np.testing.assert_allclose(converted, np.array([1.0, 1.0]) / SQRT2, atol=1e-15)
 
     def test_plus_mode_to_linear(self):
-        state = StateVector(self.SPACE, np.array([1.0, 0.0]))
-        converted = basis_convert(state, PhotonBasis.LINEAR)
-        np.testing.assert_allclose(converted.amplitudes, np.array([1.0, 1.0j]) / SQRT2, atol=1e-15)
+        converted = LIN_TO_CIRC.conj().T @ np.array([1.0, 0.0])
+        np.testing.assert_allclose(converted, np.array([1.0, 1.0j]) / SQRT2, atol=1e-15)
 
     def test_round_trip(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-            state = StateVector(self.SPACE, amps / np.linalg.norm(amps))
-            back = basis_convert(basis_convert(state, PhotonBasis.CIRCULAR), PhotonBasis.LINEAR)
-            np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-15)
+            back = LIN_TO_CIRC.conj().T @ (LIN_TO_CIRC @ amps)
+            np.testing.assert_allclose(back, amps, atol=1e-14)
 
     def test_inner_products_preserved(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
-            amps = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            a = StateVector(self.SPACE, amps[0] / np.linalg.norm(amps[0]))
-            b = StateVector(self.SPACE, amps[1] / np.linalg.norm(amps[1]))
-            ca = basis_convert(a, PhotonBasis.CIRCULAR)
-            cb = basis_convert(b, PhotonBasis.CIRCULAR)
-            assert abs(a.overlap(b) - ca.overlap(cb)) < 1e-12
+            a, b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            assert abs(np.vdot(a, b) - np.vdot(LIN_TO_CIRC @ a, LIN_TO_CIRC @ b)) < 1e-12
 
     def test_operator_conversion(self):
-        plus_projector_linear = LIN_TO_CIRC.conj().T @ np.diag([1.0, 0.0]) @ LIN_TO_CIRC
-        op = Operator(self.SPACE, plus_projector_linear)
-        circ = basis_convert(op, PhotonBasis.CIRCULAR)
-        np.testing.assert_allclose(circ.matrix, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_non_photon_subsystem_rejected(self):
-        space = SpaceLabel((("atom", 2), ("photon1", 2)))
-        state = StateVector(space, np.array([1.0, 0, 0, 0]))
-        with pytest.raises(ValueError, match="not a photon"):
-            basis_convert(state, PhotonBasis.CIRCULAR, subsystems=("atom",))
+        # the medium's plus-mode projector is diagonal in circular coordinates
+        circ = LIN_TO_CIRC @ P_PLUS @ LIN_TO_CIRC.conj().T
+        np.testing.assert_allclose(circ, np.diag([1.0, 0.0]), atol=1e-15)
 
 
 class TestSourceAndDetection:
+    """The source output every run starts from, and detection as ``sample`` does it.
+
+    A coincidence is one shot drawn by ``sample_shots`` from the photon pair's
+    Born distribution and named by ``clicks_for_pattern``.
+    """
+
+    TWO_PHOTONS = SpaceLabel((("photon1", 2), ("photon2", 2)))
+
     def test_source_equals_both_horizontal_up_to_phase(self):
-        out = source_and_initialize()
-        target = StateVector(TWO_PHOTONS, np.array([1.0, 0, 0, 0]))
-        equal, phase = equal_up_to_global_phase(out, target, 1e-12)
+        # the pair is born H and V; a half-wave plate at pi/4 turns V into H
+        photon = SpaceLabel((("photon", 2),))
+        rotated = StateVector(photon, half_wave(math.pi / 4).matrix @ np.array([0.0, 1.0]))
+        equal, phase = equal_up_to_global_phase(rotated, StateVector(photon, np.array([1.0, 0.0])), 1e-12)
         assert equal
         # the preparation plate contributes a quarter-turn phase
         assert abs(abs(phase) - math.pi / 2) < 1e-12
 
     def test_source_per_photon_distributions(self):
-        out = source_and_initialize()
+        trace = run_protocol(table1_function("f1"), "exact", EnsembleConfig.from_theta(math.pi / 2))
         for name in ("photon1", "photon2"):
-            dist = born_distribution(out, (name,))
+            dist = born_distribution(trace.psi0, (name,))
             assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_source_norm(self):
-        assert abs(source_and_initialize().norm() - 1.0) < 1e-12
-
     def test_detect_basis_state(self):
-        state = StateVector(TWO_PHOTONS, np.array([0.0, 1.0, 0.0, 0.0]))  # |0,1>
-        pattern, record = detect_coincidence(state, seed=5)
-        assert pattern == (0, 1)
-        assert record["clicks"] == ("HD1", "VD2")
-        assert record["distribution"][(0, 1)] == pytest.approx(1.0)
+        state = StateVector(self.TWO_PHOTONS, np.array([0.0, 1.0, 0.0, 0.0]))  # |0,1>
+        dist = born_distribution(state)
+        assert dist[(0, 1)] == pytest.approx(1.0)
+        assert sample_shots(dist, 1, seed=5)[(0, 1)] == 1
+        assert clicks_for_pattern((0, 1)) == ("HD1", "VD2")
 
     def test_detect_product_superposition(self):
         plus = np.array([1.0, 1.0]) / SQRT2
-        state = StateVector(TWO_PHOTONS, np.kron(plus, [1.0, 0.0]))
-        seen = set()
-        for seed in range(30):
-            pattern, record = detect_coincidence(state, seed=seed)
-            assert pattern[1] == 0  # photon 2 is horizontal with certainty
-            seen.add(pattern[0])
-            assert record["distribution"][(0, 0)] == pytest.approx(0.5)
-        assert seen == {0, 1}
+        dist = born_distribution(StateVector(self.TWO_PHOTONS, np.kron(plus, [1.0, 0.0])))
+        assert dist[(0, 0)] == pytest.approx(0.5)
+        counts = sample_shots(dist, 30, seed=0)
+        # photon 2 is horizontal with certainty; photon 1 shows both outcomes
+        assert counts[(0, 1)] == counts[(1, 1)] == 0
+        assert counts[(0, 0)] > 0 and counts[(1, 0)] > 0
 
     def test_detect_marginalizes_product_atom(self):
-        space = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
         amps = np.kron([0.0, 1.0], np.kron([1.0, 0.0], [1.0, 0.0]))
-        pattern, _ = detect_coincidence(StateVector(space, amps), seed=0)
-        assert pattern == (0, 0)
-
-    def test_detect_rejects_entangled_atom(self):
-        space = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = 1 / SQRT2  # atom 0, photons 00
-        amps[7] = 1 / SQRT2  # atom 1, photons 11
-        with pytest.raises(ValueError, match="entangled"):
-            detect_coincidence(StateVector(space, amps), seed=0)
+        dist = born_distribution(StateVector(PROTOCOL_SPACE, amps), ("photon1", "photon2"))
+        assert dist[(0, 0)] == pytest.approx(1.0)
 
     def test_detect_same_seed_reproducible(self):
         plus = np.array([1.0, 1.0]) / SQRT2
-        state = StateVector(TWO_PHOTONS, np.kron(plus, plus))
-        a, _ = detect_coincidence(state, seed=123)
-        b, _ = detect_coincidence(state, seed=123)
-        assert a == b
+        dist = born_distribution(StateVector(self.TWO_PHOTONS, np.kron(plus, plus)))
+        assert sample_shots(dist, 1, seed=123) == sample_shots(dist, 1, seed=123)

@@ -21,7 +21,8 @@ from djensemble.protocol import (
     run_protocol,
     table1_function,
 )
-from djensemble.qstate import StateVector, born_distribution, equal_up_to_global_phase
+from djensemble.polarization import clicks_for_pattern
+from djensemble.qstate import StateVector, born_distribution, equal_up_to_global_phase, sample_shots
 
 SQRT2 = math.sqrt(2.0)
 CONFIG = EnsembleConfig.from_theta(math.pi / 2)
@@ -297,22 +298,17 @@ class TestClassify:
 
 
 class TestDetection:
-    def test_f7_coincidence_clicks(self):
-        from djensemble.polarization import detect_coincidence
+    """Seeded coincidences drawn from a run's distribution, as ``sample`` draws them."""
 
+    def test_f7_coincidence_clicks(self):
         trace = run_protocol(table1_function("f7"), "paper", CONFIG)
-        for seed in range(5):
-            pattern, record = detect_coincidence(trace.psi3, seed=seed)
-            assert pattern == (0, 0)
-            assert record["clicks"] == ("HD1", "HD2")
+        assert sample_shots(trace.distribution(), 5, seed=0)[(0, 0)] == 5
+        assert clicks_for_pattern((0, 0)) == ("HD1", "HD2")
 
     def test_f1_coincidence_clicks(self):
-        from djensemble.polarization import detect_coincidence
-
         trace = run_protocol(table1_function("f1"), "exact", CONFIG)
-        pattern, record = detect_coincidence(trace.psi3, seed=9)
-        assert pattern == (1, 1)
-        assert record["clicks"] == ("VD1", "VD2")
+        assert sample_shots(trace.distribution(), 1, seed=9)[(1, 1)] == 1
+        assert clicks_for_pattern((1, 1)) == ("VD1", "VD2")
 
 
 class TestReferenceCircuit:
