@@ -16,6 +16,7 @@ sequences on the compact (atom, photon1, photon2) space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,11 +24,12 @@ import numpy as np
 
 from .ensemble import P_MINUS, P_PLUS
 from .polarization import LIN_TO_CIRC
-from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, expm_hermitian
+from .qstate import CONSTRUCTION_ATOL, SpaceLabel, StateVector
 
 NAIVE_ATOM_LIMIT = 12
-# Dense symmetric rotations are O(N^3); anything bigger should stay on the
-# coherent product fast path.
+# A dense symmetric rotation is an (N+1) x (N+1) matrix from an O(N^3) real
+# product, and the first rotation at each N also pays an O(N^3)
+# eigendecomposition; bigger ensembles stay on the coherent product path.
 DENSE_ROTATION_LIMIT = 1024
 
 _I2 = np.eye(2)
@@ -37,6 +39,8 @@ _PHOTONS_HH = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 # Rows of the (N+1) x 4 Dicke array that the medium step phases at once;
 # bounds its temporaries only.
 _ROW_BLOCK = 1 << 16
+# i^m for m mod 4, exactly
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 def _check_atom_init(atom_init) -> np.ndarray:
@@ -55,6 +59,9 @@ def _check_unitary_2x2(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
+    # NaN compares False with any tolerance, so it must be rejected first
+    if not np.isfinite(m).all():
+        raise ValueError("matrix must be finite (no NaN or Inf)")
     if np.max(np.abs(m.conj().T @ m - _I2)) > 1e-10:
         raise ValueError("matrix is not unitary")
     return m
@@ -209,28 +216,45 @@ def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> np.ndarray:
     return amps
 
 
-def collective_op(single: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Sum over atoms of a single-atom operator, restricted to the symmetric sector."""
-    s = np.asarray(single, dtype=complex)
-    m = np.arange(n_atoms + 1)
-    ladder = np.sqrt((n_atoms - m[:-1]) * (m[:-1] + 1.0))
-    out = np.diag(s[0, 0] * (n_atoms - m) + s[1, 1] * m).astype(complex)
-    out += np.diag(s[1, 0] * ladder, k=-1)
-    out += np.diag(s[0, 1] * ladder, k=1)
-    return out
+@functools.lru_cache(maxsize=4)
+def _sigma_x_basis(n_atoms: int) -> np.ndarray:
+    """Real orthogonal eigenbasis X of the collective sigma_x on the symmetric sector.
+
+    The collective sigma_x is the tridiagonal ladder with off-diagonal
+    sqrt((N - m)(m + 1)); column k of X is its eigenvector of eigenvalue
+    2k - N. X depends on N alone, so it is built once per N and returned
+    read-only. Raises ValueError unless max |X^T X - I| <= CONSTRUCTION_ATOL
+    and the computed eigenvalues are 2k - N: with unimodular diagonal
+    factors on both sides, every rotation built on X is then unitary.
+    """
+    m = np.arange(n_atoms)
+    ladder = np.sqrt((n_atoms - m) * (m + 1.0))
+    w, x = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
+    dev = float(np.max(np.abs(x.T @ x - np.eye(n_atoms + 1))))
+    if dev > CONSTRUCTION_ATOL:
+        raise ValueError(
+            f"sigma_x eigenbasis for {n_atoms} atoms is not orthogonal: max |X^T X - I| = {dev:.3e}"
+        )
+    spread = float(np.max(np.abs(w - (2.0 * np.arange(n_atoms + 1) - n_atoms))))
+    if spread > CONSTRUCTION_ATOL * max(1, n_atoms):
+        raise ValueError(f"sigma_x eigenvalues for {n_atoms} atoms are off 2k - N by {spread:.3e}")
+    x.setflags(write=False)
+    return x
 
 
 def symmetric_rotation(u: np.ndarray, n_atoms: int) -> np.ndarray:
     """The N-fold tensor power of a single-qubit unitary on the symmetric sector.
 
     Splits off the global phase and writes the special-unitary part as
-    exp(-i t n.sigma). The collective generator of the axis n.sigma is
-    Hermitian tridiagonal; conjugating it by P = diag(exp(i m phi)), with
-    phi = arg of its (1, 0) entry, makes it a real symmetric T, so the
-    rotation is P exp(-i t T) P^dag with a real eigendecomposition. The
-    angle is t = atan2(sin t, cos t), with sin t read off the entries of the
-    special-unitary part, so rotations by t below 1e-8 are not rounded to
-    the identity as acos(cos t) would round them.
+    Rz(alpha) Ry(beta) Rz(gamma), with beta/2 = atan2(|v10|, |v00|), so
+    small angles come from a sine and are not rounded away as acos would
+    round them. On the symmetric sector Rz(phi) is the diagonal phase
+    exp(-i phi (N - 2m) / 2), and Ry(beta) = D X diag(exp(-i beta lam / 2))
+    X^T D^dag with D = diag(i^m) and X the cached real eigenbasis of the
+    collective sigma_x (eigenvalues lam = -N, -N + 2, ..., N). A call costs
+    one real (2N+2) x (N+1) x (N+1) product plus O(N^2) phase scaling. A
+    diagonal rotation (v10 == 0), the identity included, returns an exactly
+    diagonal matrix.
     """
     if n_atoms > DENSE_ROTATION_LIMIT:
         raise ValueError(
@@ -241,22 +265,33 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int) -> np.ndarray:
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     delta = np.angle(det) / 2.0
     v = u * np.exp(-1j * delta)
-    cos_half = float(np.clip(np.real(np.trace(v)) / 2.0, -1.0, 1.0))
-    sin_half = math.hypot(v[0, 0].imag, abs(v[0, 1]))
-    phase = np.exp(1j * n_atoms * delta)
-    if sin_half == 0.0:
-        sign = 1.0 if cos_half > 0 else -1.0
-        return phase * (sign**n_atoms) * np.eye(n_atoms + 1, dtype=complex)
-    axis = (v - cos_half * _I2) * (1j / sin_half)
-    axis = (axis + axis.conj().T) / 2.0
-    phi = np.angle(axis[1, 0])
-    off = abs(axis[1, 0])
-    real_axis = np.array([[axis[0, 0].real, off], [off, axis[1, 1].real]])
-    space = SpaceLabel((("atoms", n_atoms + 1),))
-    t = math.atan2(sin_half, cos_half)
-    rot = expm_hermitian(Operator(space, collective_op(real_axis, n_atoms)), t).matrix
-    p = np.exp(1j * phi * np.arange(n_atoms + 1))
-    return (phase * p)[:, None] * rot * p.conj()
+    # v00 = exp(-i(alpha + gamma)/2) cos(beta/2), v10 = exp(i(alpha - gamma)/2) sin(beta/2)
+    a, b = v[0, 0], v[1, 0]
+    m = np.arange(n_atoms + 1)
+    tilt = n_atoms - 2.0 * m
+    arg_a = float(np.angle(a))
+    if b == 0.0:
+        return np.diag(np.exp(1j * (n_atoms * delta + arg_a * tilt)))
+    arg_b = float(np.angle(b))
+    half_beta = math.atan2(abs(b), abs(a))
+    # alpha = arg b - arg a and gamma = -(arg a + arg b); D and D^dag are
+    # folded into the outer phases
+    left = np.exp(1j * (n_atoms * delta + 0.5 * (arg_a - arg_b) * tilt)) * _I_POWERS[m % 4]
+    right = np.exp(0.5j * (arg_a + arg_b) * tilt) * _I_POWERS[-m % 4]
+    x = _sigma_x_basis(n_atoms)
+    # column k of X carries eigenvalue lam_k = -tilt_k; real and imaginary
+    # parts of X diag(exp(-i beta lam / 2)) X^T come out of one real product
+    n1 = n_atoms + 1
+    stacked = np.empty((2 * n1, n1))
+    np.multiply(x, np.cos(half_beta * tilt), out=stacked[:n1])
+    np.multiply(x, np.sin(half_beta * tilt), out=stacked[n1:])
+    prod = stacked @ x.T
+    out = np.empty((n1, n1), dtype=complex)
+    out.real = prod[:n1]
+    out.imag = prod[n1:]
+    out *= left[:, None]
+    out *= right
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +444,15 @@ class _DickeRun:
             np.matmul(circ, back, out=rows)
 
     def to_state(self) -> StateVector:
+        """Hand the array over to the state; the run keeps no reference to it.
+
+        Frozen and owned by nothing else, it passes into StateVector without a
+        copy. Not renormalized: StateVector rejects any drift of the squared norm.
+        """
         self._materialize()
-        # not renormalized: StateVector rejects any drift of the squared norm
-        return StateVector(dicke_space(self.n), self.general.reshape(-1))
+        general, self.general = self.general, None
+        general.setflags(write=False)
+        return StateVector(dicke_space(self.n), general)
 
 
 def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
@@ -427,7 +468,10 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     extreme are O(1). The first medium step off the extremes, or the end of
     the run, writes the (N+1) x 4 array, of which only the O(sqrt(N))
     coherent band is computed. After that a medium step is O(N) in place
-    and an atom rotation is a dense O(N^3) symmetric rotation (N <= 1024).
+    and an atom rotation is a dense symmetric rotation (N <= 1024): one
+    real O(N^3) product with the sigma_x eigenbasis, whose O(N^3)
+    eigendecomposition is paid once per N. The returned state takes the
+    final array without copying it.
     """
     single = _check_atom_init(atom_init)
     if n_atoms < 1:

@@ -2,7 +2,14 @@
 
 Everything here is immutable: amplitude and matrix arrays are copied on
 construction and marked read-only, so all operations are pure functions and
-values can be shared freely across threads.
+values can be shared freely across threads. One input is taken without a
+copy: a C-contiguous complex128 ndarray that owns its data and is already
+read-only. Views of it are read-only too and no writable owner stands
+behind it, so a caller that froze its own array has handed it over and
+sharing it is as safe as a copy; ``full_simulate_dicke`` passes its final
+(N+1) x 4 array this way and saves a copy of it (64 MB at N = 10^6). Every
+other input, a read-only view of a writable array included, is copied.
+The finite and norm checks run on every construction.
 """
 
 from __future__ import annotations
@@ -36,7 +43,14 @@ __all__ = [
 
 
 def _as_frozen_complex(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
+    frozen_owner = (
+        type(values) is np.ndarray
+        and not values.flags.writeable
+        and values.flags.owndata
+        and values.flags.c_contiguous
+        and values.dtype == np.complex128
+    )
+    arr = values if frozen_owner else np.array(values, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
         raise ValueError("amplitudes must be finite (no NaN or Inf)")
     arr.setflags(write=False)

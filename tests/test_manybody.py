@@ -9,8 +9,8 @@ from djensemble.manybody import (
     AtomRotation,
     EnsembleEvolution,
     PhotonRotation,
+    _sigma_x_basis,
     coherent_dicke_amplitudes,
-    collective_op,
     dicke_amplitudes_from_naive,
     full_simulate_dicke,
     full_simulate_naive,
@@ -93,15 +93,32 @@ def literal_hamiltonian(n, lam):
     return h
 
 
-class TestCollectiveOp:
-    def test_diagonal_counts(self):
-        op = collective_op(np.diag([1.0, 0.0]), 5)
-        np.testing.assert_allclose(np.diag(op), [5, 4, 3, 2, 1, 0], atol=1e-15)
+class TestSigmaXBasis:
+    @pytest.mark.parametrize("n", [1, 2, 7, 512])
+    def test_rebuilds_the_ladder(self, n):
+        x = _sigma_x_basis(n)
+        lam = 2.0 * np.arange(n + 1) - n
+        ladder = np.array([math.sqrt((n - m) * (m + 1)) for m in range(n)])
+        sigma_x = np.diag(ladder, 1) + np.diag(ladder, -1)
+        np.testing.assert_allclose((x * lam) @ x.T, sigma_x, rtol=0, atol=1e-12)
+        assert _sigma_x_basis(n) is x
+        assert not x.flags.writeable
 
-    def test_ladder_elements(self):
-        raise_op = collective_op(np.array([[0.0, 0.0], [1.0, 0.0]]), 3)
-        expected = [math.sqrt(3 * 1), math.sqrt(2 * 2), math.sqrt(1 * 3)]
-        np.testing.assert_allclose(np.diag(raise_op, k=-1), expected, atol=1e-15)
+    @pytest.mark.parametrize(
+        "spoil,message",
+        [(lambda w, x: (w, 1.01 * x), "orthogonal"), (lambda w, x: (w + 1e-6, x), "eigenvalues")],
+        ids=["not-orthogonal", "wrong-spectrum"],
+    )
+    def test_bad_eigendecomposition_rejected(self, monkeypatch, spoil, message):
+        # the per-N check is what makes every rotation built on X unitary
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda t: spoil(*eigh(t)))
+        _sigma_x_basis.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=message):
+                _sigma_x_basis(5)
+        finally:
+            _sigma_x_basis.cache_clear()
 
 
 class TestSymmetricRotation:
@@ -157,6 +174,18 @@ class TestSymmetricRotation:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="limit"):
             symmetric_rotation(H1, 100_000)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build",
+    [AtomRotation, lambda m: PhotonRotation(2, m), lambda m: symmetric_rotation(m, 3)],
+    ids=["AtomRotation", "PhotonRotation", "symmetric_rotation"],
+)
+def test_non_finite_2x2_rejected(build, bad):
+    # NaN compares False with the unitarity tolerance, so it must be caught first
+    with pytest.raises(ValueError, match="finite"):
+        build(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestAtomState:
@@ -367,7 +396,6 @@ class TestDickeSimulator:
         assert sum(born_distribution(out, ("photon1", "photon2")).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_medium_step_memory_stays_near_the_state(self):
-        # the returned state and the run's own array coexist for a moment;
         # the medium step itself must add only block-sized temporaries
         tracemalloc.start()
         try:
@@ -376,6 +404,23 @@ class TestDickeSimulator:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * out.amplitudes.nbytes
+
+    def test_result_takes_the_run_array_without_a_copy(self):
+        # at N = 10^6 a 4 MB row block is small beside the 64 MB state, so a
+        # copy of the state at the hand-off would show as a peak near 2x
+        tracemalloc.start()
+        try:
+            out = full_simulate_dicke(10**6, (0.6, 0.8), [EnsembleEvolution(0.3)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.amplitudes.nbytes
+
+    def test_result_is_read_only(self):
+        out = full_simulate_dicke(5, (0.6, 0.8), [EnsembleEvolution(0.3), AtomRotation(H1)])
+        assert not out.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            out.amplitudes[0] = 0.0
 
     def test_large_ensemble_protocol_matches_collective(self):
         from djensemble.protocol import run_protocol

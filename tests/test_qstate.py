@@ -55,6 +55,32 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    def test_writable_input_is_copied(self):
+        amps = np.array([1.0, 0.0], dtype=np.complex128)
+        state = StateVector(QUBIT_A, amps)
+        amps[0] = 0.0
+        assert state.amplitudes[0] == 1.0
+
+    def test_read_only_view_of_writable_owner_is_copied(self):
+        owner = np.array([1.0, 0.0], dtype=np.complex128)
+        view = owner.view()
+        view.setflags(write=False)
+        state = StateVector(QUBIT_A, view)
+        owner[0] = 0.0
+        assert state.amplitudes[0] == 1.0
+
+    def test_frozen_owner_is_taken_without_a_copy(self):
+        amps = np.array([0.6, 0.8j], dtype=np.complex128)
+        amps.setflags(write=False)
+        assert np.shares_memory(StateVector(QUBIT_A, amps).amplitudes, amps)
+
+    def test_frozen_owner_is_still_checked(self):
+        for amps, message in (([np.nan, 0.0], "finite"), ([1.0, 1.0], "normalized")):
+            frozen = np.array(amps, dtype=np.complex128)
+            frozen.setflags(write=False)
+            with pytest.raises(ValueError, match=message):
+                StateVector(QUBIT_A, frozen)
+
 
 class TestOperator:
     def test_unitary_claim_enforced(self):
