@@ -57,95 +57,80 @@ def _resolve_functions(function_id: str):
     return (table1_function(function_id),)
 
 
-def _function_report(
-    f,
-    mode: str,
-    config: EnsembleConfig,
-    shots: int,
-    seed: int,
-    n_atoms_oracle: int | None = None,
-) -> dict:
-    trace = run_protocol(f, mode, config)
-    dist = trace.distribution()
-    pattern, top = trace.pattern()
-    entry = {
-        "function": f.id,
-        "table": list(f.table),
-        "true_classification": f.classification,
-        "mode": mode,
-        "distribution": {_pattern_key(k): v for k, v in sorted(dist.items())},
-        "top_pattern": _pattern_key(pattern),
-        "top_probability": top,
-        "deterministic": trace.deterministic(),
-        "post_selection_probability": trace.post_selection_probability,
-        "ensemble_evolution_calls": trace.ensemble_evolution_calls,
-    }
-    if trace.deterministic():
-        outcome = classify(pattern)
-        entry["classification"] = outcome.classification
-        entry["function_pair"] = list(outcome.function_pair)
-    else:
-        entry["classification"] = None
-        entry["function_pair"] = None
-    if shots > 0:
-        counts = sample_shots(dist, shots, seed)
-        entry["counts"] = {_pattern_key(k): v for k, v in sorted(counts.items())}
-    if n_atoms_oracle is not None:
-        oracle_state = full_simulate_naive(
-            n_atoms_oracle, (0.0, 1.0), exact_operation_sequence(f, config)
-        )
-        oracle_dist = born_distribution(oracle_state, ("photon1", "photon2"))
-        entry["oracle"] = {
-            "n_atoms": n_atoms_oracle,
-            "distribution": {_pattern_key(k): v for k, v in sorted(oracle_dist.items())},
-            "max_difference_vs_run": max(
-                abs(oracle_dist[k] - dist[k]) for k in oracle_dist
-            ),
-            "comparable": mode == "exact",
-        }
-    return entry
-
-
 def _emit(report: dict, out_path: str) -> None:
     Path(out_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
-def _print_run_summary(entries) -> None:
-    for e in entries:
-        dist = ", ".join(f"{k}: {v:.6g}" for k, v in e["distribution"].items() if v > 1e-12)
-        label = e["classification"] or "undetermined"
-        print(f"{e['function']}: pattern {e['top_pattern']} (p={e['top_probability']:.9f}) "
-              f"-> {label}  [{dist}]")
+def _fail(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _run_functions(args, entry, **request) -> int:
+    """Replay the protocol once per ``--function`` and report ``entry(f, trace, config)`` each."""
+    try:
+        functions = _resolve_functions(args.function)
+    except ValueError as exc:
+        return _fail(str(exc))
+    config = _default_config()
+    report = _report_skeleton(
+        args.command, {"function": args.function, "mode": args.mode, **request}
+    )
+    report["results"] = [entry(f, run_protocol(f, args.mode, config), config) for f in functions]
+    if args.out:
+        _emit(report, args.out)
+    return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     if args.shots < 0:
-        print("error: --shots must be non-negative (0 means no sampling)", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("--shots must be non-negative (0 means no sampling)")
     if args.seed < 0:
-        print("error: --seed must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("--seed must be non-negative")
     if args.n_atoms_oracle is not None and not 1 <= args.n_atoms_oracle <= NAIVE_ATOM_LIMIT:
-        print(f"error: --n-atoms-oracle must be between 1 and {NAIVE_ATOM_LIMIT}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        functions = _resolve_functions(args.function)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    config = _default_config()
-    entries = [
-        _function_report(f, args.mode, config, args.shots, args.seed, args.n_atoms_oracle)
-        for f in functions
-    ]
-    report = _report_skeleton("run", {
-        "function": args.function, "mode": args.mode, "shots": args.shots, "seed": args.seed,
-    })
-    report["results"] = entries
-    _print_run_summary(entries)
-    if args.out:
-        _emit(report, args.out)
-    return EXIT_OK
+        return _fail(f"--n-atoms-oracle must be between 1 and {NAIVE_ATOM_LIMIT}")
+
+    def entry(f, trace, config) -> dict:
+        dist = trace.distribution()
+        pattern, top = trace.pattern()
+        deterministic = trace.deterministic()
+        outcome = classify(pattern) if deterministic else None
+        e = {
+            "function": f.id,
+            "table": list(f.table),
+            "true_classification": f.classification,
+            "mode": args.mode,
+            "distribution": {_pattern_key(k): v for k, v in sorted(dist.items())},
+            "top_pattern": _pattern_key(pattern),
+            "top_probability": top,
+            "deterministic": deterministic,
+            "post_selection_probability": trace.post_selection_probability,
+            "ensemble_evolution_calls": trace.ensemble_evolution_calls,
+            "classification": outcome.classification if outcome else None,
+            "function_pair": list(outcome.function_pair) if outcome else None,
+        }
+        if args.shots > 0:
+            counts = sample_shots(dist, args.shots, args.seed)
+            e["counts"] = {_pattern_key(k): v for k, v in sorted(counts.items())}
+        if args.n_atoms_oracle is not None:
+            oracle_state = full_simulate_naive(
+                args.n_atoms_oracle, (0.0, 1.0), exact_operation_sequence(f, config)
+            )
+            oracle_dist = born_distribution(oracle_state, ("photon1", "photon2"))
+            e["oracle"] = {
+                "n_atoms": args.n_atoms_oracle,
+                "distribution": {_pattern_key(k): v for k, v in sorted(oracle_dist.items())},
+                "max_difference_vs_run": max(
+                    abs(oracle_dist[k] - dist[k]) for k in oracle_dist
+                ),
+                "comparable": args.mode == "exact",
+            }
+        shown = ", ".join(f"{k}: {v:.6g}" for k, v in e["distribution"].items() if v > 1e-12)
+        print(f"{f.id}: pattern {e['top_pattern']} (p={top:.9f}) "
+              f"-> {e['classification'] or 'undetermined'}  [{shown}]")
+        return e
+
+    return _run_functions(args, entry, shots=args.shots, seed=args.seed)
 
 
 def _cmd_verify(args) -> int:
@@ -196,8 +181,7 @@ def _cmd_params(args) -> int:
         feas = required_detuning(spec)
         config = ensemble_config_from_report(spec, feas)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(str(exc))
     report = _report_skeleton("params", {"medium": args.medium})
     report["medium"] = {
         "length_m": spec.length,
@@ -218,22 +202,12 @@ def _cmd_params(args) -> int:
 
 def _cmd_sample(args) -> int:
     if args.shots < 1:
-        print("error: sample requires --shots >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("sample requires --shots >= 1")
     if args.seed < 0:
-        print("error: --seed must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        functions = _resolve_functions(args.function)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    config = _default_config()
-    entries = []
-    for f in functions:
-        trace = run_protocol(f, args.mode, config)
-        dist = trace.distribution()
-        counts = sample_shots(dist, args.shots, args.seed)
+        return _fail("--seed must be non-negative")
+
+    def entry(f, trace, config) -> dict:
+        counts = sample_shots(trace.distribution(), args.shots, args.seed)
         correct = sum(
             c for pattern, c in counts.items()
             if classify(pattern).classification == f.classification
@@ -243,7 +217,8 @@ def _cmd_sample(args) -> int:
             for pattern, count in sorted(counts.items())
             if count > 0
         }
-        entries.append({
+        print(f"{f.id}: {coincidences} correct-rate {correct / args.shots:.4f}")
+        return {
             "function": f.id,
             "mode": args.mode,
             "shots": args.shots,
@@ -251,46 +226,30 @@ def _cmd_sample(args) -> int:
             "coincidences": coincidences,
             "counts": {_pattern_key(k): v for k, v in sorted(counts.items()) if v > 0},
             "empirical_classification_rate": correct / args.shots,
-        })
-        print(f"{f.id}: {coincidences} correct-rate {correct / args.shots:.4f}")
-    report = _report_skeleton("sample", {
-        "function": args.function, "mode": args.mode, "shots": args.shots, "seed": args.seed,
-    })
-    report["results"] = entries
-    if args.out:
-        _emit(report, args.out)
-    return EXIT_OK
+        }
+
+    return _run_functions(args, entry, shots=args.shots, seed=args.seed)
 
 
 def _cmd_trace(args) -> int:
-    try:
-        functions = _resolve_functions(args.function)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    config = _default_config()
-    entries = []
-    for f in functions:
-        trace = run_protocol(f, args.mode, config)
-        states = []
-        for name, state in trace.named_states():
-            states.append({
+    def entry(f, trace, config) -> dict:
+        states = [
+            {
                 "state": name,
                 "subsystems": [[n, d] for n, d in state.space.subsystems],
                 "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-            })
-        entries.append({
+            }
+            for name, state in trace.named_states()
+        ]
+        print(f"{f.id}: {len(states)} states recorded")
+        return {
             "function": f.id,
             "mode": args.mode,
             "post_selection_probability": trace.post_selection_probability,
             "states": states,
-        })
-        print(f"{f.id}: {len(states)} states recorded")
-    report = _report_skeleton("trace", {"function": args.function, "mode": args.mode})
-    report["results"] = entries
-    if args.out:
-        _emit(report, args.out)
-    return EXIT_OK
+        }
+
+    return _run_functions(args, entry)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,11 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_function=True):
-        if with_function:
-            p.add_argument("--function", required=True, help="f1..f8 or 'all'")
-            p.add_argument("--mode", default="paper", choices=MODES)
-        p.add_argument("--seed", type=int, default=0)
+    def add_common(p, with_seed=True):
+        p.add_argument("--function", required=True, help="f1..f8 or 'all'")
+        p.add_argument("--mode", default="paper", choices=MODES)
+        if with_seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the JSON report to this path")
 
     run_p = sub.add_parser("run", help="protocol distribution and classification")
@@ -327,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample_p.set_defaults(func=_cmd_sample)
 
     trace_p = sub.add_parser("trace", help="dump all intermediate states")
-    add_common(trace_p)
+    add_common(trace_p, with_seed=False)
     trace_p.set_defaults(func=_cmd_trace)
 
     run_p.add_argument("--n-atoms-oracle", type=int, default=None,

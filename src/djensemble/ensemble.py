@@ -52,18 +52,18 @@ class EnsembleConfig:
     coupling: float
     detuning: float
     interaction_time: float
-    lambda_value: float
-    theta: float
 
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be positive")
-        lam = self.coupling**2 / self.detuning
-        if abs(self.lambda_value - lam) > 1e-12 * max(1.0, abs(lam)):
-            raise ValueError("lambda_value is inconsistent with coupling^2/detuning")
-        theta = self.lambda_value * self.n_atoms * self.interaction_time
-        if abs(self.theta - theta) > 1e-12 * max(1.0, abs(theta)):
-            raise ValueError("theta is inconsistent with lambda * n_atoms * time")
+
+    @property
+    def lambda_value(self) -> float:
+        return self.coupling**2 / self.detuning
+
+    @property
+    def theta(self) -> float:
+        return self.lambda_value * self.n_atoms * self.interaction_time
 
     @classmethod
     def from_physics(
@@ -76,9 +76,7 @@ class EnsembleConfig:
         """Config from physical parameters; ``params.required_detuning`` judges the dispersive limit."""
         if not all(math.isfinite(v) and v > 0 for v in (coupling, detuning)):
             raise ValueError("coupling and detuning must be finite and positive")
-        lam = coupling**2 / detuning
-        theta = lam * n_atoms * interaction_time
-        return cls(int(n_atoms), coupling, detuning, interaction_time, lam, theta)
+        return cls(int(n_atoms), coupling, detuning, interaction_time)
 
     @classmethod
     def from_theta(

@@ -212,9 +212,7 @@ def expm_hermitian(h: Operator, theta: float) -> Operator:
     dev = float(np.max(np.abs(mat - mat.conj().T)))
     if dev > CONSTRUCTION_ATOL * scale:
         raise ValueError(f"generator is not Hermitian: max |H - H^dag| = {dev:.3e}")
-    # a real symmetric generator has a real eigenbasis; its eigh costs a
-    # fraction of the complex one
-    w, v = np.linalg.eigh(mat if mat.imag.any() else mat.real)
+    w, v = np.linalg.eigh(mat)
     u = (v * np.exp(-1j * float(theta) * w)) @ v.conj().T
     return Operator(h.space, u, unitary_claim=True)
 
@@ -226,29 +224,26 @@ def born_distribution(state: StateVector, subsystems: Sequence[str] | None = Non
     when a single subsystem is requested. The state has unit norm by
     construction, so the probabilities sum to 1 to rounding.
     """
-    probs = np.abs(state.amplitudes)
-    probs *= probs
-    shaped = probs.reshape(state.space.dims)
     names = state.space.names
     if subsystems is None:
         subsystems = names
     keep = [state.space.index(s) for s in subsystems]
     if len(set(keep)) != len(keep):
         raise ValueError("duplicate subsystem in request")
-    drop = tuple(i for i in range(len(names)) if i not in keep)
-    marginal = shaped.sum(axis=drop) if drop else shaped
-    # after the sum the surviving axes sit in ascending original order;
-    # reorder them to match the requested subsystem order
-    if len(keep) > 1:
-        ascending = sorted(keep)
-        marginal = marginal.transpose([ascending.index(k) for k in keep])
-    kept_dims = [state.space.dims[i] for i in keep]
-    out = {}
-    single = len(keep) == 1
-    for outcome in itertools.product(*[range(d) for d in kept_dims]):
-        p = float(marginal[outcome])
-        out[outcome[0] if single else outcome] = p
-    return out
+    dims = state.space.dims
+    kept_dims = [dims[i] for i in keep]
+    drop = [i for i in range(len(dims)) if i not in keep]
+    # kept axes last, in the requested order: a view when they already are
+    # (the photon marginal), so |a|^2 is summed in one pass with no
+    # state-sized temporary
+    rows = state.amplitudes.reshape(dims).transpose(drop + keep).reshape(-1, math.prod(kept_dims))
+    parts = np.ascontiguousarray(rows).view(np.float64)
+    sums = np.einsum("mk,mk->k", parts, parts)
+    probs = sums[0::2] + sums[1::2]
+    outcomes = itertools.product(*[range(d) for d in kept_dims])
+    if len(keep) == 1:
+        outcomes = (outcome[0] for outcome in outcomes)
+    return {outcome: float(p) for outcome, p in zip(outcomes, probs)}
 
 
 def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:

@@ -135,6 +135,32 @@ class TestReportRoundTrips:
             assert json.loads(json.dumps(report)) == report
 
 
+class TestReportLayout:
+    def test_key_order(self, tmp_path):
+        envelope = ["schema", "version", "command", "request", "results"]
+        run_keys = [
+            "function", "table", "true_classification", "mode", "distribution", "top_pattern",
+            "top_probability", "deterministic", "post_selection_probability",
+            "ensemble_evolution_calls", "classification", "function_pair", "counts", "oracle",
+        ]
+        sample_keys = [
+            "function", "mode", "shots", "seed", "coincidences", "counts",
+            "empirical_classification_rate",
+        ]
+        trace_keys = ["function", "mode", "post_selection_probability", "states"]
+        invocations = [
+            (["run", "--function", "f3", "--shots", "20", "--n-atoms-oracle", "3"], run_keys),
+            (["sample", "--function", "f3", "--shots", "30"], sample_keys),
+            (["trace", "--function", "f3"], trace_keys),
+        ]
+        for i, (argv, entry_keys) in enumerate(invocations):
+            out = tmp_path / f"report{i}.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            report = read_report(out)
+            assert list(report) == envelope
+            assert list(report["results"][0]) == entry_keys
+
+
 class TestParamsCommand:
     def test_cesium_preset(self, tmp_path):
         out = tmp_path / "params.json"
@@ -253,6 +279,16 @@ class TestTraceCommand:
             assert len(state["amplitudes"]) == 8
             total = sum(re * re + im * im for re, im in state["amplitudes"])
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_seed_is_not_an_option(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--function", "f1", "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_unknown_function_exits_2(self, capsys):
+        assert main(["trace", "--function", "f9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_constant_trace_omits_primes(self, tmp_path):
         out = tmp_path / "trace.json"

@@ -60,14 +60,6 @@ class TestEnsembleConfig:
         assert config.lambda_value == pytest.approx(2.91e8**2 / 3.59e9, rel=1e-15)
         assert config.theta == pytest.approx(config.lambda_value * 1e5 * 6.67e-13, rel=1e-15)
 
-    def test_inconsistent_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda"):
-            EnsembleConfig(10, 1.0, 10.0, 1.0, 0.2, 2.0)
-
-    def test_inconsistent_theta_rejected(self):
-        with pytest.raises(ValueError, match="theta"):
-            EnsembleConfig(10, 1.0, 10.0, 1.0, 0.1, 2.0)
-
     @pytest.mark.parametrize("coupling,detuning", [(0.0, 10.0), (1.0, 0.0), (math.nan, 10.0)])
     def test_nonpositive_physics_rejected(self, coupling, detuning):
         with pytest.raises(ValueError, match="finite and positive"):

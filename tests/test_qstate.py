@@ -221,6 +221,36 @@ class TestBornDistribution:
         dist = born_distribution(StateVector(space, amps), ("b", "a"))
         assert dist[(1, 0)] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("names", [("a",), ("b",), ("c",), ("c", "a"), ("b", "c"), ("c", "a", "b")])
+    def test_marginal_matches_squared_amplitudes(self, names):
+        space = SpaceLabel((("a", 2), ("b", 3), ("c", 2)))
+        state = random_state(space, np.random.default_rng(10))
+        probs = (np.abs(state.amplitudes) ** 2).reshape(space.dims)
+        keep = [space.index(n) for n in names]
+        drop = tuple(i for i in range(3) if i not in keep)
+        expected = np.moveaxis(probs, keep, range(3 - len(keep), 3)).sum(axis=tuple(range(len(drop))))
+        dist = born_distribution(state, names)
+        assert list(dist) == [k[0] if len(k) == 1 else k for k in np.ndindex(expected.shape)]
+        np.testing.assert_allclose(list(dist.values()), expected.reshape(-1), atol=1e-15)
+
+    def test_photon_marginal_allocates_no_state_sized_array(self):
+        # the kept photon axes are already last, so the marginal is one pass
+        # over a view of the amplitudes
+        n = 10**6
+        space = SpaceLabel((("atom", n + 1), ("photon1", 2), ("photon2", 2)))
+        amps = np.zeros(space.dim, dtype=np.complex128)
+        amps[[0, 4 + 1, 4 * (n // 2) + 2, 4 * n + 3]] = [0.5, 0.5j, -0.5, 0.5]
+        amps.setflags(write=False)
+        state = StateVector(space, amps)
+        tracemalloc.start()
+        try:
+            dist = born_distribution(state, ("photon1", "photon2"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * state.amplitudes.nbytes
+        assert dist == pytest.approx({k: 0.25 for k in np.ndindex(2, 2)})
+
 
 class TestSampleShots:
     def test_deterministic_distribution(self):
