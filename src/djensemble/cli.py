@@ -61,6 +61,21 @@ def _emit(report: dict, out_path: str) -> None:
     Path(out_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
+def _shot_count(text: str) -> int:
+    """``--shots`` as an int; an integral float such as ``1e5`` is accepted too."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():  # also rejects nan and inf
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(value)
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -268,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="protocol distribution and classification")
     add_common(run_p)
-    run_p.add_argument("--shots", type=int, default=0, help="optional sampled counts")
+    run_p.add_argument("--shots", type=_shot_count, default=0, help="optional sampled counts")
     run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify", help="run the full identity and oracle check suite")
@@ -282,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample_p = sub.add_parser("sample", help="seeded detector coincidence counts")
     add_common(sample_p)
-    sample_p.add_argument("--shots", type=int, default=0)
+    sample_p.add_argument("--shots", type=_shot_count, default=0)
     sample_p.set_defaults(func=_cmd_sample)
 
     trace_p = sub.add_parser("trace", help="dump all intermediate states")

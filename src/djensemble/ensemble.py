@@ -134,17 +134,19 @@ def _photon_pair_sum(single: np.ndarray) -> np.ndarray:
     return np.kron(single, _I2) + np.kron(_I2, single)
 
 
-def h_eff_dimensionless() -> Operator:
-    """Effective Hamiltonian divided by (lambda * n_atoms), collective form.
+# Assembled from the circular-mode projectors: atoms at the plain-ground
+# extreme shift photons in the plus mode, atoms at the primed extreme shift
+# photons in the minus mode. Built once and read-only, so every Operator
+# over it shares the array.
+_H_EFF_DIMENSIONLESS = np.kron(np.diag([1.0, 0.0]), _photon_pair_sum(P_PLUS)) + np.kron(
+    np.diag([0.0, 1.0]), _photon_pair_sum(P_MINUS)
+)
+_H_EFF_DIMENSIONLESS.setflags(write=False)
 
-    Assembled from the circular-mode projectors: atoms at the plain-ground
-    extreme shift photons in the plus mode, atoms at the primed extreme shift
-    photons in the minus mode.
-    """
-    h = np.kron(np.diag([1.0, 0.0]), _photon_pair_sum(P_PLUS)) + np.kron(
-        np.diag([0.0, 1.0]), _photon_pair_sum(P_MINUS)
-    )
-    return Operator(PROTOCOL_SPACE, h)
+
+def h_eff_dimensionless() -> Operator:
+    """Effective Hamiltonian divided by (lambda * n_atoms), collective form."""
+    return Operator(PROTOCOL_SPACE, _H_EFF_DIMENSIONLESS)
 
 
 def build_h_eff(config: EnsembleConfig) -> Operator:
@@ -191,9 +193,12 @@ _ROW_PHASES_PRIMED = {
     (1, 0): 1.0j,
 }
 # Per-photon output of the declared rewrite: (-i|0> + |1>)/sqrt(2) for the
-# ground extreme, which equals -i times the circular plus mode.
+# ground extreme, which equals -i times the circular plus mode; both photons
+# leave in it.
 _TARGET_GROUND = np.array([-1.0j, 1.0]) / math.sqrt(2.0)
 _TARGET_PRIMED = np.array([-1.0j, -1.0]) / math.sqrt(2.0)
+_PHOTONS_GROUND = np.kron(_TARGET_GROUND, _TARGET_GROUND)
+_PHOTONS_PRIMED = np.kron(_TARGET_PRIMED, _TARGET_PRIMED)
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,7 @@ class PaperPolarizerMap:
         branch = int(np.argmax(weights))
         v = shaped[branch]
         phases = _ROW_PHASES_GROUND if branch == 0 else _ROW_PHASES_PRIMED
-        target = _TARGET_GROUND if branch == 0 else _TARGET_PRIMED
+        photons = _PHOTONS_GROUND if branch == 0 else _PHOTONS_PRIMED
         rows = [(0, 0), (0, 1), (1, 0), (1, 1)]
         coeff = sum(
             v[2 * r1 + r2] * phases[(r1, r2)] * np.exp(-1j * self.theta) for r1, r2 in rows
@@ -243,7 +248,6 @@ class PaperPolarizerMap:
         prob = float(abs(coeff) ** 2)
         if prob < 1e-24:
             raise ValueError("polarizer rewrite annihilates this input (zero post-selection weight)")
-        photons = np.kron(target, target)
         out = np.zeros((2, 4), dtype=complex)
         out[branch] = (coeff / abs(coeff)) * photons
         return PaperMapResult(

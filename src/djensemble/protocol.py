@@ -34,7 +34,7 @@ from .ensemble import (
 )
 from .manybody import AtomRotation, EnsembleEvolution, PhotonRotation
 from .polarization import composite_h, embed_single, hadamard_variant
-from .qstate import StateVector, born_distribution
+from .qstate import StateVector, basis_state, born_distribution
 
 MODES = ("exact", "paper")
 
@@ -69,6 +69,23 @@ H_EQ_ASSIGNMENTS = {
     "f7": ("double_prime", "double_prime"),
     "f8": ("double_prime", "double_prime"),
 }
+
+
+# The fixed operations of every sequence, built once by their own
+# constructors (and checked there); the operations are frozen and their
+# matrices read-only, so every sequence shares them.
+_H1 = hadamard_variant(1).matrix
+_PRE_HADAMARDS = (AtomRotation(_H1), PhotonRotation(1, _H1), PhotonRotation(2, _H1))
+_POST_HADAMARDS = (PhotonRotation(1, _H1), PhotonRotation(2, _H1))
+_ATOM_HADAMARD = AtomRotation(microwave_rotation(HADAMARD_PULSES[1]).matrix)
+_ATOM_NOT = AtomRotation(microwave_rotation(NOT_PULSE).matrix)
+_COMPOSITE_ROTATIONS = {
+    (photon, kind): PhotonRotation(photon, matrix)
+    for kind, matrix in ((k, composite_h(k).matrix) for k in ("prime", "double_prime"))
+    for photon in (1, 2)
+}
+# Every atom in the primed level, both photons horizontal.
+_PSI0 = basis_state(PROTOCOL_SPACE, (1, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -166,13 +183,13 @@ def build_oracle(f: BooleanFunction, config: EnsembleConfig) -> tuple:
     if cls == "constant":
         if f.value(0) == 0:
             return ()
-        return (AtomRotation(microwave_rotation(NOT_PULSE).matrix),)
+        return (_ATOM_NOT,)
     kinds = h_eq_for(f)
     return (
-        AtomRotation(microwave_rotation(HADAMARD_PULSES[1]).matrix),
+        _ATOM_HADAMARD,
         EnsembleEvolution(config.theta),
-        PhotonRotation(1, composite_h(kinds[0]).matrix),
-        PhotonRotation(2, composite_h(kinds[1]).matrix),
+        _COMPOSITE_ROTATIONS[1, kinds[0]],
+        _COMPOSITE_ROTATIONS[2, kinds[1]],
     )
 
 
@@ -182,10 +199,7 @@ def exact_operation_sequence(f: BooleanFunction, config: EnsembleConfig) -> tupl
     Three Hadamards (atoms, photon 1, photon 2), the function oracle, then
     Hadamards on photon 1 and photon 2.
     """
-    h1 = hadamard_variant(1).matrix
-    pre = (AtomRotation(h1), PhotonRotation(1, h1), PhotonRotation(2, h1))
-    post = (PhotonRotation(1, h1), PhotonRotation(2, h1))
-    return pre + build_oracle(f, config) + post
+    return _PRE_HADAMARDS + build_oracle(f, config) + _POST_HADAMARDS
 
 
 @dataclass(frozen=True)
@@ -259,8 +273,7 @@ def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> Proto
         raise ValueError("balanced functions require the medium angle theta = pi/2")
     ops = exact_operation_sequence(f, config)
 
-    amps = np.kron(np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0]))
-    state = StateVector(PROTOCOL_SPACE, amps)
+    state = _PSI0
     states = [state]
     post_selection = 1.0
     evolution_calls = 0

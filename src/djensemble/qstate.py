@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ def _as_frozen_complex(values) -> np.ndarray:
         and values.dtype == np.complex128
     )
     arr = values if frozen_owner else np.array(values, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("amplitudes must be finite (no NaN or Inf)")
     arr.setflags(write=False)
     return arr
@@ -62,29 +62,25 @@ class SpaceLabel:
     """Ordered list of named subsystems; total dimension is their product."""
 
     subsystems: tuple[tuple[str, int], ...]
+    # derived from ``subsystems`` once, at construction
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         subs = tuple((str(name), int(dim)) for name, dim in self.subsystems)
         object.__setattr__(self, "subsystems", subs)
         if not subs:
             raise ValueError("a space needs at least one subsystem")
-        names = [name for name, _ in subs]
+        names = tuple(name for name, _ in subs)
         if len(set(names)) != len(names):
-            raise ValueError(f"subsystem names must be unique, got {names}")
-        if any(dim < 1 for _, dim in subs):
+            raise ValueError(f"subsystem names must be unique, got {list(names)}")
+        dims = tuple(dim for _, dim in subs)
+        if any(dim < 1 for dim in dims):
             raise ValueError("subsystem dimensions must be positive")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.subsystems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.subsystems)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
 
     def index(self, name: str) -> int:
         for i, (sub, _) in enumerate(self.subsystems):
@@ -132,7 +128,9 @@ class Operator:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {dim}")
         if self.unitary_claim:
-            dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
+            gram = mat.conj().T @ mat
+            gram.flat[:: dim + 1] -= 1.0  # U^dag U - I
+            dev = float(np.abs(gram).max())
             if dev > CONSTRUCTION_ATOL:
                 raise ValueError(f"operator claimed unitary but max |U^dag U - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
@@ -191,7 +189,9 @@ def embed(op: Operator, targets, space: SpaceLabel) -> Operator:
             f"operator dimension {op.dim} does not match target subsystems of dimension {target_dim}"
         )
     rest = [p for p in range(len(dims)) if p not in positions]
-    big = np.kron(op.matrix, np.eye(math.prod(dims[p] for p in rest) if rest else 1))
+    # kron(op, I) as one broadcast product: entry [i, a, j, b] is op[i, j] * I[a, b]
+    identity = np.eye(math.prod(dims[p] for p in rest))
+    big = op.matrix[:, None, :, None] * identity[None, :, None, :]
     current = positions + rest
     axis_of = {sub: i for i, sub in enumerate(current)}
     perm = [axis_of[p] for p in range(len(dims))]

@@ -67,6 +67,7 @@ class TestRunCommand:
         ["--n-atoms-oracle", "0"],
         ["--shots", "10", "--seed", "-1"],
         ["--shots", "-5"],
+        ["--shots=-1e5"],
     ])
     def test_bad_input_exits_2(self, extra, capsys):
         assert main(["run", "--function", "f3", "--mode", "exact"] + extra) == 2
@@ -266,6 +267,35 @@ class TestSampleCommand:
         assert main(["sample", "--function", "f3", "--shots", "10", "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err
+
+
+class TestShotsOption:
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize("text, shots", [("1e5", 100_000), ("2.5e3", 2_500), ("300.0", 300)])
+    def test_integral_value_accepted(self, tmp_path, command, text, shots):
+        out = tmp_path / "report.json"
+        argv = [command, "--function", "f1", "--mode", "paper", "--seed", "7", "--out", str(out)]
+        assert main(argv + ["--shots", text]) == 0
+        entry = read_report(out)["results"][0]
+        assert entry["counts"]["11"] == shots
+        assert sum(entry["counts"].values()) == shots
+        assert read_report(out)["request"]["shots"] == shots
+
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    def test_float_spelling_gives_the_int_report(self, tmp_path, command):
+        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = [command, "--function", "all", "--mode", "exact", "--seed", "3"]
+        assert main(argv + ["--shots", "1e3", "--out", str(out_a)]) == 0
+        assert main(argv + ["--shots", "1000", "--out", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize("text", ["1.5", "1e-3", "nan", "inf", "-inf", "1e400", "ten", ""])
+    def test_non_integral_value_exits_2(self, capsys, command, text):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--function", "f1", f"--shots={text}"])
+        assert exc.value.code == 2
+        assert "--shots: invalid int value" in capsys.readouterr().err
 
 
 class TestTraceCommand:

@@ -7,6 +7,8 @@ import pytest
 from djensemble.ensemble import (
     HADAMARD_PULSES,
     NOT_PULSE,
+    P_MINUS,
+    P_PLUS,
     PROTOCOL_SPACE,
     EnsembleConfig,
     MicrowavePulse,
@@ -125,6 +127,23 @@ class TestEffectiveHamiltonian:
         b = build_h_eff_linear(config).matrix
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+    def test_dimensionless_matrix_is_shared_and_read_only(self):
+        h = h_eff_dimensionless().matrix
+        assert h_eff_dimensionless().matrix is h
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
+
+    def test_dimensionless_matrix_is_the_projector_assembly(self):
+        i2 = np.eye(2)
+        expected = np.kron(np.diag([1.0, 0.0]), np.kron(P_PLUS, i2) + np.kron(i2, P_PLUS)) + np.kron(
+            np.diag([0.0, 1.0]), np.kron(P_MINUS, i2) + np.kron(i2, P_MINUS)
+        )
+        assert np.array_equal(h_eff_dimensionless().matrix, expected)
+        config = EnsembleConfig.from_theta(0.9, n_atoms=40, coupling=2.0, detuning=25.0)
+        linear = build_h_eff_linear(config).matrix / (config.lambda_value * config.n_atoms)
+        assert np.max(np.abs(h_eff_dimensionless().matrix - linear)) <= 1e-12
 
     def test_linear_form_off_diagonals(self):
         h = build_h_eff_linear(EnsembleConfig.from_theta(1.0, n_atoms=1, coupling=1.0, detuning=10.0))

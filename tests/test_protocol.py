@@ -1,9 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from djensemble.ensemble import PROTOCOL_SPACE, EnsembleConfig
+from djensemble import protocol
+from djensemble.ensemble import (
+    HADAMARD_PULSES,
+    NOT_PULSE,
+    PROTOCOL_SPACE,
+    EnsembleConfig,
+    microwave_rotation,
+)
 from djensemble.manybody import (
     AtomRotation,
     EnsembleEvolution,
@@ -20,8 +28,9 @@ from djensemble.protocol import (
     reference_dj_circuit,
     run_protocol,
     table1_function,
+    table1_functions,
 )
-from djensemble.polarization import clicks_for_pattern
+from djensemble.polarization import clicks_for_pattern, composite_h, hadamard_variant
 from djensemble.qstate import StateVector, born_distribution, equal_up_to_global_phase, sample_shots
 
 SQRT2 = math.sqrt(2.0)
@@ -129,6 +138,52 @@ class TestOracleConstruction:
     def test_neither_rejected(self):
         with pytest.raises(ValueError, match="constant or balanced"):
             build_oracle(BooleanFunction(2, (0, 0, 0, 1)), CONFIG)
+
+
+class TestSharedOperations:
+    """The fixed steps of every sequence are built once, at import."""
+
+    def shared(self):
+        yield from protocol._PRE_HADAMARDS
+        yield from protocol._POST_HADAMARDS
+        yield protocol._ATOM_HADAMARD
+        yield protocol._ATOM_NOT
+        yield from protocol._COMPOSITE_ROTATIONS.values()
+
+    def test_matrices_are_read_only_and_operations_frozen(self):
+        for op in self.shared():
+            assert not op.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                op.matrix[0, 0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                op.matrix = np.eye(2)
+
+    def test_matrices_equal_fresh_constructions(self):
+        h1 = hadamard_variant(1).matrix
+        for op in protocol._PRE_HADAMARDS + protocol._POST_HADAMARDS:
+            assert np.array_equal(op.matrix, h1)
+        assert np.array_equal(
+            protocol._ATOM_HADAMARD.matrix, microwave_rotation(HADAMARD_PULSES[1]).matrix
+        )
+        assert np.array_equal(protocol._ATOM_NOT.matrix, microwave_rotation(NOT_PULSE).matrix)
+        for (photon, kind), op in protocol._COMPOSITE_ROTATIONS.items():
+            assert op.photon == photon
+            assert np.array_equal(op.matrix, composite_h(kind).matrix)
+
+    def test_sequences_share_the_fixed_steps(self):
+        for f in table1_functions():
+            ops = exact_operation_sequence(f, CONFIG)
+            fixed = protocol._PRE_HADAMARDS + protocol._POST_HADAMARDS
+            assert len(ops) >= 5 and all(a is b for a, b in zip(ops[:3] + ops[-2:], fixed))
+            oracle = ops[3:-2]
+            if f.classification == "balanced":
+                kinds = h_eq_for(f)
+                assert oracle[0] is protocol._ATOM_HADAMARD
+                assert oracle[1] == EnsembleEvolution(CONFIG.theta)
+                assert oracle[2] is protocol._COMPOSITE_ROTATIONS[1, kinds[0]]
+                assert oracle[3] is protocol._COMPOSITE_ROTATIONS[2, kinds[1]]
+            else:
+                assert oracle == (() if f.id == "f1" else (protocol._ATOM_NOT,))
 
 
 class TestPaperModeTraces:

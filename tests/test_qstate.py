@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -39,6 +40,14 @@ class TestSpaceLabel:
     def test_nonpositive_dimension_rejected(self):
         with pytest.raises(ValueError):
             SpaceLabel((("a", 0),))
+
+    def test_derived_attributes_are_kept_and_not_compared(self):
+        space = SpaceLabel((("a", 2), ("b", 3)))
+        assert space.dims is space.dims and space.names is space.names
+        assert (space.names, space.dims, space.dim) == (("a", "b"), (2, 3), 6)
+        twin = SpaceLabel([["a", 2.0], ["b", 3]])
+        assert twin == space and hash(twin) == hash(space)
+        assert repr(space) == "SpaceLabel(subsystems=(('a', 2), ('b', 3)))"
 
 
 class TestStateVector:
@@ -123,6 +132,28 @@ class TestEmbed:
         op = Operator(SpaceLabel((("x", 2), ("y", 2))), m)
         embedded = embed(op, ("photon1", "photon2"), self.SPACE).matrix
         np.testing.assert_allclose(embedded, np.kron(np.eye(2), m), atol=1e-15)
+
+    def test_padding_equals_kron_then_transpose(self):
+        # every single target, ordered pair and ordered triple of a 2 x 3 x 2 space
+        space = SpaceLabel((("a", 2), ("b", 3), ("c", 2)))
+        rng = np.random.default_rng(13)
+        n = len(space.dims)
+        for r in (1, 2, 3):
+            for targets in itertools.permutations(space.names, r):
+                positions = [space.index(t) for t in targets]
+                rest = [p for p in range(n) if p not in positions]
+                k = math.prod(space.dims[p] for p in positions)
+                m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+                op = Operator(SpaceLabel(tuple((f"t{i}", space.dims[p]) for i, p in enumerate(positions))), m)
+                order = positions + rest
+                big = np.kron(m, np.eye(math.prod(space.dims[p] for p in rest)))
+                back = [order.index(p) for p in range(n)]
+                reference = (
+                    big.reshape([space.dims[p] for p in order] * 2)
+                    .transpose(back + [n + i for i in back])
+                    .reshape(space.dim, space.dim)
+                )
+                assert np.array_equal(embed(op, targets, space).matrix, reference), targets
 
     def test_unknown_subsystem(self):
         op = Operator(SpaceLabel((("q", 2),)), np.eye(2))
