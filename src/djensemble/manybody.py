@@ -24,12 +24,13 @@ import numpy as np
 
 from .ensemble import P_MINUS, P_PLUS
 from .polarization import LIN_TO_CIRC
-from .qstate import CONSTRUCTION_ATOL, SpaceLabel, StateVector
+from .qstate import CONSTRUCTION_ATOL, SpaceLabel, StateVector, _frozen_complex
 
 NAIVE_ATOM_LIMIT = 12
-# A dense symmetric rotation is an (N+1) x (N+1) matrix from an O(N^3) real
-# product, and the first rotation at each N also pays an O(N^3)
-# eigendecomposition; bigger ensembles stay on the coherent product path.
+# The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
+# it holds (N+1)^2 doubles and costs an O(N^3) eigendecomposition once per N,
+# after which a rotation of (N+1) x k rows is O(N^2 k). Bigger ensembles stay
+# on the coherent product path.
 DENSE_ROTATION_LIMIT = 1024
 
 _I2 = np.eye(2)
@@ -74,9 +75,7 @@ class AtomRotation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _check_unitary_2x2(self.matrix)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _check_unitary_2x2(_frozen_complex(self.matrix)))
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,7 @@ class PhotonRotation:
     def __post_init__(self):
         if self.photon not in (1, 2):
             raise ValueError("photon index must be 1 or 2")
-        m = _check_unitary_2x2(self.matrix)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _check_unitary_2x2(_frozen_complex(self.matrix)))
 
 
 # Loader's saddle-point form of the binomial weight ("Fast and Accurate
@@ -242,19 +239,23 @@ def _sigma_x_basis(n_atoms: int) -> np.ndarray:
     return x
 
 
-def symmetric_rotation(u: np.ndarray, n_atoms: int) -> np.ndarray:
-    """The N-fold tensor power of a single-qubit unitary on the symmetric sector.
+def symmetric_rotation(u: np.ndarray, n_atoms: int, rows: np.ndarray) -> np.ndarray:
+    """The N-fold tensor power of a single-qubit unitary applied to symmetric-sector rows.
 
-    Splits off the global phase and writes the special-unitary part as
-    Rz(alpha) Ry(beta) Rz(gamma), with beta/2 = atan2(|v10|, |v00|), so
-    small angles come from a sine and are not rounded away as acos would
-    round them. On the symmetric sector Rz(phi) is the diagonal phase
-    exp(-i phi (N - 2m) / 2), and Ry(beta) = D X diag(exp(-i beta lam / 2))
-    X^T D^dag with D = diag(i^m) and X the cached real eigenbasis of the
-    collective sigma_x (eigenvalues lam = -N, -N + 2, ..., N). A call costs
-    one real (2N+2) x (N+1) x (N+1) product plus O(N^2) phase scaling. A
-    diagonal rotation (v10 == 0), the identity included, returns an exactly
-    diagonal matrix.
+    ``rows`` has shape (N+1,) or (N+1, k), indexed by excitation number m;
+    the result has the same shape and ``rows`` is left unchanged. The
+    (N+1) x (N+1) matrix is never formed. Splits off the global phase and
+    writes the special-unitary part as Rz(alpha) Ry(beta) Rz(gamma), with
+    beta/2 = atan2(|v10|, |v00|), so small angles come from a sine and are
+    not rounded away as acos would round them. On the symmetric sector
+    Rz(phi) is the diagonal phase exp(-i phi (N - 2m) / 2), and Ry(beta) =
+    D X diag(exp(-i beta lam / 2)) X^T D^dag with D = diag(i^m) and X the
+    cached real eigenbasis of the collective sigma_x (eigenvalues lam = -N,
+    -N + 2, ..., N). The factors are applied to the rows one at a time:
+    phases, X^T, phases, X, phases, where each product with X is one real
+    product on the float64 view of the rows. A call costs O(N^2 k), plus
+    the O(N^3) eigenbasis once per N. A diagonal rotation (v10 == 0), the
+    identity included, only multiplies each row by its phase.
     """
     if n_atoms > DENSE_ROTATION_LIMIT:
         raise ValueError(
@@ -262,16 +263,22 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int) -> np.ndarray:
             f"limit is {DENSE_ROTATION_LIMIT}"
         )
     u = _check_unitary_2x2(u)
+    rows = np.asarray(rows)
+    n1 = n_atoms + 1
+    if rows.ndim not in (1, 2) or rows.shape[0] != n1:
+        raise ValueError(f"rows must have shape ({n1},) or ({n1}, k), got {rows.shape}")
+    block = rows.reshape(n1, -1)
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     delta = np.angle(det) / 2.0
     v = u * np.exp(-1j * delta)
     # v00 = exp(-i(alpha + gamma)/2) cos(beta/2), v10 = exp(i(alpha - gamma)/2) sin(beta/2)
     a, b = v[0, 0], v[1, 0]
-    m = np.arange(n_atoms + 1)
+    m = np.arange(n1)
     tilt = n_atoms - 2.0 * m
     arg_a = float(np.angle(a))
     if b == 0.0:
-        return np.diag(np.exp(1j * (n_atoms * delta + arg_a * tilt)))
+        phase = np.exp(1j * (n_atoms * delta + arg_a * tilt))
+        return (phase[:, None] * block).reshape(rows.shape)
     arg_b = float(np.angle(b))
     half_beta = math.atan2(abs(b), abs(a))
     # alpha = arg b - arg a and gamma = -(arg a + arg b); D and D^dag are
@@ -279,19 +286,15 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int) -> np.ndarray:
     left = np.exp(1j * (n_atoms * delta + 0.5 * (arg_a - arg_b) * tilt)) * _I_POWERS[m % 4]
     right = np.exp(0.5j * (arg_a + arg_b) * tilt) * _I_POWERS[-m % 4]
     x = _sigma_x_basis(n_atoms)
-    # column k of X carries eigenvalue lam_k = -tilt_k; real and imaginary
-    # parts of X diag(exp(-i beta lam / 2)) X^T come out of one real product
-    n1 = n_atoms + 1
-    stacked = np.empty((2 * n1, n1))
-    np.multiply(x, np.cos(half_beta * tilt), out=stacked[:n1])
-    np.multiply(x, np.sin(half_beta * tilt), out=stacked[n1:])
-    prod = stacked @ x.T
-    out = np.empty((n1, n1), dtype=complex)
-    out.real = prod[:n1]
-    out.imag = prod[n1:]
+    # X is real, so each product with it is one real product on the rows'
+    # (N+1) x 2k float64 view, with no complex copy of X
+    out = np.multiply(right[:, None], block, dtype=np.complex128)
+    out = (x.T @ out.view(np.float64)).view(np.complex128)
+    # column k of X carries eigenvalue lam_k = -tilt_k
+    out *= np.exp(1j * half_beta * tilt)[:, None]
+    out = (x @ out.view(np.float64)).view(np.complex128)
     out *= left[:, None]
-    out *= right
-    return out
+    return out.reshape(rows.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +414,7 @@ class _DickeRun:
             # product, so keep the single-atom vector exactly unit length
             self.atom_vec = vec / np.linalg.norm(vec)
         else:
-            self.general = symmetric_rotation(u, self.n) @ self.general
+            self.general = symmetric_rotation(u, self.n, self.general)
 
     def photon_rotation(self, photon: int, u: np.ndarray) -> None:
         full = np.kron(u, _I2) if photon == 1 else np.kron(_I2, u)
@@ -468,10 +471,10 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     extreme are O(1). The first medium step off the extremes, or the end of
     the run, writes the (N+1) x 4 array, of which only the O(sqrt(N))
     coherent band is computed. After that a medium step is O(N) in place
-    and an atom rotation is a dense symmetric rotation (N <= 1024): one
-    real O(N^3) product with the sigma_x eigenbasis, whose O(N^3)
-    eigendecomposition is paid once per N. The returned state takes the
-    final array without copying it.
+    and an atom rotation is a symmetric rotation applied to the (N+1) x 4
+    array (N <= 1024): two real O(N^2) products with the sigma_x
+    eigenbasis, whose O(N^3) eigendecomposition is paid once per N. The
+    returned state takes the final array without copying it.
     """
     single = _check_atom_init(atom_init)
     if n_atoms < 1:

@@ -42,7 +42,8 @@ __all__ = [
 ]
 
 
-def _as_frozen_complex(values) -> np.ndarray:
+def _frozen_complex(values) -> np.ndarray:
+    """A read-only complex128 array no caller can write: a frozen owner as is, else a copy."""
     frozen_owner = (
         type(values) is np.ndarray
         and not values.flags.writeable
@@ -51,9 +52,14 @@ def _as_frozen_complex(values) -> np.ndarray:
         and values.dtype == np.complex128
     )
     arr = values if frozen_owner else np.array(values, dtype=np.complex128)
+    arr.setflags(write=False)
+    return arr
+
+
+def _as_frozen_complex(values) -> np.ndarray:
+    arr = _frozen_complex(values)
     if not np.isfinite(arr).all():
         raise ValueError("amplitudes must be finite (no NaN or Inf)")
-    arr.setflags(write=False)
     return arr
 
 

@@ -127,7 +127,7 @@ class TestSymmetricRotation:
         rng = np.random.default_rng(50 + n)
         for _ in range(5):
             u = random_su2(rng)
-            built = symmetric_rotation(u, n)
+            built = symmetric_rotation(u, n, np.eye(n + 1))
             np.testing.assert_allclose(built, symmetric_rotation_bruteforce(u, n), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 9])
@@ -135,14 +135,14 @@ class TestSymmetricRotation:
         rng = np.random.default_rng(60 + n)
         for _ in range(5):
             u = random_su2(rng)
-            built = symmetric_rotation(u, n)
+            built = symmetric_rotation(u, n, np.eye(n + 1))
             np.testing.assert_allclose(built, symmetric_rotation_binomial(u, n), atol=1e-11)
 
     def test_global_phase_carried(self):
         phase = np.exp(0.31j)
         u = phase * H1
-        built = symmetric_rotation(u, 4)
-        np.testing.assert_allclose(built, phase**4 * symmetric_rotation(H1, 4), atol=1e-12)
+        built = symmetric_rotation(u, 4, np.eye(5))
+        np.testing.assert_allclose(built, phase**4 * symmetric_rotation(H1, 4, np.eye(5)), atol=1e-12)
 
     def test_transports_coherent_states(self):
         rng = np.random.default_rng(70)
@@ -151,11 +151,11 @@ class TestSymmetricRotation:
         vec = rng.normal(size=2) + 1j * rng.normal(size=2)
         vec = vec / np.linalg.norm(vec)
         direct = coherent_dicke_amplitudes(u @ vec, n)
-        rotated = symmetric_rotation(u, n) @ coherent_dicke_amplitudes(vec, n)
+        rotated = symmetric_rotation(u, n, coherent_dicke_amplitudes(vec, n))
         np.testing.assert_allclose(rotated, direct, atol=1e-11)
 
     def test_near_identity_special_case(self):
-        built = symmetric_rotation(-np.eye(2), 3)
+        built = symmetric_rotation(-np.eye(2), 3, np.eye(4))
         np.testing.assert_allclose(built, -np.eye(4), atol=1e-12)
 
     def test_small_angles_are_not_rounded_away(self):
@@ -166,26 +166,69 @@ class TestSymmetricRotation:
         for t in (1e-8, 1e-10, 1e-13):
             c, s = math.cos(t), math.sin(t)
             u = np.array([[c - 1j * s * nz, (-1j * nx - ny) * s], [(-1j * nx + ny) * s, c + 1j * s * nz]])
-            rotated = symmetric_rotation(u, n) @ coherent_dicke_amplitudes(vec, n)
+            rotated = symmetric_rotation(u, n, coherent_dicke_amplitudes(vec, n))
             np.testing.assert_allclose(rotated, coherent_dicke_amplitudes(u @ vec, n), rtol=0, atol=1e-12)
-        identity = symmetric_rotation(np.eye(2), n) @ coherent_dicke_amplitudes(vec, n)
+        identity = symmetric_rotation(np.eye(2), n, coherent_dicke_amplitudes(vec, n))
         np.testing.assert_array_equal(identity, coherent_dicke_amplitudes(vec, n))
 
     def test_size_guard(self):
+        # the limit is checked before the rows are looked at
         with pytest.raises(ValueError, match="limit"):
-            symmetric_rotation(H1, 100_000)
+            symmetric_rotation(H1, 100_000, np.zeros(1))
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (3, 4), (5, 4, 1)])
+    def test_rows_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="rows must have shape"):
+            symmetric_rotation(H1, 3, np.zeros(shape))
+
+    def test_rows_are_not_changed(self):
+        rng = np.random.default_rng(72)
+        rows = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        before = rows.copy()
+        for u in (random_su2(rng), np.eye(2)):
+            symmetric_rotation(u, 5, rows)
+            np.testing.assert_array_equal(rows, before)
+
+    def test_memory_stays_near_the_rows(self):
+        # at N = 1024 the (N+1) x (N+1) complex matrix is 16.8 MB; the rows
+        # are 65.6 kB, so forming the matrix or any N^2 temporary shows here
+        n = 1024
+        rng = np.random.default_rng(73)
+        rows = rng.normal(size=(n + 1, 4)) + 1j * rng.normal(size=(n + 1, 4))
+        u = random_su2(rng)
+        _sigma_x_basis(n)
+        tracemalloc.start()
+        try:
+            symmetric_rotation(u, n, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * rows.nbytes
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
     "build",
-    [AtomRotation, lambda m: PhotonRotation(2, m), lambda m: symmetric_rotation(m, 3)],
+    [AtomRotation, lambda m: PhotonRotation(2, m), lambda m: symmetric_rotation(m, 3, np.eye(4))],
     ids=["AtomRotation", "PhotonRotation", "symmetric_rotation"],
 )
 def test_non_finite_2x2_rejected(build, bad):
     # NaN compares False with the unitarity tolerance, so it must be caught first
     with pytest.raises(ValueError, match="finite"):
         build(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "build", [AtomRotation, lambda m: PhotonRotation(1, m)], ids=["AtomRotation", "PhotonRotation"]
+)
+def test_rotation_leaves_the_callers_array_writable(build):
+    u = np.eye(2, dtype=complex)
+    op = build(u)
+    u[0, 0] = -1.0
+    np.testing.assert_array_equal(op.matrix, np.eye(2))
+    assert not op.matrix.flags.writeable
+    # a frozen owner, such as another rotation's matrix, is shared, not copied
+    assert build(op.matrix).matrix is op.matrix
 
 
 class TestAtomState:
@@ -253,7 +296,7 @@ class TestAtomState:
 
     def test_apply_per_atom_identity(self):
         amps = coherent_dicke_amplitudes(np.array([0.6, 0.8]), 6)
-        np.testing.assert_allclose(symmetric_rotation(np.eye(2), 6) @ amps, amps, atol=1e-12)
+        np.testing.assert_allclose(symmetric_rotation(np.eye(2), 6, amps), amps, atol=1e-12)
 
     def test_rotation_from_full_extreme(self):
         out = full_simulate_dicke(5, (0.0, 1.0), [AtomRotation(H1)])
@@ -264,7 +307,7 @@ class TestAtomState:
         vec = np.array([0.6, 0.8j])
         rng = np.random.default_rng(71)
         u = random_su2(rng)
-        via_dicke = symmetric_rotation(u, 7) @ coherent_dicke_amplitudes(vec, 7)
+        via_dicke = symmetric_rotation(u, 7, coherent_dicke_amplitudes(vec, 7))
         via_product = coherent_dicke_amplitudes(u @ vec, 7)
         np.testing.assert_allclose(via_dicke, via_product, atol=1e-11)
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_manybody import symmetric_rotation_bruteforce
 
@@ -68,15 +68,47 @@ def test_dicke_matches_naive_on_random_sequences(n_atoms, polar, azimuth, ops):
 )
 def test_symmetric_rotation_transports_coherent_states(n_atoms, u, polar, azimuth):
     v = np.array([math.cos(polar), cmath.exp(1j * azimuth) * math.sin(polar)])
-    rotated = symmetric_rotation(u, n_atoms) @ coherent_dicke_amplitudes(v, n_atoms)
+    rotated = symmetric_rotation(u, n_atoms, coherent_dicke_amplitudes(v, n_atoms))
     np.testing.assert_allclose(rotated, coherent_dicke_amplitudes(u @ v, n_atoms), rtol=0, atol=1e-11)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(n_atoms=st.integers(1, 6), u=unitaries())
 def test_symmetric_rotation_matches_bruteforce(n_atoms, u):
-    built = symmetric_rotation(u, n_atoms)
+    built = symmetric_rotation(u, n_atoms, np.eye(n_atoms + 1))
     np.testing.assert_allclose(built, symmetric_rotation_bruteforce(u, n_atoms), rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), n_atoms=st.integers(1, 6), u=unitaries(), k=st.integers(1, 4))
+def test_symmetric_rotation_applies_bruteforce_to_blocks(data, n_atoms, u, k):
+    entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    block = np.array(data.draw(st.lists(entries, min_size=(n_atoms + 1) * k, max_size=(n_atoms + 1) * k)))
+    block = block.reshape(n_atoms + 1, k)
+    applied = symmetric_rotation(u, n_atoms, block)
+    np.testing.assert_allclose(applied, symmetric_rotation_bruteforce(u, n_atoms) @ block, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(symmetric_rotation(u, n_atoms, block[:, 0]), applied[:, 0], rtol=0, atol=1e-14)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@example(
+    n_atoms=DENSE_ROTATION_LIMIT, u=np.array([[0.6, 0.8j], [0.8j, 0.6]]), polar=0.7, azimuth=0.3, theta=1.1
+)
+@given(
+    n_atoms=st.integers(1, DENSE_ROTATION_LIMIT),
+    u=unitaries(),
+    polar=st.floats(0.1, math.pi / 2 - 0.1),
+    azimuth=angles,
+    theta=angles,
+)
+def test_rotation_and_its_inverse_restore_an_entangled_state(n_atoms, u, polar, azimuth, theta):
+    # off the extremes the medium step writes the (N+1) x 4 array, so both
+    # rotations after it run through symmetric_rotation, as in large-n's loop
+    atom = np.array([math.cos(polar), cmath.exp(1j * azimuth) * math.sin(polar)])
+    medium = EnsembleEvolution(theta)
+    materialized = full_simulate_dicke(n_atoms, atom, [medium])
+    returned = full_simulate_dicke(n_atoms, atom, [medium, AtomRotation(u), AtomRotation(u.conj().T)])
+    np.testing.assert_allclose(returned.amplitudes, materialized.amplitudes, rtol=0, atol=1e-10)
 
 
 class TestSymmetricRotationFixedCases:
@@ -84,7 +116,7 @@ class TestSymmetricRotationFixedCases:
     def test_pure_z_is_exactly_diagonal(self, n):
         a = cmath.exp(0.7j)
         u = cmath.exp(0.2j) * np.diag([a, a.conjugate()])
-        built = symmetric_rotation(u, n)
+        built = symmetric_rotation(u, n, np.eye(n + 1))
         np.testing.assert_array_equal(built, np.diag(np.diag(built)))
         expected = [cmath.exp(0.2j * n) * a ** (n - m) * a.conjugate() ** m for m in range(n + 1)]
         np.testing.assert_allclose(np.diag(built), expected, rtol=0, atol=1e-12)
@@ -93,7 +125,7 @@ class TestSymmetricRotationFixedCases:
     def test_x_like_flips_every_atom(self, n):
         # c = 0: |m> goes to |N - m> with the phase of the N-fold product
         b, c = cmath.exp(0.4j), cmath.exp(-1.3j)
-        built = symmetric_rotation(np.array([[0.0, b], [c, 0.0]]), n)
+        built = symmetric_rotation(np.array([[0.0, b], [c, 0.0]]), n, np.eye(n + 1))
         expected = np.zeros((n + 1, n + 1), dtype=complex)
         for m in range(n + 1):
             expected[n - m, m] = c ** (n - m) * b**m
@@ -101,7 +133,7 @@ class TestSymmetricRotationFixedCases:
 
     @pytest.mark.parametrize("n", [1, 6, 511, 512])
     def test_minus_identity(self, n):
-        built = symmetric_rotation(-np.eye(2), n)
+        built = symmetric_rotation(-np.eye(2), n, np.eye(n + 1))
         np.testing.assert_allclose(built, (-1) ** n * np.eye(n + 1), rtol=0, atol=1e-12)
 
     def test_small_tilt_beside_a_large_z_turn(self):
@@ -112,12 +144,12 @@ class TestSymmetricRotationFixedCases:
             rz = np.diag([cmath.exp(-0.9j), cmath.exp(0.9j)])
             ry = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
             u = rz @ ry
-            rotated = symmetric_rotation(u, n) @ coherent_dicke_amplitudes(vec, n)
+            rotated = symmetric_rotation(u, n, coherent_dicke_amplitudes(vec, n))
             np.testing.assert_allclose(rotated, coherent_dicke_amplitudes(u @ vec, n), rtol=0, atol=1e-12)
 
     def test_unitary_at_the_limit(self):
         rng = np.random.default_rng(1024)
         z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u, _ = np.linalg.qr(z)
-        d = symmetric_rotation(u, DENSE_ROTATION_LIMIT)
+        d = symmetric_rotation(u, DENSE_ROTATION_LIMIT, np.eye(DENSE_ROTATION_LIMIT + 1))
         assert np.max(np.abs(d.conj().T @ d - np.eye(DENSE_ROTATION_LIMIT + 1))) <= 1e-12
