@@ -122,18 +122,47 @@ def check_naive_vs_collective() -> CheckResult:
     return CheckResult("unreduced vs collective medium evolution", worst <= 1e-10, worst, "photon marginals at the extremes, N=1..6")
 
 
+def _random_su2(rng: np.random.Generator) -> np.ndarray:
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    norm = math.hypot(abs(a), abs(b))
+    a, b = a / norm, b / norm
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+def _random_off_extreme_sequence(rng: np.random.Generator) -> list:
+    """Three rounds of random atom rotation, medium step and photon rotation.
+
+    The random SU(2) atom rotation leaves the atoms off the extremes, so every
+    medium step entangles excitation number with the photons.
+    """
+    ops = []
+    for _ in range(3):
+        ops.append(manybody.AtomRotation(_random_su2(rng)))
+        ops.append(manybody.EnsembleEvolution(float(rng.uniform(-2 * math.pi, 2 * math.pi))))
+        ops.append(manybody.PhotonRotation(int(rng.integers(1, 3)), _random_su2(rng)))
+    return ops
+
+
 def check_dicke_vs_naive() -> CheckResult:
     config = ensemble.EnsembleConfig.from_theta(math.pi / 2)
-    worst = 0.0
+    cases = []
     for fid in ("f1", "f2", "f3", "f7"):
-        f = protocol.table1_function(fid)
-        ops = protocol.exact_operation_sequence(f, config)
-        for n in (1, 3, 6):
-            naive = manybody.full_simulate_naive(n, (0.0, 1.0), ops)
-            dicke = manybody.full_simulate_dicke(n, (0.0, 1.0), ops)
-            extracted = manybody.dicke_amplitudes_from_naive(naive, n)
-            worst = max(worst, _max_dev(extracted.reshape(-1), dicke.amplitudes))
-    return CheckResult("symmetric-sector vs unreduced protocol", worst <= 1e-10, worst, "full protocol replays at N in {1,3,6}")
+        ops = protocol.exact_operation_sequence(protocol.table1_function(fid), config)
+        cases += [(n, ops) for n in (1, 3, 6)]
+    rng = np.random.default_rng(2011)
+    cases += [(n, _random_off_extreme_sequence(rng)) for n in (2, 4, 6, 2, 4, 6, 2, 4)]
+    worst = 0.0
+    for n, ops in cases:
+        naive = manybody.full_simulate_naive(n, (0.0, 1.0), ops)
+        dicke = manybody.full_simulate_dicke(n, (0.0, 1.0), ops)
+        extracted = manybody.dicke_amplitudes_from_naive(naive, n)
+        worst = max(worst, _max_dev(extracted.reshape(-1), dicke.amplitudes))
+    return CheckResult(
+        "symmetric-sector vs unreduced protocol",
+        worst <= 1e-10,
+        worst,
+        "full protocol replays at N in {1,3,6}, 8 seeded random off-extreme sequences at N in {2,4,6}",
+    )
 
 
 def check_feasibility_presets() -> CheckResult:

@@ -57,8 +57,27 @@ def _resolve_functions(function_id: str):
     return (table1_function(function_id),)
 
 
+class _OutError(Exception):
+    """The report cannot be written to ``--out``."""
+
+
+def _out_problem(out_path: str) -> str | None:
+    """Why ``--out`` cannot name a report file, or None; checked before any work."""
+    path = Path(out_path)
+    if path.is_dir():
+        return f"--out {out_path!r} is a directory"
+    if not path.parent.is_dir():
+        return f"--out {out_path!r}: no directory {str(path.parent)!r}"
+    return None
+
+
 def _emit(report: dict, out_path: str) -> None:
-    Path(out_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    # a NaN or Inf in a report is a fault of the program: fail, never write it
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    try:
+        Path(out_path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _OutError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
 
 
 def _shot_count(text: str) -> int:
@@ -312,7 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(format="warning: %(message)s", level=logging.WARNING)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.out is not None and (problem := _out_problem(args.out)):
+        return _fail(problem)
+    try:
+        return args.func(args)
+    except _OutError as exc:
+        return _fail(str(exc))
 
 
 def cli_entry() -> None:

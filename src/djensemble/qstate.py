@@ -9,7 +9,8 @@ behind it, so a caller that froze its own array has handed it over and
 sharing it is as safe as a copy; ``full_simulate_dicke`` passes its final
 (N+1) x 4 array this way and saves a copy of it (64 MB at N = 10^6). Every
 other input, a read-only view of a writable array included, is copied.
-The finite and norm checks run on every construction.
+The finite and norm checks run on every construction; a state scans its
+amplitudes for NaN and Inf only when their squared norm is not finite.
 """
 
 from __future__ import annotations
@@ -56,11 +57,9 @@ def _frozen_complex(values) -> np.ndarray:
     return arr
 
 
-def _as_frozen_complex(values) -> np.ndarray:
-    arr = _frozen_complex(values)
+def _check_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise ValueError("amplitudes must be finite (no NaN or Inf)")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,17 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_frozen_complex(self.amplitudes).reshape(-1)
+        amps = _frozen_complex(self.amplitudes).reshape(-1)
         if amps.size != self.space.dim:
             raise ValueError(
                 f"amplitude length {amps.size} does not match space dimension {self.space.dim}"
             )
         norm2 = float(np.vdot(amps, amps).real)
+        # a finite sum of squares has finite terms, so the amplitudes are
+        # scanned for NaN and Inf only when the sum is not finite
+        if not math.isfinite(norm2):
+            _check_finite(amps)
+            raise ValueError(f"amplitudes must be finite in squared norm, but <psi|psi> = {norm2!r}")
         if abs(norm2 - 1.0) > CONSTRUCTION_ATOL:
             raise ValueError(f"state must be normalized but <psi|psi> = {norm2!r}")
         object.__setattr__(self, "amplitudes", amps)
@@ -129,7 +133,8 @@ class Operator:
     unitary_claim: bool = False
 
     def __post_init__(self):
-        mat = _as_frozen_complex(self.matrix)
+        mat = _frozen_complex(self.matrix)
+        _check_finite(mat)
         dim = self.space.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {dim}")

@@ -136,6 +136,60 @@ class TestReportRoundTrips:
             assert json.loads(json.dumps(report)) == report
 
 
+# one exact-mode invocation per subcommand; exact mode logs no warnings
+EVERY_COMMAND = [
+    ["run", "--function", "f3", "--mode", "exact"],
+    ["verify"],
+    ["params", "--medium", "rb-mot"],
+    ["sample", "--function", "f3", "--mode", "exact", "--shots", "10"],
+    ["trace", "--function", "f3", "--mode", "exact"],
+]
+COMMAND_IDS = [argv[0] for argv in EVERY_COMMAND]
+
+
+class TestOutOption:
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=COMMAND_IDS)
+    @pytest.mark.parametrize("where", ["directory", "missing-parent", "file-as-parent"])
+    def test_unwritable_path_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, argv, where):
+        from djensemble import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("--out must be checked before any work")
+
+        for name in ("run_all_checks", "run_protocol", "required_detuning"):
+            monkeypatch.setattr(cli, name, no_work)
+        (tmp_path / "plain.txt").write_text("x")
+        out = {
+            "directory": tmp_path,
+            "missing-parent": tmp_path / "missing" / "report.json",
+            "file-as-parent": tmp_path / "plain.txt" / "report.json",
+        }[where]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=COMMAND_IDS)
+    def test_write_failure_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        from pathlib import Path
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write --out {str(tmp_path / 'report.json')!r}: Permission denied\n"
+
+    def test_nan_never_reaches_a_report(self, tmp_path):
+        from djensemble.cli import _emit
+
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"deviation": float("nan")}, str(out))
+        assert not out.exists()
+
+
 class TestReportLayout:
     def test_key_order(self, tmp_path):
         envelope = ["schema", "version", "command", "request", "results"]

@@ -6,9 +6,12 @@ import pytest
 
 from djensemble.ensemble import EnsembleConfig, u_eff_exact
 from djensemble.manybody import (
+    NAIVE_ATOM_LIMIT,
     AtomRotation,
     EnsembleEvolution,
     PhotonRotation,
+    _evolution_block,
+    _excitation_order,
     _sigma_x_basis,
     coherent_dicke_amplitudes,
     dicke_amplitudes_from_naive,
@@ -385,6 +388,38 @@ class TestNaiveSimulator:
         svals = atom_photon_schmidt_values(naive, 3)
         assert svals[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(svals[1:] < 1e-12)
+
+
+class TestNaiveKernels:
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_stacked_blocks_match_per_configuration_calls(self, n):
+        m = np.arange(n + 1)
+        for lam_t in (0.13, -2.9):
+            stacked = _evolution_block(lam_t, n - m, m)
+            assert stacked.shape == (n + 1, 4, 4)
+            for k in range(n + 1):
+                np.testing.assert_allclose(stacked[k], _evolution_block(lam_t, n - k, k), rtol=0, atol=1e-15)
+
+    def test_scalar_call_returns_one_block(self):
+        block = _evolution_block(0.4, 3, 2)
+        assert block.shape == (4, 4)
+        np.testing.assert_allclose(block.conj().T @ block, np.eye(4), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, NAIVE_ATOM_LIMIT + 1))
+    def test_excitation_order_is_a_read_only_sort_by_popcount(self, n):
+        order, inverse, bounds = _excitation_order(n)
+        assert _excitation_order(n)[0] is order
+        for arr in (order, inverse, bounds):
+            assert not arr.flags.writeable
+        np.testing.assert_array_equal(np.sort(order), np.arange(2**n))
+        np.testing.assert_array_equal(order[inverse], np.arange(2**n))
+        popcount = np.array([bin(int(i)).count("1") for i in order])
+        assert np.all(np.diff(popcount) >= 0)
+        # stable: ascending index within each excitation number
+        for k in range(n + 1):
+            run = order[bounds[k] : bounds[k + 1]]
+            assert len(run) == math.comb(n, k) and np.all(popcount[bounds[k] : bounds[k + 1]] == k)
+            assert np.all(np.diff(run) > 0)
 
 
 class TestDickeSimulator:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_manybody import symmetric_rotation_bruteforce
 
+from djensemble.ensemble import P_MINUS, P_PLUS
 from djensemble.manybody import (
     DENSE_ROTATION_LIMIT,
     AtomRotation,
@@ -57,6 +58,49 @@ def test_dicke_matches_naive_on_random_sequences(n_atoms, polar, azimuth, ops):
     dicke = full_simulate_dicke(n_atoms, atom, ops)
     extracted = dicke_amplitudes_from_naive(naive, n_atoms).reshape(-1)
     np.testing.assert_allclose(dicke.amplitudes, extracted, rtol=0, atol=1e-10)
+
+
+def naive_literal(n_atoms, atom_init, ops):
+    """The unreduced simulator written out literally: one tensordot per atom,
+    a kron-built generator and its own eigh per excitation number, and a
+    boolean mask per excitation number over the popcount of each basis row."""
+    i2 = np.eye(2)
+    state = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    for _ in range(n_atoms):
+        state = np.tensordot(np.asarray(atom_init, dtype=complex), state, axes=0)
+    popcount = np.array([bin(i).count("1") for i in range(2**n_atoms)])
+    for op in ops:
+        if isinstance(op, AtomRotation):
+            for j in range(n_atoms):
+                state = np.moveaxis(np.tensordot(op.matrix, state, axes=([1], [j])), 0, j)
+        elif isinstance(op, PhotonRotation):
+            axis = n_atoms + op.photon - 1
+            state = np.moveaxis(np.tensordot(op.matrix, state, axes=([1], [axis])), 0, axis)
+        else:
+            lam_t = op.theta / n_atoms
+            flat = state.reshape(2**n_atoms, 4).copy()
+            for m in range(n_atoms + 1):
+                gen = (n_atoms - m) * (np.kron(P_PLUS, i2) + np.kron(i2, P_PLUS))
+                gen = gen + m * (np.kron(P_MINUS, i2) + np.kron(i2, P_MINUS))
+                w, v = np.linalg.eigh(gen)
+                block = (v * np.exp(-1j * lam_t * w)) @ v.conj().T
+                rows = popcount == m
+                flat[rows] = flat[rows] @ block.T
+            state = flat.reshape(state.shape)
+    return state.reshape(-1)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    n_atoms=st.integers(1, 8),
+    polar=st.floats(0.0, math.pi / 2),
+    azimuth=angles,
+    ops=st.lists(operations, max_size=6),
+)
+def test_naive_matches_its_literal_form(n_atoms, polar, azimuth, ops):
+    atom = np.array([math.cos(polar), cmath.exp(1j * azimuth) * math.sin(polar)])
+    naive = full_simulate_naive(n_atoms, atom, ops)
+    np.testing.assert_allclose(naive.amplitudes, naive_literal(n_atoms, atom, ops), rtol=0, atol=1e-13)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -59,6 +59,34 @@ class TestStateVector:
         with pytest.raises(ValueError, match="finite"):
             StateVector(QUBIT_A, np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize(
+        "amps",
+        [[np.nan, 0.0], [np.inf, 0.0], [0.6, complex(0.0, -np.inf)], [np.nan, np.inf]],
+        ids=["nan", "inf", "imaginary-inf", "nan-and-inf"],
+    )
+    def test_nan_or_inf_gives_the_finite_message(self, amps):
+        with pytest.raises(ValueError, match=r"^amplitudes must be finite \(no NaN or Inf\)$"):
+            StateVector(QUBIT_A, np.array(amps))
+
+    def test_overflowing_square_gives_a_finite_message(self):
+        # every amplitude is finite, but the squared norm is not
+        with pytest.raises(ValueError, match="must be finite in squared norm.*inf"):
+            StateVector(QUBIT_A, np.array([1e200, 0.0]))
+
+    @pytest.mark.parametrize("amps", [[3.0, 4.0], [1e-200, 0.0], [0.0, 0.0]], ids=["large", "tiny", "zero"])
+    def test_unnormalized_finite_vector_gives_the_norm_message(self, amps):
+        with pytest.raises(ValueError, match="^state must be normalized"):
+            StateVector(QUBIT_A, np.array(amps))
+
+    def test_finite_amplitudes_are_not_scanned(self, monkeypatch):
+        from djensemble import qstate
+
+        def scan(arr):
+            raise AssertionError("a finite squared norm already shows finite amplitudes")
+
+        monkeypatch.setattr(qstate, "_check_finite", scan)
+        assert StateVector(QUBIT_A, np.array([0.6, 0.8j])).amplitudes[1] == 0.8j
+
     def test_amplitudes_are_read_only(self):
         state = basis_state(QUBIT_A, (0,))
         with pytest.raises(ValueError):
