@@ -9,6 +9,7 @@ failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -36,6 +37,15 @@ SCHEMA = "djensemble-report/1"
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+
+# Largest --shots accepted. Sampling takes about 30 ms per 10^6 shots on one
+# core, so this is about 3 s per function and 24 s for --function all.
+MAX_SHOTS = 10**8
+
+# Medium file keys and the MediumSpec fields they set; without relaxation_s,
+# MediumSpec's default relaxation time holds.
+_MEDIUM_KEYS = {"length_m": "length", "n_atoms": "n_atoms", "coupling_rad_s": "coupling",
+                "relaxation_s": "relaxation_time"}
 
 
 def _default_config() -> EnsembleConfig:
@@ -119,6 +129,8 @@ def _run_functions(args, entry, **request) -> int:
 def _cmd_run(args) -> int:
     if args.shots < 0:
         return _fail("--shots must be non-negative (0 means no sampling)")
+    if args.shots > MAX_SHOTS:
+        return _fail(f"--shots must be at most {MAX_SHOTS}")
     if args.seed < 0:
         return _fail("--seed must be non-negative")
     if args.n_atoms_oracle is not None and not 1 <= args.n_atoms_oracle <= NAIVE_ATOM_LIMIT:
@@ -170,7 +182,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     results = run_all_checks()
     report = _report_skeleton("verify", {})
-    report["checks"] = [r.as_dict() for r in results]
+    report["checks"] = [dataclasses.asdict(r) for r in results]
     all_passed = all(r.passed for r in results)
     report["all_passed"] = all_passed
     width = max(len(r.name) for r in results)
@@ -194,18 +206,27 @@ def _load_medium(token: str) -> MediumSpec:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read medium file {token!r}: {exc.strerror or exc}") from exc
-    data = json.loads(text)
     try:
-        n_atoms = data["n_atoms"]
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"medium file {token!r} is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"medium file {token!r} must be a JSON object")
+    fields = {}
+    for key, name in _MEDIUM_KEYS.items():
+        if key == "relaxation_s" and key not in data:
+            continue
+        value = data.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            found = f"got {value!r}" if key in data else "it is missing"
+            raise ValueError(f"medium file {token!r}: {key!r} must be a number, {found}")
+        fields[name] = value
+    try:
+        n_atoms = fields.pop("n_atoms")
         if isinstance(n_atoms, float) and n_atoms.is_integer():
             n_atoms = int(n_atoms)  # JSON writes 1e5 as a float
-        return MediumSpec(
-            length=float(data["length_m"]),
-            n_atoms=n_atoms,
-            coupling=float(data["coupling_rad_s"]),
-            relaxation_time=float(data.get("relaxation_s", 1e-6)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return MediumSpec(n_atoms=n_atoms, **{name: float(v) for name, v in fields.items()})
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"malformed medium spec {token!r}: {exc}") from exc
 
 
@@ -237,6 +258,8 @@ def _cmd_params(args) -> int:
 def _cmd_sample(args) -> int:
     if args.shots < 1:
         return _fail("sample requires --shots >= 1")
+    if args.shots > MAX_SHOTS:
+        return _fail(f"--shots must be at most {MAX_SHOTS}")
     if args.seed < 0:
         return _fail("--seed must be non-negative")
 

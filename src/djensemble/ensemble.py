@@ -79,14 +79,9 @@ class EnsembleConfig:
         return cls(int(n_atoms), coupling, detuning, interaction_time)
 
     @classmethod
-    def from_theta(
-        cls,
-        theta: float,
-        n_atoms: int = 100_000,
-        coupling: float = 1.0,
-        detuning: float = 10.0,
-    ) -> "EnsembleConfig":
-        """Config with placeholder physics chosen to hit the requested angle."""
+    def from_theta(cls, theta: float) -> "EnsembleConfig":
+        """Config at the requested angle with placeholder physics: 10^5 atoms, coupling 1, detuning 10."""
+        n_atoms, coupling, detuning = 100_000, 1.0, 10.0
         lam = coupling**2 / detuning
         return cls.from_physics(coupling, detuning, n_atoms, theta / (lam * n_atoms))
 
@@ -267,24 +262,11 @@ class PhasesClaimReport:
     """Consistency audit of the declared rewrite against the exact unitary."""
 
     theta: float
-    row_labels: tuple[str, ...]
     input_gram: np.ndarray
     claimed_abs_gram: np.ndarray
     fidelities: np.ndarray
     consistent: bool
     verdict: str
-
-    def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "rows": list(self.row_labels),
-            "input_gram_real": [[float(x.real) for x in row] for row in self.input_gram],
-            "input_gram_imag": [[float(x.imag) for x in row] for row in self.input_gram],
-            "claimed_abs_gram": [[float(x) for x in row] for row in self.claimed_abs_gram],
-            "claimed_vs_exact_fidelities": [float(x) for x in self.fidelities],
-            "consistent": self.consistent,
-            "verdict": self.verdict,
-        }
 
 
 def check_phases_claim(config: EnsembleConfig) -> PhasesClaimReport:
@@ -297,7 +279,6 @@ def check_phases_claim(config: EnsembleConfig) -> PhasesClaimReport:
     if abs(config.theta - math.pi / 2) > 1e-9:
         raise ValueError("the claim audit is defined at theta = pi/2")
     rows = [(0, 0), (1, 1), (0, 1), (1, 0)]
-    labels = tuple(f"photons|{r1}{r2}> at ground extreme" for r1, r2 in rows)
     u = u_eff_exact(config)
     pmap = u_eff_paper(config.theta)
     inputs, claimed, exact = [], [], []
@@ -322,7 +303,6 @@ def check_phases_claim(config: EnsembleConfig) -> PhasesClaimReport:
     )
     return PhasesClaimReport(
         theta=config.theta,
-        row_labels=labels,
         input_gram=input_gram,
         claimed_abs_gram=np.abs(claimed_gram),
         fidelities=fid,

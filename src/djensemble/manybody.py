@@ -189,18 +189,18 @@ def _coherent_band(n_atoms: int, p: float, q: float) -> tuple[np.ndarray, np.nda
     return m[band], log_amp[band]
 
 
-def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> np.ndarray:
+def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np.ndarray]:
     """Symmetric-sector amplitudes of the N-fold product of one qubit state.
 
     Index m counts atoms in the primed level. The single-atom vector is taken
     at unit norm, (alpha, beta) / s with s = sqrt(|alpha|^2 + |beta|^2), the
     rule ``_DickeRun.atom_rotation`` applies after every rotation, so the
     squared magnitudes are exactly the binomial weights b(m; N, |beta/s|^2).
-    Only the band of m whose amplitude does not underflow is evaluated: about
-    110 sqrt(N p q) entries about the mode N p, with p = |beta/s|^2 and
+    Returns ``(start, band)``: the amplitudes of m = start, start + 1, ...;
+    every entry outside the band underflows and is exactly zero. The band is
+    about 110 sqrt(N p q) entries about the mode N p, with p = |beta/s|^2 and
     q = 1 - p, each in Loader's saddle-point form to a few ulps, so the
-    squared norm is 1 to rounding at any N. Every other entry is exactly
-    zero; the cost is O(sqrt(N p q)) besides the zeroed (N+1)-array.
+    squared norm is 1 to rounding at any N. The cost is O(sqrt(N p q)).
     """
     alpha, beta = complex(single[0]), complex(single[1])
     scale = math.hypot(abs(alpha), abs(beta))
@@ -208,20 +208,16 @@ def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> np.ndarray:
         raise ValueError("the single-atom vector is zero")
     p = (abs(beta) / scale) ** 2
     q = (abs(alpha) / scale) ** 2
-    amps = np.zeros(n_atoms + 1, dtype=complex)
     # p or q underflows to 0 only for |beta/s| or |alpha/s| below about
     # 1.6e-162; the dropped amplitudes are then at most sqrt(N) times that
     if p == 0.0:
-        amps[0] = (alpha / abs(alpha)) ** n_atoms
-        return amps
+        return 0, np.array([(alpha / abs(alpha)) ** n_atoms])
     if q == 0.0:
-        amps[n_atoms] = (beta / abs(beta)) ** n_atoms
-        return amps
+        return n_atoms, np.array([(beta / abs(beta)) ** n_atoms])
     m, log_amp = _coherent_band(n_atoms, p, q)
     phase = (n_atoms - m) * np.angle(alpha) + m * np.angle(beta)
     with np.errstate(under="ignore"):
-        amps[int(m[0]) : int(m[-1]) + 1] = np.exp(log_amp + 1j * phase)
-    return amps
+        return int(m[0]), np.exp(log_amp + 1j * phase)
 
 
 @functools.lru_cache(maxsize=4)
@@ -423,6 +419,20 @@ def dicke_space(n_atoms: int) -> SpaceLabel:
     return SpaceLabel((("atoms", n_atoms + 1), ("photon1", 2), ("photon2", 2)))
 
 
+def _medium_phase(rows: np.ndarray, theta: float, n_atoms: int, m: np.ndarray) -> None:
+    """The medium step, in place, on photon-pair rows (k, 4) with m primed atoms each.
+
+    In the circular basis the phase is exp(-i lam t [(N - m) n+ + m n-]) with
+    lam t = theta / N: exp(-i theta) times tilt_m = exp(-i lam t (N - 2m)) on
+    ++, times 1 on +- and -+, and times conj(tilt_m) on --.
+    """
+    tilt = np.exp(-1j * (theta / n_atoms) * (n_atoms - 2.0 * m))
+    circ = rows @ _B2.T
+    circ[:, 0] *= tilt
+    circ[:, 3] *= tilt.conj()
+    np.matmul(circ, np.exp(-1j * theta) * _B2.conj(), out=rows)
+
+
 class _DickeRun:
     """Hybrid state: coherent product form while possible, else a full array.
 
@@ -441,13 +451,11 @@ class _DickeRun:
 
     def _materialize(self) -> None:
         if self.general is None:
-            amps = coherent_dicke_amplitudes(self.atom_vec, self.n)
-            # write only the band that does not underflow: the zero pages of
-            # the rest are never touched, so they never become resident
-            band = np.flatnonzero(amps)
-            lo, hi = band[0], band[-1] + 1
+            start, band = coherent_dicke_amplitudes(self.atom_vec, self.n)
+            # write only the band: the zero pages of the rest are never
+            # touched, so they never become resident
             self.general = np.zeros((self.n + 1, 4), dtype=complex)
-            self.general[lo:hi] = np.outer(amps[lo:hi], self.photon_vec)
+            self.general[start : start + len(band)] = np.outer(band, self.photon_vec)
             self.atom_vec = None
             self.photon_vec = None
 
@@ -468,27 +476,17 @@ class _DickeRun:
             self.general = self.general @ full.T
 
     def ensemble_evolution(self, theta: float) -> None:
-        lam_t = theta / self.n
         if self.general is None:
             alpha, beta = self.atom_vec
             if abs(beta) <= 1e-14 or abs(alpha) <= 1e-14:
-                n_plain = self.n if abs(beta) <= 1e-14 else 0
-                block = _evolution_block(lam_t, n_plain, self.n - n_plain)
-                self.photon_vec = block @ self.photon_vec
+                m = 0 if abs(beta) <= 1e-14 else self.n
+                _medium_phase(self.photon_vec.reshape(1, 4), theta, self.n, np.array([m]))
                 return
             self._materialize()
-        # In the circular basis the phase is exp(-i lam t [(N - m) n+ + m n-]):
-        # exp(-i theta) times tilt_m = exp(-i lam t (N - 2m)) on ++, times 1 on
-        # +- and -+, and times conj(tilt_m) on --. It is applied in place, one
-        # block of rows at a time, so no temporary grows with N.
-        back = np.exp(-1j * theta) * _B2.conj()
+        # one block of rows at a time, so no temporary grows with N
         for lo in range(0, self.n + 1, _ROW_BLOCK):
             rows = self.general[lo : lo + _ROW_BLOCK]
-            tilt = np.exp(-1j * lam_t * (self.n - 2.0 * np.arange(lo, lo + len(rows))))
-            circ = rows @ _B2.T
-            circ[:, 0] *= tilt
-            circ[:, 3] *= tilt.conj()
-            np.matmul(circ, back, out=rows)
+            _medium_phase(rows, theta, self.n, np.arange(lo, lo + len(rows)))
 
     def to_state(self) -> StateVector:
         """Hand the array over to the state; the run keeps no reference to it.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,7 @@ TABLE1_TABLES = {
     "f7": (0, 1, 1, 0),
     "f8": (1, 0, 0, 1),
 }
+_CATALOG_IDS = {table: fid for fid, table in TABLE1_TABLES.items()}
 
 PATTERN_TO_PAIR = {
     (1, 1): ("f1", "f2"),
@@ -90,11 +91,14 @@ _PSI0 = basis_state(PROTOCOL_SPACE, (1, 0, 0))
 
 @dataclass(frozen=True)
 class BooleanFunction:
-    """Truth table of an n-bit binary-valued function."""
+    """Truth table of an n-bit binary-valued function.
+
+    ``id`` is derived from the table: its Table 1 name (f1..f8), or None.
+    """
 
     n_bits: int
     table: tuple[int, ...]
-    id: str | None = None
+    id: str | None = field(init=False)
 
     def __post_init__(self):
         table = tuple(int(b) for b in self.table)
@@ -105,10 +109,7 @@ class BooleanFunction:
             raise ValueError(f"table must have 2^{self.n_bits} entries")
         if any(b not in (0, 1) for b in table):
             raise ValueError("table entries must be bits")
-        if self.id is not None:
-            expected = TABLE1_TABLES.get(self.id)
-            if expected is None or self.n_bits != 2 or table != expected:
-                raise ValueError(f"id {self.id!r} does not match this truth table")
+        object.__setattr__(self, "id", _CATALOG_IDS.get(table))
 
     @property
     def classification(self) -> str:
@@ -126,7 +127,7 @@ class BooleanFunction:
 def table1_function(fid: str) -> BooleanFunction:
     if fid not in TABLE1_TABLES:
         raise ValueError(f"unknown function id {fid!r}; expected f1..f8")
-    return BooleanFunction(2, TABLE1_TABLES[fid], id=fid)
+    return BooleanFunction(2, TABLE1_TABLES[fid])
 
 
 def table1_functions() -> tuple[BooleanFunction, ...]:
@@ -150,24 +151,13 @@ def enumerate_functions(n_bits: int) -> tuple[BooleanFunction, ...]:
     return tuple(functions)
 
 
-def _catalog_id(f: BooleanFunction) -> str | None:
-    if f.id is not None:
-        return f.id
-    if f.n_bits == 2:
-        for fid, table in TABLE1_TABLES.items():
-            if f.table == table:
-                return fid
-    return None
-
-
 def h_eq_for(f: BooleanFunction) -> tuple[str, str]:
     """Composite-rotation assignment (photon1, photon2) for a balanced function."""
-    fid = _catalog_id(f)
-    if fid not in H_EQ_ASSIGNMENTS:
+    if f.id not in H_EQ_ASSIGNMENTS:
         raise ValueError(
             "composite rotations are defined for the balanced catalog functions f3..f8"
         )
-    return H_EQ_ASSIGNMENTS[fid]
+    return H_EQ_ASSIGNMENTS[f.id]
 
 
 def build_oracle(f: BooleanFunction, config: EnsembleConfig) -> tuple:

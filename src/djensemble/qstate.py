@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,13 +33,11 @@ __all__ = [
     "SpaceLabel",
     "StateVector",
     "Operator",
-    "PhaseMatch",
     "basis_state",
     "embed",
     "expm_hermitian",
     "born_distribution",
     "sample_shots",
-    "equal_up_to_global_phase",
 ]
 
 
@@ -182,34 +180,19 @@ def basis_state(space: SpaceLabel, occupancy: Sequence[int]) -> StateVector:
     return StateVector(space, amps)
 
 
-def embed(op: Operator, targets, space: SpaceLabel) -> Operator:
-    """Pad ``op`` with identity on every subsystem of ``space`` not named in ``targets``.
-
-    ``targets`` names the subsystems (in the order the operator's own factors
-    should map onto them); the result is reordered to ``space``'s layout.
-    """
-    if isinstance(targets, str):
-        targets = (targets,)
-    positions = [space.index(t) for t in targets]
-    if len(set(positions)) != len(positions):
-        raise ValueError("duplicate target subsystem")
+def embed(op: Operator, target: str, space: SpaceLabel) -> Operator:
+    """Pad ``op``, which acts on the subsystem named ``target``, with identity on the rest of ``space``."""
+    position = space.index(target)
     dims = space.dims
-    target_dim = math.prod(dims[p] for p in positions)
-    if op.dim != target_dim:
+    if op.dim != dims[position]:
         raise ValueError(
-            f"operator dimension {op.dim} does not match target subsystems of dimension {target_dim}"
+            f"operator dimension {op.dim} does not match subsystem {target!r} of dimension {dims[position]}"
         )
-    rest = [p for p in range(len(dims)) if p not in positions]
-    # kron(op, I) as one broadcast product: entry [i, a, j, b] is op[i, j] * I[a, b]
-    identity = np.eye(math.prod(dims[p] for p in rest))
-    big = op.matrix[:, None, :, None] * identity[None, :, None, :]
-    current = positions + rest
-    axis_of = {sub: i for i, sub in enumerate(current)}
-    perm = [axis_of[p] for p in range(len(dims))]
-    n = len(dims)
-    shaped = big.reshape([dims[s] for s in current] * 2)
-    shaped = shaped.transpose(perm + [n + i for i in perm])
-    return Operator(space, shaped.reshape(space.dim, space.dim), unitary_claim=op.unitary_claim)
+    before, after = math.prod(dims[:position]), math.prod(dims[position + 1 :])
+    # one broadcast product: entry [a, i, b, c, j, d] is op[i, j] * I[(a, b), (c, d)]
+    identity = np.eye(before * after).reshape(before, after, before, after)
+    big = op.matrix[None, :, None, None, :, None] * identity[:, None, :, :, None, :]
+    return Operator(space, big.reshape(space.dim, space.dim), unitary_claim=op.unitary_claim)
 
 
 def expm_hermitian(h: Operator, theta: float) -> Operator:
@@ -228,16 +211,13 @@ def expm_hermitian(h: Operator, theta: float) -> Operator:
     return Operator(h.space, u, unitary_claim=True)
 
 
-def born_distribution(state: StateVector, subsystems: Sequence[str] | None = None) -> dict:
+def born_distribution(state: StateVector, subsystems: Sequence[str]) -> dict:
     """Measurement probabilities over the product basis of the named subsystems.
 
-    Unnamed subsystems are marginalized. Keys are level tuples, or plain ints
-    when a single subsystem is requested. The state has unit norm by
-    construction, so the probabilities sum to 1 to rounding.
+    Unnamed subsystems are marginalized. Keys are level tuples in the
+    requested order. The state has unit norm by construction, so the
+    probabilities sum to 1 to rounding.
     """
-    names = state.space.names
-    if subsystems is None:
-        subsystems = names
     keep = [state.space.index(s) for s in subsystems]
     if len(set(keep)) != len(keep):
         raise ValueError("duplicate subsystem in request")
@@ -252,8 +232,6 @@ def born_distribution(state: StateVector, subsystems: Sequence[str] | None = Non
     sums = np.einsum("mk,mk->k", parts, parts)
     probs = sums[0::2] + sums[1::2]
     outcomes = itertools.product(*[range(d) for d in kept_dims])
-    if len(keep) == 1:
-        outcomes = (outcome[0] for outcome in outcomes)
     return {outcome: float(p) for outcome, p in zip(outcomes, probs)}
 
 
@@ -286,17 +264,3 @@ def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:
         totals += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(outcomes))
     return {o: int(n) for o, n in zip(outcomes, totals)}
 
-
-class PhaseMatch(NamedTuple):
-    equal: bool
-    phase: float | None
-
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float) -> PhaseMatch:
-    """True iff |<a|b>| >= 1 - tol; also returns arg<a|b> on success."""
-    if a.space.dims != b.space.dims:
-        raise ValueError("dimension mismatch")
-    ov = complex(np.vdot(a.amplitudes, b.amplitudes))
-    if abs(ov) >= 1.0 - tol:
-        return PhaseMatch(True, float(np.angle(ov)))
-    return PhaseMatch(False, None)

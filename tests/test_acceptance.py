@@ -100,7 +100,7 @@ def test_03_composite_rotations_are_diagonal_phases():
 
 def test_04_hamiltonian_form_equivalence():
     # unit energy scale so the absolute tolerance is meaningful
-    config = EnsembleConfig.from_theta(1.0, n_atoms=10, coupling=1.0, detuning=10.0)
+    config = EnsembleConfig.from_physics(1.0, 10.0, 10, 1.0)
     dev = float(np.max(np.abs(build_h_eff(config).matrix - build_h_eff_linear(config).matrix)))
     report(4, "hamiltonian basis-form equivalence", dev <= 1e-12, f"max deviation {dev:.2e}")
 

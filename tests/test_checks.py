@@ -1,8 +1,10 @@
 """The verify checks detect the faults they are there for."""
 
+import math
+
 import numpy as np
 
-from djensemble import checks, manybody
+from djensemble import checks, ensemble, manybody, protocol
 
 
 def test_dicke_vs_naive_passes_on_catalog_and_random_sequences():
@@ -22,22 +24,31 @@ def test_random_sequences_leave_the_extremes():
 
 
 def test_dicke_vs_naive_catches_a_mirrored_medium_phase(monkeypatch):
-    """Swapping the phase profiles of the ++ and -- photon pairs off the
-    extremes (tilt for its conjugate) is the medium step with the two atomic
-    levels exchanged. The catalog replays never reach it: only the random
-    sequences do."""
-    original = manybody._DickeRun.ensemble_evolution
-
-    def mirrored(self, theta):
-        if self.general is None:
-            alpha, beta = self.atom_vec
-            if abs(alpha) <= 1e-14 or abs(beta) <= 1e-14:
-                return original(self, theta)
-            self._materialize()
-        self.general = self.general[::-1].copy()
-        original(self, theta)
-        self.general = self.general[::-1].copy()
-
-    monkeypatch.setattr(manybody._DickeRun, "ensemble_evolution", mirrored)
+    """Swapping tilt for its conjugate is the medium step with the two atomic
+    levels exchanged. The Dicke run applies the same closed form whether or
+    not the atoms sit at an extreme, so the catalog replays catch it too."""
+    original = manybody._medium_phase
+    monkeypatch.setattr(
+        manybody, "_medium_phase", lambda rows, theta, n, m: original(rows, theta, n, n - m)
+    )
     result = checks.check_dicke_vs_naive()
     assert not result.passed and result.deviation > 0.1
+    ops = protocol.exact_operation_sequence(
+        protocol.table1_function("f3"), ensemble.EnsembleConfig.from_theta(math.pi / 2)
+    )
+    naive = manybody.full_simulate_naive(3, (0.0, 1.0), ops)
+    dicke = manybody.full_simulate_dicke(3, (0.0, 1.0), ops)
+    extracted = manybody.dicke_amplitudes_from_naive(naive, 3).reshape(-1)
+    assert np.max(np.abs(extracted - dicke.amplitudes)) > 0.1
+
+
+def test_naive_vs_collective_catches_a_conjugated_naive_kernel(monkeypatch):
+    """Conjugating the unreduced medium step leaves every photon marginal
+    unchanged at the extremes, but not the amplitudes."""
+    original = manybody._evolution_block
+    monkeypatch.setattr(
+        manybody, "_evolution_block", lambda lam_t, n_plain, n_primed: original(-lam_t, n_plain, n_primed)
+    )
+    result = checks.check_naive_vs_collective()
+    assert not result.passed and result.deviation > 0.1
+

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from djensemble.cli import main
+from djensemble import cli
+from djensemble.cli import MAX_SHOTS, main
 
 
 def read_report(path):
@@ -277,6 +278,22 @@ class TestParamsCommand:
         assert main(["params", "--medium", str(spec), "--out", str(out)]) == 0
         assert read_report(out)["medium"]["n_atoms"] == 100000
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"n_atoms": 100000, "coupling_rad_s": 2.91e8}', "'length_m' must be a number, it is missing"),
+        ('{"length_m": "2e-4", "n_atoms": 100000, "coupling_rad_s": 2.91e8}', "'length_m' must be a number, got '2e-4'"),
+        ('{"length_m": 2e-4, "n_atoms": [1], "coupling_rad_s": 2.91e8}', "'n_atoms' must be a number"),
+        ('{"length_m": 2e-4, "n_atoms": 100000, "coupling_rad_s": 2.91e8, "relaxation_s": null}', "'relaxation_s'"),
+        ("[200e-6, 100000, 2.91e8]", "must be a JSON object"),
+        ("length_m = 200e-6", "is not JSON"),
+    ])
+    def test_bad_medium_file_is_named(self, tmp_path, capsys, text, named):
+        spec = tmp_path / "medium.json"
+        spec.write_text(text)
+        assert main(["params", "--medium", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: medium file {str(spec)!r}") and err.count("\n") == 1
+        assert named in err
+
     def test_directory_medium_exits_2(self, tmp_path, capsys):
         assert main(["params", "--medium", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -342,6 +359,17 @@ class TestShotsOption:
         assert main(argv + ["--shots", "1e3", "--out", str(out_a)]) == 0
         assert main(argv + ["--shots", "1000", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize("text", [str(MAX_SHOTS + 1), "1e12"])
+    def test_more_than_max_shots_exits_2_before_sampling(self, monkeypatch, capsys, command, text):
+        def poisoned(*args, **kwargs):
+            raise AssertionError("no shot may be drawn beyond MAX_SHOTS")
+
+        monkeypatch.setattr(cli, "sample_shots", poisoned)
+        assert main([command, "--function", "f3", "--shots", text]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --shots must be at most {MAX_SHOTS}\n"
 
     @pytest.mark.parametrize("command", ["run", "sample"])
     @pytest.mark.parametrize("text", ["1.5", "1e-3", "nan", "inf", "-inf", "1e400", "ten", ""])

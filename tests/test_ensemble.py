@@ -105,7 +105,7 @@ class TestMicrowaveRotation:
 
 class TestEffectiveHamiltonian:
     def test_double_plus_matrix_element(self):
-        config = EnsembleConfig.from_theta(1.0, n_atoms=50, coupling=2.0, detuning=20.0)
+        config = EnsembleConfig.from_physics(2.0, 20.0, 50, 0.1)
         h_circ = circular_photons(build_h_eff(config))
         scale = config.lambda_value * config.n_atoms
         # atom at the plain extreme with both photons in the plus mode
@@ -141,12 +141,12 @@ class TestEffectiveHamiltonian:
             np.diag([0.0, 1.0]), np.kron(P_MINUS, i2) + np.kron(i2, P_MINUS)
         )
         assert np.array_equal(h_eff_dimensionless().matrix, expected)
-        config = EnsembleConfig.from_theta(0.9, n_atoms=40, coupling=2.0, detuning=25.0)
+        config = EnsembleConfig.from_physics(2.0, 25.0, 40, 0.140625)
         linear = build_h_eff_linear(config).matrix / (config.lambda_value * config.n_atoms)
         assert np.max(np.abs(h_eff_dimensionless().matrix - linear)) <= 1e-12
 
     def test_linear_form_off_diagonals(self):
-        h = build_h_eff_linear(EnsembleConfig.from_theta(1.0, n_atoms=1, coupling=1.0, detuning=10.0))
+        h = build_h_eff_linear(EnsembleConfig.from_physics(1.0, 10.0, 1, 10.0))
         scale = 0.1  # lambda * n_atoms
         shaped = h.matrix.reshape(2, 2, 2, 2, 2, 2)
         # plain-atom block, photon 1 coupling, photon 2 diagonal: entry i/2 below the diagonal
@@ -189,7 +189,7 @@ class TestExactEvolution:
 
     def test_dimensionless_generator_is_reused(self):
         h = h_eff_dimensionless().matrix
-        config = EnsembleConfig.from_theta(1.3, n_atoms=7, coupling=3.0, detuning=30.0)
+        config = EnsembleConfig.from_physics(3.0, 30.0, 7, 1.0)
         np.testing.assert_allclose(
             build_h_eff(config).matrix, config.lambda_value * 7 * h, atol=1e-12
         )
@@ -271,13 +271,6 @@ class TestPhasesClaim:
         np.testing.assert_allclose(report.fidelities, 0.5, atol=1e-12)
         assert not report.consistent
         assert "not unitary" in report.verdict
-
-    def test_report_serializes(self):
-        import json
-
-        report = check_phases_claim(EnsembleConfig.from_theta(math.pi / 2))
-        payload = json.dumps(report.as_dict())
-        assert "claimed_abs_gram" in payload
 
     def test_requires_quarter_turn(self):
         with pytest.raises(ValueError, match="pi/2"):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import coherent_dicke_vector
 
 from djensemble.ensemble import EnsembleConfig, u_eff_exact
 from djensemble.manybody import (
@@ -153,8 +154,8 @@ class TestSymmetricRotation:
         u = random_su2(rng)
         vec = rng.normal(size=2) + 1j * rng.normal(size=2)
         vec = vec / np.linalg.norm(vec)
-        direct = coherent_dicke_amplitudes(u @ vec, n)
-        rotated = symmetric_rotation(u, n, coherent_dicke_amplitudes(vec, n))
+        direct = coherent_dicke_vector(u @ vec, n)
+        rotated = symmetric_rotation(u, n, coherent_dicke_vector(vec, n))
         np.testing.assert_allclose(rotated, direct, atol=1e-11)
 
     def test_near_identity_special_case(self):
@@ -169,10 +170,10 @@ class TestSymmetricRotation:
         for t in (1e-8, 1e-10, 1e-13):
             c, s = math.cos(t), math.sin(t)
             u = np.array([[c - 1j * s * nz, (-1j * nx - ny) * s], [(-1j * nx + ny) * s, c + 1j * s * nz]])
-            rotated = symmetric_rotation(u, n, coherent_dicke_amplitudes(vec, n))
-            np.testing.assert_allclose(rotated, coherent_dicke_amplitudes(u @ vec, n), rtol=0, atol=1e-12)
-        identity = symmetric_rotation(np.eye(2), n, coherent_dicke_amplitudes(vec, n))
-        np.testing.assert_array_equal(identity, coherent_dicke_amplitudes(vec, n))
+            rotated = symmetric_rotation(u, n, coherent_dicke_vector(vec, n))
+            np.testing.assert_allclose(rotated, coherent_dicke_vector(u @ vec, n), rtol=0, atol=1e-12)
+        identity = symmetric_rotation(np.eye(2), n, coherent_dicke_vector(vec, n))
+        np.testing.assert_array_equal(identity, coherent_dicke_vector(vec, n))
 
     def test_size_guard(self):
         # the limit is checked before the rows are looked at
@@ -242,7 +243,7 @@ class TestAtomState:
         # shows in every entry
         vec = np.array([1.0, -1.0]) / SQRT2
         for n in (4, 200):
-            amps = coherent_dicke_amplitudes(vec, n)
+            amps = coherent_dicke_vector(vec, n)
             expected = [
                 math.sqrt(math.comb(n, m)) * (1 / SQRT2) ** n * (-1.0) ** m for m in range(n + 1)
             ]
@@ -251,7 +252,7 @@ class TestAtomState:
     @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
     def test_norm_is_one_to_rounding_at_large_n(self, n):
         for vec in ((0.6, 0.8), (0.8, 0.6j), (1 / SQRT2, 1 / SQRT2)):
-            amps = coherent_dicke_amplitudes(np.array(vec), n)
+            amps = coherent_dicke_vector(np.array(vec), n)
             assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-13
 
     def test_only_the_underflow_tails_are_zero(self):
@@ -260,7 +261,10 @@ class TestAtomState:
         n = 10**6
         beta = 1e-16
         vec = np.array([-math.sqrt(1.0 - beta**2), beta])
-        amps = coherent_dicke_amplitudes(vec, n)
+        # only the band comes back, not the (N+1)-vector
+        start, returned = coherent_dicke_amplitudes(vec, n)
+        assert start == 0 and returned.size < 64
+        amps = coherent_dicke_vector(vec, n)
         band = np.flatnonzero(amps)
         np.testing.assert_array_equal(band, np.arange(band.size))
         for m in range(band.size + 1):
@@ -298,20 +302,20 @@ class TestAtomState:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
 
     def test_apply_per_atom_identity(self):
-        amps = coherent_dicke_amplitudes(np.array([0.6, 0.8]), 6)
+        amps = coherent_dicke_vector(np.array([0.6, 0.8]), 6)
         np.testing.assert_allclose(symmetric_rotation(np.eye(2), 6, amps), amps, atol=1e-12)
 
     def test_rotation_from_full_extreme(self):
         out = full_simulate_dicke(5, (0.0, 1.0), [AtomRotation(H1)])
-        expected = coherent_dicke_amplitudes(np.array([-1.0, 1.0]) / SQRT2, 5)
+        expected = coherent_dicke_vector(np.array([-1.0, 1.0]) / SQRT2, 5)
         np.testing.assert_allclose(out.amplitudes.reshape(6, 4)[:, 0], expected, atol=1e-14)
 
     def test_dicke_rotation_matches_product_route(self):
         vec = np.array([0.6, 0.8j])
         rng = np.random.default_rng(71)
         u = random_su2(rng)
-        via_dicke = symmetric_rotation(u, 7, coherent_dicke_amplitudes(vec, 7))
-        via_product = coherent_dicke_amplitudes(u @ vec, 7)
+        via_dicke = symmetric_rotation(u, 7, coherent_dicke_vector(vec, 7))
+        via_product = coherent_dicke_vector(u @ vec, 7)
         np.testing.assert_allclose(via_dicke, via_product, atol=1e-11)
 
 
@@ -347,8 +351,8 @@ class TestNaiveSimulator:
 
     def test_matches_literal_hamiltonian_sum(self):
         for n in (1, 2, 3):
-            config = EnsembleConfig.from_theta(1.1, n_atoms=n)
-            lam_t = config.theta / n
+            theta = 1.1
+            lam_t = theta / n
             h = literal_hamiltonian(n, 1.0)
             w, v = np.linalg.eigh(h)
             u_full = (v * np.exp(-1j * lam_t * w)) @ v.conj().T
@@ -359,7 +363,7 @@ class TestNaiveSimulator:
                 joint = np.kron(joint, atom)
             joint = np.kron(joint, [1.0, 0.0, 0.0, 0.0])
             expected = u_full @ joint
-            naive = full_simulate_naive(n, atom, [EnsembleEvolution(config.theta)])
+            naive = full_simulate_naive(n, atom, [EnsembleEvolution(theta)])
             np.testing.assert_allclose(naive.amplitudes, expected, atol=1e-12)
 
     def test_rotations_act_per_atom(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import equal_up_to_global_phase
 
 from djensemble.ensemble import P_PLUS, PROTOCOL_SPACE, EnsembleConfig
 from djensemble.polarization import (
@@ -20,7 +21,6 @@ from djensemble.qstate import (
     SpaceLabel,
     StateVector,
     born_distribution,
-    equal_up_to_global_phase,
     sample_shots,
 )
 
@@ -202,18 +202,18 @@ class TestSourceAndDetection:
         trace = run_protocol(table1_function("f1"), "exact", EnsembleConfig.from_theta(math.pi / 2))
         for name in ("photon1", "photon2"):
             dist = born_distribution(trace.psi0, (name,))
-            assert dist[0] == pytest.approx(1.0, abs=1e-12)
+            assert dist[(0,)] == pytest.approx(1.0, abs=1e-12)
 
     def test_detect_basis_state(self):
         state = StateVector(self.TWO_PHOTONS, np.array([0.0, 1.0, 0.0, 0.0]))  # |0,1>
-        dist = born_distribution(state)
+        dist = born_distribution(state, ("photon1", "photon2"))
         assert dist[(0, 1)] == pytest.approx(1.0)
         assert sample_shots(dist, 1, seed=5)[(0, 1)] == 1
         assert clicks_for_pattern((0, 1)) == ("HD1", "VD2")
 
     def test_detect_product_superposition(self):
         plus = np.array([1.0, 1.0]) / SQRT2
-        dist = born_distribution(StateVector(self.TWO_PHOTONS, np.kron(plus, [1.0, 0.0])))
+        dist = born_distribution(StateVector(self.TWO_PHOTONS, np.kron(plus, [1.0, 0.0])), ("photon1", "photon2"))
         assert dist[(0, 0)] == pytest.approx(0.5)
         counts = sample_shots(dist, 30, seed=0)
         # photon 2 is horizontal with certainty; photon 1 shows both outcomes
@@ -227,5 +227,5 @@ class TestSourceAndDetection:
 
     def test_detect_same_seed_reproducible(self):
         plus = np.array([1.0, 1.0]) / SQRT2
-        dist = born_distribution(StateVector(self.TWO_PHOTONS, np.kron(plus, plus)))
+        dist = born_distribution(StateVector(self.TWO_PHOTONS, np.kron(plus, plus)), ("photon1", "photon2"))
         assert sample_shots(dist, 1, seed=123) == sample_shots(dist, 1, seed=123)

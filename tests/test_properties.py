@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import coherent_dicke_vector
 from test_manybody import symmetric_rotation_bruteforce
 
 from djensemble.ensemble import P_MINUS, P_PLUS
@@ -16,7 +17,6 @@ from djensemble.manybody import (
     AtomRotation,
     EnsembleEvolution,
     PhotonRotation,
-    coherent_dicke_amplitudes,
     dicke_amplitudes_from_naive,
     full_simulate_dicke,
     full_simulate_naive,
@@ -112,8 +112,8 @@ def test_naive_matches_its_literal_form(n_atoms, polar, azimuth, ops):
 )
 def test_symmetric_rotation_transports_coherent_states(n_atoms, u, polar, azimuth):
     v = np.array([math.cos(polar), cmath.exp(1j * azimuth) * math.sin(polar)])
-    rotated = symmetric_rotation(u, n_atoms, coherent_dicke_amplitudes(v, n_atoms))
-    np.testing.assert_allclose(rotated, coherent_dicke_amplitudes(u @ v, n_atoms), rtol=0, atol=1e-11)
+    rotated = symmetric_rotation(u, n_atoms, coherent_dicke_vector(v, n_atoms))
+    np.testing.assert_allclose(rotated, coherent_dicke_vector(u @ v, n_atoms), rtol=0, atol=1e-11)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -188,8 +188,8 @@ class TestSymmetricRotationFixedCases:
             rz = np.diag([cmath.exp(-0.9j), cmath.exp(0.9j)])
             ry = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
             u = rz @ ry
-            rotated = symmetric_rotation(u, n, coherent_dicke_amplitudes(vec, n))
-            np.testing.assert_allclose(rotated, coherent_dicke_amplitudes(u @ vec, n), rtol=0, atol=1e-12)
+            rotated = symmetric_rotation(u, n, coherent_dicke_vector(vec, n))
+            np.testing.assert_allclose(rotated, coherent_dicke_vector(u @ vec, n), rtol=0, atol=1e-12)
 
     def test_unitary_at_the_limit(self):
         rng = np.random.default_rng(1024)

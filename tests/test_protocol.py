@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import equal_up_to_global_phase
 
 from djensemble import protocol
 from djensemble.ensemble import (
@@ -31,7 +32,7 @@ from djensemble.protocol import (
     table1_functions,
 )
 from djensemble.polarization import clicks_for_pattern, composite_h, hadamard_variant
-from djensemble.qstate import StateVector, born_distribution, equal_up_to_global_phase, sample_shots
+from djensemble.qstate import StateVector, born_distribution, sample_shots
 
 SQRT2 = math.sqrt(2.0)
 CONFIG = EnsembleConfig.from_theta(math.pi / 2)
@@ -70,8 +71,11 @@ class TestBooleanFunction:
     def test_neither_classification(self):
         assert BooleanFunction(2, (0, 0, 0, 1)).classification == "neither"
 
-    def test_id_must_match_table(self):
-        with pytest.raises(ValueError, match="does not match"):
+    def test_id_is_derived_from_table(self):
+        assert BooleanFunction(2, (0, 0, 1, 1)).id == "f3"
+        assert BooleanFunction(2, (0, 0, 0, 1)).id is None
+        assert BooleanFunction(3, (0, 0, 1, 1) * 2).id is None
+        with pytest.raises(TypeError):
             BooleanFunction(2, (0, 0, 0, 0), id="f2")
 
     def test_table_length_checked(self):
@@ -117,7 +121,7 @@ class TestOracleConstruction:
             h_eq_for(table1_function("f1"))
 
     def test_h_eq_binds_unlabeled_catalog_table(self):
-        bare = BooleanFunction(2, (0, 0, 1, 1))  # same table as f3, no id
+        bare = BooleanFunction(2, (0, 0, 1, 1))  # built from the table, as f3's
         assert h_eq_for(bare) == ("double_prime", "prime")
 
     def test_identity_oracle(self):
