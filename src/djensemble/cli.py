@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -23,12 +24,14 @@ from .manybody import NAIVE_ATOM_LIMIT, full_simulate_naive
 from .params import PRESETS, MediumSpec, ensemble_config_from_report, required_detuning
 from .polarization import clicks_for_pattern
 from .protocol import (
+    DETERMINISTIC_EPS,
     MODES,
     classify,
     exact_operation_sequence,
     run_protocol,
     table1_function,
     table1_functions,
+    top_pattern,
 )
 from .qstate import born_distribution, sample_shots
 
@@ -137,9 +140,10 @@ def _cmd_run(args) -> int:
         return _fail(f"--n-atoms-oracle must be between 1 and {NAIVE_ATOM_LIMIT}")
 
     def entry(f, trace, config) -> dict:
+        # one Born pass per function: the top pattern and the verdict come from it
         dist = trace.distribution()
-        pattern, top = trace.pattern()
-        deterministic = trace.deterministic()
+        pattern, top = top_pattern(dist)
+        deterministic = top >= 1.0 - DETERMINISTIC_EPS
         outcome = classify(pattern) if deterministic else None
         e = {
             "function": f.id,
@@ -309,7 +313,9 @@ def _cmd_trace(args) -> int:
     return _run_functions(args, entry)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="djensemble",
         description="Two-photon constant-vs-balanced protocol simulator and verifier",

@@ -208,6 +208,12 @@ def classify(pattern) -> Outcome:
     return Outcome(key, classification, PATTERN_TO_PAIR[key])
 
 
+def top_pattern(dist: dict) -> tuple[tuple[int, int], float]:
+    """The most probable pattern of a photon distribution, with its probability."""
+    best = max(dist, key=dist.get)
+    return best, dist[best]
+
+
 @dataclass(frozen=True)
 class ProtocolTrace:
     """Ordered intermediate states of one protocol run.
@@ -232,9 +238,7 @@ class ProtocolTrace:
         return born_distribution(self.psi3, ("photon1", "photon2"))
 
     def pattern(self) -> tuple[tuple[int, int], float]:
-        dist = self.distribution()
-        best = max(dist, key=dist.get)
-        return best, dist[best]
+        return top_pattern(self.distribution())
 
     def deterministic(self) -> bool:
         return self.pattern()[1] >= 1.0 - DETERMINISTIC_EPS

@@ -407,3 +407,39 @@ class TestTraceCommand:
         main(["trace", "--function", "f1", "--mode", "exact", "--out", str(out)])
         names = [s["state"] for s in read_report(out)["results"][0]["states"]]
         assert names == ["psi0", "psi1", "psi2", "psi3"]
+
+
+class TestParserReuse:
+    def test_no_values_carry_over_between_calls(self, tmp_path, capsys):
+        # main builds its parser once per process; four calls through it must
+        # each see only their own argv
+        def run(argv, name):
+            out = tmp_path / f"{name}.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            return read_report(out)
+
+        bad = ["run", "--function", "f3", "--shots", "lots"]
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        bad_err = capsys.readouterr().err
+        assert bad_err.endswith("djensemble run: error: argument --shots: invalid int value: 'lots'\n")
+
+        good = run(["run", "--function", "f3", "--mode", "exact", "--shots", "5", "--seed", "3"], "good")
+        assert good["request"] == {"function": "f3", "mode": "exact", "shots": 5, "seed": 3}
+        oracle_argv = ["run", "--function", "f5", "--n-atoms-oracle", "3"]
+        oracle = run(oracle_argv, "oracle")
+        assert oracle["request"] == {"function": "f5", "mode": "paper", "shots": 0, "seed": 0}
+        assert oracle["results"][0]["oracle"]["n_atoms"] == 3
+        assert "counts" not in oracle["results"][0]
+        plain_argv = ["run", "--function", "f5"]
+        plain = run(plain_argv, "plain")
+        assert "oracle" not in plain["results"][0]
+
+        # a parser built afresh gives the same error and the same reports
+        cli.build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(bad)
+        assert capsys.readouterr().err == bad_err
+        assert run(oracle_argv, "oracle-fresh") == oracle
+        assert run(plain_argv, "plain-fresh") == plain

@@ -13,6 +13,7 @@ from djensemble.manybody import (
     PhotonRotation,
     _evolution_block,
     _excitation_order,
+    _left_product,
     _sigma_x_basis,
     coherent_dicke_amplitudes,
     dicke_amplitudes_from_naive,
@@ -404,6 +405,16 @@ class TestNaiveKernels:
             for k in range(n + 1):
                 np.testing.assert_allclose(stacked[k], _evolution_block(lam_t, n - k, k), rtol=0, atol=1e-15)
 
+    # the (batch, 2^g, rest) views of atom groups at N = 5, 9 and 12
+    @pytest.mark.parametrize("shape", [(1, 16, 1024), (16, 16, 64), (16, 2, 4), (256, 16, 4), (256, 2, 4)])
+    def test_left_product_is_the_batched_matmul(self, shape):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        view = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        block = rng.normal(size=shape[1:2] * 2) + 1j * rng.normal(size=shape[1:2] * 2)
+        out = _left_product(block, view)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, np.matmul(block, view), rtol=0, atol=1e-13)
+
     def test_scalar_call_returns_one_block(self):
         block = _evolution_block(0.4, 3, 2)
         assert block.shape == (4, 4)
@@ -503,6 +514,16 @@ class TestDickeSimulator:
         assert not out.amplitudes.flags.writeable
         with pytest.raises(ValueError):
             out.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("names", [("photon1", "photon2"), ("photon2", "photon1")])
+    def test_million_atom_photon_marginal_matches_literal_sum(self, names):
+        config = EnsembleConfig.from_theta(math.pi / 2)
+        ops = exact_operation_sequence(table1_function("f3"), config)
+        dicke = full_simulate_dicke(10**6, (0.0, 1.0), ops)
+        probs = (np.abs(dicke.amplitudes) ** 2).reshape(-1, 2, 2).sum(axis=0)
+        expected = probs if names == ("photon1", "photon2") else probs.T
+        dist = born_distribution(dicke, names)
+        np.testing.assert_allclose(list(dist.values()), expected.reshape(-1), rtol=0, atol=1e-15)
 
     def test_large_ensemble_protocol_matches_collective(self):
         from djensemble.protocol import run_protocol

@@ -103,6 +103,30 @@ def test_naive_matches_its_literal_form(n_atoms, polar, azimuth, ops):
     np.testing.assert_allclose(naive.amplitudes, naive_literal(n_atoms, atom, ops), rtol=0, atol=1e-13)
 
 
+def random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n_atoms", [9, 10, 12])
+def test_naive_matches_its_literal_form_with_a_narrow_last_group(n_atoms):
+    # from N = 9 the last atom group's (2^8, 2^g, 4) view is many narrow
+    # products, which the naive simulator applies with one tensordot
+    rng = np.random.default_rng(n_atoms)
+    ops = [
+        AtomRotation(random_unitary(rng)),
+        EnsembleEvolution(rng.uniform(-math.pi, math.pi)),
+        PhotonRotation(1, random_unitary(rng)),
+        AtomRotation(random_unitary(rng)),
+        EnsembleEvolution(rng.uniform(-math.pi, math.pi)),
+        PhotonRotation(2, random_unitary(rng)),
+        AtomRotation(random_unitary(rng)),
+    ]
+    atom = np.array([0.6, 0.8j])
+    naive = full_simulate_naive(n_atoms, atom, ops)
+    np.testing.assert_allclose(naive.amplitudes, naive_literal(n_atoms, atom, ops), rtol=0, atol=1e-13)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     n_atoms=st.integers(1, DENSE_ROTATION_LIMIT),

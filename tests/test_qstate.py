@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from helpers import equal_up_to_global_phase
 
 from djensemble.qstate import (
+    _FOLD_ROWS,
     _SHOT_BLOCK,
     Operator,
     SpaceLabel,
@@ -282,6 +284,34 @@ class TestBornDistribution:
         dist = born_distribution(state, names)
         assert list(dist) == list(np.ndindex(expected.shape))
         np.testing.assert_allclose(list(dist.values()), expected.reshape(-1), atol=1e-15)
+
+    @pytest.mark.parametrize("rows", [1, _FOLD_ROWS - 1, _FOLD_ROWS, _FOLD_ROWS + 1, 3 * _FOLD_ROWS + 5])
+    @pytest.mark.parametrize(
+        "names",
+        [order for k in (1, 2, 3) for order in itertools.permutations(("atoms", "photon1", "photon2"), k)],
+    )
+    def test_folded_marginal_matches_literal_sum(self, rows, names):
+        # row counts on both sides of the fold width, with and without leftover rows
+        space = SpaceLabel((("atoms", rows), ("photon1", 2), ("photon2", 2)))
+        state = random_state(space, np.random.default_rng(rows))
+        probs = (np.abs(state.amplitudes) ** 2).reshape(space.dims)
+        keep = [space.index(n) for n in names]
+        moved = np.moveaxis(probs, keep, range(3 - len(keep), 3))
+        expected = moved.sum(axis=tuple(range(3 - len(keep))))
+        dist = born_distribution(state, names)
+        assert list(dist) == list(np.ndindex(expected.shape))
+        np.testing.assert_allclose(list(dist.values()), expected.reshape(-1), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_compact_marginal_is_the_single_einsum(self, seed):
+        # fewer rows than _FOLD_ROWS, as for the protocol's 8-amplitude
+        # states: the sum is one einsum over the (rows, 2K) float view
+        space = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
+        state = random_state(space, np.random.default_rng(seed))
+        parts = state.amplitudes.reshape(2, 4).view(np.float64)
+        sums = np.einsum("mk,mk->k", parts, parts)
+        expected = sums[0::2] + sums[1::2]
+        assert list(born_distribution(state, ("photon1", "photon2")).values()) == expected.tolist()
 
     def test_photon_marginal_allocates_no_state_sized_array(self):
         # the kept photon axes are already last, so the marginal is one pass
