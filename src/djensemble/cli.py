@@ -24,10 +24,10 @@ from .manybody import NAIVE_ATOM_LIMIT, full_simulate_naive
 from .params import PRESETS, MediumSpec, ensemble_config_from_report, required_detuning
 from .polarization import clicks_for_pattern
 from .protocol import (
-    DETERMINISTIC_EPS,
     MODES,
     classify,
     exact_operation_sequence,
+    is_deterministic,
     run_protocol,
     table1_function,
     table1_functions,
@@ -143,7 +143,7 @@ def _cmd_run(args) -> int:
         # one Born pass per function: the top pattern and the verdict come from it
         dist = trace.distribution()
         pattern, top = top_pattern(dist)
-        deterministic = top >= 1.0 - DETERMINISTIC_EPS
+        deterministic = is_deterministic(top)
         outcome = classify(pattern) if deterministic else None
         e = {
             "function": f.id,

@@ -46,9 +46,6 @@ _GEN_MINUS = np.kron(P_MINUS, _I2) + np.kron(_I2, P_MINUS)
 _ROW_BLOCK = 1 << 16
 # i^m for m mod 4, exactly
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
-# _left_product uses one tensordot once a view has this many batch entries
-# per trailing column, and numpy's batched matmul below that.
-_TENSORDOT_BATCH = 32
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -56,20 +53,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
     )
-
-
-def _left_product(block: np.ndarray, view: np.ndarray) -> np.ndarray:
-    """``block`` applied to axis 1 of a (batch, k, rest) view, as a contiguous array.
-
-    numpy's batched matmul runs one small product per batch entry; when the
-    entries far outnumber the trailing columns (the last atom group, rest =
-    4), one tensordot over axis 1 and one copy back to (batch, k, rest) order
-    is cheaper.
-    """
-    batch, _, rest = view.shape
-    if batch < _TENSORDOT_BATCH * rest:
-        return np.matmul(block, view)
-    return np.ascontiguousarray(np.tensordot(block, view, axes=(1, 1)).swapaxes(0, 1))
 
 
 def _check_atom_init(atom_init) -> np.ndarray:
@@ -397,7 +380,7 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
                 powers.append(_kron(powers[-1], op.matrix))
             for j in range(0, n_atoms, 4):
                 g = min(4, n_atoms - j)
-                state = _left_product(powers[g], state.reshape(2**j, 2**g, -1))
+                state = np.matmul(powers[g], state.reshape(2**j, 2**g, -1))
             state = state.reshape(2**n_atoms, 4)
         elif isinstance(op, PhotonRotation):
             u = op.matrix

@@ -208,6 +208,11 @@ def classify(pattern) -> Outcome:
     return Outcome(key, classification, PATTERN_TO_PAIR[key])
 
 
+def is_deterministic(probability: float) -> bool:
+    """Whether a verdict of this probability counts as deterministic."""
+    return probability >= 1.0 - DETERMINISTIC_EPS
+
+
 def top_pattern(dist: dict) -> tuple[tuple[int, int], float]:
     """The most probable pattern of a photon distribution, with its probability."""
     best = max(dist, key=dist.get)
@@ -241,7 +246,7 @@ class ProtocolTrace:
         return top_pattern(self.distribution())
 
     def deterministic(self) -> bool:
-        return self.pattern()[1] >= 1.0 - DETERMINISTIC_EPS
+        return is_deterministic(self.pattern()[1])
 
     def named_states(self):
         yield "psi0", self.psi0

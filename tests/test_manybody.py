@@ -13,7 +13,6 @@ from djensemble.manybody import (
     PhotonRotation,
     _evolution_block,
     _excitation_order,
-    _left_product,
     _sigma_x_basis,
     coherent_dicke_amplitudes,
     dicke_amplitudes_from_naive,
@@ -404,16 +403,6 @@ class TestNaiveKernels:
             assert stacked.shape == (n + 1, 4, 4)
             for k in range(n + 1):
                 np.testing.assert_allclose(stacked[k], _evolution_block(lam_t, n - k, k), rtol=0, atol=1e-15)
-
-    # the (batch, 2^g, rest) views of atom groups at N = 5, 9 and 12
-    @pytest.mark.parametrize("shape", [(1, 16, 1024), (16, 16, 64), (16, 2, 4), (256, 16, 4), (256, 2, 4)])
-    def test_left_product_is_the_batched_matmul(self, shape):
-        rng = np.random.default_rng(shape[0] + shape[1])
-        view = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        block = rng.normal(size=shape[1:2] * 2) + 1j * rng.normal(size=shape[1:2] * 2)
-        out = _left_product(block, view)
-        assert out.flags.c_contiguous
-        np.testing.assert_allclose(out, np.matmul(block, view), rtol=0, atol=1e-13)
 
     def test_scalar_call_returns_one_block(self):
         block = _evolution_block(0.4, 3, 2)

@@ -26,16 +26,19 @@ from djensemble.manybody import (
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
 
-@st.composite
-def unitaries(draw):
-    """Any U(2): a global phase times an SU(2) element from three Euler angles."""
-    delta, a, b = draw(angles), draw(angles), draw(angles)
-    g = draw(st.floats(0.0, math.pi / 2))
+def u2(delta, a, b, g):
+    """A U(2) element: the phase delta times the SU(2) element of Euler angles a, b, g."""
     c, s = math.cos(g), math.sin(g)
     su2 = np.array(
         [[cmath.exp(1j * a) * c, -cmath.exp(1j * b) * s], [cmath.exp(-1j * b) * s, cmath.exp(-1j * a) * c]]
     )
     return cmath.exp(1j * delta) * su2
+
+
+@st.composite
+def unitaries(draw):
+    """Any U(2): a global phase times an SU(2) element from three Euler angles."""
+    return u2(draw(angles), draw(angles), draw(angles), draw(st.floats(0.0, math.pi / 2)))
 
 
 operations = st.one_of(
@@ -90,6 +93,19 @@ def naive_literal(n_atoms, atom_init, ops):
     return state.reshape(-1)
 
 
+# Past the strategy's N <= 8: at N = 9, 10 and 12 the last group of 1, 2 and
+# 4 atoms acts on the (256, 2^g, 4) view, many narrow products.
+WIDE_OPS = [
+    AtomRotation(u2(0.3, 1.1, -0.4, 0.6)),
+    EnsembleEvolution(1.2),
+    PhotonRotation(1, u2(-0.8, 0.5, 2.0, 1.1)),
+    AtomRotation(u2(1.7, -2.2, 0.9, 0.3)),
+    EnsembleEvolution(-2.5),
+    PhotonRotation(2, u2(0.1, -1.3, -0.7, 0.9)),
+    AtomRotation(u2(-1.4, 0.2, 1.6, 1.4)),
+]
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
     n_atoms=st.integers(1, 8),
@@ -97,32 +113,11 @@ def naive_literal(n_atoms, atom_init, ops):
     azimuth=angles,
     ops=st.lists(operations, max_size=6),
 )
+@example(n_atoms=9, polar=0.9, azimuth=1.5, ops=WIDE_OPS)
+@example(n_atoms=10, polar=0.9, azimuth=1.5, ops=WIDE_OPS)
+@example(n_atoms=12, polar=0.9, azimuth=1.5, ops=WIDE_OPS)
 def test_naive_matches_its_literal_form(n_atoms, polar, azimuth, ops):
     atom = np.array([math.cos(polar), cmath.exp(1j * azimuth) * math.sin(polar)])
-    naive = full_simulate_naive(n_atoms, atom, ops)
-    np.testing.assert_allclose(naive.amplitudes, naive_literal(n_atoms, atom, ops), rtol=0, atol=1e-13)
-
-
-def random_unitary(rng):
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-@pytest.mark.parametrize("n_atoms", [9, 10, 12])
-def test_naive_matches_its_literal_form_with_a_narrow_last_group(n_atoms):
-    # from N = 9 the last atom group's (2^8, 2^g, 4) view is many narrow
-    # products, which the naive simulator applies with one tensordot
-    rng = np.random.default_rng(n_atoms)
-    ops = [
-        AtomRotation(random_unitary(rng)),
-        EnsembleEvolution(rng.uniform(-math.pi, math.pi)),
-        PhotonRotation(1, random_unitary(rng)),
-        AtomRotation(random_unitary(rng)),
-        EnsembleEvolution(rng.uniform(-math.pi, math.pi)),
-        PhotonRotation(2, random_unitary(rng)),
-        AtomRotation(random_unitary(rng)),
-    ]
-    atom = np.array([0.6, 0.8j])
     naive = full_simulate_naive(n_atoms, atom, ops)
     np.testing.assert_allclose(naive.amplitudes, naive_literal(n_atoms, atom, ops), rtol=0, atol=1e-13)
 
