@@ -181,7 +181,7 @@ def check_protocol_patterns() -> CheckResult:
     for f in protocol.table1_functions():
         trace = protocol.run_protocol(f, "paper", config)
         pattern, prob = trace.pattern()
-        ok = ok and pattern == expected[f.id] and prob >= 1 - 1e-9
+        ok = ok and pattern == expected[f.id] and protocol.is_deterministic(prob)
         outcome = protocol.classify(pattern)
         ok = ok and outcome.classification == f.classification and f.id in outcome.function_pair
         worst = max(worst, 1.0 - prob)

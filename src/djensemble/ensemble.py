@@ -5,9 +5,11 @@ Two evolutions of the photon pair through the medium are provided:
 * ``u_eff_exact``: the unitary generated by the effective Stark-shift
   Hamiltonian, computed by exact eigendecomposition.
 * ``u_eff_paper``: the polarizer-style rewrite the protocol's design assumes
-  for the same interaction. It maps the four two-photon product rows onto a
-  single circular polarization per photon and therefore cannot be unitary;
-  ``check_phases_claim`` quantifies that conflict instead of hiding it.
+  for the same interaction, fixed at the quarter turn theta = pi/2 where the
+  balanced oracle works (``is_quarter_turn``). It maps the four two-photon
+  product rows onto a single circular polarization per photon and therefore
+  cannot be unitary; ``check_phases_claim`` quantifies that conflict instead
+  of hiding it.
 
 The collective atom register is two-dimensional and is exact only while the
 atoms sit at the all-ground or all-excited-ground extremes, which the
@@ -56,6 +58,11 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.coupling, self.detuning)):
+            raise ValueError("coupling and detuning must be finite and positive")
+        # negative times are allowed: from_theta of a negative angle gives one
+        if not math.isfinite(self.interaction_time):
+            raise ValueError("interaction_time must be finite")
 
     @property
     def lambda_value(self) -> float:
@@ -66,24 +73,17 @@ class EnsembleConfig:
         return self.lambda_value * self.n_atoms * self.interaction_time
 
     @classmethod
-    def from_physics(
-        cls,
-        coupling: float,
-        detuning: float,
-        n_atoms: int,
-        interaction_time: float,
-    ) -> "EnsembleConfig":
-        """Config from physical parameters; ``params.required_detuning`` judges the dispersive limit."""
-        if not all(math.isfinite(v) and v > 0 for v in (coupling, detuning)):
-            raise ValueError("coupling and detuning must be finite and positive")
-        return cls(int(n_atoms), coupling, detuning, interaction_time)
-
-    @classmethod
     def from_theta(cls, theta: float) -> "EnsembleConfig":
         """Config at the requested angle with placeholder physics: 10^5 atoms, coupling 1, detuning 10."""
         n_atoms, coupling, detuning = 100_000, 1.0, 10.0
         lam = coupling**2 / detuning
-        return cls.from_physics(coupling, detuning, n_atoms, theta / (lam * n_atoms))
+        return cls(n_atoms=n_atoms, coupling=coupling, detuning=detuning,
+                   interaction_time=theta / (lam * n_atoms))
+
+
+def is_quarter_turn(theta: float) -> bool:
+    """Whether ``theta`` is the quarter turn pi/2 that the balanced oracle needs; NaN is not."""
+    return abs(theta - math.pi / 2) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,6 @@ class MicrowavePulse:
     def __post_init__(self):
         if not (math.isfinite(self.area) and math.isfinite(self.phase)):
             raise ValueError("pulse parameters must be finite")
-        p = math.remainder(float(self.phase), 2.0 * math.pi)
-        if p <= -math.pi:
-            p += 2.0 * math.pi
-        object.__setattr__(self, "phase", p)
 
 
 def microwave_rotation(pulse: MicrowavePulse) -> Operator:
@@ -171,29 +167,18 @@ def u_eff_exact(config: EnsembleConfig) -> Operator:
     return expm_hermitian(h_eff_dimensionless(), config.theta)
 
 
-# Global phases declared for the four two-photon product rows entering the
-# medium with atoms at the plain-ground extreme (each times e^{-i theta}).
-_ROW_PHASES_GROUND = {
-    (0, 0): -1.0,
-    (1, 1): 1.0,
-    (0, 1): -1.0j,
-    (1, 0): -1.0j,
-}
-# Mirror phases for the primed extreme, obtained from the symmetry that swaps
-# the two circular modes together with the two atomic levels.
-_ROW_PHASES_PRIMED = {
-    (0, 0): -1.0,
-    (1, 1): 1.0,
-    (0, 1): 1.0j,
-    (1, 0): 1.0j,
-}
-# Per-photon output of the declared rewrite: (-i|0> + |1>)/sqrt(2) for the
-# ground extreme, which equals -i times the circular plus mode; both photons
-# leave in it.
-_TARGET_GROUND = np.array([-1.0j, 1.0]) / math.sqrt(2.0)
-_TARGET_PRIMED = np.array([-1.0j, -1.0]) / math.sqrt(2.0)
-_PHOTONS_GROUND = np.kron(_TARGET_GROUND, _TARGET_GROUND)
-_PHOTONS_PRIMED = np.kron(_TARGET_PRIMED, _TARGET_PRIMED)
+# The declared rewrite at the quarter turn; both tables are indexed by the atom
+# branch (0: plain-ground extreme, 1: primed extreme, its mirror under the
+# swap of both circular modes and both levels). Phases of the two-photon rows
+# |r1 r2>, at index 2*r1 + r2, with the turn's e^{-i pi/2} folded in:
+_ROW_PHASES = np.array([[-1.0, -1.0j, -1.0j, 1.0], [-1.0, 1.0j, 1.0j, 1.0]]) * np.exp(
+    -1j * math.pi / 2
+)
+# and the photon pair leaving the medium, each photon in (-i|0> +- |1>)/sqrt(2)
+# (for the ground branch that is -i times the circular plus mode).
+_PHOTON_PAIRS = np.array(
+    [np.kron(t, t) for t in np.array([[-1.0j, 1.0], [-1.0j, -1.0]]) / math.sqrt(2.0)]
+)
 
 
 @dataclass(frozen=True)
@@ -205,15 +190,13 @@ class PaperMapResult:
 
 @dataclass(frozen=True)
 class PaperPolarizerMap:
-    """The declared polarizer rewrite of the medium interaction.
+    """The declared polarizer rewrite of the medium interaction at theta = pi/2.
 
     Defined row by row on the four two-photon product states; superposed
     inputs are resolved by linear extension, which is not norm-preserving,
     so the output is renormalized and the retained squared norm is reported
     as a post-selection probability.
     """
-
-    theta: float = math.pi / 2
 
     def apply(self, state: StateVector) -> PaperMapResult:
         if state.space != PROTOCOL_SPACE:
@@ -227,12 +210,7 @@ class PaperPolarizerMap:
             )
         branch = int(np.argmax(weights))
         v = shaped[branch]
-        phases = _ROW_PHASES_GROUND if branch == 0 else _ROW_PHASES_PRIMED
-        photons = _PHOTONS_GROUND if branch == 0 else _PHOTONS_PRIMED
-        rows = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        coeff = sum(
-            v[2 * r1 + r2] * phases[(r1, r2)] * np.exp(-1j * self.theta) for r1, r2 in rows
-        )
+        coeff = sum(_ROW_PHASES[branch] * v)
         populated = int(np.sum(np.abs(v) > 1e-12))
         linear_extension = populated > 1
         if linear_extension:
@@ -244,7 +222,7 @@ class PaperPolarizerMap:
         if prob < 1e-24:
             raise ValueError("polarizer rewrite annihilates this input (zero post-selection weight)")
         out = np.zeros((2, 4), dtype=complex)
-        out[branch] = (coeff / abs(coeff)) * photons
+        out[branch] = (coeff / abs(coeff)) * _PHOTON_PAIRS[branch]
         return PaperMapResult(
             StateVector(PROTOCOL_SPACE, out.reshape(-1)),
             prob,
@@ -252,9 +230,9 @@ class PaperPolarizerMap:
         )
 
 
-def u_eff_paper(theta: float = math.pi / 2) -> PaperPolarizerMap:
-    """The declared (non-unitary) polarizer rewrite at the given angle."""
-    return PaperPolarizerMap(theta)
+def u_eff_paper() -> PaperPolarizerMap:
+    """The declared (non-unitary) polarizer rewrite at the quarter turn."""
+    return PaperPolarizerMap()
 
 
 @dataclass(frozen=True)
@@ -276,11 +254,11 @@ def check_phases_claim(config: EnsembleConfig) -> PhasesClaimReport:
     polarization factor, so their pairwise absolute overlaps are 1: no
     unitary does that, and the report says so.
     """
-    if abs(config.theta - math.pi / 2) > 1e-9:
+    if not is_quarter_turn(config.theta):
         raise ValueError("the claim audit is defined at theta = pi/2")
     rows = [(0, 0), (1, 1), (0, 1), (1, 0)]
     u = u_eff_exact(config)
-    pmap = u_eff_paper(config.theta)
+    pmap = u_eff_paper()
     inputs, claimed, exact = [], [], []
     for r1, r2 in rows:
         amps = np.zeros(8, dtype=complex)

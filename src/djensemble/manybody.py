@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import P_MINUS, P_PLUS
+from .ensemble import P_MINUS, P_PLUS, _photon_pair_sum
 from .polarization import LIN_TO_CIRC
 from .qstate import CONSTRUCTION_ATOL, SpaceLabel, StateVector, _frozen_complex
 
@@ -39,8 +39,8 @@ _B2 = np.kron(LIN_TO_CIRC, LIN_TO_CIRC)
 _PHOTONS_HH = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 # Photon-pair generators of the medium step per atom in each level:
 # n_plain * _GEN_PLUS + n_primed * _GEN_MINUS for a given configuration.
-_GEN_PLUS = np.kron(P_PLUS, _I2) + np.kron(_I2, P_PLUS)
-_GEN_MINUS = np.kron(P_MINUS, _I2) + np.kron(_I2, P_MINUS)
+_GEN_PLUS = _photon_pair_sum(P_PLUS)
+_GEN_MINUS = _photon_pair_sum(P_MINUS)
 # Rows of the (N+1) x 4 Dicke array that the medium step phases at once;
 # bounds its temporaries only.
 _ROW_BLOCK = 1 << 16

@@ -112,10 +112,10 @@ def required_detuning(spec: MediumSpec) -> FeasibilityReport:
 
 def ensemble_config_from_report(spec: MediumSpec, report: FeasibilityReport) -> EnsembleConfig:
     """Round-trip a feasibility report into a dynamics configuration."""
-    return EnsembleConfig.from_physics(
+    return EnsembleConfig(
+        n_atoms=spec.n_atoms,
         coupling=spec.coupling,
         detuning=report.detuning,
-        n_atoms=spec.n_atoms,
         interaction_time=report.transit_time,
     )
 

@@ -10,7 +10,6 @@ single-photon-in-minus mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,29 +45,6 @@ def half_wave(angle: float) -> Operator:
     return Operator(PHOTON, m, unitary_claim=True)
 
 
-def _canonical_angle(angle: float) -> float:
-    # map to [-pi, pi)
-    if not math.isfinite(angle):
-        raise ValueError("wave-plate angle must be finite")
-    return (angle + math.pi) % (2.0 * math.pi) - math.pi
-
-
-@dataclass(frozen=True)
-class WavePlateSpec:
-    """A retarder kind plus its alignment angle."""
-
-    kind: str  # "quarter" or "half"
-    angle: float
-
-    def __post_init__(self):
-        if self.kind not in ("quarter", "half"):
-            raise ValueError(f"unknown wave-plate kind {self.kind!r}")
-        object.__setattr__(self, "angle", _canonical_angle(float(self.angle)))
-
-    def matrix(self) -> Operator:
-        return quarter_wave(self.angle) if self.kind == "quarter" else half_wave(self.angle)
-
-
 def hadamard_variant(i: int) -> Operator:
     """One of the four inequivalent single-qubit Hadamard rotations."""
     if i not in _HADAMARD_VARIANTS:
@@ -77,22 +53,22 @@ def hadamard_variant(i: int) -> Operator:
 
 
 def gadget_compose(plates) -> Operator:
-    """Product of wave-plate matrices; the rightmost plate acts first on the photon."""
+    """Product of wave-plate operators; the rightmost plate acts first on the photon."""
     plates = tuple(plates)
     if not plates:
         raise ValueError("wave-plate gadget needs at least one plate")
-    result = plates[0].matrix()
+    result = plates[0]
     for plate in plates[1:]:
-        result = result @ plate.matrix()
+        result = result @ plate
     return result
 
 
-# Wave-plate realizations of the four Hadamard variants.
+# Wave-plate realizations of the four Hadamard variants, as plate operators.
 HADAMARD_GADGETS = {
-    1: (WavePlateSpec("quarter", math.pi / 4), WavePlateSpec("quarter", math.pi / 4), WavePlateSpec("half", -3 * math.pi / 8)),
-    2: (WavePlateSpec("quarter", math.pi / 4),),
-    3: (WavePlateSpec("quarter", math.pi / 4), WavePlateSpec("quarter", math.pi / 4), WavePlateSpec("half", -math.pi / 8)),
-    4: (WavePlateSpec("quarter", -math.pi / 4),),
+    1: (quarter_wave(math.pi / 4), quarter_wave(math.pi / 4), half_wave(-3 * math.pi / 8)),
+    2: (quarter_wave(math.pi / 4),),
+    3: (quarter_wave(math.pi / 4), quarter_wave(math.pi / 4), half_wave(-math.pi / 8)),
+    4: (quarter_wave(-math.pi / 4),),
 }
 
 

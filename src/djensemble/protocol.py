@@ -18,7 +18,6 @@ cross-checks.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .ensemble import (
     NOT_PULSE,
     PROTOCOL_SPACE,
     EnsembleConfig,
+    is_quarter_turn,
     microwave_rotation,
     u_eff_exact,
     u_eff_paper,
@@ -268,7 +268,7 @@ def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> Proto
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     balanced = f.classification == "balanced"
-    if balanced and abs(config.theta - math.pi / 2) > 1e-9:
+    if balanced and not is_quarter_turn(config.theta):
         raise ValueError("balanced functions require the medium angle theta = pi/2")
     ops = exact_operation_sequence(f, config)
 
@@ -289,7 +289,7 @@ def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> Proto
             if mode == "exact":
                 state = u_eff_exact(config).apply(state)
             else:
-                result = u_eff_paper(op.theta).apply(state)
+                result = u_eff_paper().apply(state)
                 state = result.state
                 post_selection = result.post_selection_probability
         elif isinstance(op, PhotonRotation):
@@ -354,7 +354,7 @@ def reference_dj_circuit(f: BooleanFunction) -> ReferenceCircuitResult:
     p_all_zero = float(probs[0])
     top_index = int(np.argmax(probs))
     top_pattern = tuple((top_index >> (n - 1 - i)) & 1 for i in range(n))
-    if p_all_zero >= 1.0 - DETERMINISTIC_EPS:
+    if is_deterministic(p_all_zero):
         classification, p_class, deterministic = "constant", p_all_zero, True
     elif p_all_zero <= DETERMINISTIC_EPS:
         classification, p_class, deterministic = "balanced", 1.0 - p_all_zero, True

@@ -1,9 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from djensemble import cli
 from djensemble.cli import MAX_SHOTS, main
+from djensemble.protocol import MODES
 
 
 def read_report(path):
@@ -443,3 +449,101 @@ class TestParserReuse:
         assert capsys.readouterr().err == bad_err
         assert run(oracle_argv, "oracle-fresh") == oracle
         assert run(plain_argv, "plain-fresh") == plain
+
+
+def _parser_options():
+    """Each subcommand of the CLI parser with its (option, required) pairs, help left out."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [(a.option_strings[0], a.required) for a in p._actions
+               if not isinstance(a, argparse._HelpAction)]
+        for name, p in sub.choices.items()
+    }
+
+
+def mixed(valid, invalid):
+    """A valid draw three times in four, an invalid one otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else invalid)
+
+
+SUBCOMMAND_OPTIONS = _parser_options()
+# Value tokens per option; "<dir>" and "<medium>" stand for the example's
+# scratch directory and the medium file written there.
+OPTION_VALUES = {
+    "--function": mixed(st.sampled_from(["f1", "f3", "f6", "f8", "all"]), st.sampled_from(["f9", "F3", ""])),
+    "--mode": mixed(st.sampled_from(MODES), st.just("bogus")),
+    "--seed": mixed(st.integers(0, 2**64).map(str), st.sampled_from(["-1", "-3", "x", "1.5"])),
+    "--shots": mixed(
+        st.one_of(st.integers(1, 10**4).map(str), st.sampled_from(["1e4", "2.5e3"])),
+        st.sampled_from(["0", "-10", "1.5", "-1e2", "nan", "inf", "1e12", "lots"]),
+    ),
+    "--n-atoms-oracle": mixed(st.integers(1, 4).map(str), st.sampled_from(["-1", "0", "13", "x"])),
+    "--out": mixed(
+        st.just("<dir>/report.json"), st.sampled_from(["<dir>", "<dir>/missing/report.json", ""])
+    ),
+    "--medium": mixed(st.sampled_from(["cs-cell", "rb-mot", "<medium>"]), st.sampled_from(["nope", "<dir>"])),
+}
+assert set(OPTION_VALUES) == {o for opts in SUBCOMMAND_OPTIONS.values() for o, _ in opts}
+
+_any_json = st.one_of(
+    st.floats(), st.integers(-(10**400), 10**400), st.booleans(), st.none(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+)
+MEDIUM_BLOBS = mixed(
+    st.fixed_dictionaries(
+        {"length_m": st.floats(1e-6, 1.0), "n_atoms": st.integers(1, 10**7),
+         "coupling_rad_s": st.floats(1e3, 1e10)},
+        optional={"relaxation_s": st.floats(1e-9, 1.0)},
+    ).map(json.dumps),
+    st.one_of(
+        st.dictionaries(
+            st.sampled_from(["length_m", "n_atoms", "coupling_rad_s", "relaxation_s", "extra"]),
+            _any_json, max_size=5,
+        ).map(json.dumps),
+        st.lists(_any_json, max_size=3).map(json.dumps),
+        st.sampled_from(["", "{", "length_m = 2e-4", "null"]),
+    ),
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand (or a bogus one) and a shuffled subset of its options with drawn values."""
+    command = draw(mixed(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)), st.just("bogus")))
+    argv = [command]
+    for option, required in draw(st.permutations(SUBCOMMAND_OPTIONS.get(command, []))):
+        # a required option is left out one time in ten, any other one time in two
+        if draw(st.integers(0, 9)) if required else draw(st.booleans()):
+            argv += [option, draw(OPTION_VALUES[option])]
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "--out", "-1"])))
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=fuzzed_argv(), blob=MEDIUM_BLOBS)
+def test_fuzzed_argv_ends_in_a_known_exit(tmp_path_factory, argv, blob):
+    """Any argv built from the parser's own options returns 0, 1 (verify only) or 2
+    with one error line, or stops in argparse with SystemExit(2); nothing else escapes."""
+    where = tmp_path_factory.mktemp("fuzz")
+    (where / "medium.json").write_text(blob, encoding="utf-8")
+    argv = [t.replace("<dir>", str(where)).replace("<medium>", str(where / "medium.json")) for t in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            assert ": error: " in err.getvalue().splitlines()[-1], argv
+            return
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    report = where / "report.json"
+    if code in (0, 1) and str(report) in argv:
+        def no_constant(name):
+            raise AssertionError(f"{name} in the report of {argv}")
+
+        json.loads(report.read_text(encoding="utf-8"), parse_constant=no_constant)

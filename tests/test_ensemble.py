@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import nonfinite_theta_config
 
 from djensemble.ensemble import (
     HADAMARD_PULSES,
@@ -16,6 +17,7 @@ from djensemble.ensemble import (
     build_h_eff_linear,
     check_phases_claim,
     h_eff_dimensionless,
+    is_quarter_turn,
     microwave_rotation,
     u_eff_exact,
     u_eff_paper,
@@ -58,14 +60,28 @@ def protocol_state(atom_level, photon_amps):
 
 class TestEnsembleConfig:
     def test_from_physics_consistency(self):
-        config = EnsembleConfig.from_physics(2.91e8, 3.59e9, 100_000, 6.67e-13)
+        config = EnsembleConfig(
+            n_atoms=100_000, coupling=2.91e8, detuning=3.59e9, interaction_time=6.67e-13
+        )
         assert config.lambda_value == pytest.approx(2.91e8**2 / 3.59e9, rel=1e-15)
         assert config.theta == pytest.approx(config.lambda_value * 1e5 * 6.67e-13, rel=1e-15)
 
-    @pytest.mark.parametrize("coupling,detuning", [(0.0, 10.0), (1.0, 0.0), (math.nan, 10.0)])
+    @pytest.mark.parametrize(
+        "coupling,detuning",
+        [(0.0, 10.0), (1.0, 0.0), (math.nan, 10.0), (-1.0, 10.0), (1.0, -10.0),
+         (math.inf, 10.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
+    )
     def test_nonpositive_physics_rejected(self, coupling, detuning):
         with pytest.raises(ValueError, match="finite and positive"):
-            EnsembleConfig.from_physics(coupling, detuning, 10, 1.0)
+            EnsembleConfig(n_atoms=10, coupling=coupling, detuning=detuning, interaction_time=1.0)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_interaction_time_rejected(self, time):
+        with pytest.raises(ValueError, match="interaction_time"):
+            EnsembleConfig(n_atoms=10, coupling=1.0, detuning=10.0, interaction_time=time)
+
+    def test_negative_interaction_time_allowed(self):
+        assert EnsembleConfig.from_theta(-1.0).theta == pytest.approx(-1.0, rel=1e-15)
 
     def test_from_theta_hits_requested_angle(self):
         config = EnsembleConfig.from_theta(math.pi / 2)
@@ -96,16 +112,10 @@ class TestMicrowaveRotation:
             np.testing.assert_allclose(built, expected, atol=1e-12)
             np.testing.assert_allclose(built.conj().T @ built, np.eye(2), atol=1e-12)
 
-    def test_phase_canonicalized(self):
-        pulse = MicrowavePulse(0.3, 3.5 * math.pi)
-        assert -math.pi < pulse.phase <= math.pi
-        same = microwave_rotation(MicrowavePulse(0.3, -math.pi / 2)).matrix
-        np.testing.assert_allclose(microwave_rotation(pulse).matrix, same, atol=1e-12)
-
 
 class TestEffectiveHamiltonian:
     def test_double_plus_matrix_element(self):
-        config = EnsembleConfig.from_physics(2.0, 20.0, 50, 0.1)
+        config = EnsembleConfig(n_atoms=50, coupling=2.0, detuning=20.0, interaction_time=0.1)
         h_circ = circular_photons(build_h_eff(config))
         scale = config.lambda_value * config.n_atoms
         # atom at the plain extreme with both photons in the plus mode
@@ -141,12 +151,12 @@ class TestEffectiveHamiltonian:
             np.diag([0.0, 1.0]), np.kron(P_MINUS, i2) + np.kron(i2, P_MINUS)
         )
         assert np.array_equal(h_eff_dimensionless().matrix, expected)
-        config = EnsembleConfig.from_physics(2.0, 25.0, 40, 0.140625)
+        config = EnsembleConfig(n_atoms=40, coupling=2.0, detuning=25.0, interaction_time=0.140625)
         linear = build_h_eff_linear(config).matrix / (config.lambda_value * config.n_atoms)
         assert np.max(np.abs(h_eff_dimensionless().matrix - linear)) <= 1e-12
 
     def test_linear_form_off_diagonals(self):
-        h = build_h_eff_linear(EnsembleConfig.from_physics(1.0, 10.0, 1, 10.0))
+        h = build_h_eff_linear(EnsembleConfig(n_atoms=1, coupling=1.0, detuning=10.0, interaction_time=10.0))
         scale = 0.1  # lambda * n_atoms
         shaped = h.matrix.reshape(2, 2, 2, 2, 2, 2)
         # plain-atom block, photon 1 coupling, photon 2 diagonal: entry i/2 below the diagonal
@@ -189,7 +199,7 @@ class TestExactEvolution:
 
     def test_dimensionless_generator_is_reused(self):
         h = h_eff_dimensionless().matrix
-        config = EnsembleConfig.from_physics(3.0, 30.0, 7, 1.0)
+        config = EnsembleConfig(n_atoms=7, coupling=3.0, detuning=30.0, interaction_time=1.0)
         np.testing.assert_allclose(
             build_h_eff(config).matrix, config.lambda_value * 7 * h, atol=1e-12
         )
@@ -197,7 +207,7 @@ class TestExactEvolution:
 
 class TestPaperPolarizerMap:
     def test_declared_rows_at_quarter_turn(self):
-        pmap = u_eff_paper(math.pi / 2)
+        pmap = u_eff_paper()
         target = np.array([-1.0j, 1.0]) / SQRT2
         pair = np.kron(target, target)
         phases = {(0, 0): -1.0, (1, 1): 1.0, (0, 1): -1.0j, (1, 0): -1.0j}
@@ -211,7 +221,7 @@ class TestPaperPolarizerMap:
             assert not result.linear_extension_used
 
     def test_output_is_minus_i_times_plus_mode_per_photon(self):
-        pmap = u_eff_paper(math.pi / 2)
+        pmap = u_eff_paper()
         result = pmap.apply(protocol_state(0, np.array([1.0, 0, 0, 0])))
         photon = result.state.amplitudes.reshape(2, 2, 2)[0, :, 0]
         photon = photon / np.linalg.norm(photon)
@@ -221,7 +231,7 @@ class TestPaperPolarizerMap:
 
     def test_primed_branch_mirror(self):
         # the primed-extreme branch is the mode-swap conjugate of the plain one
-        pmap = u_eff_paper(math.pi / 2)
+        pmap = u_eff_paper()
         swap = np.diag([1.0, -1.0])
         for r1, r2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
             photon_amps = np.zeros(4)
@@ -234,7 +244,7 @@ class TestPaperPolarizerMap:
             np.testing.assert_allclose(primed.amplitudes, flipped, atol=1e-12)
 
     def test_superposition_uses_linear_extension(self, caplog):
-        pmap = u_eff_paper(math.pi / 2)
+        pmap = u_eff_paper()
         photon_amps = np.array([1.0, 1.0, 1.0, 1.0]) / 2.0
         with caplog.at_level(logging.WARNING, logger="djensemble.ensemble"):
             result = pmap.apply(protocol_state(0, photon_amps))
@@ -243,20 +253,20 @@ class TestPaperPolarizerMap:
         assert result.post_selection_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_non_norm_preserving_weight(self):
-        pmap = u_eff_paper(math.pi / 2)
+        pmap = u_eff_paper()
         photon_amps = np.array([1.0, 0.0, 0.0, -1.0]) / SQRT2
         result = pmap.apply(protocol_state(0, photon_amps))
         # rows 00 and 11 carry opposite declared signs, so they add coherently
         assert result.post_selection_probability == pytest.approx(2.0, abs=1e-12)
 
     def test_annihilated_input_rejected(self):
-        pmap = u_eff_paper(math.pi / 2)
+        pmap = u_eff_paper()
         photon_amps = np.array([1.0, 0.0, 0.0, 1.0]) / SQRT2
         with pytest.raises(ValueError, match="annihilates"):
             pmap.apply(protocol_state(0, photon_amps))
 
     def test_atom_superposition_rejected(self):
-        pmap = u_eff_paper(math.pi / 2)
+        pmap = u_eff_paper()
         amps = np.zeros(8)
         amps[0] = amps[4] = 1 / SQRT2
         with pytest.raises(ValueError, match="extreme"):
@@ -275,6 +285,18 @@ class TestPhasesClaim:
     def test_requires_quarter_turn(self):
         with pytest.raises(ValueError, match="pi/2"):
             check_phases_claim(EnsembleConfig.from_theta(1.0))
+
+    def test_quarter_turn_rule(self):
+        assert is_quarter_turn(math.pi / 2) and is_quarter_turn(math.pi / 2 + 1e-10)
+        for theta in (math.pi / 2 + 2e-9, 0.0, -math.pi / 2, math.nan, math.inf, -math.inf):
+            assert not is_quarter_turn(theta)
+
+    @pytest.mark.parametrize("time", [0.0, 1.0, -1.0])
+    def test_nonfinite_angle_rejected(self, time):
+        config = nonfinite_theta_config(time)
+        assert not math.isfinite(config.theta)
+        with pytest.raises(ValueError, match="pi/2"):
+            check_phases_claim(config)
 
     def test_exact_map_would_pass_the_same_audit(self):
         # control: the exact unitary preserves the input gram, so the audit

@@ -8,7 +8,6 @@ from djensemble.ensemble import P_PLUS, PROTOCOL_SPACE, EnsembleConfig
 from djensemble.polarization import (
     HADAMARD_GADGETS,
     LIN_TO_CIRC,
-    WavePlateSpec,
     clicks_for_pattern,
     composite_h,
     gadget_compose,
@@ -63,14 +62,11 @@ class TestWavePlates:
             h = half_wave(angle).matrix
             np.testing.assert_allclose(h @ h, -np.eye(2), atol=1e-12)
 
-    def test_wave_plate_spec_canonicalizes_angle(self):
-        spec = WavePlateSpec("half", 3 * math.pi)
-        assert -math.pi <= spec.angle < math.pi
-        np.testing.assert_allclose(spec.matrix().matrix, half_wave(math.pi).matrix, atol=1e-12)
-
-    def test_wave_plate_spec_rejects_unknown_kind(self):
+    @pytest.mark.parametrize("plate", [quarter_wave, half_wave])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_angle_rejected(self, plate, angle):
         with pytest.raises(ValueError):
-            WavePlateSpec("third", 0.1)
+            plate(angle)
 
 
 class TestHadamardVariants:
@@ -96,12 +92,12 @@ class TestGadgets:
         np.testing.assert_allclose(built, EXPECTED_VARIANTS[i], atol=1e-12)
 
     def test_single_plate_gadget(self):
-        built = gadget_compose([WavePlateSpec("quarter", math.pi / 4)]).matrix
+        built = gadget_compose([quarter_wave(math.pi / 4)]).matrix
         np.testing.assert_allclose(built, EXPECTED_VARIANTS[2], atol=1e-12)
 
     def test_rightmost_plate_acts_first(self):
         # a half plate at pi/4 then a quarter at 0: compare against explicit order
-        plates = [WavePlateSpec("quarter", 0.0), WavePlateSpec("half", math.pi / 4)]
+        plates = [quarter_wave(0.0), half_wave(math.pi / 4)]
         expected = quarter_wave(0.0).matrix @ half_wave(math.pi / 4).matrix
         np.testing.assert_allclose(gadget_compose(plates).matrix, expected, atol=1e-15)
 

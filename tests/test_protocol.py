@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import equal_up_to_global_phase
+from helpers import equal_up_to_global_phase, nonfinite_theta_config
 
 from djensemble import protocol
 from djensemble.ensemble import (
@@ -265,6 +265,15 @@ class TestPaperModeTraces:
     def test_wrong_angle_rejected_for_balanced(self):
         with pytest.raises(ValueError, match="pi/2"):
             run_protocol(table1_function("f3"), "paper", EnsembleConfig.from_theta(1.0))
+
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    @pytest.mark.parametrize("time", [0.0, 1.0, -1.0])
+    def test_nonfinite_angle_rejected_for_balanced(self, mode, time):
+        # NaN fails every comparison, so the quarter-turn rule must reject it
+        config = nonfinite_theta_config(time)
+        assert not math.isfinite(config.theta)
+        with pytest.raises(ValueError, match="pi/2"):
+            run_protocol(table1_function("f3"), mode, config)
 
     def test_constant_ignores_angle(self):
         trace = run_protocol(table1_function("f1"), "paper", EnsembleConfig.from_theta(1.0))
