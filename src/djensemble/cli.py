@@ -41,8 +41,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-# Largest --shots accepted. Sampling takes about 30 ms per 10^6 shots on one
-# core, so this is about 3 s per function and 24 s for --function all.
+# Largest --shots accepted. Sampling takes about 10 ms per 10^6 shots on one
+# core, so this is about 1 s per function and 10 s for --function all.
 MAX_SHOTS = 10**8
 
 # Medium file keys and the MediumSpec fields they set; without relaxation_s,

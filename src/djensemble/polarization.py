@@ -9,6 +9,7 @@ single-photon-in-minus mode.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -87,9 +88,14 @@ def composite_h(kind: str) -> Operator:
     return out
 
 
+@functools.cache
+def _qubit_space(name: str) -> SpaceLabel:
+    return SpaceLabel(((name, 2),))
+
+
 def embed_single(name: str, matrix_2x2: np.ndarray, space: SpaceLabel) -> Operator:
-    """Embed a 2x2 matrix acting on the named qubit subsystem."""
-    op = Operator(SpaceLabel(((name, 2),)), matrix_2x2, unitary_claim=True)
+    """Embed a 2x2 matrix acting on the named qubit subsystem; the 2x2 is checked here, not after."""
+    op = Operator(_qubit_space(name), matrix_2x2, unitary_claim=True)
     return embed(op, name, space)
 
 

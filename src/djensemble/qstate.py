@@ -9,12 +9,15 @@ behind it, so a caller that froze its own array has handed it over and
 sharing it is as safe as a copy; ``full_simulate_dicke`` passes its final
 (N+1) x 4 array this way and saves a copy of it (64 MB at N = 10^6). Every
 other input, a read-only view of a writable array included, is copied.
-The finite and norm checks run on every construction; a state scans its
+The finite and norm checks run on every construction but ``embed``'s, which
+pads a checked operator with an exact identity and so cannot fail them
+(U'^dag U' - I = I (x) (U^dag U - I), entry for entry); a state scans its
 amplitudes for NaN and Inf only when their squared norm is not finite.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -195,9 +198,24 @@ def embed(op: Operator, target: str, space: SpaceLabel) -> Operator:
         )
     before, after = math.prod(dims[:position]), math.prod(dims[position + 1 :])
     # one broadcast product: entry [a, i, b, c, j, d] is op[i, j] * I[(a, b), (c, d)]
-    identity = np.eye(before * after).reshape(before, after, before, after)
+    identity = _padding_identity(before, after)
     big = op.matrix[None, :, None, None, :, None] * identity[:, None, :, :, None, :]
-    return Operator(space, big.reshape(space.dim, space.dim), unitary_claim=op.unitary_claim)
+    big.setflags(write=False)
+    return _padded_operator(space, big.reshape(space.dim, space.dim), op.unitary_claim)
+
+
+@functools.cache
+def _padding_identity(before: int, after: int) -> np.ndarray:
+    identity = np.eye(before * after)
+    identity.setflags(write=False)
+    return identity.reshape(before, after, before, after)
+
+
+def _padded_operator(space: SpaceLabel, matrix: np.ndarray, unitary_claim: bool) -> Operator:
+    """An Operator over ``embed``'s frozen padding of a checked operator, without re-checking it."""
+    padded = object.__new__(Operator)
+    vars(padded).update(space=space, matrix=matrix, unitary_claim=unitary_claim)
+    return padded
 
 
 def expm_hermitian(h: Operator, theta: float) -> Operator:
@@ -257,24 +275,26 @@ def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:
     ``random()`` double of that stream against the cumulative table. Shot i
     is a pure function of (seed, i), so the counts do not depend on
     evaluation order or on the block size used to bound memory, and the
-    first k shots of a larger draw are exactly the k-shot draw.
+    first k shots of a larger draw are exactly the k-shot draw. Counting the
+    uniforms below each table entry costs O(K * shots) for K outcomes.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     outcomes = list(dist.keys())
     p = np.array([float(dist[o]) for o in outcomes])
-    if p.size == 0 or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+    if p.size == 0 or np.any(p < -1e-12) or not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("malformed distribution: probabilities must be >= 0 and sum to 1")
     p = np.clip(p, 0.0, None)
     cdf = np.cumsum(p / p.sum())
     # Close the table at the last non-zero entry, so a rounding gap below 1
-    # never falls to a trailing zero-probability outcome.
-    cdf[np.flatnonzero(p)[-1]:] = 1.0
+    # never falls to a trailing zero-probability outcome: every shot is below it.
+    last = int(np.flatnonzero(p)[-1])
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     shots = int(shots)
-    totals = np.zeros(len(outcomes), dtype=np.int64)
+    below = np.zeros(last, dtype=np.int64)
     for start in range(0, shots, _SHOT_BLOCK):
         u = rng.random(min(_SHOT_BLOCK, shots - start))
-        totals += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(outcomes))
+        for k in range(last):
+            below[k] += np.count_nonzero(u < cdf[k])
+    totals = np.diff(below, prepend=0, append=[shots] * (len(outcomes) - last))
     return {o: int(n) for o, n in zip(outcomes, totals)}
-

@@ -346,6 +346,37 @@ class TestSampleCommand:
         assert err.startswith("error:") and "seed" in err
 
 
+class TestGoldenCounts:
+    """Counts pinned from the binary-search sampler; any sampler change that moves one fails here."""
+
+    BALANCED_EXACT = {"00": 24975, "01": 25052, "10": 24973, "11": 25000}
+    SAMPLE_PAPER = {"f1": "11", "f2": "11", "f3": "01", "f4": "01", "f5": "10", "f6": "10", "f7": "00", "f8": "00"}
+
+    def _counts(self, tmp_path, argv):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        return {e["function"]: e["counts"] for e in read_report(out)["results"]}
+
+    def test_sample_exact(self, tmp_path):
+        counts = self._counts(tmp_path, ["sample", "--function", "all", "--mode", "exact",
+                                         "--shots", "100000", "--seed", "7"])
+        expected = {fid: {"11": 100000} for fid in ("f1", "f2")}
+        expected.update({f"f{i}": self.BALANCED_EXACT for i in range(3, 9)})
+        assert counts == expected
+
+    def test_sample_paper(self, tmp_path):
+        counts = self._counts(tmp_path, ["sample", "--function", "all", "--mode", "paper",
+                                         "--shots", "100000", "--seed", "7"])
+        assert counts == {fid: {pattern: 100000} for fid, pattern in self.SAMPLE_PAPER.items()}
+
+    def test_run_exact_with_shots(self, tmp_path):
+        counts = self._counts(tmp_path, ["run", "--function", "all", "--mode", "exact",
+                                         "--shots", "1000", "--seed", "3"])
+        constant = {"00": 0, "01": 0, "10": 0, "11": 1000}
+        balanced = {"00": 278, "01": 214, "10": 274, "11": 234}
+        assert counts == {f"f{i}": constant if i <= 2 else balanced for i in range(1, 9)}
+
+
 class TestShotsOption:
     @pytest.mark.parametrize("command", ["run", "sample"])
     @pytest.mark.parametrize("text, shots", [("1e5", 100_000), ("2.5e3", 2_500), ("300.0", 300)])

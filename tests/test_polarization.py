@@ -10,6 +10,7 @@ from djensemble.polarization import (
     LIN_TO_CIRC,
     clicks_for_pattern,
     composite_h,
+    embed_single,
     gadget_compose,
     hadamard_variant,
     half_wave,
@@ -104,6 +105,31 @@ class TestGadgets:
     def test_empty_gadget_rejected(self):
         with pytest.raises(ValueError):
             gadget_compose([])
+
+
+class TestEmbedSingle:
+    """``embed`` pads without checking, so a bad gate must be caught on its 2x2."""
+
+    def test_matches_kron_on_each_qubit(self):
+        h = EXPECTED_VARIANTS[2]
+        for position, name in enumerate(PROTOCOL_SPACE.names):
+            factors = [h if i == position else np.eye(2) for i in range(3)]
+            expected = np.kron(factors[0], np.kron(factors[1], factors[2]))
+            assert np.array_equal(embed_single(name, h, PROTOCOL_SPACE).matrix, expected)
+
+    def test_non_unitary_gate_rejected(self):
+        # U^dag U - I = 2e-11: inside the 1e-10 that AtomRotation and PhotonRotation
+        # are built with, outside the 1e-12 of this 2x2 check
+        gate = EXPECTED_VARIANTS[1] * (1.0 + 1e-11)
+        with pytest.raises(ValueError, match="unitary"):
+            embed_single("photon1", gate, PROTOCOL_SPACE)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_gate_rejected(self, bad):
+        gate = np.array(EXPECTED_VARIANTS[3], dtype=complex)
+        gate[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            embed_single("atom", gate, PROTOCOL_SPACE)
 
 
 class TestCompositeRotations:

@@ -12,6 +12,7 @@ from djensemble.qstate import (
     Operator,
     SpaceLabel,
     StateVector,
+    _padding_identity,
     basis_state,
     born_distribution,
     embed,
@@ -175,6 +176,64 @@ class TestEmbed:
                 .reshape(space.dim, space.dim)
             )
             assert np.array_equal(embed(op, target, space).matrix, reference), target
+
+    @pytest.mark.parametrize("target", ["atom", "photon1", "photon2"])
+    def test_unitary_embed_matches_manual_kron(self, target):
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        op = Operator(SpaceLabel((("q", 2),)), q, unitary_claim=True)
+        factors = [q if name == target else np.eye(2) for name in self.SPACE.names]
+        manual = np.kron(factors[0], np.kron(factors[1], factors[2]))
+        assert np.array_equal(embed(op, target, self.SPACE).matrix, manual)
+
+    def test_matrix_and_its_base_are_read_only(self):
+        op = Operator(SpaceLabel((("q", 2),)), np.array([[0.0, 1.0], [1.0, 0.0]]), unitary_claim=True)
+        matrix = embed(op, "photon1", self.SPACE).matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 2.0
+        # no writable owner stands behind the view either
+        assert matrix.base is None or not matrix.base.flags.writeable
+
+    @pytest.mark.parametrize("claim", [True, False])
+    def test_unitary_claim_is_kept(self, claim):
+        op = Operator(SpaceLabel((("q", 2),)), np.eye(2), unitary_claim=claim)
+        assert embed(op, "atom", self.SPACE).unitary_claim is claim
+
+    def test_padding_is_not_checked_again(self, monkeypatch):
+        op = Operator(SpaceLabel((("q", 2),)), np.array([[0.0, 1.0], [1.0, 0.0]]), unitary_claim=True)
+
+        def refuse(self):
+            raise AssertionError("the padded operator was checked again")
+
+        monkeypatch.setattr(Operator, "__post_init__", refuse)
+        embedded = embed(op, "photon2", self.SPACE)
+        assert embedded.space == self.SPACE and embedded.dim == 8
+
+    def test_padding_keeps_the_source_gram_deviation(self):
+        # U'^dag U' - I = I (x) (U^dag U - I): padding cannot move the deviation
+        # that the 2x2 check measured, so checking the 8 x 8 again would add
+        # nothing. The gram is summed by einsum in index order, the same for both
+        # sizes; a BLAS product may group the 2x2 sum differently and move it an ulp.
+        def gram_deviation(m):
+            gram = np.einsum("ki,kj->ij", m.conj(), m)
+            return float(np.abs(gram - np.eye(len(m))).max())
+
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            op = Operator(SpaceLabel((("q", 2),)), q, unitary_claim=True)
+            for target in self.SPACE.names:
+                padded = embed(op, target, self.SPACE).matrix
+                assert abs(gram_deviation(padded) - gram_deviation(q)) <= 1e-16
+
+    def test_padding_identity_is_shared_and_read_only(self):
+        op = Operator(SpaceLabel((("q", 2),)), np.eye(2), unitary_claim=True)
+        embed(op, "photon1", self.SPACE)
+        identity = _padding_identity(2, 2)
+        assert identity is _padding_identity(2, 2)
+        assert not identity.flags.writeable
+        assert identity.base is None or not identity.base.flags.writeable
 
     def test_unknown_subsystem(self):
         op = Operator(SpaceLabel((("q", 2),)), np.eye(2))
@@ -360,6 +419,11 @@ class TestSampleShots:
         with pytest.raises(ValueError, match="malformed"):
             sample_shots({0: 0.5, 1: 0.6}, 10, seed=1)
 
+    @pytest.mark.parametrize("table", [{0: math.nan, 1: 1.0}, {0: 1.0, 1: math.nan}, {0: 0.5, 1: math.nan, 2: 0.5}])
+    def test_nan_table_rejected(self, table):
+        with pytest.raises(ValueError, match="malformed"):
+            sample_shots(table, 10, seed=1)
+
     def test_prefix_property(self):
         # Shot i depends only on (seed, i): a shorter draw is a prefix of a
         # longer one, also across a block boundary.
@@ -394,6 +458,77 @@ class TestSampleShots:
 
     def test_pinned_counts(self):
         assert sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=42) == {0: 5017, 1: 4983}
+
+    @staticmethod
+    def _searchsorted_reference(dist, shots, seed):
+        """The binary-search sampler, written out: the same stream, table and blocks."""
+        outcomes = list(dist)
+        p = np.array([dist[o] for o in outcomes])
+        cdf = np.cumsum(p / p.sum())
+        cdf[np.flatnonzero(p)[-1]:] = 1.0
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        totals = np.zeros(len(outcomes), dtype=np.int64)
+        for start in range(0, shots, _SHOT_BLOCK):
+            u = rng.random(min(_SHOT_BLOCK, shots - start))
+            totals += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(outcomes))
+        return {o: int(n) for o, n in zip(outcomes, totals)}
+
+    @staticmethod
+    def _random_table(rng):
+        """A table with exact zeros, 1e-33 entries and, often, trailing zeros."""
+        k = int(rng.integers(1, 9))
+        p = rng.random(k) ** 3
+        kind = rng.integers(0, 4, size=k)
+        p[kind == 0] = 0.0
+        p[kind == 1] = 1e-33
+        if rng.random() < 0.4:
+            p[int(rng.integers(1, k + 1)):] = 0.0
+        if p.max() < 1e-30:
+            p[int(rng.integers(0, k))] = 1.0
+        return dict(enumerate((p / p.sum()).tolist()))
+
+    def test_counts_equal_the_searchsorted_reference(self):
+        rng = np.random.default_rng(1618)
+        for _ in range(300):
+            dist = self._random_table(rng)
+            shots, seed = int(rng.integers(1, 3000)), int(rng.integers(0, 2**32))
+            assert sample_shots(dist, shots, seed) == self._searchsorted_reference(dist, shots, seed), dist
+
+    @pytest.mark.parametrize("shots", [_SHOT_BLOCK - 1, _SHOT_BLOCK, _SHOT_BLOCK + 1, 2 * _SHOT_BLOCK + 5])
+    def test_counts_equal_the_reference_across_blocks(self, shots):
+        rng = np.random.default_rng(shots)
+        dist = self._random_table(rng)
+        assert sample_shots(dist, shots, 77) == self._searchsorted_reference(dist, shots, 77)
+
+    def test_largest_uniform_never_reaches_a_trailing_zero(self, monkeypatch):
+        # the running sum of seven sevenths ends at 0.9999999999999998, below
+        # 1 - 2**-53, the largest double random() returns; closing the table
+        # keeps that draw on outcome 6
+        class LargestUniform:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        dist = {i: 1 / 7 for i in range(7)}
+        dist[7] = 0.0
+        p = np.array(list(dist.values()))
+        assert np.cumsum(p / p.sum())[-1] < np.nextafter(1.0, 0.0)
+        monkeypatch.setattr(np.random, "Generator", LargestUniform)
+        assert sample_shots(dist, 10, seed=1) == {**{i: 0 for i in range(6)}, 6: 10, 7: 0}
+
+    def test_table_with_rounding_above_one_before_the_last_entry(self):
+        # the running sum of nine ninths is 1.0000000000000002 before a 1e-33
+        # tail entry; closing the table there must give that entry no shots
+        # and lose none
+        dist = {i: 1 / 9 for i in range(9)}
+        dist[9] = 1e-33
+        p = np.array(list(dist.values()))
+        assert np.cumsum(p / p.sum())[8] > 1.0
+        counts = sample_shots(dist, 5000, seed=9)
+        assert counts == self._searchsorted_reference(dist, 5000, 9)
+        assert counts[9] == 0 and sum(counts.values()) == 5000
 
 
 class TestEqualUpToGlobalPhase:
