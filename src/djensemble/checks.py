@@ -71,13 +71,13 @@ def check_medium_unitarity() -> CheckResult:
     rng = np.random.default_rng(7)
     dev = 0.0
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=50):
-        u = ensemble.u_eff_exact(ensemble.EnsembleConfig.from_theta(theta)).matrix
+        u = ensemble.u_eff_exact(theta).matrix
         dev = max(dev, _max_dev(u.conj().T @ u, np.eye(8)))
     return CheckResult("medium unitary at random angles", dev <= 1e-12, dev, "50 random evolution angles")
 
 
 def check_polarizer_claim() -> CheckResult:
-    report = ensemble.check_phases_claim(ensemble.EnsembleConfig.from_theta(math.pi / 2))
+    report = ensemble.check_phases_claim(math.pi / 2)
     dev = max(
         _max_dev(report.input_gram, np.eye(4)),
         _max_dev(report.claimed_abs_gram, np.ones((4, 4))),
@@ -94,16 +94,13 @@ def check_polarizer_claim() -> CheckResult:
 
 
 def check_naive_vs_collective() -> CheckResult:
-    config = ensemble.EnsembleConfig.from_theta(math.pi / 2)
-    u = ensemble.u_eff_exact(config).matrix
+    u = ensemble.u_eff_exact(math.pi / 2).matrix
     worst = 0.0
     for n in range(1, 7):
         for level in (0, 1):
             atom = np.zeros(2)
             atom[level] = 1.0
-            naive = manybody.full_simulate_naive(
-                n, atom, [manybody.EnsembleEvolution(config.theta)]
-            )
+            naive = manybody.full_simulate_naive(n, atom, [manybody.EnsembleEvolution(math.pi / 2)])
             # every atom in ``level`` is row 0 or the last row, and column
             # 4 * level of u is the image of |level, HH>; with unit norm, the
             # other rows are zero when this one matches

@@ -63,6 +63,16 @@ class EnsembleConfig:
         # negative times are allowed: from_theta of a negative angle gives one
         if not math.isfinite(self.interaction_time):
             raise ValueError("interaction_time must be finite")
+        try:
+            finite = math.isfinite(self.lambda_value) and math.isfinite(self.theta)
+        except OverflowError:  # coupling**2, or an n_atoms past the float range
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"coupling={self.coupling!r}, detuning={self.detuning!r}, n_atoms={self.n_atoms!r} "
+                f"and interaction_time={self.interaction_time!r} put the light shift "
+                "coupling^2/detuning or the angle lambda * n_atoms * time out of floating-point range"
+            )
 
     @property
     def lambda_value(self) -> float:
@@ -84,6 +94,19 @@ class EnsembleConfig:
 def is_quarter_turn(theta: float) -> bool:
     """Whether ``theta`` is the quarter turn pi/2 that the balanced oracle needs; NaN is not."""
     return abs(theta - math.pi / 2) <= 1e-9
+
+
+def collective_extreme(amplitudes) -> int | None:
+    """The extreme holding the atoms, 0 (plain ground) or 1 (primed), else None.
+
+    The leading axis of ``amplitudes`` is the atom level; a level of norm at
+    most 1e-12 is empty, the other must be above it, and NaN is neither.
+    """
+    weights = np.linalg.norm(np.reshape(amplitudes, (2, -1)), axis=1)
+    for extreme in (0, 1):
+        if weights[extreme] > 1e-12 >= weights[1 - extreme]:
+            return extreme
+    return None
 
 
 @dataclass(frozen=True)
@@ -162,9 +185,9 @@ def build_h_eff_linear(config: EnsembleConfig) -> Operator:
     return Operator(PROTOCOL_SPACE, scale * h)
 
 
-def u_eff_exact(config: EnsembleConfig) -> Operator:
-    """Exact medium unitary exp(-i H t) at the configured evolution angle."""
-    return expm_hermitian(h_eff_dimensionless(), config.theta)
+def u_eff_exact(theta: float) -> Operator:
+    """Exact medium unitary exp(-i H t) at the evolution angle theta = lambda * N * t."""
+    return expm_hermitian(h_eff_dimensionless(), theta)
 
 
 # The declared rewrite at the quarter turn; both tables are indexed by the atom
@@ -201,15 +224,13 @@ class PaperPolarizerMap:
     def apply(self, state: StateVector) -> PaperMapResult:
         if state.space != PROTOCOL_SPACE:
             raise ValueError("polarizer map is defined on the atom + two-photon space")
-        shaped = state.amplitudes.reshape(2, 4)
-        weights = np.linalg.norm(shaped, axis=1)
-        if min(weights) > 1e-12:
+        branch = collective_extreme(state.amplitudes)
+        if branch is None:
             raise ValueError(
                 "atom register must be exactly at one collective extreme; "
                 "got weight on both levels"
             )
-        branch = int(np.argmax(weights))
-        v = shaped[branch]
+        v = state.amplitudes.reshape(2, 4)[branch]
         coeff = sum(_ROW_PHASES[branch] * v)
         populated = int(np.sum(np.abs(v) > 1e-12))
         linear_extension = populated > 1
@@ -247,17 +268,17 @@ class PhasesClaimReport:
     verdict: str
 
 
-def check_phases_claim(config: EnsembleConfig) -> PhasesClaimReport:
+def check_phases_claim(theta: float) -> PhasesClaimReport:
     """Compare the declared rewrite with the exact unitary on the four rows.
 
     The four inputs are orthonormal while the declared outputs all share one
     polarization factor, so their pairwise absolute overlaps are 1: no
     unitary does that, and the report says so.
     """
-    if not is_quarter_turn(config.theta):
+    if not is_quarter_turn(theta):
         raise ValueError("the claim audit is defined at theta = pi/2")
     rows = [(0, 0), (1, 1), (0, 1), (1, 0)]
-    u = u_eff_exact(config)
+    u = u_eff_exact(theta)
     pmap = u_eff_paper()
     inputs, claimed, exact = [], [], []
     for r1, r2 in rows:
@@ -280,7 +301,7 @@ def check_phases_claim(config: EnsembleConfig) -> PhasesClaimReport:
         else "no inconsistency detected"
     )
     return PhasesClaimReport(
-        theta=config.theta,
+        theta=theta,
         input_gram=input_gram,
         claimed_abs_gram=np.abs(claimed_gram),
         fidelities=fid,

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import P_MINUS, P_PLUS, _photon_pair_sum
-from .polarization import LIN_TO_CIRC
-from .qstate import CONSTRUCTION_ATOL, SpaceLabel, StateVector, _frozen_complex
+from .ensemble import ATOM, P_MINUS, P_PLUS, _photon_pair_sum, collective_extreme
+from .polarization import LIN_TO_CIRC, PHOTON
+from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector
 
 NAIVE_ATOM_LIMIT = 12
 # The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
@@ -67,18 +67,6 @@ def _check_atom_init(atom_init) -> np.ndarray:
     return single
 
 
-def _check_unitary_2x2(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    # NaN compares False with any tolerance, so it must be rejected first
-    if not np.isfinite(m).all():
-        raise ValueError("matrix must be finite (no NaN or Inf)")
-    if np.max(np.abs(m.conj().T @ m - _I2)) > 1e-10:
-        raise ValueError("matrix is not unitary")
-    return m
-
-
 @dataclass(frozen=True)
 class AtomRotation:
     """The same single-atom unitary applied to every atom in the ensemble."""
@@ -86,7 +74,7 @@ class AtomRotation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _check_unitary_2x2(_frozen_complex(self.matrix)))
+        object.__setattr__(self, "matrix", Operator(ATOM, self.matrix, unitary_claim=True).matrix)
 
 
 @dataclass(frozen=True)
@@ -94,6 +82,10 @@ class EnsembleEvolution:
     """Medium traversal for a total dimensionless angle theta = lambda*N*t."""
 
     theta: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"medium angle theta must be finite, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,11 @@ class PhotonRotation:
     def __post_init__(self):
         if self.photon not in (1, 2):
             raise ValueError("photon index must be 1 or 2")
-        object.__setattr__(self, "matrix", _check_unitary_2x2(_frozen_complex(self.matrix)))
+        object.__setattr__(self, "matrix", Operator(PHOTON, self.matrix, unitary_claim=True).matrix)
+
+    def on_pair(self) -> np.ndarray:
+        """The 4x4 gate on the photon pair |p1 p2>."""
+        return _kron(self.matrix, _I2) if self.photon == 1 else _kron(_I2, self.matrix)
 
 
 # Loader's saddle-point form of the binomial weight ("Fast and Accurate
@@ -269,7 +265,7 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int, rows: np.ndarray) -> np.ndar
             f"dense symmetric rotation requested for {n_atoms} atoms; "
             f"limit is {DENSE_ROTATION_LIMIT}"
         )
-    u = _check_unitary_2x2(u)
+    u = Operator(ATOM, u, unitary_claim=True).matrix
     rows = np.asarray(rows)
     n1 = n_atoms + 1
     if rows.ndim not in (1, 2) or rows.shape[0] != n1:
@@ -383,8 +379,7 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
                 state = np.matmul(powers[g], state.reshape(2**j, 2**g, -1))
             state = state.reshape(2**n_atoms, 4)
         elif isinstance(op, PhotonRotation):
-            u = op.matrix
-            state = state @ (_kron(u, _I2) if op.photon == 1 else _kron(_I2, u)).T
+            state = state @ op.on_pair().T
         elif isinstance(op, EnsembleEvolution):
             order, inverse, bounds = _excitation_order(n_atoms)
             m = np.arange(n_atoms + 1)
@@ -468,8 +463,7 @@ class _DickeRun:
         else:
             self.general = symmetric_rotation(u, self.n, self.general)
 
-    def photon_rotation(self, photon: int, u: np.ndarray) -> None:
-        full = _kron(u, _I2) if photon == 1 else _kron(_I2, u)
+    def photon_rotation(self, full: np.ndarray) -> None:
         if self.general is None:
             self.photon_vec = full @ self.photon_vec
         else:
@@ -477,10 +471,10 @@ class _DickeRun:
 
     def ensemble_evolution(self, theta: float) -> None:
         if self.general is None:
-            alpha, beta = self.atom_vec
-            if abs(beta) <= 1e-14 or abs(alpha) <= 1e-14:
-                m = 0 if abs(beta) <= 1e-14 else self.n
-                _medium_phase(self.photon_vec.reshape(1, 4), theta, self.n, np.array([m]))
+            # phasing the empty level's residual r (|r| <= 1e-12) as absent errs by ~2|theta r|/sqrt(N)
+            extreme = collective_extreme(self.atom_vec)
+            if extreme is not None:
+                _medium_phase(self.photon_vec.reshape(1, 4), theta, self.n, np.array([extreme * self.n]))
                 return
             self._materialize()
         # one block of rows at a time, so no temporary grows with N
@@ -526,7 +520,7 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
         if isinstance(op, AtomRotation):
             run.atom_rotation(op.matrix)
         elif isinstance(op, PhotonRotation):
-            run.photon_rotation(op.photon, op.matrix)
+            run.photon_rotation(op.on_pair())
         elif isinstance(op, EnsembleEvolution):
             run.ensemble_evolution(op.theta)
         else:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .ensemble import EnsembleConfig
@@ -33,6 +34,8 @@ class MediumSpec:
     def __post_init__(self):
         if isinstance(self.n_atoms, bool) or not isinstance(self.n_atoms, numbers.Integral):
             raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
+        if self.n_atoms > sys.float_info.max:
+            raise ValueError(f"n_atoms must be at most {sys.float_info.max:.4g}, the largest float")
         values = (self.length, self.n_atoms, self.coupling, self.relaxation_time)
         if not all(math.isfinite(v) and v > 0 for v in values):
             raise ValueError("all medium parameters must be finite and positive")

@@ -27,6 +27,7 @@ from .ensemble import (
     NOT_PULSE,
     PROTOCOL_SPACE,
     EnsembleConfig,
+    collective_extreme,
     is_quarter_turn,
     microwave_rotation,
     u_eff_exact,
@@ -280,14 +281,14 @@ def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> Proto
         if isinstance(op, AtomRotation):
             state = embed_single("atom", op.matrix, PROTOCOL_SPACE).apply(state)
         elif isinstance(op, EnsembleEvolution):
-            if min(np.linalg.norm(state.amplitudes.reshape(2, 4), axis=1)) > 1e-12:
+            if collective_extreme(state.amplitudes) is None:
                 raise ValueError(
                     "medium traversal reached with atoms away from the collective extremes "
                     "(protocol sequencing bug)"
                 )
             evolution_calls += 1
             if mode == "exact":
-                state = u_eff_exact(config).apply(state)
+                state = u_eff_exact(op.theta).apply(state)
             else:
                 result = u_eff_paper().apply(state)
                 state = result.state

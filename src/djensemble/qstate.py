@@ -63,9 +63,9 @@ def _frozen_complex(values) -> np.ndarray:
     return arr
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray, what: str = "amplitudes") -> None:
     if not np.isfinite(arr).all():
-        raise ValueError("amplitudes must be finite (no NaN or Inf)")
+        raise ValueError(f"{what} must be finite (no NaN or Inf)")
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class Operator:
 
     def __post_init__(self):
         mat = _frozen_complex(self.matrix)
-        _check_finite(mat)
+        _check_finite(mat, "matrix entries")
         dim = self.space.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {dim}")

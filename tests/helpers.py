@@ -1,11 +1,10 @@
-"""Helpers that only tests use: phase-insensitive state equality, the
-zero-padded coherent Dicke vector and a config with a non-finite angle."""
+"""Helpers that only tests use: phase-insensitive state equality and the
+zero-padded coherent Dicke vector."""
 
 from typing import NamedTuple
 
 import numpy as np
 
-from djensemble.ensemble import EnsembleConfig
 from djensemble.manybody import coherent_dicke_amplitudes
 from djensemble.qstate import StateVector
 
@@ -31,11 +30,3 @@ def coherent_dicke_vector(single, n_atoms: int) -> np.ndarray:
     amps = np.zeros(n_atoms + 1, dtype=complex)
     amps[start : start + len(band)] = band
     return amps
-
-
-def nonfinite_theta_config(interaction_time: float) -> EnsembleConfig:
-    """A valid config whose angle is NaN (time 0) or +-inf (time +-1): the
-    smallest subnormal detuning makes the light shift overflow to inf."""
-    return EnsembleConfig(
-        n_atoms=1, coupling=1.0, detuning=5e-324, interaction_time=interaction_time
-    )

@@ -159,7 +159,7 @@ def test_07_exact_mode_constant_branch():
 
 
 def test_08_polarizer_claim_audit():
-    audit = check_phases_claim(QUARTER_TURN)
+    audit = check_phases_claim(QUARTER_TURN.theta)
     dev = max(
         float(np.max(np.abs(audit.input_gram - np.eye(4)))),
         float(np.max(np.abs(audit.claimed_abs_gram - np.ones((4, 4))))),
@@ -172,7 +172,7 @@ def test_08_polarizer_claim_audit():
 def test_09_oracle_equivalence():
     start = time.perf_counter()
     worst_marginal = 0.0
-    u = u_eff_exact(QUARTER_TURN)
+    u = u_eff_exact(QUARTER_TURN.theta)
     rng = np.random.default_rng(123)
     for n in range(1, 11):
         for level in (0, 1):

@@ -300,6 +300,15 @@ class TestParamsCommand:
         assert err.startswith(f"error: medium file {str(spec)!r}") and err.count("\n") == 1
         assert named in err
 
+    def test_atom_count_past_the_float_range_is_named(self, tmp_path, capsys):
+        spec = tmp_path / "medium.json"
+        spec.write_text('{"length_m": 200e-6, "n_atoms": 1' + "0" * 399 + ', "coupling_rad_s": 2.91e8}')
+        assert main(["params", "--medium", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed medium spec {str(spec)!r}: "
+            "n_atoms must be at most 1.798e+308, the largest float\n"
+        )
+
     def test_directory_medium_exits_2(self, tmp_path, capsys):
         assert main(["params", "--medium", str(tmp_path)]) == 2
         err = capsys.readouterr().err

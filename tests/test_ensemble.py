@@ -1,9 +1,9 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
-from helpers import nonfinite_theta_config
 
 from djensemble.ensemble import (
     HADAMARD_PULSES,
@@ -16,14 +16,16 @@ from djensemble.ensemble import (
     build_h_eff,
     build_h_eff_linear,
     check_phases_claim,
+    collective_extreme,
     h_eff_dimensionless,
     is_quarter_turn,
     microwave_rotation,
     u_eff_exact,
     u_eff_paper,
 )
+from djensemble.params import PRESETS, ensemble_config_from_report, required_detuning
 from djensemble.polarization import LIN_TO_CIRC, hadamard_variant
-from djensemble.qstate import StateVector
+from djensemble.qstate import StateVector, expm_hermitian
 
 SQRT2 = math.sqrt(2.0)
 
@@ -79,6 +81,24 @@ class TestEnsembleConfig:
     def test_nonfinite_interaction_time_rejected(self, time):
         with pytest.raises(ValueError, match="interaction_time"):
             EnsembleConfig(n_atoms=10, coupling=1.0, detuning=10.0, interaction_time=time)
+
+    @pytest.mark.parametrize("time", [0.0, 1.0, -1.0])
+    def test_overflowing_light_shift_rejected(self, time):
+        # coupling^2 over the smallest subnormal detuning is inf, so the angle
+        # would be NaN at time 0 and +-inf otherwise
+        with pytest.raises(ValueError, match="detuning=5e-324.*floating-point range"):
+            EnsembleConfig(n_atoms=1, coupling=1.0, detuning=5e-324, interaction_time=time)
+
+    @pytest.mark.parametrize(
+        "n_atoms,coupling,time",
+        [(1, 1e200, 1.0), (10**300, 1.0, 1e10), (10**400, 1.0, 1.0)],
+        ids=["coupling-squared", "angle", "atom-count"],
+    )
+    def test_overflow_is_a_value_error(self, n_atoms, coupling, time):
+        # coupling**2 and a float times a huge int raise OverflowError; the
+        # product of finite factors overflows to inf
+        with pytest.raises(ValueError, match=re.escape(f"coupling={coupling!r}") + ".*floating-point range"):
+            EnsembleConfig(n_atoms=n_atoms, coupling=coupling, detuning=1.0, interaction_time=time)
 
     def test_negative_interaction_time_allowed(self):
         assert EnsembleConfig.from_theta(-1.0).theta == pytest.approx(-1.0, rel=1e-15)
@@ -167,22 +187,22 @@ class TestEffectiveHamiltonian:
 class TestExactEvolution:
     def test_matches_projector_oracle(self):
         for theta in (0.0, 0.3, math.pi / 2, 1.7, -2.2):
-            u = u_eff_exact(EnsembleConfig.from_theta(theta)).matrix
+            u = u_eff_exact(theta).matrix
             np.testing.assert_allclose(u, full_u_oracle(theta), atol=1e-12)
 
     def test_zero_angle_identity(self):
-        u = u_eff_exact(EnsembleConfig.from_theta(0.0)).matrix
+        u = u_eff_exact(0.0).matrix
         np.testing.assert_allclose(u, np.eye(8), atol=1e-12)
 
     def test_unitary_at_random_angles(self):
         rng = np.random.default_rng(43)
         for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=50):
-            u = u_eff_exact(EnsembleConfig.from_theta(theta)).matrix
+            u = u_eff_exact(theta).matrix
             np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
 
     def test_circular_eigenstate_phase(self):
         # plus mode on photon 1, minus mode on photon 2, atoms plain: eigenvalue 1
-        u = u_eff_exact(EnsembleConfig.from_theta(math.pi / 2))
+        u = u_eff_exact(math.pi / 2)
         plus = np.array([1.0, 1.0j]) / SQRT2
         minus = np.array([1.0, -1.0j]) / SQRT2
         state = protocol_state(0, np.kron(plus, minus))
@@ -190,12 +210,19 @@ class TestExactEvolution:
         np.testing.assert_allclose(evolved.amplitudes, -1j * state.amplitudes, atol=1e-12)
 
     def test_horizontal_inputs_rotate_per_photon(self):
-        u = u_eff_exact(EnsembleConfig.from_theta(math.pi / 2))
+        u = u_eff_exact(math.pi / 2)
         state = protocol_state(0, np.array([1.0, 0.0, 0.0, 0.0]))
         evolved = u.apply(state)
         single = np.exp(-1j * math.pi / 4) * np.array([1.0, 1.0]) / SQRT2
         expected = protocol_state(0, np.kron(single, single))
         np.testing.assert_allclose(evolved.amplitudes, expected.amplitudes, atol=1e-12)
+
+    def test_angle_gives_the_config_form_bit_for_bit(self):
+        # u_eff_exact(config) read config.theta into this same exponential
+        spec = PRESETS["cs-cell"]
+        config = ensemble_config_from_report(spec, required_detuning(spec))
+        before = expm_hermitian(h_eff_dimensionless(), config.theta).matrix
+        assert np.array_equal(u_eff_exact(config.theta).matrix, before)
 
     def test_dimensionless_generator_is_reused(self):
         h = h_eff_dimensionless().matrix
@@ -203,6 +230,38 @@ class TestExactEvolution:
         np.testing.assert_allclose(
             build_h_eff(config).matrix, config.lambda_value * 7 * h, atol=1e-12
         )
+
+
+class TestCollectiveExtreme:
+    """One rule for every replay: a level of norm at most 1e-12 is empty."""
+
+    @staticmethod
+    def rows(extreme, residual):
+        amps = np.zeros((2, 4))
+        amps[extreme, 0] = 1.0
+        amps[1 - extreme, 2] = residual
+        return amps
+
+    @pytest.mark.parametrize("extreme", [0, 1])
+    def test_a_norm_of_exactly_the_threshold_is_empty(self, extreme):
+        assert collective_extreme(self.rows(extreme, 1e-12)) == extreme
+        single = np.roll([1.0, 1e-12], extreme)
+        assert collective_extreme(single) == extreme
+
+    @pytest.mark.parametrize("extreme", [0, 1])
+    def test_just_above_the_threshold_is_not_empty(self, extreme):
+        above = np.nextafter(1e-12, 1.0)
+        assert collective_extreme(self.rows(extreme, above)) is None
+        assert collective_extreme(np.roll([1.0, above], extreme)) is None
+
+    @pytest.mark.parametrize(
+        "weights", [[math.nan, 1.0], [1.0, math.nan], [math.nan, 0.0], [math.nan, math.nan]]
+    )
+    def test_nan_weights_are_at_no_extreme(self, weights):
+        assert collective_extreme(weights) is None
+
+    def test_an_empty_register_is_at_no_extreme(self):
+        assert collective_extreme(np.zeros(8)) is None
 
 
 class TestPaperPolarizerMap:
@@ -275,7 +334,7 @@ class TestPaperPolarizerMap:
 
 class TestPhasesClaim:
     def test_report_quantities(self):
-        report = check_phases_claim(EnsembleConfig.from_theta(math.pi / 2))
+        report = check_phases_claim(math.pi / 2)
         np.testing.assert_allclose(report.input_gram, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(report.claimed_abs_gram, np.ones((4, 4)), atol=1e-12)
         np.testing.assert_allclose(report.fidelities, 0.5, atol=1e-12)
@@ -284,25 +343,22 @@ class TestPhasesClaim:
 
     def test_requires_quarter_turn(self):
         with pytest.raises(ValueError, match="pi/2"):
-            check_phases_claim(EnsembleConfig.from_theta(1.0))
+            check_phases_claim(1.0)
 
     def test_quarter_turn_rule(self):
         assert is_quarter_turn(math.pi / 2) and is_quarter_turn(math.pi / 2 + 1e-10)
         for theta in (math.pi / 2 + 2e-9, 0.0, -math.pi / 2, math.nan, math.inf, -math.inf):
             assert not is_quarter_turn(theta)
 
-    @pytest.mark.parametrize("time", [0.0, 1.0, -1.0])
-    def test_nonfinite_angle_rejected(self, time):
-        config = nonfinite_theta_config(time)
-        assert not math.isfinite(config.theta)
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_angle_rejected(self, theta):
         with pytest.raises(ValueError, match="pi/2"):
-            check_phases_claim(config)
+            check_phases_claim(theta)
 
     def test_exact_map_would_pass_the_same_audit(self):
         # control: the exact unitary preserves the input gram, so the audit
         # criterion singles out the declared rewrite specifically
-        config = EnsembleConfig.from_theta(math.pi / 2)
-        u = u_eff_exact(config)
+        u = u_eff_exact(math.pi / 2)
         rows = [(0, 0), (1, 1), (0, 1), (1, 0)]
         outs = []
         for r1, r2 in rows:

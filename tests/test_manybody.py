@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from helpers import coherent_dicke_vector
 
-from djensemble.ensemble import EnsembleConfig, u_eff_exact
+from djensemble import manybody
+from djensemble.ensemble import PROTOCOL_SPACE, EnsembleConfig, u_eff_exact
 from djensemble.manybody import (
     NAIVE_ATOM_LIMIT,
     AtomRotation,
@@ -20,7 +21,7 @@ from djensemble.manybody import (
     full_simulate_naive,
     symmetric_rotation,
 )
-from djensemble.polarization import hadamard_variant
+from djensemble.polarization import embed_single, hadamard_variant
 from djensemble.protocol import exact_operation_sequence, table1_function, table1_functions
 from djensemble.qstate import born_distribution
 
@@ -218,8 +219,28 @@ class TestSymmetricRotation:
 )
 def test_non_finite_2x2_rejected(build, bad):
     # NaN compares False with the unitarity tolerance, so it must be caught first
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
         build(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [AtomRotation, lambda m: PhotonRotation(2, m), lambda m: symmetric_rotation(m, 3, np.eye(4)),
+     lambda m: embed_single("atom", m, PROTOCOL_SPACE)],
+    ids=["AtomRotation", "PhotonRotation", "symmetric_rotation", "embed_single"],
+)
+def test_one_unitarity_rule_for_every_gate(build):
+    # U^dag U - I = 2e-11 is over qstate's 1e-12, which the simulators' ops
+    # and the compact replay's embedding both apply; 8e-13 is under it
+    with pytest.raises(ValueError, match="unitary"):
+        build(H1 * (1.0 + 1e-11))
+    build(H1 * (1.0 + 4e-13))
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_medium_angle_rejected(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        EnsembleEvolution(theta)
 
 
 @pytest.mark.parametrize(
@@ -326,7 +347,7 @@ class TestNaiveSimulator:
 
     def test_single_atom_matches_collective_model(self):
         config = EnsembleConfig.from_theta(math.pi / 2)
-        u = u_eff_exact(config).matrix
+        u = u_eff_exact(config.theta).matrix
         for level in (0, 1):
             atom = np.zeros(2)
             atom[level] = 1.0
@@ -337,7 +358,7 @@ class TestNaiveSimulator:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_extreme_atoms_match_collective_marginals(self, n):
         config = EnsembleConfig.from_theta(math.pi / 2)
-        u = u_eff_exact(config).matrix
+        u = u_eff_exact(config.theta).matrix
         rng = np.random.default_rng(80 + n)
         # the photons start horizontal; random rotations give a random product input
         u1, u2 = random_su2(rng), random_su2(rng)
@@ -465,11 +486,33 @@ class TestDickeSimulator:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
     def test_norm_drift_is_not_renormalized(self):
-        # within the 1e-10 unitarity tolerance of an operation, but a squared
-        # norm drift of 2e-11 is over StateVector's 1e-12
-        drift = PhotonRotation(1, (1.0 + 1e-11) * np.eye(2))
+        # each gate is 8e-13 off unitary, inside the 1e-12 every gate is built
+        # with, but ten of them drift the squared norm by 8e-12, over
+        # StateVector's 1e-12
+        drift = PhotonRotation(1, (1.0 + 4e-13) * np.eye(2))
         with pytest.raises(ValueError, match="normalized"):
-            full_simulate_dicke(4, (0.0, 1.0), [drift])
+            full_simulate_dicke(4, (0.0, 1.0), [drift] * 10)
+
+    def test_product_shortcut_inside_the_extreme_rule(self, monkeypatch):
+        # |beta| = 5e-13 passes the 1e-12 extreme rule, so the medium step
+        # phases the product form; forced through the (N+1) x 4 array, the
+        # run differs by about 2 theta |beta| / sqrt(N), 2e-15 here
+        n, beta = 10**6, 5e-13
+        atom = (math.sqrt(1.0 - beta**2), beta)
+        ops = [PhotonRotation(1, H1), EnsembleEvolution(math.pi / 2), PhotonRotation(2, H1)]
+        phased_rows = []
+        medium_phase = manybody._medium_phase
+        monkeypatch.setattr(
+            manybody, "_medium_phase", lambda rows, *a: (phased_rows.append(len(rows)), medium_phase(rows, *a))
+        )
+        shortcut = full_simulate_dicke(n, atom, ops).amplitudes.reshape(n + 1, 4)
+        assert phased_rows == [1]
+        monkeypatch.setattr(manybody, "collective_extreme", lambda amplitudes: None)
+        general = full_simulate_dicke(n, atom, ops).amplitudes.reshape(n + 1, 4)
+        assert sum(phased_rows) == 1 + n + 1
+        # both bands are a few rows at m = 0; every row past them is exactly 0
+        assert np.max(np.abs(shortcut[:64] - general[:64])) <= 1e-10
+        assert not shortcut[64:].any() and not general[64:].any()
 
     def test_off_extreme_medium_step_at_a_million_atoms(self):
         # the coherent amplitudes' norm drift once made this state fail

@@ -76,6 +76,9 @@ class TestRequiredDetuning:
             MediumSpec(1e-4, 1.7, 1e6)
         with pytest.raises(ValueError, match="integer"):
             MediumSpec(1e-4, True, 1e6)
+        # past the float range: a ValueError naming the field, not a bare OverflowError
+        with pytest.raises(ValueError, match="n_atoms must be at most"):
+            MediumSpec(1e-4, 10**400, 1e6)
         with pytest.raises(ValueError, match="floating-point range"):
             required_detuning(MediumSpec(1e-4, 10, 1e200))
         with pytest.raises(ValueError, match="floating-point range"):

@@ -118,8 +118,8 @@ class TestEmbedSingle:
             assert np.array_equal(embed_single(name, h, PROTOCOL_SPACE).matrix, expected)
 
     def test_non_unitary_gate_rejected(self):
-        # U^dag U - I = 2e-11: inside the 1e-10 that AtomRotation and PhotonRotation
-        # are built with, outside the 1e-12 of this 2x2 check
+        # U^dag U - I = 2e-11: outside the 1e-12 of this 2x2 check, the same
+        # qstate rule that AtomRotation and PhotonRotation are built with
         gate = EXPECTED_VARIANTS[1] * (1.0 + 1e-11)
         with pytest.raises(ValueError, match="unitary"):
             embed_single("photon1", gate, PROTOCOL_SPACE)

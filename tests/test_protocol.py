@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import equal_up_to_global_phase, nonfinite_theta_config
+from helpers import equal_up_to_global_phase
 
 from djensemble import protocol
 from djensemble.ensemble import (
@@ -269,11 +269,15 @@ class TestPaperModeTraces:
     @pytest.mark.parametrize("mode", ["paper", "exact"])
     @pytest.mark.parametrize("time", [0.0, 1.0, -1.0])
     def test_nonfinite_angle_rejected_for_balanced(self, mode, time):
-        # NaN fails every comparison, so the quarter-turn rule must reject it
-        config = nonfinite_theta_config(time)
-        assert not math.isfinite(config.theta)
-        with pytest.raises(ValueError, match="pi/2"):
-            run_protocol(table1_function("f3"), mode, config)
+        # coupling^2 over the smallest subnormal detuning overflows, so the
+        # angle would be NaN (time 0) or +-inf; the config is rejected when
+        # built, so no run in either mode can be handed one
+        with pytest.raises(ValueError, match="floating-point range"):
+            run_protocol(
+                table1_function("f3"),
+                mode,
+                EnsembleConfig(n_atoms=1, coupling=1.0, detuning=5e-324, interaction_time=time),
+            )
 
     def test_constant_ignores_angle(self):
         trace = run_protocol(table1_function("f1"), "paper", EnsembleConfig.from_theta(1.0))
