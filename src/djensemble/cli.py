@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import math
 import sys
 from pathlib import Path
@@ -21,7 +20,13 @@ from . import __version__
 from .checks import run_all_checks
 from .ensemble import EnsembleConfig
 from .manybody import NAIVE_ATOM_LIMIT, full_simulate_naive
-from .params import PRESETS, MediumSpec, ensemble_config_from_report, required_detuning
+from .params import (
+    PRESETS,
+    MediumSpec,
+    check_medium_value,
+    ensemble_config_from_report,
+    required_detuning,
+)
 from .polarization import clicks_for_pattern
 from .protocol import (
     MODES,
@@ -226,11 +231,14 @@ def _load_medium(token: str) -> MediumSpec:
             raise ValueError(f"medium file {token!r}: {key!r} must be a number, {found}")
         fields[name] = value
     try:
+        for key, name in _MEDIUM_KEYS.items():
+            if name in fields:
+                check_medium_value(key, fields[name])  # names the file's key, not the field
         n_atoms = fields.pop("n_atoms")
         if isinstance(n_atoms, float) and n_atoms.is_integer():
             n_atoms = int(n_atoms)  # JSON writes 1e5 as a float
         return MediumSpec(n_atoms=n_atoms, **{name: float(v) for name, v in fields.items()})
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed medium spec {token!r}: {exc}") from exc
 
 
@@ -358,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(format="warning: %(message)s", level=logging.WARNING)
     args = build_parser().parse_args(argv)
     if args.out is not None and (problem := _out_problem(args.out)):
         return _fail(problem)

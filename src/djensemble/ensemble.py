@@ -19,16 +19,13 @@ couplings and detunings are angular frequencies in rad/s.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polarization import LIN_TO_CIRC
-from .qstate import Operator, SpaceLabel, StateVector, expm_hermitian
-
-logger = logging.getLogger(__name__)
+from .qstate import Operator, SpaceLabel, StateVector, expm_hermitian, finite_real
 
 ATOM = SpaceLabel((("atom", 2),))
 PROTOCOL_SPACE = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
@@ -58,10 +55,10 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be positive")
-        if not all(math.isfinite(v) and v > 0 for v in (self.coupling, self.detuning)):
+        if not all(finite_real(v) and v > 0 for v in (self.coupling, self.detuning)):
             raise ValueError("coupling and detuning must be finite and positive")
         # negative times are allowed: from_theta of a negative angle gives one
-        if not math.isfinite(self.interaction_time):
+        if not finite_real(self.interaction_time):
             raise ValueError("interaction_time must be finite")
         try:
             finite = math.isfinite(self.lambda_value) and math.isfinite(self.theta)
@@ -117,7 +114,7 @@ class MicrowavePulse:
     phase: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.area) and math.isfinite(self.phase)):
+        if not (finite_real(self.area) and finite_real(self.phase)):
             raise ValueError("pulse parameters must be finite")
 
 
@@ -234,11 +231,6 @@ class PaperPolarizerMap:
         coeff = sum(_ROW_PHASES[branch] * v)
         populated = int(np.sum(np.abs(v) > 1e-12))
         linear_extension = populated > 1
-        if linear_extension:
-            logger.warning(
-                "polarizer rewrite applied to a superposition by linear extension; "
-                "this map is not norm-preserving, output renormalized"
-            )
         prob = float(abs(coeff) ** 2)
         if prob < 1e-24:
             raise ValueError("polarizer rewrite annihilates this input (zero post-selection weight)")

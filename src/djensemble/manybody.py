@@ -24,7 +24,7 @@ import numpy as np
 
 from .ensemble import ATOM, P_MINUS, P_PLUS, _photon_pair_sum, collective_extreme
 from .polarization import LIN_TO_CIRC, PHOTON
-from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector
+from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, finite_real
 
 NAIVE_ATOM_LIMIT = 12
 # The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
@@ -84,7 +84,7 @@ class EnsembleEvolution:
     theta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
+        if not finite_real(self.theta):
             raise ValueError(f"medium angle theta must be finite, got {self.theta!r}")
 
 
@@ -319,7 +319,9 @@ def _evolution_block(lam_t: float, n_plain, n_primed) -> np.ndarray:
     n_plain = np.asarray(n_plain, dtype=float)[..., None, None]
     n_primed = np.asarray(n_primed, dtype=float)[..., None, None]
     w, v = np.linalg.eigh(n_plain * _GEN_PLUS + n_primed * _GEN_MINUS)
-    return (v * np.exp(-1j * lam_t * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    # lam_t * w past the float range gives NaN blocks, which StateVector rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (v * np.exp(-1j * lam_t * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @functools.lru_cache(maxsize=NAIVE_ATOM_LIMIT)

@@ -34,11 +34,20 @@ class MediumSpec:
     def __post_init__(self):
         if isinstance(self.n_atoms, bool) or not isinstance(self.n_atoms, numbers.Integral):
             raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
-        if self.n_atoms > sys.float_info.max:
-            raise ValueError(f"n_atoms must be at most {sys.float_info.max:.4g}, the largest float")
-        values = (self.length, self.n_atoms, self.coupling, self.relaxation_time)
-        if not all(math.isfinite(v) and v > 0 for v in values):
-            raise ValueError("all medium parameters must be finite and positive")
+        for name in ("length", "n_atoms", "coupling", "relaxation_time"):
+            check_medium_value(name, getattr(self, name))
+
+
+def check_medium_value(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite positive float."""
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        if value > 0:
+            raise ValueError(f"{name} must be at most {sys.float_info.max:.4g}, the largest float") from None
+        x = -math.inf
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
 
 @dataclass(frozen=True)

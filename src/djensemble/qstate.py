@@ -44,6 +44,7 @@ __all__ = [
     "basis_state",
     "embed",
     "expm_hermitian",
+    "finite_real",
     "born_distribution",
     "sample_shots",
 ]
@@ -58,9 +59,20 @@ def _frozen_complex(values) -> np.ndarray:
         and values.flags.c_contiguous
         and values.dtype == np.complex128
     )
-    arr = values if frozen_owner else np.array(values, dtype=np.complex128)
+    try:
+        arr = values if frozen_owner else np.array(values, dtype=np.complex128)
+    except OverflowError as exc:  # an int past the float range
+        raise ValueError(f"entries must be finite: {exc}") from None
     arr.setflags(write=False)
     return arr
+
+
+def finite_real(value) -> bool:
+    """Whether ``value`` is a finite real; NaN, +-inf and an int past the float range are not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_finite(arr: np.ndarray, what: str = "amplitudes") -> None:
@@ -140,15 +152,23 @@ class Operator:
 
     def __post_init__(self):
         mat = _frozen_complex(self.matrix)
-        _check_finite(mat, "matrix entries")
         dim = self.space.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {dim}")
-        if self.unitary_claim:
+        if not self.unitary_claim:
+            _check_finite(mat, "matrix entries")
+        else:
+            # A unitary's entries are at most 1 in modulus. Bounding them
+            # rejects NaN and Inf, as the finite scan does, and keeps the
+            # product U^dag U from overflowing on entries near 1e300.
+            largest = float(np.abs(mat).max())
+            if not largest <= 2.0:
+                _check_finite(mat, "matrix entries")
+                raise ValueError(f"operator claimed unitary but has an entry of modulus {largest:.3e}")
             gram = mat.conj().T @ mat
             gram.flat[:: dim + 1] -= 1.0  # U^dag U - I
             dev = float(np.abs(gram).max())
-            if dev > CONSTRUCTION_ATOL:
+            if not dev <= CONSTRUCTION_ATOL:
                 raise ValueError(f"operator claimed unitary but max |U^dag U - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
 
@@ -230,7 +250,9 @@ def expm_hermitian(h: Operator, theta: float) -> Operator:
     if dev > CONSTRUCTION_ATOL * scale:
         raise ValueError(f"generator is not Hermitian: max |H - H^dag| = {dev:.3e}")
     w, v = np.linalg.eigh(mat)
-    u = (v * np.exp(-1j * float(theta) * w)) @ v.conj().T
+    # theta * w past the float range gives NaN entries, which Operator rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (v * np.exp(-1j * float(theta) * w)) @ v.conj().T
     return Operator(h.space, u, unitary_claim=True)
 
 

@@ -2,11 +2,17 @@ import argparse
 import contextlib
 import io
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import djensemble
 from djensemble import cli
 from djensemble.cli import MAX_SHOTS, main
 from djensemble.protocol import MODES
@@ -143,7 +149,7 @@ class TestReportRoundTrips:
             assert json.loads(json.dumps(report)) == report
 
 
-# one exact-mode invocation per subcommand; exact mode logs no warnings
+# one invocation per subcommand
 EVERY_COMMAND = [
     ["run", "--function", "f3", "--mode", "exact"],
     ["verify"],
@@ -309,6 +315,17 @@ class TestParamsCommand:
             "n_atoms must be at most 1.798e+308, the largest float\n"
         )
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("length_m", "1" + "0" * 399, "length_m must be at most 1.798e+308, the largest float"),
+        ("coupling_rad_s", "1e400", "coupling_rad_s must be finite and positive, got inf"),
+    ], ids=["length_m", "coupling_rad_s"])
+    def test_out_of_range_value_is_named_by_its_key(self, tmp_path, capsys, key, value, message):
+        fields = {"length_m": "200e-6", "n_atoms": "100000", "coupling_rad_s": "2.91e8", key: value}
+        spec = tmp_path / "medium.json"
+        spec.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        assert main(["params", "--medium", str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: malformed medium spec {str(spec)!r}: {message}\n"
+
     def test_directory_medium_exits_2(self, tmp_path, capsys):
         assert main(["params", "--medium", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -453,6 +470,29 @@ class TestTraceCommand:
         main(["trace", "--function", "f1", "--mode", "exact", "--out", str(out)])
         names = [s["state"] for s in read_report(out)["results"][0]["states"]]
         assert names == ["psi0", "psi1", "psi2", "psi3"]
+
+
+class TestQuietStderr:
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["run", "--function", "all", "--mode", "paper"],
+        ["sample", "--function", "all", "--mode", "paper", "--shots", "1000"],
+        ["trace", "--function", "all", "--mode", "paper"],
+    ], ids=["verify", "run", "sample", "trace"])
+    def test_a_normal_run_writes_nothing_to_stderr(self, argv):
+        # a fresh process, whose root logger has no handler that pytest put there
+        src = str(Path(djensemble.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "djensemble", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout
+
+    def test_main_leaves_the_root_logger_alone(self, monkeypatch):
+        root = logging.getLogger()
+        monkeypatch.setattr(root, "handlers", [])
+        assert main(["run", "--function", "f3", "--mode", "paper"]) == 0
+        assert root.handlers == []
 
 
 class TestParserReuse:

@@ -79,6 +79,11 @@ class TestRequiredDetuning:
         # past the float range: a ValueError naming the field, not a bare OverflowError
         with pytest.raises(ValueError, match="n_atoms must be at most"):
             MediumSpec(1e-4, 10**400, 1e6)
+        with pytest.raises(ValueError, match="^n_atoms must be finite and positive, got -inf$"):
+            MediumSpec(1e-4, -(10**400), 1e6)
+        # each bad field is named
+        with pytest.raises(ValueError, match="^coupling must be finite and positive, got inf$"):
+            MediumSpec(1e-4, 10, math.inf)
         with pytest.raises(ValueError, match="floating-point range"):
             required_detuning(MediumSpec(1e-4, 10, 1e200))
         with pytest.raises(ValueError, match="floating-point range"):

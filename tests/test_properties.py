@@ -1,8 +1,10 @@
 """Property tests: the Dicke simulator against the unreduced one on random
-sequences, and the symmetric-sector rotation kernel against its oracles."""
+sequences, the symmetric-sector rotation kernel against its oracles, and
+the public constructors on numbers at the edges of the float range."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,14 @@ from hypothesis import strategies as st
 from helpers import coherent_dicke_vector
 from test_manybody import symmetric_rotation_bruteforce
 
-from djensemble.ensemble import P_MINUS, P_PLUS
+from djensemble.ensemble import (
+    P_MINUS,
+    P_PLUS,
+    EnsembleConfig,
+    MicrowavePulse,
+    microwave_rotation,
+    u_eff_exact,
+)
 from djensemble.manybody import (
     DENSE_ROTATION_LIMIT,
     AtomRotation,
@@ -22,6 +31,7 @@ from djensemble.manybody import (
     full_simulate_naive,
     symmetric_rotation,
 )
+from djensemble.params import MediumSpec, required_detuning
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -120,6 +130,88 @@ def test_naive_matches_its_literal_form(n_atoms, polar, azimuth, ops):
     atom = np.array([math.cos(polar), cmath.exp(1j * azimuth) * math.sin(polar)])
     naive = full_simulate_naive(n_atoms, atom, ops)
     np.testing.assert_allclose(naive.amplitudes, naive_literal(n_atoms, atom, ops), rtol=0, atol=1e-13)
+
+
+# Numbers at every edge of the float range (NaN, +-inf, subnormals, 1e300)
+# and ints past it; a 2x2 matrix of them or of complex numbers, or a unitary
+# scaled off unit norm.
+huge_ints = st.integers(-(10**400), 10**400) | st.sampled_from([10**400, -(10**400), 2**1024])
+edge_numbers = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300])
+    | huge_ints
+)
+edge_matrices = st.one_of(
+    st.lists(edge_numbers | st.complex_numbers(), min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]]),
+    st.builds(np.multiply, st.sampled_from([1.0, 1.0 + 1e-11, 1e300, 5e-324]), unitaries()),
+)
+
+
+def replays(op):
+    """The op alone on both many-atom backends, from an off-extreme start."""
+    return [f(n, (0.6, 0.8), [op]).amplitudes for f in (full_simulate_naive, full_simulate_dicke) for n in (1, 3)]
+
+
+def feasibility_values(spec):
+    report = required_detuning(spec)
+    return [report.transit_time, report.lambda_value, report.detuning, report.ratio, report.decoherence_margin]
+
+
+# Each constructor with an (ordinary, edge) pair of strategies per argument
+# and the values derived from what it builds.
+CONSTRUCTORS = [
+    (AtomRotation, [(unitaries(), edge_matrices)], lambda o: [o.matrix, *replays(o)]),
+    (
+        PhotonRotation,
+        [(st.sampled_from([1, 2]), edge_numbers), (unitaries(), edge_matrices)],
+        lambda o: [o.on_pair(), *replays(o)],
+    ),
+    (
+        EnsembleEvolution,
+        [(angles, edge_numbers)],
+        lambda o: [o.theta, u_eff_exact(o.theta).matrix, *replays(o)],
+    ),
+    (
+        EnsembleConfig,
+        [(st.integers(1, 10**6), edge_numbers), (st.floats(0.1, 10.0), edge_numbers),
+         (st.floats(0.1, 10.0), edge_numbers), (angles, edge_numbers)],
+        lambda o: [o.lambda_value, o.theta],
+    ),
+    (
+        MediumSpec,
+        [(st.floats(1e-5, 1.0), edge_numbers), (st.integers(1, 10**7), edge_numbers),
+         (st.floats(1e6, 1e9), edge_numbers), (st.floats(1e-7, 1e-3), edge_numbers)],
+        feasibility_values,
+    ),
+    (
+        MicrowavePulse,
+        [(angles, edge_numbers), (angles, edge_numbers)],
+        lambda o: [microwave_rotation(o).matrix],
+    ),
+]
+
+
+@st.composite
+def constructions(draw):
+    """A constructor with each argument drawn ordinary or at an edge."""
+    cls, arguments, derived = draw(st.sampled_from(CONSTRUCTORS))
+    args = tuple(draw(edge if draw(st.booleans()) else ordinary) for ordinary, edge in arguments)
+    return cls, args, derived
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(constructions())
+@example((AtomRotation, ([[1e300, 1e300], [1e300, -1e300]],), lambda o: [o.matrix]))
+@example((EnsembleEvolution, (2.0**1023,), lambda o: [u_eff_exact(o.theta).matrix, *replays(o)]))
+def test_constructors_build_finite_values_or_raise_value_error(case):
+    cls, args, derived = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning escapes like any other exception
+        try:
+            values = derived(cls(*args))
+        except ValueError:
+            return
+    assert all(np.isfinite(np.asarray(v, dtype=complex)).all() for v in values)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
