@@ -156,14 +156,14 @@ def check_feasibility_presets() -> CheckResult:
     cs = params.required_detuning(params.PRESETS["cs-cell"])
     rb = params.required_detuning(params.PRESETS["rb-mot"])
     ok = (
-        abs(cs.ratio - 12.35) <= 0.05
-        and abs(cs.transit_time - 6.67e-13) <= 0.005 * 6.67e-13
-        and 9.0 <= rb.ratio <= 9.5
-        and abs(rb.transit_time - 1.67e-12) <= 0.005 * 1.67e-12
+        abs(cs.detuning_over_coupling - 12.35) <= 0.05
+        and abs(cs.transit_time_s - 6.67e-13) <= 0.005 * 6.67e-13
+        and 9.0 <= rb.detuning_over_coupling <= 9.5
+        and abs(rb.transit_time_s - 1.67e-12) <= 0.005 * 1.67e-12
         and cs.dispersive_ok
         and rb.dispersive_ok
     )
-    detail = f"cs ratio {cs.ratio:.3f}, rb ratio {rb.ratio:.3f}"
+    detail = f"cs ratio {cs.detuning_over_coupling:.3f}, rb ratio {rb.detuning_over_coupling:.3f}"
     return CheckResult("feasibility presets", ok, None, detail)
 
 

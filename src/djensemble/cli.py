@@ -20,13 +20,7 @@ from . import __version__
 from .checks import run_all_checks
 from .ensemble import EnsembleConfig
 from .manybody import NAIVE_ATOM_LIMIT, full_simulate_naive
-from .params import (
-    PRESETS,
-    MediumSpec,
-    check_medium_value,
-    ensemble_config_from_report,
-    required_detuning,
-)
+from .params import PRESETS, MediumSpec, ensemble_config_from_report, required_detuning
 from .polarization import clicks_for_pattern
 from .protocol import (
     MODES,
@@ -49,11 +43,6 @@ EXIT_USAGE = 2
 # Largest --shots accepted. Sampling takes about 10 ms per 10^6 shots on one
 # core, so this is about 1 s per function and 10 s for --function all.
 MAX_SHOTS = 10**8
-
-# Medium file keys and the MediumSpec fields they set; without relaxation_s,
-# MediumSpec's default relaxation time holds.
-_MEDIUM_KEYS = {"length_m": "length", "n_atoms": "n_atoms", "coupling_rad_s": "coupling",
-                "relaxation_s": "relaxation_time"}
 
 
 def _default_config() -> EnsembleConfig:
@@ -221,23 +210,19 @@ def _load_medium(token: str) -> MediumSpec:
         raise ValueError(f"medium file {token!r} is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"medium file {token!r} must be a JSON object")
-    fields = {}
-    for key, name in _MEDIUM_KEYS.items():
-        if key == "relaxation_s" and key not in data:
+    values = {}
+    for f in dataclasses.fields(MediumSpec):
+        if f.name not in data and f.default is not dataclasses.MISSING:
             continue
-        value = data.get(key)
+        value = data.get(f.name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            found = f"got {value!r}" if key in data else "it is missing"
-            raise ValueError(f"medium file {token!r}: {key!r} must be a number, {found}")
-        fields[name] = value
+            found = f"got {value!r}" if f.name in data else "it is missing"
+            raise ValueError(f"medium file {token!r}: {f.name!r} must be a number, {found}")
+        if f.type == "int" and isinstance(value, float) and value.is_integer():
+            value = int(value)  # JSON writes 1e5 as a float
+        values[f.name] = value
     try:
-        for key, name in _MEDIUM_KEYS.items():
-            if name in fields:
-                check_medium_value(key, fields[name])  # names the file's key, not the field
-        n_atoms = fields.pop("n_atoms")
-        if isinstance(n_atoms, float) and n_atoms.is_integer():
-            n_atoms = int(n_atoms)  # JSON writes 1e5 as a float
-        return MediumSpec(n_atoms=n_atoms, **{name: float(v) for name, v in fields.items()})
+        return MediumSpec(**values)
     except ValueError as exc:
         raise ValueError(f"malformed medium spec {token!r}: {exc}") from exc
 
@@ -250,17 +235,12 @@ def _cmd_params(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     report = _report_skeleton("params", {"medium": args.medium})
-    report["medium"] = {
-        "length_m": spec.length,
-        "n_atoms": spec.n_atoms,
-        "coupling_rad_s": spec.coupling,
-        "relaxation_s": spec.relaxation_time,
-    }
-    report["feasibility"] = feas.as_dict()
+    report["medium"] = dataclasses.asdict(spec)
+    report["feasibility"] = dataclasses.asdict(feas)
     report["evolution_angle"] = config.theta
-    print(f"transit time T = {feas.transit_time:.4g} s")
-    print(f"required detuning = {feas.detuning:.4g} rad/s ({feas.detuning / (2 * math.pi):.4g} Hz cyclic)")
-    print(f"detuning / coupling = {feas.ratio:.4g} (dispersive_ok={feas.dispersive_ok})")
+    print(f"transit time T = {feas.transit_time_s:.4g} s")
+    print(f"required detuning = {feas.detuning_rad_s:.4g} rad/s ({feas.detuning_cyclic_hz:.4g} Hz cyclic)")
+    print(f"detuning / coupling = {feas.detuning_over_coupling:.4g} (dispersive_ok={feas.dispersive_ok})")
     print(f"relaxation margin = {feas.decoherence_margin:.4g} (decoherence_ok={feas.decoherence_ok})")
     if args.out:
         _emit(report, args.out)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import LIN_TO_CIRC
-from .qstate import Operator, SpaceLabel, StateVector, expm_hermitian, finite_real
+from .qstate import Operator, SpaceLabel, StateVector, check_integer, expm_hermitian, finite_real
 
 ATOM = SpaceLabel((("atom", 2),))
 PROTOCOL_SPACE = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
@@ -53,6 +53,7 @@ class EnsembleConfig:
     interaction_time: float
 
     def __post_init__(self):
+        check_integer("n_atoms", self.n_atoms)
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be positive")
         if not all(finite_real(v) and v > 0 for v in (self.coupling, self.detuning)):

@@ -7,11 +7,11 @@ cyclic value detuning/2pi for convenience.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .ensemble import EnsembleConfig
+from .qstate import check_integer
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 # detuning/coupling at or above which the second-order (dispersive)
@@ -24,22 +24,28 @@ DECOHERENCE_THRESHOLD = 1e3
 
 @dataclass(frozen=True)
 class MediumSpec:
-    """Geometry and coupling of one atomic medium."""
+    """Geometry and coupling of one atomic medium; the fields are a medium file's keys.
 
-    length: float  # photon path through the medium, m
+    Each field's ``type`` is its annotation as a string ("float" or "int",
+    the annotations being postponed), which the checks here and the medium
+    file reader in ``cli`` go by.
+    """
+
+    length_m: float  # photon path through the medium
     n_atoms: int
-    coupling: float  # rad/s
-    relaxation_time: float = 1e-6  # s, ground-state coherence timescale
+    coupling_rad_s: float
+    relaxation_s: float = 1e-6  # ground-state coherence timescale
 
     def __post_init__(self):
-        if isinstance(self.n_atoms, bool) or not isinstance(self.n_atoms, numbers.Integral):
-            raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
-        for name in ("length", "n_atoms", "coupling", "relaxation_time"):
-            check_medium_value(name, getattr(self, name))
+        for f in fields(self):
+            value = check_medium_value(f.name, getattr(self, f.name))
+            if f.type == "float":
+                object.__setattr__(self, f.name, value)
+        check_integer("n_atoms", self.n_atoms)
 
 
-def check_medium_value(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a finite positive float."""
+def check_medium_value(name: str, value) -> float:
+    """``value`` as a float; raise ValueError naming ``name`` unless it is finite and positive."""
     try:
         x = float(value)
     except OverflowError:  # an int past the float range
@@ -48,38 +54,27 @@ def check_medium_value(name: str, value) -> None:
         x = -math.inf
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"{name} must be finite and positive, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    transit_time: float
-    lambda_value: float
-    detuning: float
-    ratio: float
+    """Feasibility numbers of one medium; the fields are the report's keys, in report order."""
+
+    transit_time_s: float
+    lambda_rad_s: float
+    detuning_rad_s: float
+    detuning_cyclic_hz: float
+    detuning_over_coupling: float
     decoherence_margin: float
     dispersive_ok: bool
     decoherence_ok: bool
-    notes: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "transit_time_s": self.transit_time,
-            "lambda_rad_s": self.lambda_value,
-            "detuning_rad_s": self.detuning,
-            "detuning_cyclic_hz": self.detuning / (2.0 * math.pi),
-            "detuning_over_coupling": self.ratio,
-            "decoherence_margin": self.decoherence_margin,
-            "dispersive_ok": self.dispersive_ok,
-            "decoherence_ok": self.decoherence_ok,
-            "notes": list(self.notes),
-        }
+    notes: tuple[str, ...]
 
 
-def transit_time(length: float) -> float:
+def transit_time(length_m: float) -> float:
     """Photon transit time through a medium of the given length."""
-    if length <= 0:
-        raise ValueError("length must be positive")
-    return length / SPEED_OF_LIGHT
+    return check_medium_value("length_m", length_m) / SPEED_OF_LIGHT
 
 
 def required_detuning(spec: MediumSpec) -> FeasibilityReport:
@@ -89,12 +84,12 @@ def required_detuning(spec: MediumSpec) -> FeasibilityReport:
     the detuning is 2 g^2 N T / pi for transit time T.
     """
     out_of_range = "medium parameters put the detuning or a derived quantity out of floating-point range"
-    t = transit_time(spec.length)
+    t = transit_time(spec.length_m)
     try:
-        detuning = 2.0 * spec.coupling**2 * spec.n_atoms * t / math.pi
-        lam = spec.coupling**2 / detuning
-        ratio = detuning / spec.coupling
-        margin = spec.relaxation_time / t
+        detuning = 2.0 * spec.coupling_rad_s**2 * spec.n_atoms * t / math.pi
+        lam = spec.coupling_rad_s**2 / detuning
+        ratio = detuning / spec.coupling_rad_s
+        margin = spec.relaxation_s / t
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(out_of_range) from exc
     if not all(math.isfinite(v) and v > 0 for v in (t, detuning, lam, ratio, margin)):
@@ -111,10 +106,11 @@ def required_detuning(spec: MediumSpec) -> FeasibilityReport:
             f"relaxation margin {margin:.3g} is below threshold {DECOHERENCE_THRESHOLD:g}"
         )
     return FeasibilityReport(
-        transit_time=t,
-        lambda_value=lam,
-        detuning=detuning,
-        ratio=ratio,
+        transit_time_s=t,
+        lambda_rad_s=lam,
+        detuning_rad_s=detuning,
+        detuning_cyclic_hz=detuning / (2.0 * math.pi),
+        detuning_over_coupling=ratio,
         decoherence_margin=margin,
         dispersive_ok=dispersive_ok,
         decoherence_ok=decoherence_ok,
@@ -126,15 +122,15 @@ def ensemble_config_from_report(spec: MediumSpec, report: FeasibilityReport) -> 
     """Round-trip a feasibility report into a dynamics configuration."""
     return EnsembleConfig(
         n_atoms=spec.n_atoms,
-        coupling=spec.coupling,
-        detuning=report.detuning,
-        interaction_time=report.transit_time,
+        coupling=spec.coupling_rad_s,
+        detuning=report.detuning_rad_s,
+        interaction_time=report.transit_time_s,
     )
 
 
 # Quoted media: a room-temperature cesium vapor cell and a rubidium
 # magneto-optical trap.
 PRESETS = {
-    "cs-cell": MediumSpec(length=200e-6, n_atoms=100_000, coupling=2.91e8),
-    "rb-mot": MediumSpec(length=0.5e-3, n_atoms=2_500_000, coupling=3.53e6),
+    "cs-cell": MediumSpec(length_m=200e-6, n_atoms=100_000, coupling_rad_s=2.91e8),
+    "rb-mot": MediumSpec(length_m=0.5e-3, n_atoms=2_500_000, coupling_rad_s=3.53e6),
 }

@@ -35,7 +35,7 @@ from .ensemble import (
 )
 from .manybody import AtomRotation, EnsembleEvolution, PhotonRotation
 from .polarization import composite_h, embed_single, hadamard_variant
-from .qstate import StateVector, basis_state, born_distribution
+from .qstate import StateVector, basis_state, born_distribution, check_integer
 
 MODES = ("exact", "paper")
 
@@ -102,6 +102,7 @@ class BooleanFunction:
     id: str | None = field(init=False)
 
     def __post_init__(self):
+        check_integer("n_bits", self.n_bits)
         table = tuple(int(b) for b in self.table)
         object.__setattr__(self, "table", table)
         if self.n_bits < 1:

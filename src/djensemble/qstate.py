@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -73,6 +74,12 @@ def finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_finite(arr: np.ndarray, what: str = "amplitudes") -> None:

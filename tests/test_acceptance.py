@@ -109,17 +109,17 @@ def test_05_feasibility_numbers():
     cs = required_detuning(PRESETS["cs-cell"])
     rb = required_detuning(PRESETS["rb-mot"])
     ok = (
-        abs(cs.ratio - 12.35) <= 0.05
-        and abs(cs.transit_time - 6.67e-13) <= 0.005 * 6.67e-13
-        and 9.0 <= rb.ratio <= 9.5
-        and abs(rb.transit_time - 1.67e-12) <= 0.005 * 1.67e-12
+        abs(cs.detuning_over_coupling - 12.35) <= 0.05
+        and abs(cs.transit_time_s - 6.67e-13) <= 0.005 * 6.67e-13
+        and 9.0 <= rb.detuning_over_coupling <= 9.5
+        and abs(rb.transit_time_s - 1.67e-12) <= 0.005 * 1.67e-12
     )
     report(
         5,
         "feasibility presets",
         ok,
-        f"cs ratio {cs.ratio:.4f}, cs T {cs.transit_time:.4g} s, "
-        f"rb ratio {rb.ratio:.4f}, rb T {rb.transit_time:.4g} s",
+        f"cs ratio {cs.detuning_over_coupling:.4f}, cs T {cs.transit_time_s:.4g} s, "
+        f"rb ratio {rb.detuning_over_coupling:.4f}, rb T {rb.transit_time_s:.4g} s",
     )
 
 

@@ -227,6 +227,15 @@ class TestReportLayout:
             report = read_report(out)
             assert list(report) == envelope
             assert list(report["results"][0]) == entry_keys
+        out = tmp_path / "params.json"
+        assert main(["params", "--medium", "cs-cell", "--out", str(out)]) == 0
+        report = read_report(out)
+        assert list(report) == envelope[:4] + ["medium", "feasibility", "evolution_angle"]
+        assert list(report["medium"]) == ["length_m", "n_atoms", "coupling_rad_s", "relaxation_s"]
+        assert list(report["feasibility"]) == [
+            "transit_time_s", "lambda_rad_s", "detuning_rad_s", "detuning_cyclic_hz",
+            "detuning_over_coupling", "decoherence_margin", "dispersive_ok", "decoherence_ok", "notes",
+        ]
 
 
 class TestParamsCommand:
@@ -251,6 +260,15 @@ class TestParamsCommand:
         out = tmp_path / "params.json"
         assert main(["params", "--medium", str(spec), "--out", str(out)]) == 0
         assert abs(read_report(out)["feasibility"]["detuning_over_coupling"] - 12.35) <= 0.05
+
+    def test_integer_values_are_reported_as_floats(self, tmp_path):
+        spec = tmp_path / "medium.json"
+        spec.write_text('{"length_m": 1, "n_atoms": 100000, "coupling_rad_s": 291000000, "relaxation_s": 1}')
+        out = tmp_path / "params.json"
+        assert main(["params", "--medium", str(spec), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"length_m": 1.0,' in text and '"coupling_rad_s": 291000000.0,' in text
+        assert '"n_atoms": 100000,' in text and '"relaxation_s": 1.0\n' in text
 
     def test_zero_length_spec_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "medium.json"

@@ -99,6 +99,15 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError, match=re.escape(f"coupling={coupling!r}") + ".*floating-point range"):
             EnsembleConfig(n_atoms=n_atoms, coupling=coupling, detuning=1.0, interaction_time=time)
 
+    @pytest.mark.parametrize("n_atoms", [2.5, 10.0, True, "10"])
+    def test_non_integer_atom_count_rejected(self, n_atoms):
+        with pytest.raises(ValueError, match=re.escape(f"n_atoms must be an integer, got {n_atoms!r}")):
+            EnsembleConfig(n_atoms=n_atoms, coupling=1.0, detuning=1.0, interaction_time=1.0)
+
+    def test_numpy_integer_atom_count_accepted(self):
+        config = EnsembleConfig(n_atoms=np.int64(10), coupling=1.0, detuning=10.0, interaction_time=1.0)
+        assert config.theta == pytest.approx(1.0, rel=1e-15)
+
     def test_negative_interaction_time_allowed(self):
         assert EnsembleConfig.from_theta(-1.0).theta == pytest.approx(-1.0, rel=1e-15)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,17 +27,22 @@ class TestTransitTime:
         with pytest.raises(ValueError):
             transit_time(0.0)
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf, 0, -1])
+    def test_non_finite_or_non_positive_length_is_named(self, length):
+        with pytest.raises(ValueError, match=f"^length_m must be finite and positive, got {float(length)!r}$"):
+            transit_time(length)
+
 
 class TestRequiredDetuning:
     def test_cesium_preset_numbers(self):
         report = required_detuning(PRESETS["cs-cell"])
-        assert report.ratio == pytest.approx(12.35, abs=0.05)
-        assert report.detuning == pytest.approx(3.59e9, rel=0.01)
+        assert report.detuning_over_coupling == pytest.approx(12.35, abs=0.05)
+        assert report.detuning_rad_s == pytest.approx(3.59e9, rel=0.01)
         assert report.dispersive_ok
 
     def test_rubidium_preset_numbers(self):
         report = required_detuning(PRESETS["rb-mot"])
-        assert 9.0 <= report.ratio <= 9.5
+        assert 9.0 <= report.detuning_over_coupling <= 9.5
         assert report.dispersive_ok
 
     def test_cesium_decoherence_margin(self):
@@ -51,7 +57,7 @@ class TestRequiredDetuning:
         for s in rng.uniform(0.5, 3.0, size=10):
             scaled = MediumSpec(1e-4, 1000, s * 1e6)
             report = required_detuning(scaled)
-            assert report.detuning == pytest.approx(s**2 * base_report.detuning, rel=1e-12)
+            assert report.detuning_rad_s == pytest.approx(s**2 * base_report.detuning_rad_s, rel=1e-12)
 
     def test_marginal_media_are_flagged(self):
         # tiny ensemble: detuning collapses below the dispersive threshold
@@ -60,8 +66,13 @@ class TestRequiredDetuning:
         assert report.notes
 
     def test_report_serializes(self):
-        payload = required_detuning(PRESETS["cs-cell"]).as_dict()
+        payload = dataclasses.asdict(required_detuning(PRESETS["cs-cell"]))
         assert payload["detuning_cyclic_hz"] == pytest.approx(payload["detuning_rad_s"] / (2 * math.pi))
+
+    def test_real_fields_are_stored_as_floats(self):
+        spec = MediumSpec(length_m=1, n_atoms=10, coupling_rad_s=2, relaxation_s=3)
+        assert [type(v) for v in dataclasses.astuple(spec)] == [float, int, float, float]
+        assert dataclasses.astuple(spec) == (1.0, 10, 2.0, 3.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -71,7 +82,7 @@ class TestRequiredDetuning:
         with pytest.raises(ValueError, match="finite"):
             MediumSpec(math.nan, 10, 1e6)
         with pytest.raises(ValueError, match="finite"):
-            MediumSpec(1e-4, 10, 1e6, relaxation_time=math.inf)
+            MediumSpec(1e-4, 10, 1e6, relaxation_s=math.inf)
         with pytest.raises(ValueError, match="integer"):
             MediumSpec(1e-4, 1.7, 1e6)
         with pytest.raises(ValueError, match="integer"):
@@ -82,7 +93,7 @@ class TestRequiredDetuning:
         with pytest.raises(ValueError, match="^n_atoms must be finite and positive, got -inf$"):
             MediumSpec(1e-4, -(10**400), 1e6)
         # each bad field is named
-        with pytest.raises(ValueError, match="^coupling must be finite and positive, got inf$"):
+        with pytest.raises(ValueError, match="^coupling_rad_s must be finite and positive, got inf$"):
             MediumSpec(1e-4, 10, math.inf)
         with pytest.raises(ValueError, match="floating-point range"):
             required_detuning(MediumSpec(1e-4, 10, 1e200))
@@ -97,4 +108,4 @@ class TestRoundTrip:
         report = required_detuning(spec)
         config = ensemble_config_from_report(spec, report)
         assert config.theta == pytest.approx(math.pi / 2, rel=1e-12)
-        assert config.lambda_value == pytest.approx(report.lambda_value, rel=1e-12)
+        assert config.lambda_value == pytest.approx(report.lambda_rad_s, rel=1e-12)

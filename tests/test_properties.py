@@ -154,7 +154,8 @@ def replays(op):
 
 def feasibility_values(spec):
     report = required_detuning(spec)
-    return [report.transit_time, report.lambda_value, report.detuning, report.ratio, report.decoherence_margin]
+    return [report.transit_time_s, report.lambda_rad_s, report.detuning_rad_s, report.detuning_over_coupling,
+            report.decoherence_margin]
 
 
 # Each constructor with an (ordinary, edge) pair of strategies per argument

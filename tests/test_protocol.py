@@ -78,6 +78,11 @@ class TestBooleanFunction:
         with pytest.raises(TypeError):
             BooleanFunction(2, (0, 0, 0, 0), id="f2")
 
+    @pytest.mark.parametrize("n_bits", [2.0, True, "2"])
+    def test_non_integer_bit_count_rejected(self, n_bits):
+        with pytest.raises(ValueError, match=f"^n_bits must be an integer, got {n_bits!r}$"):
+            BooleanFunction(n_bits, (0, 0, 1, 1))
+
     def test_table_length_checked(self):
         with pytest.raises(ValueError, match="entries"):
             BooleanFunction(2, (0, 1))
