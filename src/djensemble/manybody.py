@@ -24,7 +24,7 @@ import numpy as np
 
 from .ensemble import ATOM, P_MINUS, P_PLUS, _photon_pair_sum, collective_extreme
 from .polarization import LIN_TO_CIRC, PHOTON
-from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, finite_real
+from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, check_integer, finite_real
 
 NAIVE_ATOM_LIMIT = 12
 # The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
@@ -190,8 +190,9 @@ def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np
 
     Index m counts atoms in the primed level. The single-atom vector is taken
     at unit norm, (alpha, beta) / s with s = sqrt(|alpha|^2 + |beta|^2), the
-    rule ``_DickeRun.atom_rotation`` applies after every rotation, so the
-    squared magnitudes are exactly the binomial weights b(m; N, |beta/s|^2).
+    rule ``full_simulate_dicke`` applies after every rotation of a product
+    state, so the squared magnitudes are exactly the binomial weights
+    b(m; N, |beta/s|^2).
     Returns ``(start, band)``: the amplitudes of m = start, start + 1, ...;
     every entry outside the band underflows and is exactly zero. The band is
     about 110 sqrt(N p q) entries about the mode N p, with p = |beta/s|^2 and
@@ -363,6 +364,7 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
     back: O(2^N) work in three passes.
     """
     single = _check_atom_init(atom_init)
+    check_integer("n_atoms", n_atoms)
     if n_atoms > NAIVE_ATOM_LIMIT:
         raise ValueError(f"naive simulator is capped at {NAIVE_ATOM_LIMIT} atoms")
     if n_atoms < 1:
@@ -430,70 +432,16 @@ def _medium_phase(rows: np.ndarray, theta: float, n_atoms: int, m: np.ndarray) -
     np.matmul(circ, np.exp(-1j * theta) * _B2.conj(), out=rows)
 
 
-class _DickeRun:
-    """Hybrid state: coherent product form while possible, else a full array.
+def _coherent_rows(atom: np.ndarray, photons: np.ndarray, n_atoms: int) -> np.ndarray:
+    """The (N+1) x 4 rows of the product state atom^(x)N (x) photons.
 
-    The product form keeps a single-atom vector and a photon 4-vector and
-    costs O(1) per rotation; the medium evolution on a non-extreme atom state
-    entangles excitation number with the photons and forces the general
-    (N+1) x 4 form, where it is a diagonal phase profile in the circular
-    photon basis.
+    Only the coherent band is written: the zero pages of the rest are never
+    touched, so they never become resident.
     """
-
-    def __init__(self, n_atoms: int, atom_vec: np.ndarray):
-        self.n = n_atoms
-        self.general: np.ndarray | None = None
-        self.atom_vec: np.ndarray | None = np.array(atom_vec, dtype=complex)
-        self.photon_vec: np.ndarray | None = _PHOTONS_HH.copy()
-
-    def _materialize(self) -> None:
-        if self.general is None:
-            start, band = coherent_dicke_amplitudes(self.atom_vec, self.n)
-            # write only the band: the zero pages of the rest are never
-            # touched, so they never become resident
-            self.general = np.zeros((self.n + 1, 4), dtype=complex)
-            self.general[start : start + len(band)] = np.outer(band, self.photon_vec)
-            self.atom_vec = None
-            self.photon_vec = None
-
-    def atom_rotation(self, u: np.ndarray) -> None:
-        if self.general is None:
-            vec = u @ self.atom_vec
-            # one ulp of magnitude drift here becomes N ulps after the N-fold
-            # product, so keep the single-atom vector exactly unit length
-            self.atom_vec = vec / np.linalg.norm(vec)
-        else:
-            self.general = symmetric_rotation(u, self.n, self.general)
-
-    def photon_rotation(self, full: np.ndarray) -> None:
-        if self.general is None:
-            self.photon_vec = full @ self.photon_vec
-        else:
-            self.general = self.general @ full.T
-
-    def ensemble_evolution(self, theta: float) -> None:
-        if self.general is None:
-            # phasing the empty level's residual r (|r| <= 1e-12) as absent errs by ~2|theta r|/sqrt(N)
-            extreme = collective_extreme(self.atom_vec)
-            if extreme is not None:
-                _medium_phase(self.photon_vec.reshape(1, 4), theta, self.n, np.array([extreme * self.n]))
-                return
-            self._materialize()
-        # one block of rows at a time, so no temporary grows with N
-        for lo in range(0, self.n + 1, _ROW_BLOCK):
-            rows = self.general[lo : lo + _ROW_BLOCK]
-            _medium_phase(rows, theta, self.n, np.arange(lo, lo + len(rows)))
-
-    def to_state(self) -> StateVector:
-        """Hand the array over to the state; the run keeps no reference to it.
-
-        Frozen and owned by nothing else, it passes into StateVector without a
-        copy. Not renormalized: StateVector rejects any drift of the squared norm.
-        """
-        self._materialize()
-        general, self.general = self.general, None
-        general.setflags(write=False)
-        return StateVector(dicke_space(self.n), general)
+    start, band = coherent_dicke_amplitudes(atom, n_atoms)
+    rows = np.zeros((n_atoms + 1, 4), dtype=complex)
+    rows[start : start + len(band)] = np.outer(band, photons)
+    return rows
 
 
 def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
@@ -505,26 +453,51 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     after every rotation, and the Dicke amplitudes are taken from it at unit
     norm, so the state's squared norm drifts by rounding only, at any N.
 
-    Cost: rotations and medium steps on a product state with the atoms at an
-    extreme are O(1). The first medium step off the extremes, or the end of
-    the run, writes the (N+1) x 4 array, of which only the O(sqrt(N))
-    coherent band is computed. After that a medium step is O(N) in place
-    and an atom rotation is a symmetric rotation applied to the (N+1) x 4
-    array (N <= 1024): two real O(N^2) products with the sigma_x
-    eigenbasis, whose O(N^3) eigendecomposition is paid once per N. The
-    returned state takes the final array without copying it.
+    The state is photon-pair rows indexed by excitation number m. A product
+    state is one row plus the single-atom vector, and its rotations and its
+    medium steps with the atoms at an extreme are O(1). The first medium
+    step off the extremes, or the end of the run, writes the (N+1) x 4 rows,
+    of which only the O(sqrt(N)) coherent band is computed. After that a
+    medium step is O(N) in place and an atom rotation is a symmetric
+    rotation of the rows (N <= 1024): two real O(N^2) products with the
+    sigma_x eigenbasis, whose O(N^3) eigendecomposition is paid once per N.
+    The returned state takes the final rows without copying them.
     """
-    single = _check_atom_init(atom_init)
+    atom = _check_atom_init(atom_init)
+    check_integer("n_atoms", n_atoms)
     if n_atoms < 1:
         raise ValueError("need at least one atom")
-    run = _DickeRun(n_atoms, single)
+    # ``atom`` is None once the rows hold every excitation number
+    rows = _PHOTONS_HH.reshape(1, 4).copy()
     for op in ops:
         if isinstance(op, AtomRotation):
-            run.atom_rotation(op.matrix)
+            if atom is None:
+                rows = symmetric_rotation(op.matrix, n_atoms, rows)
+            else:
+                vec = op.matrix @ atom
+                # one ulp of magnitude drift here becomes N ulps after the N-fold
+                # product, so keep the single-atom vector exactly unit length
+                atom = vec / np.linalg.norm(vec)
         elif isinstance(op, PhotonRotation):
-            run.photon_rotation(op.on_pair())
+            rows = rows @ op.on_pair().T
         elif isinstance(op, EnsembleEvolution):
-            run.ensemble_evolution(op.theta)
+            first = 0  # the m of row 0
+            if atom is not None:
+                # phasing the empty level's residual r (|r| <= 1e-12) as absent errs by ~2|theta r|/sqrt(N)
+                extreme = collective_extreme(atom)
+                if extreme is None:
+                    rows, atom = _coherent_rows(atom, rows, n_atoms), None
+                else:
+                    first = extreme * n_atoms
+            # one block of rows at a time, so no temporary grows with N
+            for lo in range(0, len(rows), _ROW_BLOCK):
+                block = rows[lo : lo + _ROW_BLOCK]
+                _medium_phase(block, op.theta, n_atoms, np.arange(first + lo, first + lo + len(block)))
         else:
             raise TypeError(f"unknown operation {op!r}")
-    return run.to_state()
+    if atom is not None:
+        rows = _coherent_rows(atom, rows, n_atoms)
+    # Frozen and owned by nothing else, the rows pass into StateVector without
+    # a copy. Not renormalized: StateVector rejects any drift of the squared norm.
+    rows.setflags(write=False)
+    return StateVector(dicke_space(n_atoms), rows)

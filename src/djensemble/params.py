@@ -7,6 +7,7 @@ cyclic value detuning/2pi for convenience.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 
@@ -45,7 +46,9 @@ class MediumSpec:
 
 
 def check_medium_value(name: str, value) -> float:
-    """``value`` as a float; raise ValueError naming ``name`` unless it is finite and positive."""
+    """``value`` as a float; raise ValueError naming ``name`` unless it is a finite, positive real."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:  # an int past the float range
@@ -74,7 +77,10 @@ class FeasibilityReport:
 
 def transit_time(length_m: float) -> float:
     """Photon transit time through a medium of the given length."""
-    return check_medium_value("length_m", length_m) / SPEED_OF_LIGHT
+    t = check_medium_value("length_m", length_m) / SPEED_OF_LIGHT
+    if t == 0.0:
+        raise ValueError(f"length_m {length_m!r} is so small that the transit time underflows to 0")
+    return t
 
 
 def required_detuning(spec: MediumSpec) -> FeasibilityReport:

@@ -69,7 +69,9 @@ def _frozen_complex(values) -> np.ndarray:
 
 
 def finite_real(value) -> bool:
-    """Whether ``value`` is a finite real; NaN, +-inf and an int past the float range are not."""
+    """Whether ``value`` is a finite real number; NaN, +-inf and an int past the float range are not."""
+    if not isinstance(value, numbers.Real):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:

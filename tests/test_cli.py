@@ -344,6 +344,14 @@ class TestParamsCommand:
         assert main(["params", "--medium", str(spec)]) == 2
         assert capsys.readouterr().err == f"error: malformed medium spec {str(spec)!r}: {message}\n"
 
+    def test_underflowing_transit_time_is_named(self, tmp_path, capsys):
+        spec = tmp_path / "medium.json"
+        spec.write_text('{"length_m": 5e-324, "n_atoms": 100000, "coupling_rad_s": 2.91e8}')
+        assert main(["params", "--medium", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "error: length_m 5e-324 is so small that the transit time underflows to 0\n"
+        )
+
     def test_directory_medium_exits_2(self, tmp_path, capsys):
         assert main(["params", "--medium", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -104,6 +104,13 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError, match=re.escape(f"n_atoms must be an integer, got {n_atoms!r}")):
             EnsembleConfig(n_atoms=n_atoms, coupling=1.0, detuning=1.0, interaction_time=1.0)
 
+    @pytest.mark.parametrize("field", ["coupling", "detuning", "interaction_time"])
+    @pytest.mark.parametrize("value", [None, "1.0", 1.0 + 0j], ids=["none", "string", "complex"])
+    def test_non_number_rejected(self, field, value):
+        values = {"n_atoms": 10, "coupling": 1.0, "detuning": 10.0, "interaction_time": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleConfig(**values)
+
     def test_numpy_integer_atom_count_accepted(self):
         config = EnsembleConfig(n_atoms=np.int64(10), coupling=1.0, detuning=10.0, interaction_time=1.0)
         assert config.theta == pytest.approx(1.0, rel=1e-15)
@@ -139,6 +146,12 @@ class TestMicrowaveRotation:
             )
             np.testing.assert_allclose(built, expected, atol=1e-12)
             np.testing.assert_allclose(built.conj().T @ built, np.eye(2), atol=1e-12)
+
+
+    @pytest.mark.parametrize("area,phase", [(None, 0.0), (1.0, "0"), (1j, 0.0)], ids=["none", "string", "complex"])
+    def test_non_number_pulse_rejected(self, area, phase):
+        with pytest.raises(ValueError, match="pulse parameters must be finite"):
+            MicrowavePulse(area, phase)
 
 
 class TestEffectiveHamiltonian:

@@ -243,6 +243,12 @@ def test_non_finite_medium_angle_rejected(theta):
         EnsembleEvolution(theta)
 
 
+@pytest.mark.parametrize("theta", [None, "0.3", 0.3 + 0j], ids=["none", "string", "complex"])
+def test_non_number_medium_angle_rejected(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        EnsembleEvolution(theta)
+
+
 @pytest.mark.parametrize(
     "build", [AtomRotation, lambda m: PhotonRotation(1, m)], ids=["AtomRotation", "PhotonRotation"]
 )
@@ -314,6 +320,19 @@ class TestAtomState:
         # both simulators check the start vector before any work
         with pytest.raises(ValueError, match=message):
             simulate(2, atom_init, [])
+
+    @pytest.mark.parametrize("simulate", [full_simulate_naive, full_simulate_dicke])
+    @pytest.mark.parametrize("n_atoms", [True, 2.5, 3.0, "3"])
+    def test_non_integer_atom_count_rejected(self, simulate, n_atoms):
+        with pytest.raises(ValueError, match=f"^n_atoms must be an integer, got {n_atoms!r}$"):
+            simulate(n_atoms, (0.0, 1.0), [])
+
+    @pytest.mark.parametrize("simulate", [full_simulate_naive, full_simulate_dicke])
+    def test_numpy_integer_atom_count_accepted(self, simulate):
+        ops = [AtomRotation(H1), EnsembleEvolution(0.3), PhotonRotation(2, H1)]
+        np.testing.assert_array_equal(
+            simulate(np.int64(3), (0.0, 1.0), ops).amplitudes, simulate(3, (0.0, 1.0), ops).amplitudes
+        )
 
     def test_apply_per_atom_prepares_plain_extreme(self):
         # H1 on every atom takes (|g> - |g'>)/sqrt2 to the plain extreme
@@ -513,6 +532,40 @@ class TestDickeSimulator:
         # both bands are a few rows at m = 0; every row past them is exactly 0
         assert np.max(np.abs(shortcut[:64] - general[:64])) <= 1e-10
         assert not shortcut[64:].any() and not general[64:].any()
+
+    @pytest.mark.parametrize(
+        "n,ops",
+        [
+            (10**6, exact_operation_sequence(table1_function("f3"), EnsembleConfig.from_theta(math.pi / 2))),
+            (6, [AtomRotation(H1), EnsembleEvolution(0.7), PhotonRotation(1, H1), EnsembleEvolution(0.7)]),
+        ],
+        ids=["f3-at-a-million-atoms", "off-extreme-at-six-atoms"],
+    )
+    def test_coherent_rows_are_written_once(self, monkeypatch, n, ops):
+        # the product state is written out at its first off-extreme medium
+        # step or at the end of the run, never both
+        calls = []
+        amplitudes = manybody.coherent_dicke_amplitudes
+        monkeypatch.setattr(
+            manybody, "coherent_dicke_amplitudes", lambda *a: (calls.append(a[1]), amplitudes(*a))[1]
+        )
+        full_simulate_dicke(n, (0.0, 1.0), ops)
+        assert calls == [n]
+
+    @pytest.mark.parametrize("fid", [f.id for f in table1_functions() if f.classification == "balanced"])
+    def test_balanced_functions_phase_one_row_per_medium_step(self, monkeypatch, fid):
+        # with the atoms at an extreme, each medium step phases the product
+        # state's one row, never the (N+1) x 4 rows
+        n = 10**6
+        ops = exact_operation_sequence(table1_function(fid), EnsembleConfig.from_theta(math.pi / 2))
+        phased_rows = []
+        medium_phase = manybody._medium_phase
+        monkeypatch.setattr(
+            manybody, "_medium_phase", lambda rows, *a: (phased_rows.append(len(rows)), medium_phase(rows, *a))
+        )
+        full_simulate_dicke(n, (0.0, 1.0), ops)
+        steps = sum(isinstance(op, EnsembleEvolution) for op in ops)
+        assert steps >= 1 and phased_rows == [1] * steps
 
     def test_off_extreme_medium_step_at_a_million_atoms(self):
         # the coherent amplitudes' norm drift once made this state fail

@@ -32,6 +32,11 @@ class TestTransitTime:
         with pytest.raises(ValueError, match=f"^length_m must be finite and positive, got {float(length)!r}$"):
             transit_time(length)
 
+    def test_underflowing_transit_time_is_named(self):
+        # 5e-324 m over c divides to 0.0, which no transit time may be
+        with pytest.raises(ValueError, match="^length_m 5e-324 .*underflows to 0$"):
+            transit_time(5e-324)
+
 
 class TestRequiredDetuning:
     def test_cesium_preset_numbers(self):
@@ -99,6 +104,17 @@ class TestRequiredDetuning:
             required_detuning(MediumSpec(1e-4, 10, 1e200))
         with pytest.raises(ValueError, match="floating-point range"):
             required_detuning(MediumSpec(1e-4, 10, 1e-200))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("length_m", "2e-4"), ("length_m", None), ("n_atoms", "10"), ("coupling_rad_s", 2.91e8 + 0j),
+         ("relaxation_s", [1e-6])],
+        ids=["string", "none", "string-count", "complex", "list"],
+    )
+    def test_non_number_is_named(self, field, value):
+        values = {"length_m": 2e-4, "n_atoms": 10, "coupling_rad_s": 2.91e8, "relaxation_s": 1e-6, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+            MediumSpec(**values)
 
 
 class TestRoundTrip:
