@@ -82,6 +82,7 @@ def check_polarizer_claim() -> CheckResult:
         _max_dev(report.input_gram, np.eye(4)),
         _max_dev(report.claimed_abs_gram, np.ones((4, 4))),
         _max_dev(report.fidelities, 0.5 * np.ones(4)),
+        _max_dev(report.singular_values, [[2.0, 0.0, 0.0, 0.0]] * 2),
     )
     detected = (not report.consistent) and dev <= 1e-12
     return CheckResult(
@@ -132,23 +133,32 @@ def _random_off_extreme_sequence(rng: np.random.Generator) -> list:
 
 def check_dicke_vs_naive() -> CheckResult:
     config = ensemble.EnsembleConfig.from_theta(math.pi / 2)
+    primed = (0.0, 1.0)
     cases = []
     for fid in ("f1", "f2", "f3", "f7"):
         ops = protocol.exact_operation_sequence(protocol.table1_function(fid), config)
-        cases += [(n, ops) for n in (1, 3, 6)]
+        cases += [(n, primed, ops) for n in (1, 3, 6)]
     rng = np.random.default_rng(2011)
-    cases += [(n, _random_off_extreme_sequence(rng)) for n in (2, 4, 6, 2, 4, 6, 2, 4)]
+    cases += [(n, primed, _random_off_extreme_sequence(rng)) for n in (2, 4, 6, 2, 4, 6, 2, 4)]
+    # every catalog medium step finds the atoms at the plain-ground extreme and
+    # the random sequences leave the extremes first, so these start a medium
+    # step from a product state at each extreme
+    h1 = polarization.hadamard_variant(1).matrix
+    at_extreme = [manybody.PhotonRotation(1, h1), manybody.EnsembleEvolution(math.pi / 2),
+                  manybody.PhotonRotation(1, h1), manybody.PhotonRotation(2, h1)]
+    cases += [(n, atom, at_extreme) for atom in (primed, (1.0, 0.0)) for n in (1, 3, 6)]
     worst = 0.0
-    for n, ops in cases:
-        naive = manybody.full_simulate_naive(n, (0.0, 1.0), ops)
-        dicke = manybody.full_simulate_dicke(n, (0.0, 1.0), ops)
+    for n, atom, ops in cases:
+        naive = manybody.full_simulate_naive(n, atom, ops)
+        dicke = manybody.full_simulate_dicke(n, atom, ops)
         extracted = manybody.dicke_amplitudes_from_naive(naive, n)
         worst = max(worst, _max_dev(extracted.reshape(-1), dicke.amplitudes))
     return CheckResult(
         "symmetric-sector vs unreduced protocol",
         worst <= 1e-10,
         worst,
-        "full protocol replays at N in {1,3,6}, 8 seeded random off-extreme sequences at N in {2,4,6}",
+        "full protocol replays at N in {1,3,6}, 8 seeded random off-extreme sequences at N in {2,4,6}, "
+        "a medium step at each extreme at N in {1,3,6}",
     )
 
 

@@ -6,10 +6,10 @@ Two evolutions of the photon pair through the medium are provided:
   Hamiltonian, computed by exact eigendecomposition.
 * ``u_eff_paper``: the polarizer-style rewrite the protocol's design assumes
   for the same interaction, fixed at the quarter turn theta = pi/2 where the
-  balanced oracle works (``is_quarter_turn``). It maps the four two-photon
-  product rows onto a single circular polarization per photon and therefore
-  cannot be unitary; ``check_phases_claim`` quantifies that conflict instead
-  of hiding it.
+  balanced oracle works (``is_quarter_turn``). It is the linear operator K,
+  rank 1 on each atom branch with singular values (2, 0, 0, 0): it sends the
+  four two-photon product rows to one circular polarization per photon, so it
+  cannot be unitary, and ``check_phases_claim`` quantifies that conflict.
 
 The collective atom register is two-dimensional and is exact only while the
 atoms sit at the all-ground or all-excited-ground extremes, which the
@@ -200,10 +200,24 @@ _ROW_PHASES = np.array([[-1.0, -1.0j, -1.0j, 1.0], [-1.0, 1.0j, 1.0j, 1.0]]) * n
 _PHOTON_PAIRS = np.array(
     [np.kron(t, t) for t in np.array([[-1.0j, 1.0], [-1.0j, -1.0]]) / math.sqrt(2.0)]
 )
+# The rewrite as one linear operator K, block-diagonal over the atom branches:
+# on branch b the rank-1 |out_b><conj(r_b)|, singular values (2, 0, 0, 0); r_b
+# is -2i out_b, so K is symmetric. Built once and read-only.
+_K = np.kron(np.diag([1.0, 0.0]), np.outer(_PHOTON_PAIRS[0], _ROW_PHASES[0])) + np.kron(
+    np.diag([0.0, 1.0]), np.outer(_PHOTON_PAIRS[1], _ROW_PHASES[1])
+)
+_K.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class PaperMapResult:
+    """The state K v / |K v| and, as ``post_selection_probability``, |K v|^2.
+
+    For a unit input v that weight lies in [0, 4]: a squared norm, not a
+    probability, and 1 to rounding on the protocol's inputs.
+    ``linear_extension_used``: v populates more than one product row.
+    """
+
     state: StateVector
     post_selection_probability: float
     linear_extension_used: bool
@@ -211,36 +225,28 @@ class PaperMapResult:
 
 @dataclass(frozen=True)
 class PaperPolarizerMap:
-    """The declared polarizer rewrite of the medium interaction at theta = pi/2.
+    """The declared polarizer rewrite K of the medium interaction at theta = pi/2.
 
-    Defined row by row on the four two-photon product states; superposed
-    inputs are resolved by linear extension, which is not norm-preserving,
-    so the output is renormalized and the retained squared norm is reported
-    as a post-selection probability.
+    K is rank 1 on each atom branch, with singular values (2, 0, 0, 0), so
+    the output is renormalized and the squared norm it retains is reported.
     """
 
     def apply(self, state: StateVector) -> PaperMapResult:
         if state.space != PROTOCOL_SPACE:
             raise ValueError("polarizer map is defined on the atom + two-photon space")
-        branch = collective_extreme(state.amplitudes)
-        if branch is None:
+        if collective_extreme(state.amplitudes) is None:
             raise ValueError(
                 "atom register must be exactly at one collective extreme; "
                 "got weight on both levels"
             )
-        v = state.amplitudes.reshape(2, 4)[branch]
-        coeff = sum(_ROW_PHASES[branch] * v)
-        populated = int(np.sum(np.abs(v) > 1e-12))
-        linear_extension = populated > 1
-        prob = float(abs(coeff) ** 2)
-        if prob < 1e-24:
+        out = _K @ state.amplitudes
+        weight = float(np.vdot(out, out).real)
+        if weight < 1e-24:
             raise ValueError("polarizer rewrite annihilates this input (zero post-selection weight)")
-        out = np.zeros((2, 4), dtype=complex)
-        out[branch] = (coeff / abs(coeff)) * _PHOTON_PAIRS[branch]
         return PaperMapResult(
-            StateVector(PROTOCOL_SPACE, out.reshape(-1)),
-            prob,
-            linear_extension,
+            StateVector(PROTOCOL_SPACE, out / math.sqrt(weight)),
+            weight,
+            np.count_nonzero(np.abs(state.amplitudes) > 1e-12) > 1,
         )
 
 
@@ -251,7 +257,10 @@ def u_eff_paper() -> PaperPolarizerMap:
 
 @dataclass(frozen=True)
 class PhasesClaimReport:
-    """Consistency audit of the declared rewrite against the exact unitary."""
+    """Consistency audit of the declared rewrite against the exact unitary.
+
+    ``singular_values`` are K's on each atom branch, shape (2, 4).
+    """
 
     theta: float
     input_gram: np.ndarray
@@ -259,6 +268,7 @@ class PhasesClaimReport:
     fidelities: np.ndarray
     consistent: bool
     verdict: str
+    singular_values: np.ndarray
 
 
 def check_phases_claim(theta: float) -> PhasesClaimReport:
@@ -270,22 +280,13 @@ def check_phases_claim(theta: float) -> PhasesClaimReport:
     """
     if not is_quarter_turn(theta):
         raise ValueError("the claim audit is defined at theta = pi/2")
-    rows = [(0, 0), (1, 1), (0, 1), (1, 0)]
-    u = u_eff_exact(theta)
-    pmap = u_eff_paper()
-    inputs, claimed, exact = [], [], []
-    for r1, r2 in rows:
-        amps = np.zeros(8, dtype=complex)
-        amps[2 * r1 + r2] = 1.0  # atom at index 0
-        state = StateVector(PROTOCOL_SPACE, amps)
-        inputs.append(state)
-        claimed.append(pmap.apply(state).state)
-        exact.append(u.apply(state))
-    n = len(rows)
-    input_gram = np.array([[inputs[i].overlap(inputs[j]) for j in range(n)] for i in range(n)])
-    claimed_gram = np.array([[claimed[i].overlap(claimed[j]) for j in range(n)] for i in range(n)])
-    fid = np.array([abs(claimed[i].overlap(exact[i])) for i in range(n)])
-    inputs_orthonormal = np.max(np.abs(input_gram - np.eye(n))) <= 1e-12
+    # the rows |00>, |11>, |01>, |10> with the atoms at the plain-ground extreme
+    inputs = np.eye(8)[:, [0, 3, 1, 2]]
+    claimed = _K @ inputs / np.linalg.norm(_K @ inputs, axis=0)
+    input_gram = inputs.T @ inputs
+    claimed_gram = claimed.conj().T @ claimed
+    fid = np.abs(np.sum(claimed.conj() * (u_eff_exact(theta).matrix @ inputs), axis=0))
+    inputs_orthonormal = np.max(np.abs(input_gram - np.eye(4))) <= 1e-12
     outputs_parallel = np.max(np.abs(np.abs(claimed_gram) - 1.0)) <= 1e-12
     consistent = not (inputs_orthonormal and outputs_parallel)
     verdict = (
@@ -293,11 +294,8 @@ def check_phases_claim(theta: float) -> PhasesClaimReport:
         if not consistent
         else "no inconsistency detected"
     )
+    branch_blocks = _K.reshape(2, 4, 2, 4)[[0, 1], :, [0, 1], :]
     return PhasesClaimReport(
-        theta=theta,
-        input_gram=input_gram,
-        claimed_abs_gram=np.abs(claimed_gram),
-        fidelities=fid,
-        consistent=consistent,
-        verdict=verdict,
+        theta=theta, input_gram=input_gram, claimed_abs_gram=np.abs(claimed_gram), fidelities=fid,
+        consistent=consistent, verdict=verdict, singular_values=np.linalg.svd(branch_blocks, compute_uv=False),
     )

@@ -199,6 +199,9 @@ def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np
     q = 1 - p, each in Loader's saddle-point form to a few ulps, so the
     squared norm is 1 to rounding at any N. The cost is O(sqrt(N p q)).
     """
+    check_integer("n_atoms", n_atoms)
+    if n_atoms < 1:
+        raise ValueError("need at least one atom")
     alpha, beta = complex(single[0]), complex(single[1])
     scale = math.hypot(abs(alpha), abs(beta))
     if scale == 0.0:

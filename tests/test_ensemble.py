@@ -24,6 +24,7 @@ from djensemble.ensemble import (
 )
 from djensemble.params import PRESETS, ensemble_config_from_report, required_detuning
 from djensemble.polarization import LIN_TO_CIRC, hadamard_variant
+from djensemble.protocol import run_protocol, table1_function
 from djensemble.qstate import StateVector, expm_hermitian
 
 SQRT2 = math.sqrt(2.0)
@@ -337,6 +338,41 @@ class TestPaperPolarizerMap:
         # rows 00 and 11 carry opposite declared signs, so they add coherently
         assert result.post_selection_probability == pytest.approx(2.0, abs=1e-12)
 
+    # Independent per-row oracle for the rewrite on branch b: the weight is
+    # |sum_i r_i v_i|^2 over the declared row phases r (turn phase -i folded
+    # in) and the state is that sum's phase times the declared photon pair.
+    ROW_PHASES = {0: -1j * np.array([-1.0, -1.0j, -1.0j, 1.0]), 1: -1j * np.array([-1.0, 1.0j, 1.0j, 1.0])}
+    PAIRS = {b: np.kron(t, t) for b, t in ((0, np.array([-1j, 1.0]) / SQRT2), (1, np.array([-1j, -1.0]) / SQRT2))}
+
+    @pytest.mark.parametrize("branch,weight", [(0, 0.48167982841559187), (1, 2.0791824186916736)])
+    def test_generic_superposition_matches_the_row_formula(self, branch, weight):
+        rng = np.random.default_rng(1414 + branch)
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        result = u_eff_paper().apply(protocol_state(branch, v))
+        coeff = np.sum(self.ROW_PHASES[branch] * v)
+        assert result.post_selection_probability == pytest.approx(abs(coeff) ** 2, abs=1e-12)
+        assert result.post_selection_probability == pytest.approx(weight, abs=1e-12)
+        # the seeded input tells the phases from their conjugates
+        assert weight != pytest.approx(abs(np.sum(self.ROW_PHASES[branch].conj() * v)) ** 2, abs=0.05)
+        expected = protocol_state(branch, coeff / abs(coeff) * self.PAIRS[branch])
+        np.testing.assert_allclose(result.state.amplitudes, expected.amplitudes, atol=1e-12)
+        assert result.linear_extension_used
+
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_input_along_the_conjugated_phases_has_weight_four(self, branch):
+        v = self.ROW_PHASES[branch].conj() / 2.0
+        result = u_eff_paper().apply(protocol_state(branch, v))
+        assert result.post_selection_probability == pytest.approx(4.0, abs=1e-12)
+        np.testing.assert_allclose(
+            result.state.amplitudes, protocol_state(branch, self.PAIRS[branch]).amplitudes, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("fid", ["f3", "f4", "f5", "f6", "f7", "f8"])
+    def test_protocol_inputs_have_weight_one(self, fid):
+        trace = run_protocol(table1_function(fid), "paper", EnsembleConfig.from_theta(math.pi / 2))
+        assert trace.post_selection_probability == pytest.approx(1.0, abs=1e-12)
+
     def test_annihilated_input_rejected(self):
         pmap = u_eff_paper()
         photon_amps = np.array([1.0, 0.0, 0.0, 1.0]) / SQRT2
@@ -359,6 +395,10 @@ class TestPhasesClaim:
         np.testing.assert_allclose(report.fidelities, 0.5, atol=1e-12)
         assert not report.consistent
         assert "not unitary" in report.verdict
+
+    def test_rank_one_on_each_branch(self):
+        report = check_phases_claim(math.pi / 2)
+        np.testing.assert_allclose(report.singular_values, [[2.0, 0.0, 0.0, 0.0]] * 2, atol=1e-12)
 
     def test_requires_quarter_turn(self):
         with pytest.raises(ValueError, match="pi/2"):

@@ -305,6 +305,24 @@ class TestAtomState:
         with pytest.raises(ValueError, match="zero"):
             coherent_dicke_amplitudes(np.zeros(2), 3)
 
+    @pytest.mark.parametrize(
+        "n_atoms,message",
+        [(2.5, "^n_atoms must be an integer, got 2.5$"), (True, "^n_atoms must be an integer, got True$"),
+         ("3", "^n_atoms must be an integer, got '3'$"), (0, "^need at least one atom$"),
+         (-3, "^need at least one atom$")],
+        ids=["fraction", "bool", "string", "zero", "negative"],
+    )
+    def test_bad_atom_count_rejected(self, n_atoms, message):
+        # the same messages as full_simulate_dicke, before any arithmetic on N
+        with pytest.raises(ValueError, match=message):
+            coherent_dicke_amplitudes(np.array([0.6, 0.8]), n_atoms)
+
+    def test_numpy_integer_atom_count_gives_the_binomial_band(self):
+        start, band = coherent_dicke_amplitudes(np.array([0.6, 0.8]), np.int64(3))
+        assert start == 0
+        binomial = [math.comb(3, m) * 0.64**m * 0.36 ** (3 - m) for m in range(4)]
+        np.testing.assert_allclose(np.abs(band) ** 2, binomial, rtol=1e-12)
+
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             full_simulate_dicke(3, [1.0, 1.0], [])
