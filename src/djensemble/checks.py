@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble, manybody, params, polarization, protocol
-from .qstate import sample_shots
+from .qstate import born_distribution, sample_shots
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,23 @@ def check_hamiltonian_forms() -> CheckResult:
 
 def check_medium_unitarity() -> CheckResult:
     rng = np.random.default_rng(7)
+    # row 4 * level + r is the product row |level, r>, with m = level primed atoms at N = 1
+    identity_rows, levels = np.tile(np.eye(4, dtype=complex), (2, 1)), np.repeat([0.0, 1.0], 4)
     dev = 0.0
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=50):
-        u = ensemble.u_eff_exact(theta).matrix
-        dev = max(dev, _max_dev(u.conj().T @ u, np.eye(8)))
-    return CheckResult("medium unitary at random angles", dev <= 1e-12, dev, "50 random evolution angles")
+        rows = identity_rows.copy()
+        manybody._medium_phase(rows, theta, 1, levels)
+        # row r of a level's rows is the image of |r>: U holds their transposes, and zeros off-level
+        closed = np.zeros((8, 8), dtype=complex)
+        closed[:4, :4], closed[4:, 4:] = rows[:4].T, rows[4:].T
+        dev = max(dev, _max_dev(ensemble.u_eff_exact(theta).matrix, closed))
+    detail = "50 random evolution angles, N = 1 phases on each atom level, off-level blocks zero"
+    return CheckResult("medium vs circular closed form", dev <= 1e-12, dev, detail)
 
 
 def check_polarizer_claim() -> CheckResult:
     report = ensemble.check_phases_claim(math.pi / 2)
     dev = max(
-        _max_dev(report.input_gram, np.eye(4)),
         _max_dev(report.claimed_abs_gram, np.ones((4, 4))),
         _max_dev(report.fidelities, 0.5 * np.ones(4)),
         _max_dev(report.singular_values, [[2.0, 0.0, 0.0, 0.0]] * 2),
@@ -96,18 +102,22 @@ def check_polarizer_claim() -> CheckResult:
 
 def check_naive_vs_collective() -> CheckResult:
     u = ensemble.u_eff_exact(math.pi / 2).matrix
+    rng = np.random.default_rng(12)
     worst = 0.0
     for n in range(1, 7):
         for level in (0, 1):
-            atom = np.zeros(2)
-            atom[level] = 1.0
-            naive = manybody.full_simulate_naive(n, atom, [manybody.EnsembleEvolution(math.pi / 2)])
-            # every atom in ``level`` is row 0 or the last row, and column
-            # 4 * level of u is the image of |level, HH>; with unit norm, the
-            # other rows are zero when this one matches
-            extreme_row = naive.amplitudes.reshape(2**n, 4)[-level]
-            worst = max(worst, _max_dev(extreme_row, u[4 * level : 4 * level + 4, 4 * level]))
-    return CheckResult("unreduced vs collective medium evolution", worst <= 1e-10, worst, "photon amplitudes of the extreme row, N=1..6")
+            r1, r2 = _random_su2(rng), _random_su2(rng)
+            ops = [manybody.PhotonRotation(1, r1), manybody.PhotonRotation(2, r2), manybody.EnsembleEvolution(math.pi / 2)]
+            naive = manybody.full_simulate_naive(n, np.eye(2)[level], ops)
+            # the photons start horizontal; block (level, level) of u is the medium with the atoms in ``level``
+            photons = u[4 * level : 4 * level + 4, 4 * level : 4 * level + 4] @ np.kron(r1[:, 0], r2[:, 0])
+            # every atom in ``level`` is row 0 or the last row; at unit norm the other rows are zero if it matches
+            worst = max(worst, _max_dev(naive.amplitudes.reshape(2**n, 4)[-level], photons))
+            if n >= 5:  # 2^n >= 32 rows, so born_distribution folds them
+                marginal = born_distribution(naive, ("photon1", "photon2"))
+                worst = max(worst, _max_dev(list(marginal.values()), np.abs(photons) ** 2))
+    detail = "photon amplitudes of the extreme row after random photon rotations, N=1..6; photon marginals at N in {5,6}"
+    return CheckResult("unreduced vs collective medium evolution", worst <= 1e-10, worst, detail)
 
 
 def _random_su2(rng: np.random.Generator) -> np.ndarray:

@@ -188,24 +188,19 @@ def u_eff_exact(theta: float) -> Operator:
     return expm_hermitian(h_eff_dimensionless(), theta)
 
 
-# The declared rewrite at the quarter turn; both tables are indexed by the atom
-# branch (0: plain-ground extreme, 1: primed extreme, its mirror under the
-# swap of both circular modes and both levels). Phases of the two-photon rows
-# |r1 r2>, at index 2*r1 + r2, with the turn's e^{-i pi/2} folded in:
-_ROW_PHASES = np.array([[-1.0, -1.0j, -1.0j, 1.0], [-1.0, 1.0j, 1.0j, 1.0]]) * np.exp(
-    -1j * math.pi / 2
-)
-# and the photon pair leaving the medium, each photon in (-i|0> +- |1>)/sqrt(2)
-# (for the ground branch that is -i times the circular plus mode).
+# The photon pair leaving the declared rewrite at the quarter turn, indexed
+# by the atom branch (0: plain-ground extreme, 1: primed extreme, its mirror
+# under the swap of both circular modes and both levels): each photon in
+# (-i|0> +- |1>)/sqrt(2), for the ground branch -i times the circular plus mode.
 _PHOTON_PAIRS = np.array(
     [np.kron(t, t) for t in np.array([[-1.0j, 1.0], [-1.0j, -1.0]]) / math.sqrt(2.0)]
 )
-# The rewrite as one linear operator K, block-diagonal over the atom branches:
-# on branch b the rank-1 |out_b><conj(r_b)|, singular values (2, 0, 0, 0); r_b
-# is -2i out_b, so K is symmetric. Built once and read-only.
-_K = np.kron(np.diag([1.0, 0.0]), np.outer(_PHOTON_PAIRS[0], _ROW_PHASES[0])) + np.kron(
-    np.diag([0.0, 1.0]), np.outer(_PHOTON_PAIRS[1], _ROW_PHASES[1])
-)
+# The rewrite as one linear operator K, block-diagonal over the atom branches.
+# The phases of the two-photon rows |r1 r2>, at index 2*r1 + r2, with the
+# turn's e^{-i pi/2} folded in, are -2i out_b, so on branch b K is the rank-1
+# -2i |out_b><conj(out_b)|: symmetric, singular values (2, 0, 0, 0). Built
+# once and read-only.
+_K = sum(np.kron(np.diag(e), -2j * np.outer(pair, pair)) for e, pair in zip(np.eye(2), _PHOTON_PAIRS))
 _K.setflags(write=False)
 
 
@@ -263,7 +258,6 @@ class PhasesClaimReport:
     """
 
     theta: float
-    input_gram: np.ndarray
     claimed_abs_gram: np.ndarray
     fidelities: np.ndarray
     consistent: bool
@@ -281,21 +275,17 @@ def check_phases_claim(theta: float) -> PhasesClaimReport:
     if not is_quarter_turn(theta):
         raise ValueError("the claim audit is defined at theta = pi/2")
     # the rows |00>, |11>, |01>, |10> with the atoms at the plain-ground extreme
-    inputs = np.eye(8)[:, [0, 3, 1, 2]]
-    claimed = _K @ inputs / np.linalg.norm(_K @ inputs, axis=0)
-    input_gram = inputs.T @ inputs
+    rows = [0, 3, 1, 2]
+    claimed = _K[:, rows]  # a copy: fancy indexing
+    claimed /= np.linalg.norm(claimed, axis=0)
     claimed_gram = claimed.conj().T @ claimed
-    fid = np.abs(np.sum(claimed.conj() * (u_eff_exact(theta).matrix @ inputs), axis=0))
-    inputs_orthonormal = np.max(np.abs(input_gram - np.eye(4))) <= 1e-12
-    outputs_parallel = np.max(np.abs(np.abs(claimed_gram) - 1.0)) <= 1e-12
-    consistent = not (inputs_orthonormal and outputs_parallel)
-    verdict = (
-        "claimed map not unitary: orthonormal inputs are sent to pairwise parallel outputs"
-        if not consistent
-        else "no inconsistency detected"
-    )
+    fid = np.abs(np.sum(claimed.conj() * u_eff_exact(theta).matrix[:, rows], axis=0))
+    # consistent unless the outputs are pairwise parallel
+    consistent = bool(np.max(np.abs(np.abs(claimed_gram) - 1.0)) > 1e-12)
+    verdict = "no inconsistency detected" if consistent else (
+        "claimed map not unitary: orthonormal inputs are sent to pairwise parallel outputs")
     branch_blocks = _K.reshape(2, 4, 2, 4)[[0, 1], :, [0, 1], :]
     return PhasesClaimReport(
-        theta=theta, input_gram=input_gram, claimed_abs_gram=np.abs(claimed_gram), fidelities=fid,
-        consistent=consistent, verdict=verdict, singular_values=np.linalg.svd(branch_blocks, compute_uv=False),
+        theta=theta, claimed_abs_gram=np.abs(claimed_gram), fidelities=fid, consistent=consistent,
+        verdict=verdict, singular_values=np.linalg.svd(branch_blocks, compute_uv=False),
     )

@@ -1,0 +1,122 @@
+"""Kernel mutants that the checks must catch.
+
+Each entry of ``MUTANTS`` is a small defect written into the package: an old
+text that occurs exactly once in one module of ``src/djensemble`` and the
+text that replaces it. For each edit the script patches a temporary copy of
+``src/``, confirms that a child process imports that copy, and then requires
+the defect to be caught: ``python -m djensemble verify`` must exit 1 with a
+FAIL line, or, for the edits that ``verify`` does not cover by design, the
+named tier-1 test must fail.
+
+    python tests/mutants.py
+
+prints one line per edit and exits 0 when every edit is caught, 1 otherwise.
+The file name keeps pytest from collecting it: every edit costs a child
+process or two, about 0.5 s each.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str
+    old: str
+    new: str
+    # None: ``verify`` must exit 1; otherwise the pytest node id that must fail
+    test: str | None = None
+
+
+MUTANTS = (
+    Mutant("naive medium conjugated", "manybody.py",
+           "np.exp(-1j * lam_t * w)", "np.exp(1j * lam_t * w)"),
+    Mutant("_medium_phase conjugated", "manybody.py",
+           "tilt = np.exp(-1j * (theta / n_atoms)", "tilt = np.exp(1j * (theta / n_atoms)"),
+    Mutant("u_eff_exact at -theta", "ensemble.py",
+           "expm_hermitian(h_eff_dimensionless(), theta)", "expm_hermitian(h_eff_dimensionless(), -theta)"),
+    Mutant("u_eff_exact at |theta|", "ensemble.py",
+           "expm_hermitian(h_eff_dimensionless(), theta)", "expm_hermitian(h_eff_dimensionless(), abs(theta))"),
+    Mutant("symmetric_rotation with x and x.T swapped", "manybody.py",
+           "out = (x.T @ out.view(np.float64)).view(np.complex128)\n"
+           "    # column k of X carries eigenvalue lam_k = -tilt_k\n"
+           "    out *= np.exp(1j * half_beta * tilt)[:, None]\n"
+           "    out = (x @ out.view(np.float64)).view(np.complex128)",
+           "out = (x @ out.view(np.float64)).view(np.complex128)\n"
+           "    # column k of X carries eigenvalue lam_k = -tilt_k\n"
+           "    out *= np.exp(1j * half_beta * tilt)[:, None]\n"
+           "    out = (x.T @ out.view(np.float64)).view(np.complex128)"),
+    Mutant("coherent-band phase with alpha and beta swapped", "manybody.py",
+           "(n_atoms - m) * np.angle(alpha) + m * np.angle(beta)",
+           "(n_atoms - m) * np.angle(beta) + m * np.angle(alpha)"),
+    Mutant("f3's assignment swapped", "protocol.py",
+           '"f3": ("double_prime", "prime"),', '"f3": ("prime", "double_prime"),'),
+    Mutant("primed extreme phased as m = N - 1", "manybody.py",
+           "first = extreme * n_atoms", "first = extreme * (n_atoms - 1)"),
+    Mutant("PhotonRotation.on_pair rotating the other photon", "manybody.py",
+           "if self.photon == 1 else", "if self.photon == 2 else"),
+    Mutant("born_distribution's fold transposed", "qstate.py",
+           ".reshape(_FOLD_ROWS, width).sum(axis=0)", ".reshape(width, _FOLD_ROWS).sum(axis=1)"),
+    # the protocol never reaches the medium off the plain-ground extreme, and
+    # the conjugated input changes nothing on its real product rows
+    Mutant("paper map on the conjugated input", "ensemble.py",
+           "out = _K @ state.amplitudes", "out = _K @ state.amplitudes.conj()",
+           "tests/test_ensemble.py::TestPaperPolarizerMap::test_generic_superposition_matches_the_row_formula"),
+    Mutant("primed photon pair written as the plain one", "ensemble.py",
+           "np.array([[-1.0j, 1.0], [-1.0j, -1.0]])", "np.array([[-1.0j, 1.0], [-1.0j, 1.0]])",
+           "tests/test_ensemble.py::TestPaperPolarizerMap::test_primed_branch_mirror"),
+)
+
+
+def _child(args: list[str], src: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def run_mutant(mutant: Mutant, scratch: Path) -> tuple[bool, str]:
+    """Whether the edit is caught, and by what or why not."""
+    src = scratch / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / "djensemble" / mutant.module
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return False, f"old text occurs {text.count(mutant.old)} times in {mutant.module}, not once"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    where = _child(["-c", "import djensemble; print(djensemble.__file__)"], src).stdout.strip()
+    if not Path(where).resolve().is_relative_to(src.resolve()):
+        return False, f"the child imported {where or 'nothing'}, not the patched copy"
+    if mutant.test is None:
+        result = _child(["-m", "djensemble", "verify"], src)
+        failed = [line.split("  ")[0] for line in result.stdout.splitlines() if "  FAIL" in line]
+        if result.returncode != 1 or not failed:
+            return False, f"verify exited {result.returncode} with {len(failed)} FAIL lines"
+        return True, "verify: " + "; ".join(failed)
+    result = _child(["-m", "pytest", "-q", "-p", "no:cacheprovider", mutant.test], src)
+    if result.returncode != 1:
+        return False, f"{mutant.test} exited {result.returncode}, not 1 (a failed test)"
+    return True, mutant.test.rsplit("::", 1)[-1]
+
+
+def main() -> int:
+    caught = 0
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory(prefix="djensemble-mutant-") as scratch:
+            ok, note = run_mutant(mutant, Path(scratch))
+        print(f"{'caught' if ok else 'MISSED'}  {mutant.name}  ({note})", flush=True)
+        caught += ok
+    print(f"{caught} of {len(MUTANTS)} mutants caught")
+    return 0 if caught == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

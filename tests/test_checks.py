@@ -52,3 +52,23 @@ def test_naive_vs_collective_catches_a_conjugated_naive_kernel(monkeypatch):
     result = checks.check_naive_vs_collective()
     assert not result.passed and result.deviation > 0.1
 
+
+
+def test_medium_check_catches_a_medium_blind_to_the_angle_sign(monkeypatch):
+    """exp(-i H |theta|) is unitary at every angle, so only a comparison with
+    the closed form sees that negative angles run forward."""
+    original = ensemble.u_eff_exact
+    monkeypatch.setattr(ensemble, "u_eff_exact", lambda theta: original(abs(theta)))
+    result = checks.check_medium_unitarity()
+    assert not result.passed and result.deviation > 0.1
+
+
+def test_naive_vs_collective_catches_a_photon_rotation_on_the_other_photon(monkeypatch):
+    """The naive and Dicke runs share ``on_pair``; the compact input is built
+    with np.kron, so a gate on the wrong photon shows."""
+    def swapped(self):
+        return np.kron(self.matrix, np.eye(2)) if self.photon == 2 else np.kron(np.eye(2), self.matrix)
+
+    monkeypatch.setattr(manybody.PhotonRotation, "on_pair", swapped)
+    result = checks.check_naive_vs_collective()
+    assert not result.passed and result.deviation > 0.1
