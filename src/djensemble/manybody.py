@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,15 +94,21 @@ class PhotonRotation:
 
     photon: int
     matrix: np.ndarray
+    # the 4x4 pair gate, derived from ``photon`` and ``matrix`` once, at construction
+    pair: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.photon not in (1, 2):
             raise ValueError("photon index must be 1 or 2")
-        object.__setattr__(self, "matrix", Operator(PHOTON, self.matrix, unitary_claim=True).matrix)
+        matrix = Operator(PHOTON, self.matrix, unitary_claim=True).matrix
+        pair = _kron(matrix, _I2) if self.photon == 1 else _kron(_I2, matrix)
+        pair.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "pair", pair)
 
     def on_pair(self) -> np.ndarray:
-        """The 4x4 gate on the photon pair |p1 p2>."""
-        return _kron(self.matrix, _I2) if self.photon == 1 else _kron(_I2, self.matrix)
+        """The read-only 4x4 gate on the photon pair |p1 p2>."""
+        return self.pair
 
 
 # Loader's saddle-point form of the binomial weight ("Fast and Accurate
@@ -120,12 +126,24 @@ _STIRLERR_SMALL = np.array(
 _LOG_AMP_CUT = math.log(2.0**-1074) - 16.0
 
 
-def _stirlerr(n):
-    """ln n! - ln(sqrt(2 pi n) (n/e)^n) for integer-valued n >= 0."""
+# _stirlerr and _bd0 each pick one of two forms per entry with np.where, and
+# a form that no entry picks is not computed: every stirlerr entry of a band
+# at N <= 15 is a table entry, and a band that is narrow next to N p and
+# N q, as at large N, has only series entries in both. The picked entries
+# are the same bits either way.
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """ln n! - ln(sqrt(2 pi n) (n/e)^n) for an array of integer-valued n >= 0."""
+    small = n <= 15
+    if small.all():
+        return _STIRLERR_SMALL[n.astype(int)]
     r = 1.0 / np.maximum(n, 16.0)
     r2 = r * r
     series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r2 / 1188) * r2) * r2) * r2) * r
-    return np.where(n <= 15, _STIRLERR_SMALL[np.minimum(n, 15).astype(int)], series)
+    if not small.any():
+        return series
+    return np.where(small, _STIRLERR_SMALL[np.minimum(n, 15).astype(int)], series)
 
 
 def _bd0(x: np.ndarray, lam: float) -> np.ndarray:
@@ -133,15 +151,20 @@ def _bd0(x: np.ndarray, lam: float) -> np.ndarray:
     d = x - lam
     v = d / (x + lam)
     # for |v| < 0.1 each term of the series is below 1% of the one before
+    near = np.abs(v) < 0.1
+    all_near = near.all()
+    if not all_near:
+        with np.errstate(divide="ignore", over="ignore"):
+            direct = x * np.log(np.where(x > 0, x / lam, 1.0)) + lam - x
+        if not near.any():
+            return direct
     v2 = v * v
     term = 2.0 * x * v
     series = d * v
     for j in range(1, 10):
         term *= v2
         series += term * (1.0 / (2 * j + 1))
-    with np.errstate(divide="ignore", over="ignore"):
-        direct = x * np.log(np.where(x > 0, x / lam, 1.0)) + lam - x
-    return np.where(np.abs(v) < 0.1, series, direct)
+    return series if all_near else np.where(near, series, direct)
 
 
 def _log_binomial(m: np.ndarray, n_atoms: int, lam: float, mu: float) -> np.ndarray:
@@ -154,7 +177,7 @@ def _log_binomial(m: np.ndarray, n_atoms: int, lam: float, mu: float) -> np.ndar
     with np.errstate(divide="ignore"):
         spread = np.where((m > 0) & (k > 0), np.log(2.0 * math.pi * m * k / n_atoms), 0.0)
     return (
-        _stirlerr(float(n_atoms))
+        _stirlerr(np.array(float(n_atoms)))
         - _stirlerr(m)
         - _stirlerr(k)
         - _bd0(m, lam)
@@ -309,23 +332,36 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int, rows: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=NAIVE_ATOM_LIMIT)
 def naive_space(n_atoms: int) -> SpaceLabel:
     subs = tuple((f"atom{j}", 2) for j in range(n_atoms)) + (("photon1", 2), ("photon2", 2))
     return SpaceLabel(subs)
 
 
-def _evolution_block(lam_t: float, n_plain, n_primed) -> np.ndarray:
-    """4x4 photon-pair evolution for a fixed atomic configuration.
+@functools.lru_cache(maxsize=NAIVE_ATOM_LIMIT)
+def _medium_eigenbasis(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of the photon-pair generator at each excitation number.
 
-    Array counts give a stack of blocks, one per entry, from one batched
-    ``eigh``; scalar counts give one (4, 4) block.
+    With m atoms primed and N - m plain the generator is
+    (N - m) G+ + m G-; one batched ``eigh`` over m = 0..N gives its
+    eigenvalues ``w`` (N+1, 4), eigenvectors ``v`` (N+1, 4, 4) and ``vh``,
+    the conjugate transpose of each block. All three are read-only and
+    depend on N alone, so they are built once per N.
     """
-    n_plain = np.asarray(n_plain, dtype=float)[..., None, None]
-    n_primed = np.asarray(n_primed, dtype=float)[..., None, None]
-    w, v = np.linalg.eigh(n_plain * _GEN_PLUS + n_primed * _GEN_MINUS)
+    m = np.arange(n_atoms + 1, dtype=float)[:, None, None]
+    w, v = np.linalg.eigh((n_atoms - m) * _GEN_PLUS + m * _GEN_MINUS)
+    vh = v.conj().swapaxes(-1, -2)
+    for arr in (w, v, vh):
+        arr.setflags(write=False)
+    return w, v, vh
+
+
+def _evolution_block(lam_t: float, n_atoms: int) -> np.ndarray:
+    """The (N+1, 4, 4) photon-pair evolutions; block m has m atoms primed."""
+    w, v, vh = _medium_eigenbasis(n_atoms)
     # lam_t * w past the float range gives NaN blocks, which StateVector rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        return (v * np.exp(-1j * lam_t * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return (v * np.exp(-1j * lam_t * w)[..., None, :]) @ vh
 
 
 @functools.lru_cache(maxsize=NAIVE_ATOM_LIMIT)
@@ -362,9 +398,11 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
     about N / 4 passes. A photon rotation is one right product on the
     (2^N, 4) view. A medium step gives each excitation number m its own
     4 x 4 block from its own ``eigh`` (all N + 1 of them in one batched
-    call), gathers the rows into excitation order once, applies each block
-    to its contiguous run of C(N, m) rows in place and scatters the rows
-    back: O(2^N) work in three passes.
+    call, built once per N, so a step only applies the phases), gathers the
+    rows into excitation order once, applies each block to its contiguous
+    run of C(N, m) rows in place and scatters the rows back: O(2^N) work in
+    three passes. The start state is N outer products of the single-atom
+    vector with the state so far, one ``np.dot`` each.
     """
     single = _check_atom_init(atom_init)
     check_integer("n_atoms", n_atoms)
@@ -372,9 +410,12 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
         raise ValueError(f"naive simulator is capped at {NAIVE_ATOM_LIMIT} atoms")
     if n_atoms < 1:
         raise ValueError("need at least one atom")
-    state = _PHOTONS_HH.reshape(2, 2)
+    # np.tensordot(single, state, axes=0) without its reshaping: the same
+    # (2, 1) x (1, K) product, so the same bits for a complex atom, where a
+    # broadcast multiply rounds differently
+    column, state = single[:, None], _PHOTONS_HH
     for _ in range(n_atoms):
-        state = np.tensordot(single, state, axes=0)
+        state = np.dot(column, state[None, :]).reshape(-1)
     state = state.reshape(2**n_atoms, 4)
     for op in ops:
         if isinstance(op, AtomRotation):
@@ -389,10 +430,9 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
             state = state @ op.on_pair().T
         elif isinstance(op, EnsembleEvolution):
             order, inverse, bounds = _excitation_order(n_atoms)
-            m = np.arange(n_atoms + 1)
-            blocks = _evolution_block(op.theta / n_atoms, n_atoms - m, m)
+            blocks = _evolution_block(op.theta / n_atoms, n_atoms)
             state = np.take(state, order, axis=0)
-            for k in m:
+            for k in range(n_atoms + 1):
                 segment = state[bounds[k] : bounds[k + 1]]
                 np.matmul(segment, blocks[k].T, out=segment)
             state = np.take(state, inverse, axis=0)
@@ -417,6 +457,7 @@ def dicke_amplitudes_from_naive(state: StateVector, n_atoms: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def dicke_space(n_atoms: int) -> SpaceLabel:
     return SpaceLabel((("atoms", n_atoms + 1), ("photon1", 2), ("photon2", 2)))
 

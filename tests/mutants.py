@@ -67,6 +67,26 @@ MUTANTS = (
            "if self.photon == 1 else", "if self.photon == 2 else"),
     Mutant("born_distribution's fold transposed", "qstate.py",
            ".reshape(_FOLD_ROWS, width).sum(axis=0)", ".reshape(width, _FOLD_ROWS).sum(axis=1)"),
+    Mutant("naive product start from the mirrored atom", "manybody.py",
+           "column, state = single[:, None], _PHOTONS_HH", "column, state = single[::-1, None], _PHOTONS_HH"),
+    Mutant("cached medium eigenbasis with the level counts swapped", "manybody.py",
+           "(n_atoms - m) * _GEN_PLUS + m * _GEN_MINUS", "m * _GEN_PLUS + (n_atoms - m) * _GEN_MINUS"),
+    Mutant("lam and mu swapped in the bd0 terms", "manybody.py",
+           "- _bd0(m, lam)\n        - _bd0(k, mu)", "- _bd0(m, mu)\n        - _bd0(k, lam)"),
+    # the band is then not normalized, so a check raises; run_all_checks
+    # reports that as a FAIL line
+    Mutant("bd0 series with the wrong denominators", "manybody.py",
+           "series += term * (1.0 / (2 * j + 1))", "series += term * (1.0 / (2 * j + 3))"),
+    # verify's bands are at N <= 6: every stirlerr entry there is a table
+    # entry, and bd0's direct form is within about 1e-15 of its series. The
+    # next two edits change only windows that mix both forms, beyond what
+    # verify's 1e-10 bounds see; the bit-for-bit reference test pins them.
+    Mutant("bd0 series skipped unless every entry is near", "manybody.py",
+           "if not near.any():", "if not near.all():",
+           "tests/test_manybody.py::TestLogBinomial"),
+    Mutant("stirlerr series kept for a window that reaches the table", "manybody.py",
+           "if not small.any():", "if not small.all():",
+           "tests/test_manybody.py::TestLogBinomial"),
     # the protocol never reaches the medium off the plain-ground extreme, and
     # the conjugated input changes nothing on its real product rows
     Mutant("paper map on the conjugated input", "ensemble.py",

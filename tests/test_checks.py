@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from djensemble import checks, ensemble, manybody, protocol
 
@@ -47,7 +48,7 @@ def test_naive_vs_collective_catches_a_conjugated_naive_kernel(monkeypatch):
     unchanged at the extremes, but not the amplitudes."""
     original = manybody._evolution_block
     monkeypatch.setattr(
-        manybody, "_evolution_block", lambda lam_t, n_plain, n_primed: original(-lam_t, n_plain, n_primed)
+        manybody, "_evolution_block", lambda lam_t, n_atoms: original(-lam_t, n_atoms)
     )
     result = checks.check_naive_vs_collective()
     assert not result.passed and result.deviation > 0.1
@@ -72,3 +73,30 @@ def test_naive_vs_collective_catches_a_photon_rotation_on_the_other_photon(monke
     monkeypatch.setattr(manybody.PhotonRotation, "on_pair", swapped)
     result = checks.check_naive_vs_collective()
     assert not result.passed and result.deviation > 0.1
+
+
+def test_run_all_checks_repeats_its_results():
+    """The simulators' per-N caches carry nothing from one run to the next."""
+    assert checks.run_all_checks() == checks.run_all_checks()
+
+
+def test_a_check_that_raises_is_a_failed_result(monkeypatch):
+    def check_that_raises():
+        raise ValueError("state must be normalized")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (checks.check_sampling, check_that_raises, checks.check_wave_plate_gadgets))
+    results = checks.run_all_checks()
+    assert [r.name for r in results] == ["seeded sampling", "check_that_raises", "wave-plate gadget identities"]
+    assert results[0].passed and results[2].passed
+    assert results[1] == checks.CheckResult(
+        "check_that_raises", False, None, "raised ValueError: state must be normalized"
+    )
+
+
+def test_run_all_checks_lets_a_keyboard_interrupt_through(monkeypatch):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (interrupted,))
+    with pytest.raises(KeyboardInterrupt):
+        checks.run_all_checks()

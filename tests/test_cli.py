@@ -127,6 +127,26 @@ class TestVerifyCommand:
         assert main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_check_that_raises_is_a_fail_line_and_a_written_report(self, monkeypatch, tmp_path, capsys):
+        from djensemble import checks
+
+        def check_that_raises():
+            raise ValueError("state must be normalized but <psi|psi> = 1.0002")
+
+        monkeypatch.setattr(checks, "ALL_CHECKS", (check_that_raises, checks.check_sampling))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        fail = [line for line in captured.out.splitlines() if "  FAIL" in line]
+        assert len(fail) == 1 and fail[0].startswith("check_that_raises")
+        assert "raised ValueError: state must be normalized" in fail[0]
+        report = read_report(out)
+        assert set(report) == {"schema", "version", "command", "request", "checks", "all_passed"}
+        assert not report["all_passed"]
+        assert [c["passed"] for c in report["checks"]] == [False, True]
+        assert report["checks"][0]["deviation"] is None
+
 
 class TestReportRoundTrips:
     def test_every_command_report_round_trips(self, tmp_path):

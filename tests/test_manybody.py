@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import coherent_dicke_vector
+from helpers import coherent_dicke_vector, log_binomial_reference
 
 from djensemble import manybody
 from djensemble.ensemble import PROTOCOL_SPACE, EnsembleConfig, u_eff_exact
@@ -14,6 +15,8 @@ from djensemble.manybody import (
     PhotonRotation,
     _evolution_block,
     _excitation_order,
+    _log_binomial,
+    _medium_eigenbasis,
     _sigma_x_basis,
     coherent_dicke_amplitudes,
     dicke_amplitudes_from_naive,
@@ -455,17 +458,45 @@ class TestNaiveSimulator:
 class TestNaiveKernels:
     @pytest.mark.parametrize("n", [1, 5, 12])
     def test_stacked_blocks_match_per_configuration_calls(self, n):
-        m = np.arange(n + 1)
         for lam_t in (0.13, -2.9):
-            stacked = _evolution_block(lam_t, n - m, m)
+            stacked = _evolution_block(lam_t, n)
             assert stacked.shape == (n + 1, 4, 4)
             for k in range(n + 1):
-                np.testing.assert_allclose(stacked[k], _evolution_block(lam_t, n - k, k), rtol=0, atol=1e-15)
+                w, v = np.linalg.eigh((n - k) * manybody._GEN_PLUS + k * manybody._GEN_MINUS)
+                block = v @ np.diag(np.exp(-1j * lam_t * w)) @ v.conj().T
+                np.testing.assert_allclose(stacked[k], block, rtol=0, atol=1e-15)
 
     def test_scalar_call_returns_one_block(self):
-        block = _evolution_block(0.4, 3, 2)
+        block = _evolution_block(0.4, 5)[2]
         assert block.shape == (4, 4)
         np.testing.assert_allclose(block.conj().T @ block, np.eye(4), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, NAIVE_ATOM_LIMIT + 1))
+    def test_medium_eigenbasis_is_built_once_and_read_only(self, n):
+        basis = _medium_eigenbasis(n)
+        assert _medium_eigenbasis(n) is basis
+        w, v, vh = basis
+        assert w.shape == (n + 1, 4) and v.shape == vh.shape == (n + 1, 4, 4)
+        for arr in basis:
+            assert not arr.flags.writeable
+        np.testing.assert_array_equal(vh, v.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("n", range(1, NAIVE_ATOM_LIMIT + 1))
+    def test_product_start_equals_the_tensordot_chain(self, n):
+        rng = np.random.default_rng(100 + n)
+        atom = rng.normal(size=2) + 1j * rng.normal(size=2)
+        atom /= np.linalg.norm(atom)
+        expected = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex).reshape(2, 2)
+        for _ in range(n):
+            expected = np.tensordot(atom, expected, axes=0)
+        start = full_simulate_naive(n, atom, []).amplitudes
+        assert np.array_equal(start, expected.reshape(-1))
+
+    def test_space_labels_are_built_once_per_n(self):
+        assert manybody.naive_space(7) is manybody.naive_space(7)
+        assert manybody.dicke_space(10**6) is manybody.dicke_space(10**6)
+        assert manybody.naive_space(2).dims == (2, 2, 2, 2)
+        assert manybody.dicke_space(5).dims == (6, 2, 2)
 
     @pytest.mark.parametrize("n", range(1, NAIVE_ATOM_LIMIT + 1))
     def test_excitation_order_is_a_read_only_sort_by_popcount(self, n):
@@ -482,6 +513,38 @@ class TestNaiveKernels:
             run = order[bounds[k] : bounds[k + 1]]
             assert len(run) == math.comb(n, k) and np.all(popcount[bounds[k] : bounds[k + 1]] == k)
             assert np.all(np.diff(run) > 0)
+
+
+class TestPairGate:
+    @pytest.mark.parametrize("photon", [1, 2])
+    def test_pair_gate_is_read_only_and_equals_the_kron_form(self, photon):
+        rng = np.random.default_rng(photon)
+        op = PhotonRotation(photon, random_su2(rng))
+        gate = op.on_pair()
+        assert op.on_pair() is gate
+        assert not gate.flags.writeable
+        expected = np.kron(op.matrix, np.eye(2)) if photon == 1 else np.kron(np.eye(2), op.matrix)
+        assert np.array_equal(gate, expected)
+
+    def test_equality_and_repr_see_only_photon_and_matrix(self):
+        op = PhotonRotation(1, H1)
+        assert repr(op) == f"PhotonRotation(photon=1, matrix={op.matrix!r})"
+        assert op == PhotonRotation(1, op.matrix)
+        assert op != PhotonRotation(2, op.matrix)
+        assert [f.name for f in dataclasses.fields(PhotonRotation) if f.compare] == ["photon", "matrix"]
+
+
+class TestLogBinomial:
+    @pytest.mark.parametrize("n", [1, 6, 512, 10**6, 10**9])
+    @pytest.mark.parametrize("p", [1e-34, 0.3, 0.64, 1 - 1e-12])
+    def test_equals_the_reference_form_bit_for_bit(self, n, p):
+        q = 1.0 - p
+        # the first window the band search evaluates
+        mode = min(n, int((n + 1) * p))
+        half = 32 + int(56.0 * math.sqrt(n * p * q))
+        m = np.arange(max(0, mode - half), min(n + 1, mode + half + 1), dtype=float)
+        got = _log_binomial(m, n, n * p, n * q)
+        assert np.array_equal(got, log_binomial_reference(m, n, n * p, n * q))
 
 
 class TestDickeSimulator:
