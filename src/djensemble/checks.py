@@ -61,8 +61,8 @@ def check_composite_rotations() -> CheckResult:
 
 def check_hamiltonian_forms() -> CheckResult:
     config = ensemble.EnsembleConfig.from_theta(math.pi / 2)
-    dev = _max_dev(ensemble.build_h_eff(config).matrix, ensemble.build_h_eff_linear(config).matrix)
-    scale = float(np.max(np.abs(ensemble.build_h_eff(config).matrix)))
+    dev = _max_dev(ensemble.build_h_eff(config), ensemble.build_h_eff_linear(config))
+    scale = float(np.max(np.abs(ensemble.build_h_eff(config))))
     rel = dev / scale if scale else dev
     return CheckResult("hamiltonian basis-form equivalence", rel <= 1e-12, rel, "projector assembly vs literal linear-basis terms (relative)")
 

@@ -64,10 +64,6 @@ def _resolve_functions(function_id: str):
     return (table1_function(function_id),)
 
 
-class _OutError(Exception):
-    """The report cannot be written to ``--out``."""
-
-
 def _out_problem(out_path: str) -> str | None:
     """Why ``--out`` cannot name a report file, or None; checked before any work."""
     path = Path(out_path)
@@ -78,13 +74,16 @@ def _out_problem(out_path: str) -> str | None:
     return None
 
 
-def _emit(report: dict, out_path: str) -> None:
-    # a NaN or Inf in a report is a fault of the program: fail, never write it
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    try:
-        Path(out_path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise _OutError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
+def _emit(report: dict, out_path: str | None, code: int = EXIT_OK) -> int:
+    """Write ``report`` to ``out_path``, if given; return ``code``, or EXIT_USAGE when the write fails."""
+    if out_path:
+        # a NaN or Inf in a report is a fault of the program: fail, never write it
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _fail(f"cannot write --out {out_path!r}: {exc.strerror or exc}")
+    return code
 
 
 def _shot_count(text: str) -> int:
@@ -118,9 +117,7 @@ def _run_functions(args, entry, **request) -> int:
         args.command, {"function": args.function, "mode": args.mode, **request}
     )
     report["results"] = [entry(f, run_protocol(f, args.mode, config), config) for f in functions]
-    if args.out:
-        _emit(report, args.out)
-    return EXIT_OK
+    return _emit(report, args.out)
 
 
 def _cmd_run(args) -> int:
@@ -189,9 +186,7 @@ def _cmd_verify(args) -> int:
         tag = " (expected-inconsistent)" if r.expected_inconsistent else ""
         dev = f" deviation={r.deviation:.3e}" if r.deviation is not None else ""
         print(f"{r.name:<{width}}  {status}{tag}{dev}  {r.detail}")
-    if args.out:
-        _emit(report, args.out)
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    return _emit(report, args.out, EXIT_OK if all_passed else EXIT_VERIFY_FAILED)
 
 
 def _load_medium(token: str) -> MediumSpec:
@@ -242,9 +237,7 @@ def _cmd_params(args) -> int:
     print(f"required detuning = {feas.detuning_rad_s:.4g} rad/s ({feas.detuning_cyclic_hz:.4g} Hz cyclic)")
     print(f"detuning / coupling = {feas.detuning_over_coupling:.4g} (dispersive_ok={feas.dispersive_ok})")
     print(f"relaxation margin = {feas.decoherence_margin:.4g} (decoherence_ok={feas.decoherence_ok})")
-    if args.out:
-        _emit(report, args.out)
-    return EXIT_OK
+    return _emit(report, args.out)
 
 
 def _cmd_sample(args) -> int:
@@ -349,10 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.out is not None and (problem := _out_problem(args.out)):
         return _fail(problem)
-    try:
-        return args.func(args)
-    except _OutError as exc:
-        return _fail(str(exc))
+    return args.func(args)
 
 
 def cli_entry() -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import LIN_TO_CIRC
-from .qstate import Operator, SpaceLabel, StateVector, check_integer, expm_hermitian, finite_real
+from .qstate import Operator, SpaceLabel, StateVector, _frozen_complex, check_integer, expm_hermitian, finite_real
 
 ATOM = SpaceLabel((("atom", 2),))
 PROTOCOL_SPACE = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
@@ -129,7 +129,7 @@ def microwave_rotation(pulse: MicrowavePulse) -> Operator:
     generator = -np.array(
         [[0.0, np.exp(-1j * pulse.phase)], [np.exp(1j * pulse.phase), 0.0]]
     )
-    return expm_hermitian(Operator(ATOM, generator), pulse.area)
+    return expm_hermitian(ATOM, generator, pulse.area)
 
 
 # Pulse settings realizing the four Hadamard variants, and the atomic NOT.
@@ -148,26 +148,26 @@ def _photon_pair_sum(single: np.ndarray) -> np.ndarray:
 
 # Assembled from the circular-mode projectors: atoms at the plain-ground
 # extreme shift photons in the plus mode, atoms at the primed extreme shift
-# photons in the minus mode. Built once and read-only, so every Operator
-# over it shares the array.
+# photons in the minus mode. Built once and read-only, so every caller
+# shares the array.
 _H_EFF_DIMENSIONLESS = np.kron(np.diag([1.0, 0.0]), _photon_pair_sum(P_PLUS)) + np.kron(
     np.diag([0.0, 1.0]), _photon_pair_sum(P_MINUS)
 )
 _H_EFF_DIMENSIONLESS.setflags(write=False)
 
 
-def h_eff_dimensionless() -> Operator:
-    """Effective Hamiltonian divided by (lambda * n_atoms), collective form."""
-    return Operator(PROTOCOL_SPACE, _H_EFF_DIMENSIONLESS)
+def h_eff_dimensionless() -> np.ndarray:
+    """Effective Hamiltonian divided by (lambda * n_atoms), collective form, as a read-only matrix."""
+    return _H_EFF_DIMENSIONLESS
 
 
-def build_h_eff(config: EnsembleConfig) -> Operator:
-    """Effective Hamiltonian in rad/s on the collective atom + photon space."""
+def build_h_eff(config: EnsembleConfig) -> np.ndarray:
+    """Effective Hamiltonian in rad/s on the collective atom + photon space, as a read-only matrix."""
     scale = config.lambda_value * config.n_atoms
-    return Operator(PROTOCOL_SPACE, scale * h_eff_dimensionless().matrix)
+    return _frozen_complex(scale * h_eff_dimensionless())
 
 
-def build_h_eff_linear(config: EnsembleConfig) -> Operator:
+def build_h_eff_linear(config: EnsembleConfig) -> np.ndarray:
     """The same Hamiltonian assembled directly from its linear-basis terms.
 
     The per-photon coupling matrices are written out literally here, with the
@@ -180,12 +180,12 @@ def build_h_eff_linear(config: EnsembleConfig) -> Operator:
     h = np.kron(np.diag([1.0, 0.0]), _photon_pair_sum(m_plain)) + np.kron(
         np.diag([0.0, 1.0]), _photon_pair_sum(m_primed)
     )
-    return Operator(PROTOCOL_SPACE, scale * h)
+    return _frozen_complex(scale * h)
 
 
 def u_eff_exact(theta: float) -> Operator:
     """Exact medium unitary exp(-i H t) at the evolution angle theta = lambda * N * t."""
-    return expm_hermitian(h_eff_dimensionless(), theta)
+    return expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), theta)
 
 
 # The photon pair leaving the declared rewrite at the quarter turn, indexed

@@ -74,7 +74,7 @@ class AtomRotation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", Operator(ATOM, self.matrix, unitary_claim=True).matrix)
+        object.__setattr__(self, "matrix", Operator(ATOM, self.matrix).matrix)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class PhotonRotation:
     def __post_init__(self):
         if self.photon not in (1, 2):
             raise ValueError("photon index must be 1 or 2")
-        matrix = Operator(PHOTON, self.matrix, unitary_claim=True).matrix
+        matrix = Operator(PHOTON, self.matrix).matrix
         pair = _kron(matrix, _I2) if self.photon == 1 else _kron(_I2, matrix)
         pair.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -292,7 +292,7 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int, rows: np.ndarray) -> np.ndar
             f"dense symmetric rotation requested for {n_atoms} atoms; "
             f"limit is {DENSE_ROTATION_LIMIT}"
         )
-    u = Operator(ATOM, u, unitary_claim=True).matrix
+    u = Operator(ATOM, u).matrix
     rows = np.asarray(rows)
     n1 = n_atoms + 1
     if rows.ndim not in (1, 2) or rows.shape[0] != n1:

@@ -36,21 +36,21 @@ def quarter_wave(angle: float) -> Operator:
     """Quarter-wave plate aligned at ``angle`` radians."""
     c, s = math.cos(2.0 * angle), math.sin(2.0 * angle)
     m = (1.0j / _SQRT2) * np.array([[c - 1.0j, s], [s, -c - 1.0j]])
-    return Operator(PHOTON, m, unitary_claim=True)
+    return Operator(PHOTON, m)
 
 
 def half_wave(angle: float) -> Operator:
     """Half-wave plate aligned at ``angle`` radians; squares to -I."""
     c, s = math.cos(2.0 * angle), math.sin(2.0 * angle)
     m = 1.0j * np.array([[c, s], [s, -c]])
-    return Operator(PHOTON, m, unitary_claim=True)
+    return Operator(PHOTON, m)
 
 
 def hadamard_variant(i: int) -> Operator:
     """One of the four inequivalent single-qubit Hadamard rotations."""
     if i not in _HADAMARD_VARIANTS:
         raise ValueError(f"hadamard variant index must be 1..4, got {i}")
-    return Operator(PHOTON, _HADAMARD_VARIANTS[i], unitary_claim=True)
+    return Operator(PHOTON, _HADAMARD_VARIANTS[i])
 
 
 def gadget_compose(plates) -> Operator:
@@ -95,7 +95,7 @@ def _qubit_space(name: str) -> SpaceLabel:
 
 def embed_single(name: str, matrix_2x2: np.ndarray, space: SpaceLabel) -> Operator:
     """Embed a 2x2 matrix acting on the named qubit subsystem; the 2x2 is checked here, not after."""
-    op = Operator(_qubit_space(name), matrix_2x2, unitary_claim=True)
+    op = Operator(_qubit_space(name), matrix_2x2)
     return embed(op, name, space)
 
 

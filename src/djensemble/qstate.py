@@ -9,10 +9,12 @@ behind it, so a caller that froze its own array has handed it over and
 sharing it is as safe as a copy; ``full_simulate_dicke`` passes its final
 (N+1) x 4 array this way and saves a copy of it (64 MB at N = 10^6). Every
 other input, a read-only view of a writable array included, is copied.
-The finite and norm checks run on every construction but ``embed``'s, which
-pads a checked operator with an exact identity and so cannot fail them
-(U'^dag U' - I = I (x) (U^dag U - I), entry for entry); a state scans its
-amplitudes for NaN and Inf only when their squared norm is not finite.
+An ``Operator`` is a checked unitary: its unitarity check runs on every
+construction but ``embed``'s, which pads a checked operator with an exact
+identity and so cannot fail it (U'^dag U' - I = I (x) (U^dag U - I), entry
+for entry). A Hamiltonian is a plain Hermitian matrix, which
+``expm_hermitian`` checks and exponentiates. A state scans its amplitudes
+for NaN and Inf only when their squared norm is not finite.
 """
 
 from __future__ import annotations
@@ -144,41 +146,30 @@ class StateVector:
             raise ValueError(f"state must be normalized but <psi|psi> = {norm2!r}")
         object.__setattr__(self, "amplitudes", amps)
 
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>; spaces must match."""
-        if self.space != other.space:
-            raise ValueError("states live on different spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense square matrix over a labeled space, optionally asserted unitary."""
+    """Dense unitary matrix over a labeled space, checked at construction."""
 
     space: SpaceLabel
     matrix: np.ndarray
-    unitary_claim: bool = False
 
     def __post_init__(self):
         mat = _frozen_complex(self.matrix)
         dim = self.space.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match space dimension {dim}")
-        if not self.unitary_claim:
+        # A unitary's entries are at most 1 in modulus; bounding them rejects NaN
+        # and Inf and keeps U^dag U from overflowing on entries near 1e300.
+        largest = float(np.abs(mat).max())
+        if not largest <= 2.0:
             _check_finite(mat, "matrix entries")
-        else:
-            # A unitary's entries are at most 1 in modulus. Bounding them
-            # rejects NaN and Inf, as the finite scan does, and keeps the
-            # product U^dag U from overflowing on entries near 1e300.
-            largest = float(np.abs(mat).max())
-            if not largest <= 2.0:
-                _check_finite(mat, "matrix entries")
-                raise ValueError(f"operator claimed unitary but has an entry of modulus {largest:.3e}")
-            gram = mat.conj().T @ mat
-            gram.flat[:: dim + 1] -= 1.0  # U^dag U - I
-            dev = float(np.abs(gram).max())
-            if not dev <= CONSTRUCTION_ATOL:
-                raise ValueError(f"operator claimed unitary but max |U^dag U - I| = {dev:.3e}")
+            raise ValueError(f"operator is not unitary: it has an entry of modulus {largest:.3e}")
+        gram = mat.conj().T @ mat
+        gram.flat[:: dim + 1] -= 1.0  # U^dag U - I
+        dev = float(np.abs(gram).max())
+        if not dev <= CONSTRUCTION_ATOL:
+            raise ValueError(f"operator is not unitary: max |U^dag U - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -194,11 +185,7 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.space != other.space:
             raise ValueError("operators live on different spaces")
-        return Operator(
-            self.space,
-            self.matrix @ other.matrix,
-            unitary_claim=self.unitary_claim and other.unitary_claim,
-        )
+        return Operator(self.space, self.matrix @ other.matrix)
 
 
 def basis_state(space: SpaceLabel, occupancy: Sequence[int]) -> StateVector:
@@ -230,7 +217,7 @@ def embed(op: Operator, target: str, space: SpaceLabel) -> Operator:
     identity = _padding_identity(before, after)
     big = op.matrix[None, :, None, None, :, None] * identity[:, None, :, :, None, :]
     big.setflags(write=False)
-    return _padded_operator(space, big.reshape(space.dim, space.dim), op.unitary_claim)
+    return _padded_operator(space, big.reshape(space.dim, space.dim))
 
 
 @functools.cache
@@ -240,20 +227,22 @@ def _padding_identity(before: int, after: int) -> np.ndarray:
     return identity.reshape(before, after, before, after)
 
 
-def _padded_operator(space: SpaceLabel, matrix: np.ndarray, unitary_claim: bool) -> Operator:
+def _padded_operator(space: SpaceLabel, matrix: np.ndarray) -> Operator:
     """An Operator over ``embed``'s frozen padding of a checked operator, without re-checking it."""
     padded = object.__new__(Operator)
-    vars(padded).update(space=space, matrix=matrix, unitary_claim=unitary_claim)
+    vars(padded).update(space=space, matrix=matrix)
     return padded
 
 
-def expm_hermitian(h: Operator, theta: float) -> Operator:
-    """exp(-i * theta * H) for Hermitian H, via eigendecomposition.
+def expm_hermitian(space: SpaceLabel, h: np.ndarray, theta: float) -> Operator:
+    """exp(-i * theta * H) on ``space`` for the Hermitian matrix H, via eigendecomposition.
 
     ``theta`` carries the whole dimensionless evolution angle, so H should be
     supplied in dimensionless form.
     """
-    mat = h.matrix
+    mat = _frozen_complex(h)
+    # a NaN entry would pass the Hermitian comparison below (nan > tol is False)
+    _check_finite(mat, "generator entries")
     scale = max(1.0, float(np.max(np.abs(mat))))
     dev = float(np.max(np.abs(mat - mat.conj().T)))
     if dev > CONSTRUCTION_ATOL * scale:
@@ -262,7 +251,7 @@ def expm_hermitian(h: Operator, theta: float) -> Operator:
     # theta * w past the float range gives NaN entries, which Operator rejects
     with np.errstate(over="ignore", invalid="ignore"):
         u = (v * np.exp(-1j * float(theta) * w)) @ v.conj().T
-    return Operator(h.space, u, unitary_claim=True)
+    return Operator(space, u)
 
 
 def born_distribution(state: StateVector, subsystems: Sequence[str]) -> dict:

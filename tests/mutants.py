@@ -44,9 +44,11 @@ MUTANTS = (
     Mutant("_medium_phase conjugated", "manybody.py",
            "tilt = np.exp(-1j * (theta / n_atoms)", "tilt = np.exp(1j * (theta / n_atoms)"),
     Mutant("u_eff_exact at -theta", "ensemble.py",
-           "expm_hermitian(h_eff_dimensionless(), theta)", "expm_hermitian(h_eff_dimensionless(), -theta)"),
+           "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), theta)",
+           "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), -theta)"),
     Mutant("u_eff_exact at |theta|", "ensemble.py",
-           "expm_hermitian(h_eff_dimensionless(), theta)", "expm_hermitian(h_eff_dimensionless(), abs(theta))"),
+           "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), theta)",
+           "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), abs(theta))"),
     Mutant("symmetric_rotation with x and x.T swapped", "manybody.py",
            "out = (x.T @ out.view(np.float64)).view(np.complex128)\n"
            "    # column k of X carries eigenvalue lam_k = -tilt_k\n"

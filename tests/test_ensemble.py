@@ -48,10 +48,10 @@ def full_u_oracle(theta):
     )
 
 
-def circular_photons(op):
-    """The operator's matrix with both photons in circular-mode coordinates."""
+def circular_photons(matrix):
+    """The matrix with both photons in circular-mode coordinates."""
     b = np.kron(np.eye(2), np.kron(LIN_TO_CIRC, LIN_TO_CIRC))
-    return b @ op.matrix @ b.conj().T
+    return b @ matrix @ b.conj().T
 
 
 def protocol_state(atom_level, photon_amps):
@@ -170,20 +170,27 @@ class TestEffectiveHamiltonian:
         assert abs(h_circ[3, 3]) < 1e-9 * config.lambda_value * config.n_atoms
 
     def test_hermitian(self):
-        h = build_h_eff(EnsembleConfig.from_theta(0.7)).matrix
+        h = build_h_eff(EnsembleConfig.from_theta(0.7))
         np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
 
     def test_linear_form_equivalence(self):
         config = EnsembleConfig.from_theta(math.pi / 2)
-        a = build_h_eff(config).matrix
-        b = build_h_eff_linear(config).matrix
+        a = build_h_eff(config)
+        b = build_h_eff_linear(config)
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
     def test_dimensionless_matrix_is_shared_and_read_only(self):
-        h = h_eff_dimensionless().matrix
-        assert h_eff_dimensionless().matrix is h
+        h = h_eff_dimensionless()
+        assert h_eff_dimensionless() is h
         assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
+
+    @pytest.mark.parametrize("build", [build_h_eff, build_h_eff_linear])
+    def test_scaled_matrix_is_read_only(self, build):
+        h = build(EnsembleConfig.from_theta(0.7))
+        assert type(h) is np.ndarray and not h.flags.writeable
         with pytest.raises(ValueError):
             h[0, 0] = 0.0
 
@@ -192,15 +199,15 @@ class TestEffectiveHamiltonian:
         expected = np.kron(np.diag([1.0, 0.0]), np.kron(P_PLUS, i2) + np.kron(i2, P_PLUS)) + np.kron(
             np.diag([0.0, 1.0]), np.kron(P_MINUS, i2) + np.kron(i2, P_MINUS)
         )
-        assert np.array_equal(h_eff_dimensionless().matrix, expected)
+        assert np.array_equal(h_eff_dimensionless(), expected)
         config = EnsembleConfig(n_atoms=40, coupling=2.0, detuning=25.0, interaction_time=0.140625)
-        linear = build_h_eff_linear(config).matrix / (config.lambda_value * config.n_atoms)
-        assert np.max(np.abs(h_eff_dimensionless().matrix - linear)) <= 1e-12
+        linear = build_h_eff_linear(config) / (config.lambda_value * config.n_atoms)
+        assert np.max(np.abs(h_eff_dimensionless() - linear)) <= 1e-12
 
     def test_linear_form_off_diagonals(self):
         h = build_h_eff_linear(EnsembleConfig(n_atoms=1, coupling=1.0, detuning=10.0, interaction_time=10.0))
         scale = 0.1  # lambda * n_atoms
-        shaped = h.matrix.reshape(2, 2, 2, 2, 2, 2)
+        shaped = h.reshape(2, 2, 2, 2, 2, 2)
         # plain-atom block, photon 1 coupling, photon 2 diagonal: entry i/2 below the diagonal
         assert shaped[0, 1, 0, 0, 0, 0] == pytest.approx(0.5j * scale, rel=1e-12)
         assert shaped[0, 0, 0, 0, 1, 0] == pytest.approx(-0.5j * scale, rel=1e-12)
@@ -243,14 +250,14 @@ class TestExactEvolution:
         # u_eff_exact(config) read config.theta into this same exponential
         spec = PRESETS["cs-cell"]
         config = ensemble_config_from_report(spec, required_detuning(spec))
-        before = expm_hermitian(h_eff_dimensionless(), config.theta).matrix
+        before = expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), config.theta).matrix
         assert np.array_equal(u_eff_exact(config.theta).matrix, before)
 
     def test_dimensionless_generator_is_reused(self):
-        h = h_eff_dimensionless().matrix
+        h = h_eff_dimensionless()
         config = EnsembleConfig(n_atoms=7, coupling=3.0, detuning=30.0, interaction_time=1.0)
         np.testing.assert_allclose(
-            build_h_eff(config).matrix, config.lambda_value * 7 * h, atol=1e-12
+            build_h_eff(config), config.lambda_value * 7 * h, atol=1e-12
         )
 
 
@@ -423,5 +430,5 @@ class TestPhasesClaim:
             amps = np.zeros(4)
             amps[2 * r1 + r2] = 1.0
             outs.append(u.apply(protocol_state(0, amps)))
-        gram = np.array([[a.overlap(b) for b in outs] for a in outs])
+        gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in outs] for a in outs])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)

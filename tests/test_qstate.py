@@ -12,6 +12,7 @@ from djensemble.qstate import (
     Operator,
     SpaceLabel,
     StateVector,
+    _padded_operator,
     _padding_identity,
     basis_state,
     born_distribution,
@@ -124,7 +125,12 @@ class TestStateVector:
 class TestOperator:
     def test_unitary_claim_enforced(self):
         with pytest.raises(ValueError, match="unitary"):
-            Operator(QUBIT_A, np.array([[1.0, 0.0], [0.0, 2.0]]), unitary_claim=True)
+            Operator(QUBIT_A, np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    def test_hermitian_non_unitary_matrix_rejected(self):
+        # a finite Hermitian matrix is a generator, not an operator
+        with pytest.raises(ValueError, match="unitary"):
+            Operator(QUBIT_A, np.diag([1.0, 0.0]))
 
     def test_dimension_must_match_space(self):
         with pytest.raises(ValueError, match="shape"):
@@ -132,26 +138,28 @@ class TestOperator:
 
     def test_norm_changing_apply_raises(self):
         # states have unit norm by construction, so an operator that changes
-        # the norm cannot produce one
+        # the norm cannot produce one, even one that skipped the unitarity check
+        doubled = 2.0 * np.eye(2, dtype=complex)
+        doubled.setflags(write=False)
         with pytest.raises(ValueError, match="normalized"):
-            Operator(QUBIT_A, 2.0 * np.eye(2)).apply(basis_state(QUBIT_A, (0,)))
+            _padded_operator(QUBIT_A, doubled).apply(basis_state(QUBIT_A, (0,)))
 
 
 class TestEmbed:
     SPACE = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
 
     def test_single_target_flip(self):
-        x = Operator(SpaceLabel((("q", 2),)), np.array([[0.0, 1.0], [1.0, 0.0]]), unitary_claim=True)
+        x = Operator(SpaceLabel((("q", 2),)), np.array([[0.0, 1.0], [1.0, 0.0]]))
         flipped = embed(x, "photon2", self.SPACE).apply(basis_state(self.SPACE, (0, 0, 0)))
         np.testing.assert_array_equal(flipped.amplitudes, basis_state(self.SPACE, (0, 0, 1)).amplitudes)
 
     def test_identity_embeds_to_identity(self):
-        ident = Operator(SpaceLabel((("q", 2),)), np.eye(2), unitary_claim=True)
+        ident = Operator(SpaceLabel((("q", 2),)), np.eye(2))
         np.testing.assert_array_equal(embed(ident, "photon1", self.SPACE).matrix, np.eye(8))
 
     def test_embed_matches_manual_kron(self):
         rng = np.random.default_rng(11)
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         op = Operator(SpaceLabel((("q", 2),)), m)
         embedded = embed(op, "photon1", self.SPACE).matrix
         np.testing.assert_allclose(embedded, np.kron(np.eye(2), np.kron(m, np.eye(2))), atol=1e-15)
@@ -165,7 +173,7 @@ class TestEmbed:
             p = space.index(target)
             rest = [q for q in range(n) if q != p]
             k = space.dims[p]
-            m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            m, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
             op = Operator(SpaceLabel((("t", k),)), m)
             order = [p] + rest
             big = np.kron(m, np.eye(math.prod(space.dims[q] for q in rest)))
@@ -181,13 +189,13 @@ class TestEmbed:
     def test_unitary_embed_matches_manual_kron(self, target):
         rng = np.random.default_rng(17)
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        op = Operator(SpaceLabel((("q", 2),)), q, unitary_claim=True)
+        op = Operator(SpaceLabel((("q", 2),)), q)
         factors = [q if name == target else np.eye(2) for name in self.SPACE.names]
         manual = np.kron(factors[0], np.kron(factors[1], factors[2]))
         assert np.array_equal(embed(op, target, self.SPACE).matrix, manual)
 
     def test_matrix_and_its_base_are_read_only(self):
-        op = Operator(SpaceLabel((("q", 2),)), np.array([[0.0, 1.0], [1.0, 0.0]]), unitary_claim=True)
+        op = Operator(SpaceLabel((("q", 2),)), np.array([[0.0, 1.0], [1.0, 0.0]]))
         matrix = embed(op, "photon1", self.SPACE).matrix
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
@@ -195,13 +203,8 @@ class TestEmbed:
         # no writable owner stands behind the view either
         assert matrix.base is None or not matrix.base.flags.writeable
 
-    @pytest.mark.parametrize("claim", [True, False])
-    def test_unitary_claim_is_kept(self, claim):
-        op = Operator(SpaceLabel((("q", 2),)), np.eye(2), unitary_claim=claim)
-        assert embed(op, "atom", self.SPACE).unitary_claim is claim
-
     def test_padding_is_not_checked_again(self, monkeypatch):
-        op = Operator(SpaceLabel((("q", 2),)), np.array([[0.0, 1.0], [1.0, 0.0]]), unitary_claim=True)
+        op = Operator(SpaceLabel((("q", 2),)), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
         def refuse(self):
             raise AssertionError("the padded operator was checked again")
@@ -222,13 +225,13 @@ class TestEmbed:
         rng = np.random.default_rng(23)
         for _ in range(50):
             q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            op = Operator(SpaceLabel((("q", 2),)), q, unitary_claim=True)
+            op = Operator(SpaceLabel((("q", 2),)), q)
             for target in self.SPACE.names:
                 padded = embed(op, target, self.SPACE).matrix
                 assert abs(gram_deviation(padded) - gram_deviation(q)) <= 1e-16
 
     def test_padding_identity_is_shared_and_read_only(self):
-        op = Operator(SpaceLabel((("q", 2),)), np.eye(2), unitary_claim=True)
+        op = Operator(SpaceLabel((("q", 2),)), np.eye(2))
         embed(op, "photon1", self.SPACE)
         identity = _padding_identity(2, 2)
         assert identity is _padding_identity(2, 2)
@@ -248,30 +251,28 @@ class TestEmbed:
 
 class TestExpmHermitian:
     def test_diagonal_projector(self):
-        h = Operator(QUBIT_A, np.diag([1.0, 0.0]))
-        u = expm_hermitian(h, math.pi / 2).matrix
+        u = expm_hermitian(QUBIT_A, np.diag([1.0, 0.0]), math.pi / 2).matrix
         np.testing.assert_allclose(u, np.diag([-1.0j, 1.0]), atol=1e-15)
 
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = Operator(SpaceLabel((("s", 4),)), m + m.conj().T)
-        np.testing.assert_allclose(expm_hermitian(h, 0.0).matrix, np.eye(4), atol=1e-14)
+        space = SpaceLabel((("s", 4),))
+        np.testing.assert_allclose(expm_hermitian(space, m + m.conj().T, 0.0).matrix, np.eye(4), atol=1e-14)
 
     def test_group_property(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            h = Operator(SpaceLabel((("s", 3),)), m + m.conj().T)
+            h, space = m + m.conj().T, SpaceLabel((("s", 3),))
             t1, t2 = rng.uniform(-3, 3, size=2)
-            split = expm_hermitian(h, t1).matrix @ expm_hermitian(h, t2).matrix
-            joint = expm_hermitian(h, t1 + t2).matrix
+            split = expm_hermitian(space, h, t1).matrix @ expm_hermitian(space, h, t2).matrix
+            joint = expm_hermitian(space, h, t1 + t2).matrix
             np.testing.assert_allclose(split, joint, atol=1e-12)
 
     def test_microwave_generator_at_zero_phase(self):
         # drive generator at zero field phase, quarter pulse area
-        h = Operator(QUBIT_A, -np.array([[0.0, 1.0], [1.0, 0.0]]))
-        u = expm_hermitian(h, math.pi / 4).matrix
+        u = expm_hermitian(QUBIT_A, -np.array([[0.0, 1.0], [1.0, 0.0]]), math.pi / 4).matrix
         h2 = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
         np.testing.assert_allclose(u, h2, atol=1e-14)
 
@@ -282,21 +283,26 @@ class TestExpmHermitian:
         m = rng.normal(size=(6, 6))
         space = SpaceLabel((("s", 6),))
         p = np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, size=6)))
-        real = expm_hermitian(Operator(space, m + m.T), 0.7).matrix
-        cplx = expm_hermitian(Operator(space, p @ (m + m.T) @ p.conj().T), 0.7).matrix
+        real = expm_hermitian(space, m + m.T, 0.7).matrix
+        cplx = expm_hermitian(space, p @ (m + m.T) @ p.conj().T, 0.7).matrix
         np.testing.assert_allclose(real, p.conj().T @ cplx @ p, atol=1e-13)
 
     def test_non_hermitian_rejected(self):
-        h = Operator(QUBIT_A, np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="Hermitian"):
-            expm_hermitian(h, 1.0)
+            expm_hermitian(QUBIT_A, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_generator_rejected(self, bad):
+        # a NaN entry would pass the Hermitian comparison: nan > tol is False
+        with pytest.raises(ValueError, match="generator entries must be finite"):
+            expm_hermitian(QUBIT_A, np.diag([bad, 0.0]), 1.0)
 
     def test_result_is_unitary(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            h = Operator(SpaceLabel((("s", 5),)), m + m.conj().T)
-            u = expm_hermitian(h, rng.uniform(-10, 10)).matrix
+            h = m + m.conj().T
+            u = expm_hermitian(SpaceLabel((("s", 5),)), h, rng.uniform(-10, 10)).matrix
             np.testing.assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
 
 
