@@ -207,19 +207,18 @@ def _load_medium(token: str) -> MediumSpec:
         raise ValueError(f"medium file {token!r} must be a JSON object")
     values = {}
     for f in dataclasses.fields(MediumSpec):
-        if f.name not in data and f.default is not dataclasses.MISSING:
+        if f.name not in data:
+            if f.default is dataclasses.MISSING:
+                raise ValueError(f"medium file {token!r}: {f.name!r} must be a number, it is missing")
             continue
-        value = data.get(f.name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            found = f"got {value!r}" if f.name in data else "it is missing"
-            raise ValueError(f"medium file {token!r}: {f.name!r} must be a number, {found}")
+        value = data[f.name]
         if f.type == "int" and isinstance(value, float) and value.is_integer():
             value = int(value)  # JSON writes 1e5 as a float
         values[f.name] = value
     try:
         return MediumSpec(**values)
     except ValueError as exc:
-        raise ValueError(f"malformed medium spec {token!r}: {exc}") from exc
+        raise ValueError(f"medium file {token!r}: {exc}") from exc
 
 
 def _cmd_params(args) -> int:

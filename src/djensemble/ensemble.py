@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import LIN_TO_CIRC
-from .qstate import Operator, SpaceLabel, StateVector, _frozen_complex, check_integer, expm_hermitian, finite_real
+from .qstate import Operator, SpaceLabel, StateVector, _frozen_complex, check_count, check_positive, check_real, expm_hermitian
 
 ATOM = SpaceLabel((("atom", 2),))
 PROTOCOL_SPACE = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
@@ -53,14 +53,11 @@ class EnsembleConfig:
     interaction_time: float
 
     def __post_init__(self):
-        check_integer("n_atoms", self.n_atoms)
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be positive")
-        if not all(finite_real(v) and v > 0 for v in (self.coupling, self.detuning)):
-            raise ValueError("coupling and detuning must be finite and positive")
+        check_count("n_atoms", self.n_atoms)
+        check_positive("coupling", self.coupling)
+        check_positive("detuning", self.detuning)
         # negative times are allowed: from_theta of a negative angle gives one
-        if not finite_real(self.interaction_time):
-            raise ValueError("interaction_time must be finite")
+        check_real("interaction_time", self.interaction_time)
         try:
             finite = math.isfinite(self.lambda_value) and math.isfinite(self.theta)
         except OverflowError:  # coupling**2, or an n_atoms past the float range
@@ -115,8 +112,8 @@ class MicrowavePulse:
     phase: float
 
     def __post_init__(self):
-        if not (finite_real(self.area) and finite_real(self.phase)):
-            raise ValueError("pulse parameters must be finite")
+        check_real("area", self.area)
+        check_real("phase", self.phase)
 
 
 def microwave_rotation(pulse: MicrowavePulse) -> Operator:

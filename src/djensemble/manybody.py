@@ -24,7 +24,7 @@ import numpy as np
 
 from .ensemble import ATOM, P_MINUS, P_PLUS, _photon_pair_sum, collective_extreme
 from .polarization import LIN_TO_CIRC, PHOTON
-from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, check_integer, finite_real
+from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, check_count, check_real
 
 NAIVE_ATOM_LIMIT = 12
 # The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
@@ -55,16 +55,12 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_atom_init(atom_init) -> np.ndarray:
-    """The single-atom start vector: shape (2,), finite and of unit norm."""
-    single = np.asarray(atom_init, dtype=complex)
-    if single.shape != (2,):
-        raise ValueError(f"atom_init must be a single-atom 2-vector, got shape {single.shape}")
-    if not np.all(np.isfinite(single)):
-        raise ValueError("atom_init must be finite (no NaN or Inf)")
-    if abs(np.linalg.norm(single) - 1.0) > CONSTRUCTION_ATOL:
-        raise ValueError("atom_init must be normalized")
-    return single
+def _atom_start(atom_init) -> np.ndarray:
+    """The single-atom start vector: shape (2,), then the amplitudes of a ``StateVector`` on one atom."""
+    shape = np.shape(atom_init)
+    if shape != (2,):
+        raise ValueError(f"atom_init must be a single-atom 2-vector, got shape {shape}")
+    return StateVector(ATOM, atom_init).amplitudes
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,7 @@ class EnsembleEvolution:
     theta: float
 
     def __post_init__(self):
-        if not finite_real(self.theta):
-            raise ValueError(f"medium angle theta must be finite, got {self.theta!r}")
+        check_real("theta", self.theta)
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,8 @@ class PhotonRotation:
     pair: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.photon not in (1, 2):
-            raise ValueError("photon index must be 1 or 2")
+        if check_count("photon", self.photon) > 2:
+            raise ValueError(f"photon must be 1 or 2, got {self.photon!r}")
         matrix = Operator(PHOTON, self.matrix).matrix
         pair = _kron(matrix, _I2) if self.photon == 1 else _kron(_I2, matrix)
         pair.setflags(write=False)
@@ -222,13 +217,11 @@ def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np
     q = 1 - p, each in Loader's saddle-point form to a few ulps, so the
     squared norm is 1 to rounding at any N. The cost is O(sqrt(N p q)).
     """
-    check_integer("n_atoms", n_atoms)
-    if n_atoms < 1:
-        raise ValueError("need at least one atom")
+    check_count("n_atoms", n_atoms)
     alpha, beta = complex(single[0]), complex(single[1])
     scale = math.hypot(abs(alpha), abs(beta))
-    if scale == 0.0:
-        raise ValueError("the single-atom vector is zero")
+    if not 0.0 < scale < math.inf:  # NaN fails too
+        raise ValueError("the single-atom vector must be nonzero with a finite norm")
     p = (abs(beta) / scale) ** 2
     q = (abs(alpha) / scale) ** 2
     # p or q underflows to 0 only for |beta/s| or |alpha/s| below about
@@ -404,12 +397,9 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
     three passes. The start state is N outer products of the single-atom
     vector with the state so far, one ``np.dot`` each.
     """
-    single = _check_atom_init(atom_init)
-    check_integer("n_atoms", n_atoms)
-    if n_atoms > NAIVE_ATOM_LIMIT:
+    single = _atom_start(atom_init)
+    if check_count("n_atoms", n_atoms) > NAIVE_ATOM_LIMIT:
         raise ValueError(f"naive simulator is capped at {NAIVE_ATOM_LIMIT} atoms")
-    if n_atoms < 1:
-        raise ValueError("need at least one atom")
     # np.tensordot(single, state, axes=0) without its reshaping: the same
     # (2, 1) x (1, K) product, so the same bits for a complex atom, where a
     # broadcast multiply rounds differently
@@ -507,10 +497,8 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     sigma_x eigenbasis, whose O(N^3) eigendecomposition is paid once per N.
     The returned state takes the final rows without copying them.
     """
-    atom = _check_atom_init(atom_init)
-    check_integer("n_atoms", n_atoms)
-    if n_atoms < 1:
-        raise ValueError("need at least one atom")
+    atom = _atom_start(atom_init)
+    check_count("n_atoms", n_atoms)
     # ``atom`` is None once the rows hold every excitation number
     rows = _PHOTONS_HH.reshape(1, 4).copy()
     for op in ops:

@@ -7,12 +7,10 @@ cyclic value detuning/2pi for convenience.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, fields
 
 from .ensemble import EnsembleConfig
-from .qstate import check_integer
+from .qstate import check_count, check_positive
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 # detuning/coupling at or above which the second-order (dispersive)
@@ -38,26 +36,13 @@ class MediumSpec:
     relaxation_s: float = 1e-6  # ground-state coherence timescale
 
     def __post_init__(self):
+        # n_atoms too: a count past the float range is named here, not left
+        # to overflow in required_detuning
         for f in fields(self):
-            value = check_medium_value(f.name, getattr(self, f.name))
+            value = check_positive(f.name, getattr(self, f.name))
             if f.type == "float":
                 object.__setattr__(self, f.name, value)
-        check_integer("n_atoms", self.n_atoms)
-
-
-def check_medium_value(name: str, value) -> float:
-    """``value`` as a float; raise ValueError naming ``name`` unless it is a finite, positive real."""
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an int past the float range
-        if value > 0:
-            raise ValueError(f"{name} must be at most {sys.float_info.max:.4g}, the largest float") from None
-        x = -math.inf
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"{name} must be finite and positive, got {x!r}")
-    return x
+        check_count("n_atoms", self.n_atoms)
 
 
 @dataclass(frozen=True)
@@ -77,7 +62,7 @@ class FeasibilityReport:
 
 def transit_time(length_m: float) -> float:
     """Photon transit time through a medium of the given length."""
-    t = check_medium_value("length_m", length_m) / SPEED_OF_LIGHT
+    t = check_positive("length_m", length_m) / SPEED_OF_LIGHT
     if t == 0.0:
         raise ValueError(f"length_m {length_m!r} is so small that the transit time underflows to 0")
     return t

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .qstate import Operator, SpaceLabel, embed
+from .qstate import Operator, SpaceLabel, check_count, embed
 
 PHOTON = SpaceLabel((("photon", 2),))
 
@@ -48,7 +48,7 @@ def half_wave(angle: float) -> Operator:
 
 def hadamard_variant(i: int) -> Operator:
     """One of the four inequivalent single-qubit Hadamard rotations."""
-    if i not in _HADAMARD_VARIANTS:
+    if check_count("hadamard variant index", i) not in _HADAMARD_VARIANTS:
         raise ValueError(f"hadamard variant index must be 1..4, got {i}")
     return Operator(PHOTON, _HADAMARD_VARIANTS[i])
 

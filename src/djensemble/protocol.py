@@ -35,7 +35,7 @@ from .ensemble import (
 )
 from .manybody import AtomRotation, EnsembleEvolution, PhotonRotation
 from .polarization import composite_h, embed_single, hadamard_variant
-from .qstate import StateVector, basis_state, born_distribution, check_integer
+from .qstate import StateVector, basis_state, born_distribution, check_count
 
 MODES = ("exact", "paper")
 
@@ -102,15 +102,15 @@ class BooleanFunction:
     id: str | None = field(init=False)
 
     def __post_init__(self):
-        check_integer("n_bits", self.n_bits)
-        table = tuple(int(b) for b in self.table)
-        object.__setattr__(self, "table", table)
-        if self.n_bits < 1:
-            raise ValueError("n_bits must be positive")
+        check_count("n_bits", self.n_bits)
+        table = tuple(self.table)
         if len(table) != 2**self.n_bits:
             raise ValueError(f"table must have 2^{self.n_bits} entries")
+        # checked before int(), which would take 1.9 to 1
         if any(b not in (0, 1) for b in table):
-            raise ValueError("table entries must be bits")
+            raise ValueError(f"table entries must be bits, got {table!r}")
+        table = tuple(int(b) for b in table)
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "id", _CATALOG_IDS.get(table))
 
     @property
@@ -138,7 +138,7 @@ def table1_functions() -> tuple[BooleanFunction, ...]:
 
 def enumerate_functions(n_bits: int) -> tuple[BooleanFunction, ...]:
     """All constant and balanced truth tables on n_bits inputs (n_bits <= 4)."""
-    if not 1 <= n_bits <= 4:
+    if check_count("n_bits", n_bits) > 4:
         raise ValueError("enumeration is guarded to 1 <= n_bits <= 4")
     if n_bits == 2:
         return table1_functions()

@@ -15,6 +15,12 @@ identity and so cannot fail it (U'^dag U' - I = I (x) (U^dag U - I), entry
 for entry). A Hamiltonian is a plain Hermitian matrix, which
 ``expm_hermitian`` checks and exponentiates. A state scans its amplitudes
 for NaN and Inf only when their squared norm is not finite.
+
+Scalar inputs are checked by three rules here, which the other modules call
+instead of writing their own; each raises a ValueError naming the field:
+``check_real`` (a finite real number), ``check_positive`` (a finite real
+number above 0) and ``check_count`` (an integer of at least 1). A bool is
+neither a real number nor a count.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -47,7 +54,9 @@ __all__ = [
     "basis_state",
     "embed",
     "expm_hermitian",
-    "finite_real",
+    "check_real",
+    "check_positive",
+    "check_count",
     "born_distribution",
     "sample_shots",
 ]
@@ -70,20 +79,34 @@ def _frozen_complex(values) -> np.ndarray:
     return arr
 
 
-def finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number; NaN, +-inf and an int past the float range are not."""
-    if not isinstance(value, numbers.Real):
-        return False
+def check_real(name: str, value) -> float:
+    """``value`` as a float; raise ValueError naming ``name`` unless it is a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.4g} in magnitude, the largest float") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not."""
+def check_positive(name: str, value) -> float:
+    """``check_real``, and raise ValueError naming ``name`` unless the value is above 0."""
+    x = check_real(name, value)
+    if not x > 0:
+        raise ValueError(f"{name} must be positive, got {x!r}")
+    return x
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int; raise ValueError naming ``name`` unless it is an integer of at least 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+    return int(value)
 
 
 def _check_finite(arr: np.ndarray, what: str = "amplitudes") -> None:
@@ -298,8 +321,9 @@ def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:
     first k shots of a larger draw are exactly the k-shot draw. Counting the
     uniforms below each table entry costs O(K * shots) for K outcomes.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = check_count("shots", shots)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
     outcomes = list(dist.keys())
     p = np.array([float(dist[o]) for o in outcomes])
     if p.size == 0 or np.any(p < -1e-12) or not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails too
@@ -310,7 +334,6 @@ def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:
     # never falls to a trailing zero-probability outcome: every shot is below it.
     last = int(np.flatnonzero(p)[-1])
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    shots = int(shots)
     below = np.zeros(last, dtype=np.int64)
     for start in range(0, shots, _SHOT_BLOCK):
         u = rng.random(min(_SHOT_BLOCK, shots - start))

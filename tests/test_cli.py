@@ -330,9 +330,12 @@ class TestParamsCommand:
 
     @pytest.mark.parametrize("text, named", [
         ('{"n_atoms": 100000, "coupling_rad_s": 2.91e8}', "'length_m' must be a number, it is missing"),
-        ('{"length_m": "2e-4", "n_atoms": 100000, "coupling_rad_s": 2.91e8}', "'length_m' must be a number, got '2e-4'"),
-        ('{"length_m": 2e-4, "n_atoms": [1], "coupling_rad_s": 2.91e8}', "'n_atoms' must be a number"),
-        ('{"length_m": 2e-4, "n_atoms": 100000, "coupling_rad_s": 2.91e8, "relaxation_s": null}', "'relaxation_s'"),
+        ('{"length_m": "2e-4", "n_atoms": 100000, "coupling_rad_s": 2.91e8}', "length_m must be a real number, got '2e-4'"),
+        ('{"length_m": 2e-4, "n_atoms": [1], "coupling_rad_s": 2.91e8}', "n_atoms must be a real number, got [1]"),
+        ('{"length_m": 2e-4, "n_atoms": 100000, "coupling_rad_s": 2.91e8, "relaxation_s": null}',
+         "relaxation_s must be a real number, got None"),
+        ('{"length_m": 2e-4, "n_atoms": 100000, "coupling_rad_s": 2.91e8, "relaxation_s": true}',
+         "relaxation_s must be a real number, got True"),
         ("[200e-6, 100000, 2.91e8]", "must be a JSON object"),
         ("length_m = 200e-6", "is not JSON"),
     ])
@@ -349,20 +352,20 @@ class TestParamsCommand:
         spec.write_text('{"length_m": 200e-6, "n_atoms": 1' + "0" * 399 + ', "coupling_rad_s": 2.91e8}')
         assert main(["params", "--medium", str(spec)]) == 2
         assert capsys.readouterr().err == (
-            f"error: malformed medium spec {str(spec)!r}: "
-            "n_atoms must be at most 1.798e+308, the largest float\n"
+            f"error: medium file {str(spec)!r}: "
+            "n_atoms must be at most 1.798e+308 in magnitude, the largest float\n"
         )
 
     @pytest.mark.parametrize("key, value, message", [
-        ("length_m", "1" + "0" * 399, "length_m must be at most 1.798e+308, the largest float"),
-        ("coupling_rad_s", "1e400", "coupling_rad_s must be finite and positive, got inf"),
+        ("length_m", "1" + "0" * 399, "length_m must be at most 1.798e+308 in magnitude, the largest float"),
+        ("coupling_rad_s", "1e400", "coupling_rad_s must be finite, got inf"),
     ], ids=["length_m", "coupling_rad_s"])
     def test_out_of_range_value_is_named_by_its_key(self, tmp_path, capsys, key, value, message):
         fields = {"length_m": "200e-6", "n_atoms": "100000", "coupling_rad_s": "2.91e8", key: value}
         spec = tmp_path / "medium.json"
         spec.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
         assert main(["params", "--medium", str(spec)]) == 2
-        assert capsys.readouterr().err == f"error: malformed medium spec {str(spec)!r}: {message}\n"
+        assert capsys.readouterr().err == f"error: medium file {str(spec)!r}: {message}\n"
 
     def test_underflowing_transit_time_is_named(self, tmp_path, capsys):
         spec = tmp_path / "medium.json"

@@ -74,7 +74,9 @@ class TestEnsembleConfig:
          (math.inf, 10.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
     )
     def test_nonpositive_physics_rejected(self, coupling, detuning):
-        with pytest.raises(ValueError, match="finite and positive"):
+        field, value = ("detuning", detuning) if coupling == 1.0 else ("coupling", coupling)
+        rule = "positive" if math.isfinite(value) else "finite"
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value!r}$"):
             EnsembleConfig(n_atoms=10, coupling=coupling, detuning=detuning, interaction_time=1.0)
 
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
@@ -106,10 +108,10 @@ class TestEnsembleConfig:
             EnsembleConfig(n_atoms=n_atoms, coupling=1.0, detuning=1.0, interaction_time=1.0)
 
     @pytest.mark.parametrize("field", ["coupling", "detuning", "interaction_time"])
-    @pytest.mark.parametrize("value", [None, "1.0", 1.0 + 0j], ids=["none", "string", "complex"])
+    @pytest.mark.parametrize("value", [None, "1.0", 1.0 + 0j, True], ids=["none", "string", "complex", "bool"])
     def test_non_number_rejected(self, field, value):
         values = {"n_atoms": 10, "coupling": 1.0, "detuning": 10.0, "interaction_time": 1.0, field: value}
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
             EnsembleConfig(**values)
 
     def test_numpy_integer_atom_count_accepted(self):
@@ -149,9 +151,14 @@ class TestMicrowaveRotation:
             np.testing.assert_allclose(built.conj().T @ built, np.eye(2), atol=1e-12)
 
 
-    @pytest.mark.parametrize("area,phase", [(None, 0.0), (1.0, "0"), (1j, 0.0)], ids=["none", "string", "complex"])
-    def test_non_number_pulse_rejected(self, area, phase):
-        with pytest.raises(ValueError, match="pulse parameters must be finite"):
+    @pytest.mark.parametrize(
+        "area,phase,field",
+        [(None, 0.0, "area"), (1.0, "0", "phase"), (1j, 0.0, "area"), (True, 0.0, "area"), (1.0, False, "phase")],
+        ids=["none", "string", "complex", "bool-area", "bool-phase"],
+    )
+    def test_non_number_pulse_rejected(self, area, phase, field):
+        value = area if field == "area" else phase
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
             MicrowavePulse(area, phase)
 
 

@@ -246,9 +246,9 @@ def test_non_finite_medium_angle_rejected(theta):
         EnsembleEvolution(theta)
 
 
-@pytest.mark.parametrize("theta", [None, "0.3", 0.3 + 0j], ids=["none", "string", "complex"])
+@pytest.mark.parametrize("theta", [None, "0.3", 0.3 + 0j, True], ids=["none", "string", "complex", "bool"])
 def test_non_number_medium_angle_rejected(theta):
-    with pytest.raises(ValueError, match="theta must be finite"):
+    with pytest.raises(ValueError, match="^theta must be a real number, got "):
         EnsembleEvolution(theta)
 
 
@@ -308,11 +308,18 @@ class TestAtomState:
         with pytest.raises(ValueError, match="zero"):
             coherent_dicke_amplitudes(np.zeros(2), 3)
 
+    @pytest.mark.parametrize("vec", [[math.inf, 1.0], [math.nan, 0.0], [1.0, complex(math.nan, 0.0)]],
+                             ids=["inf", "nan", "complex-nan"])
+    def test_non_finite_vector_rejected(self, vec):
+        # [inf, 1] gave NaN amplitudes and [nan, 0] failed converting NaN to an integer
+        with pytest.raises(ValueError, match="^the single-atom vector must be nonzero with a finite norm$"):
+            coherent_dicke_amplitudes(np.array(vec), 3)
+
     @pytest.mark.parametrize(
         "n_atoms,message",
         [(2.5, "^n_atoms must be an integer, got 2.5$"), (True, "^n_atoms must be an integer, got True$"),
-         ("3", "^n_atoms must be an integer, got '3'$"), (0, "^need at least one atom$"),
-         (-3, "^need at least one atom$")],
+         ("3", "^n_atoms must be an integer, got '3'$"), (0, "^n_atoms must be at least 1, got 0$"),
+         (-3, "^n_atoms must be at least 1, got -3$")],
         ids=["fraction", "bool", "string", "zero", "negative"],
     )
     def test_bad_atom_count_rejected(self, n_atoms, message):
@@ -532,6 +539,17 @@ class TestPairGate:
         assert op == PhotonRotation(1, op.matrix)
         assert op != PhotonRotation(2, op.matrix)
         assert [f.name for f in dataclasses.fields(PhotonRotation) if f.compare] == ["photon", "matrix"]
+
+    @pytest.mark.parametrize(
+        "photon,message",
+        [(1.0, "^photon must be an integer, got 1.0$"), (True, "^photon must be an integer, got True$"),
+         (0, "^photon must be at least 1, got 0$"), (3, "^photon must be 1 or 2, got 3$")],
+        ids=["float", "bool", "zero", "three"],
+    )
+    def test_bad_photon_index_is_named(self, photon, message):
+        # 1.0 rotated photon 1 in the naive replay but was an unknown subsystem in the compact one
+        with pytest.raises(ValueError, match=message):
+            PhotonRotation(photon, H1)
 
 
 class TestLogBinomial:

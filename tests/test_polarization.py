@@ -85,6 +85,12 @@ class TestHadamardVariants:
         with pytest.raises(ValueError):
             hadamard_variant(i)
 
+    @pytest.mark.parametrize("i", [True, 1.0])
+    def test_non_integer_index_rejected(self, i):
+        # 1.0 and True hash as 1 and used to give variant 1
+        with pytest.raises(ValueError, match=f"^hadamard variant index must be an integer, got {i!r}$"):
+            hadamard_variant(i)
+
 
 class TestGadgets:
     @pytest.mark.parametrize("i", [1, 2, 3, 4])

@@ -83,6 +83,17 @@ class TestBooleanFunction:
         with pytest.raises(ValueError, match=f"^n_bits must be an integer, got {n_bits!r}$"):
             BooleanFunction(n_bits, (0, 0, 1, 1))
 
+    @pytest.mark.parametrize("table", [(0, 0, 1, 1.9), (0, 0.5, 1, 1), (0, 0, 1, "1")], ids=["1.9", "0.5", "string"])
+    def test_non_bit_entry_rejected(self, table):
+        # int() would take 1.9 to 1, making this table f3
+        with pytest.raises(ValueError, match="^table entries must be bits, got "):
+            BooleanFunction(2, table)
+
+    def test_any_iterable_of_bits_is_a_table(self):
+        f = BooleanFunction(2, iter([np.int64(0), 0.0, True, 1]))
+        assert f.table == (0, 0, 1, 1) and f.id == "f3"
+        assert all(type(b) is int for b in f.table)
+
     def test_table_length_checked(self):
         with pytest.raises(ValueError, match="entries"):
             BooleanFunction(2, (0, 1))
@@ -113,6 +124,17 @@ class TestEnumeration:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_functions(5)
+
+    @pytest.mark.parametrize(
+        "n_bits,message",
+        [(2.5, "^n_bits must be an integer, got 2.5$"), (True, "^n_bits must be an integer, got True$"),
+         (0, "^n_bits must be at least 1, got 0$")],
+        ids=["fraction", "bool", "zero"],
+    )
+    def test_bad_bit_count_is_named(self, n_bits, message):
+        # 2.5 raised a TypeError from inside the enumeration
+        with pytest.raises(ValueError, match=message):
+            enumerate_functions(n_bits)
 
 
 class TestOracleConstruction:

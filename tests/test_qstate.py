@@ -425,6 +425,22 @@ class TestSampleShots:
         with pytest.raises(ValueError, match="malformed"):
             sample_shots({0: 0.5, 1: 0.6}, 10, seed=1)
 
+    @pytest.mark.parametrize(
+        "shots,seed,message",
+        [(5.5, 3, "^shots must be an integer, got 5.5$"), (True, 3, "^shots must be an integer, got True$"),
+         (0, 3, "^shots must be at least 1, got 0$"), (5, 3.9, "^seed must be an integer of at least 0, got 3.9$"),
+         (5, -1, "^seed must be an integer of at least 0, got -1$"),
+         (5, True, "^seed must be an integer of at least 0, got True$")],
+        ids=["fractional-shots", "bool-shots", "zero-shots", "fractional-seed", "negative-seed", "bool-seed"],
+    )
+    def test_shot_count_and_seed_are_named(self, shots, seed, message):
+        # 5.5 shots drew 5, and seed 3.9 drew seed 3's counts
+        with pytest.raises(ValueError, match=message):
+            sample_shots({0: 0.5, 1: 0.5}, shots, seed)
+
+    def test_numpy_integer_shots_and_seed_accepted(self):
+        assert sample_shots({0: 0.5, 1: 0.5}, np.int64(100), np.uint32(7)) == sample_shots({0: 0.5, 1: 0.5}, 100, 7)
+
     @pytest.mark.parametrize("table", [{0: math.nan, 1: 1.0}, {0: 1.0, 1: math.nan}, {0: 0.5, 1: math.nan, 2: 0.5}])
     def test_nan_table_rejected(self, table):
         with pytest.raises(ValueError, match="malformed"):
