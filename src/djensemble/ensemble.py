@@ -83,7 +83,7 @@ class EnsembleConfig:
         n_atoms, coupling, detuning = 100_000, 1.0, 10.0
         lam = coupling**2 / detuning
         return cls(n_atoms=n_atoms, coupling=coupling, detuning=detuning,
-                   interaction_time=theta / (lam * n_atoms))
+                   interaction_time=check_real("theta", theta) / (lam * n_atoms))
 
 
 def is_quarter_turn(theta: float) -> bool:
@@ -269,7 +269,7 @@ def check_phases_claim(theta: float) -> PhasesClaimReport:
     polarization factor, so their pairwise absolute overlaps are 1: no
     unitary does that, and the report says so.
     """
-    if not is_quarter_turn(theta):
+    if not is_quarter_turn(check_real("theta", theta)):
         raise ValueError("the claim audit is defined at theta = pi/2")
     # the rows |00>, |11>, |01>, |10> with the atoms at the plain-ground extreme
     rows = [0, 3, 1, 2]

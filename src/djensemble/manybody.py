@@ -10,8 +10,10 @@ Both simulators consume the same small operation vocabulary (per-atom
 rotation, medium evolution, single-photon rotation), so a protocol sequence
 can be replayed on either and compared. Both start from a product state:
 one normalized single-atom 2-vector replicated over the ensemble, and both
-photons horizontal, |HH>. ``protocol.run_protocol`` replays the same
-sequences on the compact (atom, photon1, photon2) space.
+photons horizontal, |HH>. Both keep it as that product, one atom vector and
+one photon-pair vector, until the first medium step couples the atoms to
+the photons. ``protocol.run_protocol`` replays the same sequences on the
+compact (atom, photon1, photon2) space.
 """
 
 from __future__ import annotations
@@ -377,6 +379,16 @@ def _excitation_order(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return order, inverse, bounds
 
 
+def _naive_product(single: np.ndarray, photons: np.ndarray, n_atoms: int) -> np.ndarray:
+    """The (2^N, 4) rows of single^(x)N (x) photons: N outer products, one ``np.dot`` each."""
+    # np.tensordot(single, state, axes=0) without its reshaping: the same bits
+    # for a complex atom, where a broadcast multiply rounds differently
+    column, state = single[:, None], photons
+    for _ in range(n_atoms):
+        state = np.dot(column, state[None, :]).reshape(-1)
+    return state.reshape(2**n_atoms, 4)
+
+
 def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
     """Evolve the full product space of N atoms and both photons.
 
@@ -385,30 +397,30 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
     evaluated per atomic configuration by counting atoms in each level,
     which is the literal action of the per-atom Hamiltonian sum.
 
-    Every one of the 2^N x 4 amplitudes is evolved. An atom rotation applies
-    u to each atom, four atoms at a time: one product of the 16 x 16 block
-    u (x) u (x) u (x) u with the (2^j, 16, rest) view of the state per group,
-    about N / 4 passes. A photon rotation is one right product on the
-    (2^N, 4) view. A medium step gives each excitation number m its own
-    4 x 4 block from its own ``eigh`` (all N + 1 of them in one batched
-    call, built once per N, so a step only applies the phases), gathers the
-    rows into excitation order once, applies each block to its contiguous
-    run of C(N, m) rows in place and scatters the rows back: O(2^N) work in
-    three passes. The start state is N outer products of the single-atom
-    vector with the state so far, one ``np.dot`` each.
+    Until the first medium step couples them, atoms and photons are a
+    product: rotations multiply the single-atom 2-vector or the photon-pair
+    4-vector, and nothing is renormalized. That step, or the end of the run,
+    expands the product into the 2^N x 4 amplitudes, and from then on every
+    one of them is evolved. An atom rotation applies u to each atom, four
+    atoms at a time: one product of the 16 x 16 block u (x) u (x) u (x) u
+    with the (2^j, 16, rest) view of the state per group, about N / 4 passes.
+    A photon rotation is one right product on the (2^N, 4) view. A medium
+    step gives each excitation number m its own 4 x 4 block from its own
+    ``eigh`` (all N + 1 of them in one batched call, built once per N, so a
+    step only applies the phases), gathers the rows into excitation order
+    once, applies each block to its contiguous run of C(N, m) rows in place
+    and scatters the rows back: O(2^N) work in three passes.
     """
     single = _atom_start(atom_init)
     if check_count("n_atoms", n_atoms) > NAIVE_ATOM_LIMIT:
         raise ValueError(f"naive simulator is capped at {NAIVE_ATOM_LIMIT} atoms")
-    # np.tensordot(single, state, axes=0) without its reshaping: the same
-    # (2, 1) x (1, K) product, so the same bits for a complex atom, where a
-    # broadcast multiply rounds differently
-    column, state = single[:, None], _PHOTONS_HH
-    for _ in range(n_atoms):
-        state = np.dot(column, state[None, :]).reshape(-1)
-    state = state.reshape(2**n_atoms, 4)
+    # ``state`` is None while the state is the product single^(x)N (x) photons
+    photons, state = _PHOTONS_HH, None
     for op in ops:
         if isinstance(op, AtomRotation):
+            if state is None:
+                single = op.matrix @ single
+                continue
             powers = [np.ones((1, 1))]
             while len(powers) <= min(4, n_atoms):
                 powers.append(_kron(powers[-1], op.matrix))
@@ -417,8 +429,13 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
                 state = np.matmul(powers[g], state.reshape(2**j, 2**g, -1))
             state = state.reshape(2**n_atoms, 4)
         elif isinstance(op, PhotonRotation):
-            state = state @ op.on_pair().T
+            if state is None:
+                photons = op.on_pair() @ photons
+            else:
+                state = state @ op.on_pair().T
         elif isinstance(op, EnsembleEvolution):
+            if state is None:
+                state = _naive_product(single, photons, n_atoms)
             order, inverse, bounds = _excitation_order(n_atoms)
             blocks = _evolution_block(op.theta / n_atoms, n_atoms)
             state = np.take(state, order, axis=0)
@@ -428,6 +445,8 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
             state = np.take(state, inverse, axis=0)
         else:
             raise TypeError(f"unknown operation {op!r}")
+    if state is None:
+        state = _naive_product(single, photons, n_atoms)
     return StateVector(naive_space(n_atoms), state.reshape(-1))
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .qstate import Operator, SpaceLabel, check_count, embed
+from .qstate import Operator, SpaceLabel, check_count, check_real, embed
 
 PHOTON = SpaceLabel((("photon", 2),))
 
@@ -34,6 +34,7 @@ _HADAMARD_VARIANTS = {
 
 def quarter_wave(angle: float) -> Operator:
     """Quarter-wave plate aligned at ``angle`` radians."""
+    angle = check_real("angle", angle)
     c, s = math.cos(2.0 * angle), math.sin(2.0 * angle)
     m = (1.0j / _SQRT2) * np.array([[c - 1.0j, s], [s, -c - 1.0j]])
     return Operator(PHOTON, m)
@@ -41,6 +42,7 @@ def quarter_wave(angle: float) -> Operator:
 
 def half_wave(angle: float) -> Operator:
     """Half-wave plate aligned at ``angle`` radians; squares to -I."""
+    angle = check_real("angle", angle)
     c, s = math.cos(2.0 * angle), math.sin(2.0 * angle)
     m = 1.0j * np.array([[c, s], [s, -c]])
     return Operator(PHOTON, m)

@@ -203,7 +203,7 @@ class Outcome:
 
 def classify(pattern) -> Outcome:
     """Constant iff both photons arrive vertical; the pattern also names the pair."""
-    key = (int(pattern[0]), int(pattern[1]))
+    key = tuple(check_count("pattern bit", b, 0) for b in pattern)
     if key not in PATTERN_TO_PAIR:
         raise ValueError(f"pattern must be two bits, got {pattern!r}")
     classification = "constant" if key == (1, 1) else "balanced"

@@ -19,8 +19,9 @@ for NaN and Inf only when their squared norm is not finite.
 Scalar inputs are checked by three rules here, which the other modules call
 instead of writing their own; each raises a ValueError naming the field:
 ``check_real`` (a finite real number), ``check_positive`` (a finite real
-number above 0) and ``check_count`` (an integer of at least 1). A bool is
-neither a real number nor a count.
+number above 0) and ``check_count`` (an integer of at least 1, or of at
+least 0 for a level, a bit or a seed). A bool is neither a real number nor
+a count.
 """
 
 from __future__ import annotations
@@ -100,12 +101,12 @@ def check_positive(name: str, value) -> float:
     return x
 
 
-def check_count(name: str, value) -> int:
-    """``value`` as an int; raise ValueError naming ``name`` unless it is an integer of at least 1."""
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; raise ValueError naming ``name`` unless it is an integer of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return int(value)
 
 
@@ -213,11 +214,11 @@ class Operator:
 
 def basis_state(space: SpaceLabel, occupancy: Sequence[int]) -> StateVector:
     """Product basis state with the given per-subsystem level indices."""
-    occ = tuple(int(i) for i in occupancy)
+    occ = tuple(check_count("level", i, 0) for i in occupancy)
     if len(occ) != len(space.dims):
         raise ValueError("need one level index per subsystem")
     for level, dim in zip(occ, space.dims):
-        if not 0 <= level < dim:
+        if level >= dim:
             raise ValueError(f"level {level} out of range for dimension {dim}")
     amps = np.zeros(space.dim, dtype=np.complex128)
     flat = 0
@@ -263,6 +264,7 @@ def expm_hermitian(space: SpaceLabel, h: np.ndarray, theta: float) -> Operator:
     ``theta`` carries the whole dimensionless evolution angle, so H should be
     supplied in dimensionless form.
     """
+    theta = check_real("theta", theta)
     mat = _frozen_complex(h)
     # a NaN entry would pass the Hermitian comparison below (nan > tol is False)
     _check_finite(mat, "generator entries")
@@ -273,7 +275,7 @@ def expm_hermitian(space: SpaceLabel, h: np.ndarray, theta: float) -> Operator:
     w, v = np.linalg.eigh(mat)
     # theta * w past the float range gives NaN entries, which Operator rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        u = (v * np.exp(-1j * float(theta) * w)) @ v.conj().T
+        u = (v * np.exp(-1j * theta * w)) @ v.conj().T
     return Operator(space, u)
 
 
@@ -322,8 +324,7 @@ def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:
     uniforms below each table entry costs O(K * shots) for K outcomes.
     """
     shots = check_count("shots", shots)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
+    seed = check_count("seed", seed, 0)
     outcomes = list(dist.keys())
     p = np.array([float(dist[o]) for o in outcomes])
     if p.size == 0 or np.any(p < -1e-12) or not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails too
@@ -333,7 +334,7 @@ def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:
     # Close the table at the last non-zero entry, so a rounding gap below 1
     # never falls to a trailing zero-probability outcome: every shot is below it.
     last = int(np.flatnonzero(p)[-1])
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     below = np.zeros(last, dtype=np.int64)
     for start in range(0, shots, _SHOT_BLOCK):
         u = rng.random(min(_SHOT_BLOCK, shots - start))

@@ -70,7 +70,11 @@ MUTANTS = (
     Mutant("born_distribution's fold transposed", "qstate.py",
            ".reshape(_FOLD_ROWS, width).sum(axis=0)", ".reshape(width, _FOLD_ROWS).sum(axis=1)"),
     Mutant("naive product start from the mirrored atom", "manybody.py",
-           "column, state = single[:, None], _PHOTONS_HH", "column, state = single[::-1, None], _PHOTONS_HH"),
+           "column, state = single[:, None], photons", "column, state = single[::-1, None], photons"),
+    Mutant("naive atom rotation before the first medium step transposed", "manybody.py",
+           "single = op.matrix @ single", "single = op.matrix.T @ single"),
+    Mutant("naive photon rotation before the first medium step transposed", "manybody.py",
+           "photons = op.on_pair() @ photons", "photons = op.on_pair().T @ photons"),
     Mutant("cached medium eigenbasis with the level counts swapped", "manybody.py",
            "(n_atoms - m) * _GEN_PLUS + m * _GEN_MINUS", "m * _GEN_PLUS + (n_atoms - m) * _GEN_MINUS"),
     Mutant("lam and mu swapped in the bd0 terms", "manybody.py",

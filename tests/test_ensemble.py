@@ -260,6 +260,17 @@ class TestExactEvolution:
         before = expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), config.theta).matrix
         assert np.array_equal(u_eff_exact(config.theta).matrix, before)
 
+    @pytest.mark.parametrize("build", [u_eff_exact, EnsembleConfig.from_theta, check_phases_claim],
+                             ids=["u_eff_exact", "from_theta", "check_phases_claim"])
+    @pytest.mark.parametrize("theta,message", [("1", "^theta must be a real number, got '1'$"),
+                                               (True, "^theta must be a real number, got True$"),
+                                               (None, "^theta must be a real number, got None$")],
+                             ids=["string", "bool", "none"])
+    def test_non_real_angle_is_named(self, build, theta, message):
+        # "1" and True were taken as the angle 1, and None raised a TypeError
+        with pytest.raises(ValueError, match=message):
+            build(theta)
+
     def test_dimensionless_generator_is_reused(self):
         h = h_eff_dimensionless()
         config = EnsembleConfig(n_atoms=7, coupling=3.0, detuning=30.0, interaction_time=1.0)
@@ -424,7 +435,7 @@ class TestPhasesClaim:
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_nonfinite_angle_rejected(self, theta):
-        with pytest.raises(ValueError, match="pi/2"):
+        with pytest.raises(ValueError, match="^theta must be finite, got "):
             check_phases_claim(theta)
 
     def test_exact_map_would_pass_the_same_audit(self):

@@ -522,6 +522,92 @@ class TestNaiveKernels:
             assert np.all(np.diff(run) > 0)
 
 
+def dense_reference(n, atom, ops):
+    """The unreduced replay as dense matrices on the whole 2^N x 4 space: u^(x)N (x) I4 for an
+    atom rotation, I (x) the pair gate for a photon rotation, and the medium as one 4 x 4 block
+    per atomic configuration, each from its own eigh."""
+    i2 = np.eye(2)
+    gen_plus = np.kron(P_PLUS_ORACLE, i2) + np.kron(i2, P_PLUS_ORACLE)
+    gen_minus = np.kron(P_MINUS_ORACLE, i2) + np.kron(i2, P_MINUS_ORACLE)
+    state = np.array([1.0 + 0j])
+    for _ in range(n):
+        state = np.kron(state, atom)
+    state = np.kron(state, [1.0, 0.0, 0.0, 0.0])
+    for op in ops:
+        if isinstance(op, AtomRotation):
+            power = np.array([[1.0]])
+            for _ in range(n):
+                power = np.kron(power, op.matrix)
+            matrix = np.kron(power, np.eye(4))
+        elif isinstance(op, PhotonRotation):
+            pair = np.kron(op.matrix, i2) if op.photon == 1 else np.kron(i2, op.matrix)
+            matrix = np.kron(np.eye(2**n), pair)
+        else:
+            matrix = np.zeros((4 * 2**n, 4 * 2**n), dtype=complex)
+            for row in range(2**n):
+                m = bin(row).count("1")
+                w, v = np.linalg.eigh((n - m) * gen_plus + m * gen_minus)
+                block = (v * np.exp(-1j * op.theta / n * w)) @ v.conj().T
+                matrix[4 * row : 4 * row + 4, 4 * row : 4 * row + 4] = block
+        state = matrix @ state
+    return state
+
+
+# Gate patterns: A an atom rotation, 1 and 2 a rotation of that photon, M a
+# medium step. Gates before the first medium step act on the product, those
+# after it on the 2^N x 4 amplitudes.
+DEFERRAL_PATTERNS = {
+    "empty": "",
+    "no-medium": "A1A2",
+    "one-medium": "A12AM2A1",
+    "two-media": "1AM2AM1A2",
+    "medium-first": "MA1",
+}
+
+
+def pattern_ops(pattern, rng):
+    """The gates of a pattern, each unitary and angle drawn from ``rng``."""
+    ops = []
+    for gate in pattern:
+        if gate == "A":
+            ops.append(AtomRotation(random_su2(rng)))
+        elif gate == "M":
+            ops.append(EnsembleEvolution(rng.uniform(-7.0, 7.0)))
+        else:
+            ops.append(PhotonRotation(int(gate), random_su2(rng)))
+    return ops
+
+
+class TestNaiveDeferral:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", DEFERRAL_PATTERNS)
+    def test_matches_the_dense_reference(self, n, name):
+        rng = np.random.default_rng([n, list(DEFERRAL_PATTERNS).index(name)])
+        atom = rng.normal(size=2) + 1j * rng.normal(size=2)
+        atom /= np.linalg.norm(atom)
+        ops = pattern_ops(DEFERRAL_PATTERNS[name], rng)
+        naive = full_simulate_naive(n, atom, ops)
+        np.testing.assert_allclose(naive.amplitudes, dense_reference(n, atom, ops), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["empty", "no-medium", "two-media"])
+    def test_the_product_is_expanded_once(self, monkeypatch, name):
+        calls = []
+        original = manybody._naive_product
+
+        def counted(single, photons, n_atoms):
+            calls.append(n_atoms)
+            return original(single, photons, n_atoms)
+
+        monkeypatch.setattr(manybody, "_naive_product", counted)
+        full_simulate_naive(3, (0.6, 0.8), pattern_ops(DEFERRAL_PATTERNS[name], np.random.default_rng(5)))
+        assert calls == [3]
+
+    def test_unknown_operation_rejected_before_and_after_the_expansion(self):
+        for ops in ([object()], [EnsembleEvolution(0.3), object()]):
+            with pytest.raises(TypeError, match="^unknown operation"):
+                full_simulate_naive(2, (1.0, 0.0), ops)
+
+
 class TestPairGate:
     @pytest.mark.parametrize("photon", [1, 2])
     def test_pair_gate_is_read_only_and_equals_the_kron_form(self, photon):

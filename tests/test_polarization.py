@@ -69,6 +69,13 @@ class TestWavePlates:
         with pytest.raises(ValueError):
             plate(angle)
 
+    @pytest.mark.parametrize("plate", [quarter_wave, half_wave])
+    @pytest.mark.parametrize("angle", [True, None, "0.3"])
+    def test_non_real_angle_is_named(self, plate, angle):
+        # True was taken as the angle 1; None and "0.3" raised a TypeError
+        with pytest.raises(ValueError, match=f"^angle must be a real number, got {angle!r}$"):
+            plate(angle)
+
 
 class TestHadamardVariants:
     @pytest.mark.parametrize("i", [1, 2, 3, 4])

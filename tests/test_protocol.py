@@ -395,6 +395,23 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify((2, 0))
 
+    @pytest.mark.parametrize(
+        "pattern,message",
+        [((1.9, 1), "^pattern bit must be an integer, got 1.9$"),
+         ((True, True), "^pattern bit must be an integer, got True$"),
+         (("1", 1), "^pattern bit must be an integer, got '1'$"),
+         ((-1, 0), "^pattern bit must be at least 0, got -1$"),
+         ((0, 1, 1), r"^pattern must be two bits, got \(0, 1, 1\)$")],
+        ids=["fraction", "bools", "string", "negative", "three-bits"],
+    )
+    def test_pattern_bits_are_integers(self, pattern, message):
+        # (1.9, 1) and (True, True) read as constant, and (0, 1, 1) as balanced
+        with pytest.raises(ValueError, match=message):
+            classify(pattern)
+
+    def test_numpy_integer_bits_accepted(self):
+        assert classify((np.int64(0), np.int8(1))).function_pair == ("f3", "f4")
+
 
 class TestDetection:
     """Seeded coincidences drawn from a run's distribution, as ``sample`` draws them."""

@@ -53,6 +53,25 @@ class TestSpaceLabel:
         assert repr(space) == "SpaceLabel(subsystems=(('a', 2), ('b', 3)))"
 
 
+class TestBasisState:
+    @pytest.mark.parametrize(
+        "occupancy,message",
+        [((0.7, 1), "^level must be an integer, got 0.7$"), ((True, 0), "^level must be an integer, got True$"),
+         (("1", 0), "^level must be an integer, got '1'$"), ((-1, 0), "^level must be at least 0, got -1$"),
+         ((0, 2), "^level 2 out of range for dimension 2$")],
+        ids=["fraction", "bool", "string", "negative", "past-the-dimension"],
+    )
+    def test_levels_are_checked_before_int(self, occupancy, message):
+        # (0.7, 1) gave |0, 1>
+        space = SpaceLabel((("a", 2), ("b", 2)))
+        with pytest.raises(ValueError, match=message):
+            basis_state(space, occupancy)
+
+    def test_numpy_integer_levels_accepted(self):
+        state = basis_state(SpaceLabel((("a", 2), ("b", 2))), (np.int64(1), np.uint8(0)))
+        np.testing.assert_array_equal(state.amplitudes, [0, 0, 1, 0])
+
+
 class TestStateVector:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -428,9 +447,9 @@ class TestSampleShots:
     @pytest.mark.parametrize(
         "shots,seed,message",
         [(5.5, 3, "^shots must be an integer, got 5.5$"), (True, 3, "^shots must be an integer, got True$"),
-         (0, 3, "^shots must be at least 1, got 0$"), (5, 3.9, "^seed must be an integer of at least 0, got 3.9$"),
-         (5, -1, "^seed must be an integer of at least 0, got -1$"),
-         (5, True, "^seed must be an integer of at least 0, got True$")],
+         (0, 3, "^shots must be at least 1, got 0$"), (5, 3.9, "^seed must be an integer, got 3.9$"),
+         (5, -1, "^seed must be at least 0, got -1$"),
+         (5, True, "^seed must be an integer, got True$")],
         ids=["fractional-shots", "bool-shots", "zero-shots", "fractional-seed", "negative-seed", "bool-seed"],
     )
     def test_shot_count_and_seed_are_named(self, shots, seed, message):
