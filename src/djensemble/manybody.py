@@ -30,9 +30,9 @@ from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, check_
 
 NAIVE_ATOM_LIMIT = 12
 # The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
-# it holds (N+1)^2 doubles and costs an O(N^3) eigendecomposition once per N,
-# after which a rotation of (N+1) x k rows is O(N^2 k). Bigger ensembles stay
-# on the coherent product path.
+# two half bases of about (N+1)^2 / 2 doubles in all, from two O(N^3 / 8)
+# eigendecompositions once per N, after which a rotation of (N+1) x k rows is
+# O(N^2 k). Bigger ensembles stay on the coherent product path.
 DENSE_ROTATION_LIMIT = 1024
 
 _I2 = np.eye(2)
@@ -238,30 +238,57 @@ def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np
         return int(m[0]), np.exp(log_amp + 1j * phase)
 
 
-@functools.lru_cache(maxsize=4)
-def _sigma_x_basis(n_atoms: int) -> np.ndarray:
-    """Real orthogonal eigenbasis X of the collective sigma_x on the symmetric sector.
+# eight entries of two half bases hold the bytes of four whole bases
+@functools.lru_cache(maxsize=8)
+def _sigma_x_basis(n_atoms: int) -> tuple[np.ndarray, ...]:
+    """Real orthogonal eigenbasis of the collective sigma_x on the symmetric sector, in two halves.
 
     The collective sigma_x is the tridiagonal ladder with off-diagonal
-    sqrt((N - m)(m + 1)); column k of X is its eigenvector of eigenvalue
-    2k - N. X depends on N alone, so it is built once per N and returned
-    read-only. Raises ValueError unless max |X^T X - I| <= CONSTRUCTION_ATOL
-    and the computed eigenvalues are 2k - N: with unimodular diagonal
-    factors on both sides, every rotation built on X is then unitary.
+    b_m = sqrt((N - m)(m + 1)) = b_(N-1-m), so it commutes with the reversal
+    m -> N - m and splits into two tridiagonal blocks in the basis
+    (e_m +- e_(N-m)) / sqrt 2: for even N, e_(N/2) joins the + block with
+    coupling sqrt(2) b_(N/2-1); for odd N, the blocks end in the diagonal
+    entries +-b_((N-1)/2). The + block has the eigenvalues 2k - N with
+    k = N (mod 2). Returns ``(xp, xq, lam, tilt, powers, inverse)``,
+    read-only and built once per N: the half bases, the exact eigenvalues of
+    their columns, and the phase tables N - 2m, i^m and i^-m. Paired rows are
+    scaled by 1/sqrt 2 (the middle row of even N by 1/2), so folding rows
+    into r[:h] +- r[::-1][:h] and back needs no other factor. Raises
+    ValueError unless each half has max |X^T X - I| <= CONSTRUCTION_ATOL and
+    eigenvalues 2k - N: with unimodular diagonal factors on both sides,
+    every rotation built on the halves is then unitary.
     """
-    m = np.arange(n_atoms)
-    ladder = np.sqrt((n_atoms - m) * (m + 1.0))
-    w, x = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
-    dev = float(np.max(np.abs(x.T @ x - np.eye(n_atoms + 1))))
-    if dev > CONSTRUCTION_ATOL:
-        raise ValueError(
-            f"sigma_x eigenbasis for {n_atoms} atoms is not orthogonal: max |X^T X - I| = {dev:.3e}"
-        )
-    spread = float(np.max(np.abs(w - (2.0 * np.arange(n_atoms + 1) - n_atoms))))
-    if spread > CONSTRUCTION_ATOL * max(1, n_atoms):
-        raise ValueError(f"sigma_x eigenvalues for {n_atoms} atoms are off 2k - N by {spread:.3e}")
-    x.setflags(write=False)
-    return x
+    half, odd = divmod(n_atoms, 2)
+    m = np.arange(n_atoms + 1)
+    b = np.sqrt((n_atoms - m[: half + 1]) * (m[: half + 1] + 1.0))
+    lam = 2.0 * m - n_atoms
+    exact = (lam[odd::2], lam[1 - odd :: 2])
+    halves = []
+    for sign, w_exact in zip((1.0, -1.0), exact):
+        mid = sign > 0 and not odd  # the + block of even N ends in e_(N/2), its own mirror
+        t = np.diag(b[: len(w_exact) - 1], -1)  # eigh reads the lower triangle
+        t[-1, -1] = odd * sign * b[half]
+        if mid:
+            t[-1, -2] *= math.sqrt(2.0)
+        w, x = np.linalg.eigh(t)
+        gram = np.matmul(x.T, x, out=t)  # X^T X - I in t's place: no temporary of a block's size
+        gram.flat[:: len(w) + 1] -= 1.0
+        dev = float(np.abs(gram, out=gram).max())
+        if dev > CONSTRUCTION_ATOL:
+            raise ValueError(
+                f"sigma_x eigenbasis for {n_atoms} atoms is not orthogonal: max |X^T X - I| = {dev:.3e}"
+            )
+        spread = float(np.max(np.abs(w - w_exact)))
+        if spread > CONSTRUCTION_ATOL * max(1, n_atoms):
+            raise ValueError(f"sigma_x eigenvalues for {n_atoms} atoms are off 2k - N by {spread:.3e}")
+        x *= math.sqrt(0.5)
+        if mid:
+            x[-1] *= math.sqrt(0.5)
+        halves.append(x)
+    tables = (*halves, np.concatenate(exact), -lam, _I_POWERS[m % 4], _I_POWERS[-m % 4])
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def symmetric_rotation(u: np.ndarray, n_atoms: int, rows: np.ndarray) -> np.ndarray:
@@ -275,14 +302,17 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int, rows: np.ndarray) -> np.ndar
     not rounded away as acos would round them. On the symmetric sector
     Rz(phi) is the diagonal phase exp(-i phi (N - 2m) / 2), and Ry(beta) =
     D X diag(exp(-i beta lam / 2)) X^T D^dag with D = diag(i^m) and X the
-    cached real eigenbasis of the collective sigma_x (eigenvalues lam = -N,
-    -N + 2, ..., N). The factors are applied to the rows one at a time:
-    phases, X^T, phases, X, phases, where each product with X is one real
-    product on the float64 view of the rows. A call costs O(N^2 k), plus
-    the O(N^3) eigenbasis once per N. A diagonal rotation (v10 == 0), the
-    identity included, only multiplies each row by its phase.
+    real eigenbasis of the collective sigma_x (eigenvalues lam = -N, -N + 2,
+    ..., N), cached as two half bases. The factors are applied to the rows
+    one at a time: phases; a fold into sum and difference halves, each times
+    its half basis transposed; eigenphases; each half times its basis, and
+    the unfold; phases. Each half product is one real product on a float64
+    view, and the four take half the flops of the two with X. A call costs
+    O(N^2 k), plus two half-size eigendecompositions once per N. A diagonal
+    rotation (v10 == 0), the identity included, only multiplies each row by
+    its phase.
     """
-    if n_atoms > DENSE_ROTATION_LIMIT:
+    if check_count("n_atoms", n_atoms) > DENSE_ROTATION_LIMIT:
         raise ValueError(
             f"dense symmetric rotation requested for {n_atoms} atoms; "
             f"limit is {DENSE_ROTATION_LIMIT}"
@@ -293,32 +323,37 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int, rows: np.ndarray) -> np.ndar
     if rows.ndim not in (1, 2) or rows.shape[0] != n1:
         raise ValueError(f"rows must have shape ({n1},) or ({n1}, k), got {rows.shape}")
     block = rows.reshape(n1, -1)
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    delta = np.angle(det) / 2.0
-    v = u * np.exp(-1j * delta)
+    # Python scalars: numpy's overhead on 0-d values is most of a small-N call
+    (u00, u01), (u10, u11) = u.tolist()
+    det = u00 * u11 - u01 * u10
+    delta = math.atan2(det.imag, det.real) / 2.0
     # v00 = exp(-i(alpha + gamma)/2) cos(beta/2), v10 = exp(i(alpha - gamma)/2) sin(beta/2)
-    a, b = v[0, 0], v[1, 0]
-    m = np.arange(n1)
-    tilt = n_atoms - 2.0 * m
-    arg_a = float(np.angle(a))
+    turn = complex(math.cos(delta), -math.sin(delta))
+    a, b = u00 * turn, u10 * turn
+    arg_a = math.atan2(a.imag, a.real)
     if b == 0.0:
-        phase = np.exp(1j * (n_atoms * delta + arg_a * tilt))
+        phase = np.exp(1j * (n_atoms * delta + arg_a * (n_atoms - 2.0 * np.arange(n1))))
         return (phase[:, None] * block).reshape(rows.shape)
-    arg_b = float(np.angle(b))
+    arg_b = math.atan2(b.imag, b.real)
     half_beta = math.atan2(abs(b), abs(a))
+    xp, xq, lam, tilt, powers, inverse = _sigma_x_basis(n_atoms)
+    hp, hq = len(xp), len(xq)
     # alpha = arg b - arg a and gamma = -(arg a + arg b); D and D^dag are
     # folded into the outer phases
-    left = np.exp(1j * (n_atoms * delta + 0.5 * (arg_a - arg_b) * tilt)) * _I_POWERS[m % 4]
-    right = np.exp(0.5j * (arg_a + arg_b) * tilt) * _I_POWERS[-m % 4]
-    x = _sigma_x_basis(n_atoms)
-    # X is real, so each product with it is one real product on the rows'
-    # (N+1) x 2k float64 view, with no complex copy of X
+    right = np.exp((0.5j * (arg_a + arg_b)) * tilt) * inverse
     out = np.multiply(right[:, None], block, dtype=np.complex128)
-    out = (x.T @ out.view(np.float64)).view(np.complex128)
-    # column k of X carries eigenvalue lam_k = -tilt_k
-    out *= np.exp(1j * half_beta * tilt)[:, None]
-    out = (x @ out.view(np.float64)).view(np.complex128)
-    out *= left[:, None]
+    f = out.view(np.float64)
+    plus = (xp.T @ (f[:hp] + f[::-1][:hp])).view(np.complex128)
+    minus = (xq.T @ (f[:hq] - f[::-1][:hq])).view(np.complex128)
+    eigen = np.exp((-1j * half_beta) * lam)[:, None]
+    plus *= eigen[:hp]
+    minus *= eigen[hp:]
+    plus, minus = xp @ plus.view(np.float64), xq @ minus.view(np.float64)
+    np.add(plus[:hq], minus, out=f[:hq])
+    np.subtract(plus[:hq], minus, out=f[::-1][:hq])
+    if hp > hq:  # the middle row of even N
+        np.add(plus[hq], plus[hq], out=f[hq])
+    out *= (np.exp(1j * n_atoms * delta + (0.5j * (arg_a - arg_b)) * tilt) * powers)[:, None]
     return out.reshape(rows.shape)
 
 
@@ -512,8 +547,9 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     step off the extremes, or the end of the run, writes the (N+1) x 4 rows,
     of which only the O(sqrt(N)) coherent band is computed. After that a
     medium step is O(N) in place and an atom rotation is a symmetric
-    rotation of the rows (N <= 1024): two real O(N^2) products with the
-    sigma_x eigenbasis, whose O(N^3) eigendecomposition is paid once per N.
+    rotation of the rows (N <= 1024): four real O(N^2 / 4) products with the
+    halves of the sigma_x eigenbasis, built once per N by two O(N^3 / 8)
+    eigendecompositions.
     The returned state takes the final rows without copying them.
     """
     atom = _atom_start(atom_init)

@@ -126,7 +126,7 @@ class SpaceLabel:
     dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        subs = tuple((str(name), int(dim)) for name, dim in self.subsystems)
+        subs = tuple((str(name), check_count(f"dimension of {str(name)!r}", dim)) for name, dim in self.subsystems)
         object.__setattr__(self, "subsystems", subs)
         if not subs:
             raise ValueError("a space needs at least one subsystem")
@@ -134,8 +134,6 @@ class SpaceLabel:
         if len(set(names)) != len(names):
             raise ValueError(f"subsystem names must be unique, got {list(names)}")
         dims = tuple(dim for _, dim in subs)
-        if any(dim < 1 for dim in dims):
-            raise ValueError("subsystem dimensions must be positive")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dim", math.prod(dims))

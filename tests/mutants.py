@@ -49,15 +49,23 @@ MUTANTS = (
     Mutant("u_eff_exact at |theta|", "ensemble.py",
            "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), theta)",
            "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), abs(theta))"),
-    Mutant("symmetric_rotation with x and x.T swapped", "manybody.py",
-           "out = (x.T @ out.view(np.float64)).view(np.complex128)\n"
-           "    # column k of X carries eigenvalue lam_k = -tilt_k\n"
-           "    out *= np.exp(1j * half_beta * tilt)[:, None]\n"
-           "    out = (x @ out.view(np.float64)).view(np.complex128)",
-           "out = (x @ out.view(np.float64)).view(np.complex128)\n"
-           "    # column k of X carries eigenvalue lam_k = -tilt_k\n"
-           "    out *= np.exp(1j * half_beta * tilt)[:, None]\n"
-           "    out = (x.T @ out.view(np.float64)).view(np.complex128)"),
+    Mutant("symmetric_rotation with the half bases and their transposes swapped", "manybody.py",
+           "plus = (xp.T @ (f[:hp] + f[::-1][:hp])).view(np.complex128)\n"
+           "    minus = (xq.T @ (f[:hq] - f[::-1][:hq])).view(np.complex128)\n"
+           "    eigen = np.exp((-1j * half_beta) * lam)[:, None]\n"
+           "    plus *= eigen[:hp]\n"
+           "    minus *= eigen[hp:]\n"
+           "    plus, minus = xp @ plus.view(np.float64), xq @ minus.view(np.float64)",
+           "plus = (xp @ (f[:hp] + f[::-1][:hp])).view(np.complex128)\n"
+           "    minus = (xq @ (f[:hq] - f[::-1][:hq])).view(np.complex128)\n"
+           "    eigen = np.exp((-1j * half_beta) * lam)[:, None]\n"
+           "    plus *= eigen[:hp]\n"
+           "    minus *= eigen[hp:]\n"
+           "    plus, minus = xp.T @ plus.view(np.float64), xq.T @ minus.view(np.float64)"),
+    Mutant("sigma_x middle-row coupling without sqrt 2", "manybody.py",
+           "t[-1, -2] *= math.sqrt(2.0)", "t[-1, -2] *= 1.0"),
+    Mutant("sigma_x odd-N last diagonal entry with the wrong sign", "manybody.py",
+           "t[-1, -1] = odd * sign * b[half]", "t[-1, -1] = -odd * sign * b[half]"),
     Mutant("coherent-band phase with alpha and beta swapped", "manybody.py",
            "(n_atoms - m) * np.angle(alpha) + m * np.angle(beta)",
            "(n_atoms - m) * np.angle(beta) + m * np.angle(alpha)"),

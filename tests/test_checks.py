@@ -14,6 +14,17 @@ def test_dicke_vs_naive_passes_on_catalog_and_random_sequences():
     assert "8 seeded random off-extreme sequences" in result.detail
 
 
+def test_dicke_vs_naive_rotates_off_the_extremes_at_both_parities(monkeypatch):
+    # the sigma_x half bases are laid out differently for odd and even N
+    rotated = []
+    original = manybody.symmetric_rotation
+    monkeypatch.setattr(
+        manybody, "symmetric_rotation", lambda u, n, rows: rotated.append(n) or original(u, n, rows)
+    )
+    assert checks.check_dicke_vs_naive().passed
+    assert len(rotated) == 16 and {n % 2 for n in rotated} == {0, 1}
+
+
 def test_random_sequences_leave_the_extremes():
     rng = np.random.default_rng(5)
     for _ in range(4):

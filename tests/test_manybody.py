@@ -101,16 +101,55 @@ def literal_hamiltonian(n, lam):
     return h
 
 
+def unfold_halves(xp, xq):
+    """The whole sigma_x eigenbasis from its two scaled half bases, the rotation's unfold column by column.
+
+    Row m and its mirror N - m of a + column are the sum of the two
+    placements of xp, so the middle row of even N, stored at 1/2, counts
+    twice; a - column has +xq at m and -xq at N - m.
+    """
+    hp, hq = len(xp), len(xq)
+    x = np.zeros((hp + hq, hp + hq))
+    x[:hp, :hp] += xp
+    x[::-1][:hp, :hp] += xp
+    x[:hq, hp:] += xq
+    x[::-1][:hq, hp:] -= xq
+    return x
+
+
 class TestSigmaXBasis:
-    @pytest.mark.parametrize("n", [1, 2, 7, 512])
+    @pytest.mark.parametrize("n", [1, 2, 7, 512, 1024])
     def test_rebuilds_the_ladder(self, n):
-        x = _sigma_x_basis(n)
-        lam = 2.0 * np.arange(n + 1) - n
+        basis = _sigma_x_basis(n)
+        xp, xq, lam, tilt, powers, inverse = basis
+        # about half the bytes of the whole basis
+        assert xp.shape == (n // 2 + 1,) * 2 and xq.shape == ((n + 1) // 2,) * 2
+        np.testing.assert_array_equal(np.sort(lam), 2.0 * np.arange(n + 1) - n)
+        x = unfold_halves(xp, xq)
         ladder = np.array([math.sqrt((n - m) * (m + 1)) for m in range(n)])
         sigma_x = np.diag(ladder, 1) + np.diag(ladder, -1)
-        np.testing.assert_allclose((x * lam) @ x.T, sigma_x, rtol=0, atol=1e-12)
-        assert _sigma_x_basis(n) is x
-        assert not x.flags.writeable
+        np.testing.assert_allclose(x.T @ x, np.eye(n + 1), rtol=0, atol=1e-12)
+        # eigh's error grows with the spectral radius N: 1.2e-12 at N = 1024,
+        # where one eigh of the whole ladder reads 1.9e-12
+        np.testing.assert_allclose((x * lam) @ x.T, sigma_x, rtol=0, atol=1e-12 * max(1, n / 512))
+        np.testing.assert_array_equal(tilt, n - 2.0 * np.arange(n + 1))
+        np.testing.assert_array_equal(powers, [(1, 1j, -1, -1j)[m % 4] for m in range(n + 1)])
+        np.testing.assert_array_equal(inverse, powers.conj())
+        assert _sigma_x_basis(n) is basis
+        assert not any(arr.flags.writeable for arr in basis)
+
+    def test_build_forms_no_whole_size_matrix(self):
+        # one (N+1) x (N+1) float array is 8.4 MB at N = 1024; an eigh of the
+        # whole ladder holds it, X and its workspace at once (25 MB), and
+        # each half-size eigh about a quarter of that
+        n = 1024
+        tracemalloc.start()
+        try:
+            _sigma_x_basis.__wrapped__(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (n + 1) ** 2 * 8
 
     @pytest.mark.parametrize(
         "spoil,message",
@@ -130,7 +169,8 @@ class TestSigmaXBasis:
 
 
 class TestSymmetricRotation:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    # odd and even N split the sigma_x basis differently
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_bruteforce(self, n):
         rng = np.random.default_rng(50 + n)
         for _ in range(5):
@@ -183,6 +223,11 @@ class TestSymmetricRotation:
         # the limit is checked before the rows are looked at
         with pytest.raises(ValueError, match="limit"):
             symmetric_rotation(H1, 100_000, np.zeros(1))
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True], ids=["zero", "negative", "float", "bool"])
+    def test_atom_count_is_checked(self, n):
+        with pytest.raises(ValueError, match="^n_atoms must be"):
+            symmetric_rotation(H1, n, np.eye(2))
 
     @pytest.mark.parametrize("shape", [(3,), (5,), (3, 4), (5, 4, 1)])
     def test_rows_of_the_wrong_shape_rejected(self, shape):

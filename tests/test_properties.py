@@ -18,6 +18,7 @@ from djensemble.ensemble import (
     P_PLUS,
     EnsembleConfig,
     MicrowavePulse,
+    check_phases_claim,
     microwave_rotation,
     u_eff_exact,
 )
@@ -32,6 +33,9 @@ from djensemble.manybody import (
     symmetric_rotation,
 )
 from djensemble.params import MediumSpec, required_detuning
+from djensemble.polarization import PHOTON, half_wave, quarter_wave
+from djensemble.protocol import classify
+from djensemble.qstate import SpaceLabel, basis_state, expm_hermitian
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -141,6 +145,9 @@ edge_numbers = (
     | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300])
     | huge_ints
 )
+# and scalars that are not real numbers, for the entry points that take one
+# angle, level, bit or dimension
+edge_scalars = edge_numbers | st.sampled_from([True, False, None, "1", 1 + 0j, np.float64(0.5)])
 edge_matrices = st.one_of(
     st.lists(edge_numbers | st.complex_numbers(), min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]]),
     st.builds(np.multiply, st.sampled_from([1.0, 1.0 + 1e-11, 1e300, 5e-324]), unitaries()),
@@ -189,6 +196,28 @@ CONSTRUCTORS = [
         [(angles, edge_numbers), (angles, edge_numbers)],
         lambda o: [microwave_rotation(o).matrix],
     ),
+    (u_eff_exact, [(angles, edge_scalars)], lambda o: [o.matrix]),
+    (
+        lambda theta: expm_hermitian(PHOTON, np.array([[1.0, 0.5j], [-0.5j, -1.0]]), theta),
+        [(angles, edge_scalars)],
+        lambda o: [o.matrix],
+    ),
+    (half_wave, [(angles, edge_scalars)], lambda o: [o.matrix]),
+    (quarter_wave, [(angles, edge_scalars)], lambda o: [o.matrix]),
+    (EnsembleConfig.from_theta, [(angles, edge_scalars)], lambda o: [o.lambda_value, o.theta]),
+    (
+        check_phases_claim,
+        [(st.just(math.pi / 2), edge_scalars)],
+        lambda o: [o.theta, o.claimed_abs_gram, o.fidelities, o.singular_values],
+    ),
+    (
+        lambda a, b: basis_state(SpaceLabel((("a", 2), ("b", 3))), (a, b)),
+        [(st.integers(0, 1), edge_scalars), (st.integers(0, 2), edge_scalars)],
+        lambda o: [o.amplitudes],
+    ),
+    (lambda a, b: classify((a, b)), [(st.integers(0, 1), edge_scalars)] * 2, lambda o: list(o.pattern)),
+    # the log of the dimension, finite for any accepted one, however large
+    (lambda d: SpaceLabel((("a", d),)), [(st.integers(1, 8), edge_scalars)], lambda o: [math.log(o.dim)]),
 ]
 
 
@@ -200,7 +229,7 @@ def constructions(draw):
     return cls, args, derived
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=500, deadline=None)
 @given(constructions())
 @example((AtomRotation, ([[1e300, 1e300], [1e300, -1e300]],), lambda o: [o.matrix]))
 @example((EnsembleEvolution, (2.0**1023,), lambda o: [u_eff_exact(o.theta).matrix, *replays(o)]))

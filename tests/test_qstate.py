@@ -44,11 +44,27 @@ class TestSpaceLabel:
         with pytest.raises(ValueError):
             SpaceLabel((("a", 0),))
 
+    @pytest.mark.parametrize(
+        "dim,message",
+        [(2.5, "must be an integer, got 2.5"), (2.0, "must be an integer, got 2.0"),
+         ("2", "must be an integer, got '2'"), (True, "must be an integer, got True"),
+         (None, "must be an integer, got None"), (0, "must be at least 1, got 0")],
+        ids=["fraction", "integral-float", "string", "bool", "none", "zero"],
+    )
+    def test_dimensions_are_checked_before_int(self, dim, message):
+        # int() made 2.5 and "2" into 2 and True into 1
+        with pytest.raises(ValueError, match=f"^dimension of 'b' {message}$"):
+            SpaceLabel((("a", 2), ("b", dim)))
+
+    def test_numpy_integer_dimensions_accepted(self):
+        space = SpaceLabel((("a", np.int64(2)), ("b", np.uint8(3))))
+        assert space.dims == (2, 3) and all(type(d) is int for d in space.dims)
+
     def test_derived_attributes_are_kept_and_not_compared(self):
         space = SpaceLabel((("a", 2), ("b", 3)))
         assert space.dims is space.dims and space.names is space.names
         assert (space.names, space.dims, space.dim) == (("a", "b"), (2, 3), 6)
-        twin = SpaceLabel([["a", 2.0], ["b", 3]])
+        twin = SpaceLabel([["a", np.int64(2)], ["b", 3]])
         assert twin == space and hash(twin) == hash(space)
         assert repr(space) == "SpaceLabel(subsystems=(('a', 2), ('b', 3)))"
 
