@@ -26,7 +26,7 @@ import numpy as np
 
 from .ensemble import ATOM, P_MINUS, P_PLUS, _photon_pair_sum, collective_extreme
 from .polarization import LIN_TO_CIRC, PHOTON
-from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, check_count, check_real
+from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, as_operator, check_count, check_real
 
 NAIVE_ATOM_LIMIT = 12
 # The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
@@ -67,12 +67,14 @@ def _atom_start(atom_init) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AtomRotation:
-    """The same single-atom unitary applied to every atom in the ensemble."""
+    """The same single-atom unitary applied to every atom; ``gate`` is its Operator, checked once, here."""
 
     matrix: np.ndarray
+    gate: Operator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", Operator(ATOM, self.matrix).matrix)
+        object.__setattr__(self, "gate", Operator(ATOM, self.matrix))
+        object.__setattr__(self, "matrix", self.gate.matrix)
 
 
 @dataclass(frozen=True)
@@ -87,17 +89,19 @@ class EnsembleEvolution:
 
 @dataclass(frozen=True)
 class PhotonRotation:
-    """A 2x2 polarization rotation on photon 1 or photon 2."""
+    """A 2x2 polarization rotation on photon 1 or 2; ``gate`` is its Operator, checked once, here."""
 
     photon: int
     matrix: np.ndarray
-    # the 4x4 pair gate, derived from ``photon`` and ``matrix`` once, at construction
+    # derived once, at construction: the checked gate and its 4x4 pair gate
+    gate: Operator = field(init=False, repr=False, compare=False)
     pair: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if check_count("photon", self.photon) > 2:
             raise ValueError(f"photon must be 1 or 2, got {self.photon!r}")
-        matrix = Operator(PHOTON, self.matrix).matrix
+        object.__setattr__(self, "gate", Operator(PHOTON, self.matrix))
+        matrix = self.gate.matrix
         pair = _kron(matrix, _I2) if self.photon == 1 else _kron(_I2, matrix)
         pair.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -291,9 +295,10 @@ def _sigma_x_basis(n_atoms: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def symmetric_rotation(u: np.ndarray, n_atoms: int, rows: np.ndarray) -> np.ndarray:
+def symmetric_rotation(u, n_atoms: int, rows: np.ndarray) -> np.ndarray:
     """The N-fold tensor power of a single-qubit unitary applied to symmetric-sector rows.
 
+    ``u`` is a 2x2 Operator, used as built, or a raw 2x2 matrix, checked here.
     ``rows`` has shape (N+1,) or (N+1, k), indexed by excitation number m;
     the result has the same shape and ``rows`` is left unchanged. The
     (N+1) x (N+1) matrix is never formed. Splits off the global phase and
@@ -317,7 +322,7 @@ def symmetric_rotation(u: np.ndarray, n_atoms: int, rows: np.ndarray) -> np.ndar
             f"dense symmetric rotation requested for {n_atoms} atoms; "
             f"limit is {DENSE_ROTATION_LIMIT}"
         )
-    u = Operator(ATOM, u).matrix
+    u = as_operator(ATOM, u).matrix
     rows = np.asarray(rows)
     n1 = n_atoms + 1
     if rows.ndim not in (1, 2) or rows.shape[0] != n1:
@@ -559,7 +564,7 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     for op in ops:
         if isinstance(op, AtomRotation):
             if atom is None:
-                rows = symmetric_rotation(op.matrix, n_atoms, rows)
+                rows = symmetric_rotation(op.gate, n_atoms, rows)
             else:
                 vec = op.matrix @ atom
                 # one ulp of magnitude drift here becomes N ulps after the N-fold

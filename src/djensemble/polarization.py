@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .qstate import Operator, SpaceLabel, check_count, check_real, embed
+from .qstate import Operator, SpaceLabel, as_operator, check_count, check_real, embed
 
 PHOTON = SpaceLabel((("photon", 2),))
 
@@ -95,10 +95,9 @@ def _qubit_space(name: str) -> SpaceLabel:
     return SpaceLabel(((name, 2),))
 
 
-def embed_single(name: str, matrix_2x2: np.ndarray, space: SpaceLabel) -> Operator:
-    """Embed a 2x2 matrix acting on the named qubit subsystem; the 2x2 is checked here, not after."""
-    op = Operator(_qubit_space(name), matrix_2x2)
-    return embed(op, name, space)
+def embed_single(name: str, matrix_2x2, space: SpaceLabel) -> Operator:
+    """Embed a 2x2 gate on the named qubit: an Operator as built, a raw matrix checked here, not after."""
+    return embed(as_operator(_qubit_space(name), matrix_2x2), name, space)
 
 
 _DETECTORS = {(1, 0): "HD1", (1, 1): "VD1", (2, 0): "HD2", (2, 1): "VD2"}

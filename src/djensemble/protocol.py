@@ -280,7 +280,7 @@ def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> Proto
     evolution_calls = 0
     for op in ops:
         if isinstance(op, AtomRotation):
-            state = embed_single("atom", op.matrix, PROTOCOL_SPACE).apply(state)
+            state = embed_single("atom", op.gate, PROTOCOL_SPACE).apply(state)
         elif isinstance(op, EnsembleEvolution):
             if collective_extreme(state.amplitudes) is None:
                 raise ValueError(
@@ -295,7 +295,7 @@ def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> Proto
                 state = result.state
                 post_selection = result.post_selection_probability
         elif isinstance(op, PhotonRotation):
-            state = embed_single(f"photon{op.photon}", op.matrix, PROTOCOL_SPACE).apply(state)
+            state = embed_single(f"photon{op.photon}", op.gate, PROTOCOL_SPACE).apply(state)
         else:
             raise TypeError(f"unknown operation {op!r}")
         states.append(state)

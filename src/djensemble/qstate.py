@@ -12,9 +12,12 @@ other input, a read-only view of a writable array included, is copied.
 An ``Operator`` is a checked unitary: its unitarity check runs on every
 construction but ``embed``'s, which pads a checked operator with an exact
 identity and so cannot fail it (U'^dag U' - I = I (x) (U^dag U - I), entry
-for entry). A Hamiltonian is a plain Hermitian matrix, which
-``expm_hermitian`` checks and exponentiates. A state scans its amplitudes
-for NaN and Inf only when their squared norm is not finite.
+for entry). A gate is checked once, where it is built: ``as_operator``
+takes an Operator of the right dimension as it is, so ``embed_single`` and
+``symmetric_rotation`` check a raw matrix only. A Hamiltonian is a plain
+Hermitian matrix, which ``expm_hermitian`` checks and exponentiates. A
+state scans its amplitudes for NaN and Inf only when their squared norm is
+not finite.
 
 Scalar inputs are checked by three rules here, which the other modules call
 instead of writing their own; each raises a ValueError naming the field:
@@ -52,6 +55,7 @@ __all__ = [
     "SpaceLabel",
     "StateVector",
     "Operator",
+    "as_operator",
     "basis_state",
     "embed",
     "expm_hermitian",
@@ -208,6 +212,15 @@ class Operator:
         if self.space != other.space:
             raise ValueError("operators live on different spaces")
         return Operator(self.space, self.matrix @ other.matrix)
+
+
+def as_operator(space: SpaceLabel, gate) -> Operator:
+    """``gate`` if it is an Operator of ``space``'s dimension, checked when it was built; else ``Operator(space, gate)``."""
+    if isinstance(gate, Operator):
+        if gate.dim == space.dim:
+            return gate
+        gate = gate.matrix  # refused by the shape check, as a wrong-shape matrix is
+    return Operator(space, gate)
 
 
 def basis_state(space: SpaceLabel, occupancy: Sequence[int]) -> StateVector:

@@ -101,6 +101,19 @@ MUTANTS = (
     Mutant("stirlerr series kept for a window that reaches the table", "manybody.py",
            "if not small.any():", "if not small.all():",
            "tests/test_manybody.py::TestLogBinomial"),
+    # the replays pass both functions checked gates, so only a raw matrix
+    # reaches the check these two edits skip
+    Mutant("embed_single padding a raw matrix unchecked", "polarization.py",
+           "return embed(as_operator(_qubit_space(name), matrix_2x2), name, space)",
+           "from .qstate import _padded_operator\n"
+           "    raw = np.asarray(matrix_2x2, dtype=complex)\n"
+           "    gate = matrix_2x2 if isinstance(matrix_2x2, Operator) else _padded_operator(_qubit_space(name), raw)\n"
+           "    return embed(gate, name, space)",
+           "tests/test_polarization.py::TestEmbedSingle::test_non_unitary_gate_rejected"),
+    Mutant("symmetric_rotation using a raw matrix unchecked", "manybody.py",
+           "u = as_operator(ATOM, u).matrix",
+           "u = u.matrix if isinstance(u, Operator) else np.asarray(u, dtype=complex)",
+           "tests/test_manybody.py::test_non_finite_2x2_rejected[symmetric_rotation-nan]"),
     # the protocol never reaches the medium off the plain-ground extreme, and
     # the conjugated input changes nothing on its real product rows
     Mutant("paper map on the conjugated input", "ensemble.py",

@@ -66,6 +66,24 @@ class TestRunCommand:
         assert oracle["comparable"]
         assert oracle["max_difference_vs_run"] < 1e-10
 
+    @pytest.fixture
+    def paper_oracle_entry(self, tmp_path):
+        # the oracle replays the exact unitary, so it and a paper-mode run differ
+        out = tmp_path / "report.json"
+        argv = ["run", "--function", "f3", "--mode", "paper", "--n-atoms-oracle", "3", "--out", str(out)]
+        assert main(argv) == 0
+        return read_report(out)["results"][0]
+
+    def test_paper_mode_oracle_is_not_comparable(self, paper_oracle_entry):
+        assert paper_oracle_entry["oracle"]["comparable"] is False
+
+    def test_oracle_difference_is_the_largest_over_the_patterns(self, paper_oracle_entry):
+        run, oracle = paper_oracle_entry["distribution"], paper_oracle_entry["oracle"]
+        gaps = [abs(oracle["distribution"][k] - run[k]) for k in run]
+        # 0.75 here; a minimum would read 0.25
+        assert len(gaps) == 4 and min(gaps) < max(gaps)
+        assert oracle["max_difference_vs_run"] == max(gaps)
+
     def test_unknown_function_exits_2(self, capsys):
         assert main(["run", "--function", "f9"]) == 2
         assert "error" in capsys.readouterr().err
