@@ -1,9 +1,9 @@
 """Named verification checks behind the ``verify`` command.
 
-Each check reports a measured deviation against its tolerance. The polarizer
-claim audit is special: the declared rewrite is expected to be inconsistent
-with the exact unitary, so that check passes when the inconsistency is
-detected.
+The ``CHECKS`` table holds each check's printed name and bound, and ``judge``
+builds every ``CheckResult`` from it. The polarizer claim audit is special:
+the declared rewrite is expected to be inconsistent with the exact unitary,
+so that check passes when the inconsistency is detected.
 """
 
 from __future__ import annotations
@@ -30,25 +30,25 @@ def _max_dev(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-def check_wave_plate_gadgets() -> CheckResult:
+def check_wave_plate_gadgets() -> tuple:
     dev = 0.0
     for i, plates in polarization.HADAMARD_GADGETS.items():
         built = polarization.gadget_compose(plates).matrix
         dev = max(dev, _max_dev(built, polarization.hadamard_variant(i).matrix))
-    return CheckResult("wave-plate gadget identities", dev <= 1e-12, dev, "raw matrix equality for all four variants")
+    return dev, "raw matrix equality for all four variants"
 
 
-def check_microwave_pulses() -> CheckResult:
+def check_microwave_pulses() -> tuple:
     dev = 0.0
     for i, pulse in ensemble.HADAMARD_PULSES.items():
         built = ensemble.microwave_rotation(pulse).matrix
         dev = max(dev, _max_dev(built, polarization.hadamard_variant(i).matrix))
     not_gate = ensemble.microwave_rotation(ensemble.NOT_PULSE).matrix
     dev = max(dev, _max_dev(not_gate, np.array([[0.0, 1.0], [-1.0, 0.0]])))
-    return CheckResult("microwave pulse identities", dev <= 1e-12, dev, "four Hadamard pulses plus the NOT pulse")
+    return dev, "four Hadamard pulses plus the NOT pulse"
 
 
-def check_composite_rotations() -> CheckResult:
+def check_composite_rotations() -> tuple:
     prime = polarization.composite_h("prime").matrix
     double = polarization.composite_h("double_prime").matrix
     e = np.exp(1j * math.pi / 4)
@@ -56,18 +56,18 @@ def check_composite_rotations() -> CheckResult:
         _max_dev(prime, np.diag([e, e.conjugate()])),
         _max_dev(double, np.diag([e.conjugate(), e])),
     )
-    return CheckResult("composite diagonal rotations", dev <= 1e-12, dev, "pure +-pi/4 phases per polarization")
+    return dev, "pure +-pi/4 phases per polarization"
 
 
-def check_hamiltonian_forms() -> CheckResult:
+def check_hamiltonian_forms() -> tuple:
     config = ensemble.EnsembleConfig.from_theta(math.pi / 2)
     dev = _max_dev(ensemble.build_h_eff(config), ensemble.build_h_eff_linear(config))
     scale = float(np.max(np.abs(ensemble.build_h_eff(config))))
     rel = dev / scale if scale else dev
-    return CheckResult("hamiltonian basis-form equivalence", rel <= 1e-12, rel, "projector assembly vs literal linear-basis terms (relative)")
+    return rel, "projector assembly vs literal linear-basis terms (relative)"
 
 
-def check_medium_unitarity() -> CheckResult:
+def check_medium_unitarity() -> tuple:
     rng = np.random.default_rng(7)
     # row 4 * level + r is the product row |level, r>, with m = level primed atoms at N = 1
     identity_rows, levels = np.tile(np.eye(4, dtype=complex), (2, 1)), np.repeat([0.0, 1.0], 4)
@@ -79,29 +79,21 @@ def check_medium_unitarity() -> CheckResult:
         closed = np.zeros((8, 8), dtype=complex)
         closed[:4, :4], closed[4:, 4:] = rows[:4].T, rows[4:].T
         dev = max(dev, _max_dev(ensemble.u_eff_exact(theta).matrix, closed))
-    detail = "50 random evolution angles, N = 1 phases on each atom level, off-level blocks zero"
-    return CheckResult("medium vs circular closed form", dev <= 1e-12, dev, detail)
+    return dev, "50 random evolution angles, N = 1 phases on each atom level, off-level blocks zero"
 
 
-def check_polarizer_claim() -> CheckResult:
+def check_polarizer_claim() -> tuple:
     report = ensemble.check_phases_claim(math.pi / 2)
     dev = max(
         _max_dev(report.claimed_abs_gram, np.ones((4, 4))),
         _max_dev(report.fidelities, 0.5 * np.ones(4)),
         _max_dev(report.singular_values, [[2.0, 0.0, 0.0, 0.0]] * 2),
     )
-    # dev includes max ||G| - 1|, so it also says whether the claim is inconsistent
-    detected = dev <= 1e-12
-    return CheckResult(
-        "polarizer claim audit",
-        detected,
-        dev,
-        report.verdict,
-        expected_inconsistent=True,
-    )
+    # dev includes max ||G| - 1|, so within its bound the inconsistency is detected
+    return dev, report.verdict
 
 
-def check_naive_vs_collective() -> CheckResult:
+def check_naive_vs_collective() -> tuple:
     u = ensemble.u_eff_exact(math.pi / 2).matrix
     rng = np.random.default_rng(12)
     worst = 0.0
@@ -117,8 +109,7 @@ def check_naive_vs_collective() -> CheckResult:
             if n >= 5:  # 2^n >= 32 rows, so born_distribution folds them
                 marginal = born_distribution(naive, ("photon1", "photon2"))
                 worst = max(worst, _max_dev(list(marginal.values()), np.abs(photons) ** 2))
-    detail = "photon amplitudes of the extreme row after random photon rotations, N=1..6; photon marginals at N in {5,6}"
-    return CheckResult("unreduced vs collective medium evolution", worst <= 1e-10, worst, detail)
+    return worst, "photon amplitudes of the extreme row after random photon rotations, N=1..6; photon marginals at N in {5,6}"
 
 
 def _random_su2(rng: np.random.Generator) -> np.ndarray:
@@ -142,7 +133,7 @@ def _random_off_extreme_sequence(rng: np.random.Generator) -> list:
     return ops
 
 
-def check_dicke_vs_naive() -> CheckResult:
+def check_dicke_vs_naive() -> tuple:
     config = ensemble.EnsembleConfig.from_theta(math.pi / 2)
     primed = (0.0, 1.0)
     cases = []
@@ -164,16 +155,13 @@ def check_dicke_vs_naive() -> CheckResult:
         dicke = manybody.full_simulate_dicke(n, atom, ops)
         extracted = manybody.dicke_amplitudes_from_naive(naive, n)
         worst = max(worst, _max_dev(extracted.reshape(-1), dicke.amplitudes))
-    return CheckResult(
-        "symmetric-sector vs unreduced protocol",
-        worst <= 1e-10,
-        worst,
+    return worst, (
         "full protocol replays at N in {1,3,6}, 8 seeded random off-extreme sequences at N in {2,3,4,5,6}, "
-        "a medium step at each extreme at N in {1,3,6}",
+        "a medium step at each extreme at N in {1,3,6}"
     )
 
 
-def check_feasibility_presets() -> CheckResult:
+def check_feasibility_presets() -> tuple:
     cs = params.required_detuning(params.PRESETS["cs-cell"])
     rb = params.required_detuning(params.PRESETS["rb-mot"])
     ok = (
@@ -184,18 +172,16 @@ def check_feasibility_presets() -> CheckResult:
         and cs.dispersive_ok
         and rb.dispersive_ok
     )
-    detail = f"cs ratio {cs.detuning_over_coupling:.3f}, rb ratio {rb.detuning_over_coupling:.3f}"
-    return CheckResult("feasibility presets", ok, None, detail)
+    return ok, None, f"cs ratio {cs.detuning_over_coupling:.3f}, rb ratio {rb.detuning_over_coupling:.3f}"
 
 
-def check_protocol_patterns() -> CheckResult:
+def check_protocol_patterns() -> tuple:
     config = ensemble.EnsembleConfig.from_theta(math.pi / 2)
     expected = {
         "f1": (1, 1), "f2": (1, 1), "f3": (0, 1), "f4": (0, 1),
         "f5": (1, 0), "f6": (1, 0), "f7": (0, 0), "f8": (0, 0),
     }
-    worst = 0.0
-    ok = True
+    worst, ok = 0.0, True
     for f in protocol.table1_functions():
         trace = protocol.run_protocol(f, "paper", config)
         pattern, prob = trace.pattern()
@@ -203,53 +189,66 @@ def check_protocol_patterns() -> CheckResult:
         outcome = protocol.classify(pattern)
         ok = ok and outcome.classification == f.classification and f.id in outcome.function_pair
         worst = max(worst, 1.0 - prob)
-    return CheckResult("declared-mode protocol patterns", ok, worst, "all eight catalog functions, deviation is 1 - top probability")
+    return ok, worst, "all eight catalog functions, deviation is 1 - top probability"
 
 
-def check_reference_circuit() -> CheckResult:
+def check_reference_circuit() -> tuple:
     ok = True
     for n in (1, 2, 3):
         for f in protocol.enumerate_functions(n):
             result = protocol.reference_dj_circuit(f)
             ok = ok and result.deterministic and result.classification == f.classification
             ok = ok and result.oracle_calls == 1
-    return CheckResult("gate-model reference circuit", ok, None, "all constant and balanced functions, n = 1..3")
+    return ok, None, "all constant and balanced functions, n = 1..3"
 
 
-def check_sampling() -> CheckResult:
+def check_sampling() -> tuple:
     counts_a = sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=99)
     counts_b = sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=99)
     ok = counts_a == counts_b and abs(counts_a[0] - 5000) <= 150
-    return CheckResult("seeded sampling", ok, abs(counts_a[0] - 5000), "3-sigma window and bit reproducibility")
+    return ok, abs(counts_a[0] - 5000), "3-sigma window and bit reproducibility"
 
 
-ALL_CHECKS = (
-    check_wave_plate_gadgets,
-    check_microwave_pulses,
-    check_composite_rotations,
-    check_hamiltonian_forms,
-    check_medium_unitarity,
-    check_polarizer_claim,
-    check_naive_vs_collective,
-    check_dicke_vs_naive,
-    check_feasibility_presets,
-    check_protocol_patterns,
-    check_reference_circuit,
-    check_sampling,
-)
+# Each check's printed name, its bound, and whether its pass means the declared
+# rewrite was found inconsistent. A check with a bound returns (deviation,
+# detail) and passes at deviation <= bound; one without returns its verdict,
+# (passed, deviation, detail).
+CHECKS = {
+    "check_wave_plate_gadgets": ("wave-plate gadget identities", 1e-12, False),
+    "check_microwave_pulses": ("microwave pulse identities", 1e-12, False),
+    "check_composite_rotations": ("composite diagonal rotations", 1e-12, False),
+    "check_hamiltonian_forms": ("hamiltonian basis-form equivalence", 1e-12, False),
+    "check_medium_unitarity": ("medium vs circular closed form", 1e-12, False),
+    "check_polarizer_claim": ("polarizer claim audit", 1e-12, True),
+    "check_naive_vs_collective": ("unreduced vs collective medium evolution", 1e-10, False),
+    "check_dicke_vs_naive": ("symmetric-sector vs unreduced protocol", 1e-10, False),
+    "check_feasibility_presets": ("feasibility presets", None, False),
+    "check_protocol_patterns": ("declared-mode protocol patterns", None, False),
+    "check_reference_circuit": ("gate-model reference circuit", None, False),
+    "check_sampling": ("seeded sampling", None, False),
+}
+# flat, so that wrapping the items of module-level tuples wraps each check; a wrapper keeps the name
+ALL_CHECKS = tuple(globals()[key] for key in CHECKS)
+
+
+def judge(check) -> CheckResult:
+    """Run ``check`` and hold its outcome to the row of ``CHECKS`` named by its function.
+
+    A check that raises, say on a state that is no longer normalized, is a
+    failed result under its printed name, not a crash of the suite.
+    """
+    try:
+        outcome = check()
+    except Exception as exc:
+        outcome = exc
+    name, bound, expected_inconsistent = CHECKS[check.__name__]
+    if isinstance(outcome, Exception):
+        outcome = False, None, f"raised {type(outcome).__name__}: {outcome}"
+    elif bound is not None:
+        outcome = outcome[0] <= bound, *outcome
+    return CheckResult(name, *outcome, expected_inconsistent)
 
 
 def run_all_checks() -> list[CheckResult]:
-    """Every check's result, in order; a check that raises is a failed result.
-
-    A defect that breaks a check's own run, such as a state that is no longer
-    normalized, is a failed check and not a crash of the suite: the other
-    checks still run and the report is still written.
-    """
-    results = []
-    for check in ALL_CHECKS:
-        try:
-            results.append(check())
-        except Exception as exc:
-            results.append(CheckResult(check.__name__, False, None, f"raised {type(exc).__name__}: {exc}"))
-    return results
+    """Every check's result, in order; one that raises still lets the rest run."""
+    return [judge(check) for check in ALL_CHECKS]

@@ -101,6 +101,17 @@ def _shot_count(text: str) -> int:
     return int(value)
 
 
+def _sampling_problem(args, least: int, too_few: str) -> str | None:
+    """Why ``--shots`` or ``--seed`` is out of range, or None; ``too_few`` is the message below ``least`` shots."""
+    if args.shots < least:
+        return too_few
+    if args.shots > MAX_SHOTS:
+        return f"--shots must be at most {MAX_SHOTS}"
+    if args.seed < 0:
+        return "--seed must be non-negative"
+    return None
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -121,12 +132,8 @@ def _run_functions(args, entry, **request) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.shots < 0:
-        return _fail("--shots must be non-negative (0 means no sampling)")
-    if args.shots > MAX_SHOTS:
-        return _fail(f"--shots must be at most {MAX_SHOTS}")
-    if args.seed < 0:
-        return _fail("--seed must be non-negative")
+    if problem := _sampling_problem(args, 0, "--shots must be non-negative (0 means no sampling)"):
+        return _fail(problem)
     if args.n_atoms_oracle is not None and not 1 <= args.n_atoms_oracle <= NAIVE_ATOM_LIMIT:
         return _fail(f"--n-atoms-oracle must be between 1 and {NAIVE_ATOM_LIMIT}")
 
@@ -240,12 +247,8 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.shots < 1:
-        return _fail("sample requires --shots >= 1")
-    if args.shots > MAX_SHOTS:
-        return _fail(f"--shots must be at most {MAX_SHOTS}")
-    if args.seed < 0:
-        return _fail("--seed must be non-negative")
+    if problem := _sampling_problem(args, 1, "sample requires --shots >= 1"):
+        return _fail(problem)
 
     def entry(f, trace, config) -> dict:
         counts = sample_shots(trace.distribution(), args.shots, args.seed)

@@ -247,9 +247,6 @@ class ProtocolTrace:
     def pattern(self) -> tuple[tuple[int, int], float]:
         return top_pattern(self.distribution())
 
-    def deterministic(self) -> bool:
-        return is_deterministic(self.pattern()[1])
-
     def named_states(self):
         yield "psi0", self.psi0
         yield "psi1", self.psi1

@@ -1,8 +1,8 @@
-"""Kernel mutants that the checks must catch.
+"""Mutants that the checks or the tests must catch.
 
-Each entry of ``MUTANTS`` is a small defect written into the package: an old
-text that occurs exactly once in one module of ``src/djensemble`` and the
-text that replaces it. For each edit the script patches a temporary copy of
+Each entry of ``MUTANTS`` is a small defect written into the package, most
+of them into its numerical kernels: an old text that occurs exactly once in
+one module of ``src/djensemble`` and the text that replaces it. For each edit the script patches a temporary copy of
 ``src/``, confirms that a child process imports that copy, and then requires
 the defect to be caught: ``python -m djensemble verify`` must exit 1 with a
 FAIL line, or, for the edits that ``verify`` does not cover by design, the
@@ -122,6 +122,23 @@ MUTANTS = (
     Mutant("primed photon pair written as the plain one", "ensemble.py",
            "np.array([[-1.0j, 1.0], [-1.0j, -1.0]])", "np.array([[-1.0j, 1.0], [-1.0j, 1.0]])",
            "tests/test_ensemble.py::TestPaperPolarizerMap::test_primed_branch_mirror"),
+    # edits outside the kernels: verify's results do not move, so a named
+    # test pins each
+    Mutant("paper-mode weight reported as 1.0", "protocol.py",
+           "post_selection = result.post_selection_probability", "post_selection = 1.0",
+           "tests/test_protocol.py::TestPaperModeTraces::test_post_selection_is_the_maps_weight"),
+    Mutant("deterministic within 1e-3", "protocol.py",
+           "DETERMINISTIC_EPS = 1e-9", "DETERMINISTIC_EPS = 1e-3",
+           "tests/test_protocol.py::TestClassify::test_deterministic_within_one_part_in_a_billion"),
+    Mutant("linear extension flagged from three populated rows", "ensemble.py",
+           "np.abs(state.amplitudes) > 1e-12) > 1,", "np.abs(state.amplitudes) > 1e-12) > 2,",
+           "tests/test_ensemble.py::TestPaperPolarizerMap::test_two_populated_rows_use_linear_extension"),
+    Mutant("decoherence threshold at 100 transit times", "params.py",
+           "DECOHERENCE_THRESHOLD = 1e3", "DECOHERENCE_THRESHOLD = 1e2",
+           "tests/test_params.py::TestRequiredDetuning::test_decoherence_threshold_is_a_thousand_transit_times"),
+    Mutant("unreduced-vs-collective bound loosened to 1e10", "checks.py",
+           '"unreduced vs collective medium evolution", 1e-10,', '"unreduced vs collective medium evolution", 1e10,',
+           "tests/test_checks.py::test_naive_vs_collective_catches_a_conjugated_naive_kernel"),
 )
 
 

@@ -9,7 +9,7 @@ from djensemble import checks, ensemble, manybody, protocol
 
 
 def test_dicke_vs_naive_passes_on_catalog_and_random_sequences():
-    result = checks.check_dicke_vs_naive()
+    result = checks.judge(checks.check_dicke_vs_naive)
     assert result.passed and result.deviation <= 1e-10
     assert "8 seeded random off-extreme sequences" in result.detail
 
@@ -21,7 +21,7 @@ def test_dicke_vs_naive_rotates_off_the_extremes_at_both_parities(monkeypatch):
     monkeypatch.setattr(
         manybody, "symmetric_rotation", lambda u, n, rows: rotated.append(n) or original(u, n, rows)
     )
-    assert checks.check_dicke_vs_naive().passed
+    assert checks.judge(checks.check_dicke_vs_naive).passed
     assert len(rotated) == 16 and {n % 2 for n in rotated} == {0, 1}
 
 
@@ -43,7 +43,7 @@ def test_dicke_vs_naive_catches_a_mirrored_medium_phase(monkeypatch):
     monkeypatch.setattr(
         manybody, "_medium_phase", lambda rows, theta, n, m: original(rows, theta, n, n - m)
     )
-    result = checks.check_dicke_vs_naive()
+    result = checks.judge(checks.check_dicke_vs_naive)
     assert not result.passed and result.deviation > 0.1
     ops = protocol.exact_operation_sequence(
         protocol.table1_function("f3"), ensemble.EnsembleConfig.from_theta(math.pi / 2)
@@ -61,9 +61,8 @@ def test_naive_vs_collective_catches_a_conjugated_naive_kernel(monkeypatch):
     monkeypatch.setattr(
         manybody, "_evolution_block", lambda lam_t, n_atoms: original(-lam_t, n_atoms)
     )
-    result = checks.check_naive_vs_collective()
+    result = checks.judge(checks.check_naive_vs_collective)
     assert not result.passed and result.deviation > 0.1
-
 
 
 def test_medium_check_catches_a_medium_blind_to_the_angle_sign(monkeypatch):
@@ -71,7 +70,7 @@ def test_medium_check_catches_a_medium_blind_to_the_angle_sign(monkeypatch):
     the closed form sees that negative angles run forward."""
     original = ensemble.u_eff_exact
     monkeypatch.setattr(ensemble, "u_eff_exact", lambda theta: original(abs(theta)))
-    result = checks.check_medium_unitarity()
+    result = checks.judge(checks.check_medium_unitarity)
     assert not result.passed and result.deviation > 0.1
 
 
@@ -82,7 +81,7 @@ def test_naive_vs_collective_catches_a_photon_rotation_on_the_other_photon(monke
         return np.kron(self.matrix, np.eye(2)) if self.photon == 2 else np.kron(np.eye(2), self.matrix)
 
     monkeypatch.setattr(manybody.PhotonRotation, "on_pair", swapped)
-    result = checks.check_naive_vs_collective()
+    result = checks.judge(checks.check_naive_vs_collective)
     assert not result.passed and result.deviation > 0.1
 
 
@@ -92,16 +91,37 @@ def test_run_all_checks_repeats_its_results():
 
 
 def test_a_check_that_raises_is_a_failed_result(monkeypatch):
-    def check_that_raises():
+    """A raised check is reported under its table name, found by its function's name."""
+    def check_dicke_vs_naive():
         raise ValueError("state must be normalized")
 
-    monkeypatch.setattr(checks, "ALL_CHECKS", (checks.check_sampling, check_that_raises, checks.check_wave_plate_gadgets))
+    monkeypatch.setattr(checks, "ALL_CHECKS", (checks.check_sampling, check_dicke_vs_naive, checks.check_wave_plate_gadgets))
     results = checks.run_all_checks()
-    assert [r.name for r in results] == ["seeded sampling", "check_that_raises", "wave-plate gadget identities"]
+    assert [r.name for r in results] == [
+        "seeded sampling", "symmetric-sector vs unreduced protocol", "wave-plate gadget identities"
+    ]
     assert results[0].passed and results[2].passed
     assert results[1] == checks.CheckResult(
-        "check_that_raises", False, None, "raised ValueError: state must be normalized"
+        "symmetric-sector vs unreduced protocol", False, None, "raised ValueError: state must be normalized"
     )
+
+
+def test_a_bound_check_passes_up_to_its_table_bound():
+    bound = checks.CHECKS["check_wave_plate_gadgets"][1]
+    for deviation, passed in ((bound, True), (np.nextafter(bound, 1.0), False)):
+        def check_wave_plate_gadgets():
+            return deviation, "forced by the test"
+
+        assert checks.judge(check_wave_plate_gadgets) == checks.CheckResult(
+            "wave-plate gadget identities", passed, deviation, "forced by the test"
+        )
+
+
+def test_the_table_names_every_check_once():
+    assert [check.__name__ for check in checks.ALL_CHECKS] == list(checks.CHECKS)
+    names = [name for name, _, _ in checks.CHECKS.values()]
+    assert len(set(names)) == len(names) == 12
+    assert [key for key, row in checks.CHECKS.items() if row[2]] == ["check_polarizer_claim"]
 
 
 def test_run_all_checks_lets_a_keyboard_interrupt_through(monkeypatch):

@@ -148,22 +148,47 @@ class TestVerifyCommand:
     def test_check_that_raises_is_a_fail_line_and_a_written_report(self, monkeypatch, tmp_path, capsys):
         from djensemble import checks
 
-        def check_that_raises():
+        def check_dicke_vs_naive():
             raise ValueError("state must be normalized but <psi|psi> = 1.0002")
 
-        monkeypatch.setattr(checks, "ALL_CHECKS", (check_that_raises, checks.check_sampling))
+        monkeypatch.setattr(checks, "ALL_CHECKS", (check_dicke_vs_naive, checks.check_sampling))
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
         fail = [line for line in captured.out.splitlines() if "  FAIL" in line]
-        assert len(fail) == 1 and fail[0].startswith("check_that_raises")
+        assert len(fail) == 1 and fail[0].startswith("symmetric-sector vs unreduced protocol  FAIL")
         assert "raised ValueError: state must be normalized" in fail[0]
         report = read_report(out)
         assert set(report) == {"schema", "version", "command", "request", "checks", "all_passed"}
         assert not report["all_passed"]
         assert [c["passed"] for c in report["checks"]] == [False, True]
+        assert report["checks"][0]["name"] == "symmetric-sector vs unreduced protocol"
         assert report["checks"][0]["deviation"] is None
+
+    def test_a_check_that_raises_and_one_that_fails_print_one_name(self, monkeypatch, tmp_path, capsys):
+        """A fault that makes the Dicke run raise, as a band that is not
+        normalized does, and one that only moves its amplitudes are both
+        reported under the check's table name, on the console and in --out."""
+        from djensemble import manybody
+
+        def raising(*args):
+            raise ValueError("state must be normalized but <psi|psi> = 1.0002")
+
+        extract = manybody.dicke_amplitudes_from_naive
+        names = []
+        for name, fault in (("full_simulate_dicke", raising),
+                            ("dicke_amplitudes_from_naive", lambda state, n: -extract(state, n))):
+            with monkeypatch.context() as patch:
+                patch.setattr(manybody, name, fault)
+                out = tmp_path / f"{name}.json"
+                assert main(["verify", "--out", str(out)]) == 1
+            fail = [line for line in capsys.readouterr().out.splitlines() if "  FAIL" in line]
+            assert len(fail) == 1
+            failed = [c for c in read_report(out)["checks"] if not c["passed"]]
+            assert len(failed) == 1 and fail[0].split("  FAIL")[0].rstrip() == failed[0]["name"]
+            names.append(failed[0]["name"])
+        assert names == ["symmetric-sector vs unreduced protocol"] * 2
 
 
 class TestReportRoundTrips:

@@ -356,6 +356,10 @@ class TestPaperPolarizerMap:
         assert result.linear_extension_used
         assert result.post_selection_probability == pytest.approx(1.0, abs=1e-12)
 
+    def test_two_populated_rows_use_linear_extension(self):
+        result = u_eff_paper().apply(protocol_state(0, np.array([1.0, 1.0, 0.0, 0.0]) / SQRT2))
+        assert result.linear_extension_used
+
     def test_non_norm_preserving_weight(self):
         pmap = u_eff_paper()
         photon_amps = np.array([1.0, 0.0, 0.0, -1.0]) / SQRT2

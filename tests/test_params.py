@@ -56,6 +56,14 @@ class TestRequiredDetuning:
         assert report.decoherence_margin == pytest.approx(1.5e6, rel=0.01)
         assert report.decoherence_ok
 
+    @pytest.mark.parametrize("margin,ok", [(0.99e3, False), (1.01e3, True)])
+    def test_decoherence_threshold_is_a_thousand_transit_times(self, margin, ok):
+        spec = PRESETS["cs-cell"]
+        spec = dataclasses.replace(spec, relaxation_s=margin * transit_time(spec.length_m))
+        report = required_detuning(spec)
+        assert report.decoherence_margin == pytest.approx(margin, rel=1e-12)
+        assert report.decoherence_ok is ok
+
     def test_detuning_scales_quadratically_in_coupling(self):
         rng = np.random.default_rng(17)
         base = MediumSpec(1e-4, 1000, 1e6)

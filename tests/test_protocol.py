@@ -12,6 +12,7 @@ from djensemble.ensemble import (
     PROTOCOL_SPACE,
     EnsembleConfig,
     microwave_rotation,
+    u_eff_paper,
 )
 from djensemble.manybody import (
     AtomRotation,
@@ -26,6 +27,7 @@ from djensemble.protocol import (
     enumerate_functions,
     exact_operation_sequence,
     h_eq_for,
+    is_deterministic,
     reference_dj_circuit,
     run_protocol,
     table1_function,
@@ -245,6 +247,13 @@ class TestPaperModeTraces:
         assert equal
         assert trace.post_selection_probability == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("fid", ["f3", "f4", "f5", "f6", "f7", "f8"])
+    def test_post_selection_is_the_maps_weight(self, fid):
+        # about 1 - 1.8e-15 here, so a weight written as 1.0 shows
+        trace = run_protocol(table1_function(fid), "paper", CONFIG)
+        weight = u_eff_paper().apply(trace.psi1_prime).post_selection_probability
+        assert trace.post_selection_probability == weight
+
     @pytest.mark.parametrize(
         "fid,p1,p2",
         [
@@ -268,7 +277,7 @@ class TestPaperModeTraces:
         pattern, prob = trace.pattern()
         assert pattern == EXPECTED_PATTERNS[fid]
         assert prob >= 1.0 - 1e-9
-        assert trace.deterministic()
+        assert is_deterministic(prob)
 
     @pytest.mark.parametrize("fid", sorted(EXPECTED_PATTERNS))
     def test_classification_matches_truth(self, fid):
@@ -354,7 +363,7 @@ class TestExactModeTraces:
                 assert dist[key] == pytest.approx(value, abs=1e-10)
         # reported, not asserted as a requirement: the exact unitary does not
         # reproduce the declared discrimination for balanced functions
-        assert not trace.deterministic()
+        assert not is_deterministic(trace.pattern()[1])
 
     def test_post_selection_probability_is_one(self):
         trace = run_protocol(table1_function("f3"), "exact", CONFIG)
@@ -411,6 +420,10 @@ class TestClassify:
 
     def test_numpy_integer_bits_accepted(self):
         assert classify((np.int64(0), np.int8(1))).function_pair == ("f3", "f4")
+
+    def test_deterministic_within_one_part_in_a_billion(self):
+        assert is_deterministic(1.0 - 0.9e-9)
+        assert not is_deterministic(1.0 - 1.1e-9)
 
 
 class TestDetection:
