@@ -206,7 +206,7 @@ def check_sampling() -> tuple:
     counts_a = sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=99)
     counts_b = sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=99)
     ok = counts_a == counts_b and abs(counts_a[0] - 5000) <= 150
-    return ok, abs(counts_a[0] - 5000), "3-sigma window and bit reproducibility"
+    return ok, float(abs(counts_a[0] - 5000)), "3-sigma window and bit reproducibility"
 
 
 # Each check's printed name, its bound, and whether its pass means the declared

@@ -283,7 +283,7 @@ def _cmd_trace(args) -> int:
                 "subsystems": [[n, d] for n, d in state.space.subsystems],
                 "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
             }
-            for name, state in trace.named_states()
+            for name, state in trace.states.items()
         ]
         print(f"{f.id}: {len(states)} states recorded")
         return {

@@ -93,7 +93,7 @@ class PhotonRotation:
 
     photon: int
     matrix: np.ndarray
-    # derived once, at construction: the checked gate and its 4x4 pair gate
+    # derived once, at construction: the checked gate and its read-only 4x4 gate on |p1 p2>
     gate: Operator = field(init=False, repr=False, compare=False)
     pair: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -106,10 +106,6 @@ class PhotonRotation:
         pair.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "pair", pair)
-
-    def on_pair(self) -> np.ndarray:
-        """The read-only 4x4 gate on the photon pair |p1 p2>."""
-        return self.pair
 
 
 # Loader's saddle-point form of the binomial weight ("Fast and Accurate
@@ -470,9 +466,9 @@ def full_simulate_naive(n_atoms: int, atom_init, ops) -> StateVector:
             state = state.reshape(2**n_atoms, 4)
         elif isinstance(op, PhotonRotation):
             if state is None:
-                photons = op.on_pair() @ photons
+                photons = op.pair @ photons
             else:
-                state = state @ op.on_pair().T
+                state = state @ op.pair.T
         elif isinstance(op, EnsembleEvolution):
             if state is None:
                 state = _naive_product(single, photons, n_atoms)
@@ -571,7 +567,7 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
                 # product, so keep the single-atom vector exactly unit length
                 atom = vec / np.linalg.norm(vec)
         elif isinstance(op, PhotonRotation):
-            rows = rows @ op.on_pair().T
+            rows = rows @ op.pair.T
         elif isinstance(op, EnsembleEvolution):
             first = 0  # the m of row 0
             if atom is not None:

@@ -7,18 +7,20 @@ photon rotations; for constant functions: identity or an atomic NOT), and a
 final photon Hadamard maps the result onto a coincidence pattern.
 
 The protocol is one operation sequence, ``exact_operation_sequence``.
-``run_protocol`` replays it on the compact (atom, photon1, photon2) space,
-where the atom slot holds the shared single-atom state; the physical
-ensemble state is its N-fold product, so the two agree up to a global phase
-and coincide exactly at the collective extremes. The unreduced and
-symmetric-sector simulators in ``manybody`` replay the same sequence for
-cross-checks.
+``run_protocol`` replays it with ``replay``, which takes any sequence, on
+the compact (atom, photon1, photon2) space, where the atom slot holds the
+shared single-atom state; the physical ensemble state is its N-fold
+product, so the two agree up to a global phase and coincide exactly at the
+collective extremes. The unreduced and symmetric-sector simulators in
+``manybody`` replay the same sequence for cross-checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -223,7 +225,7 @@ def top_pattern(dist: dict) -> tuple[tuple[int, int], float]:
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """Ordered intermediate states of one protocol run.
+    """Named intermediate states of one protocol run, in replay order.
 
     The atom subsystem of each state holds the shared single-atom vector;
     the primed intermediates are absent for constant functions, whose oracle
@@ -232,49 +234,32 @@ class ProtocolTrace:
 
     function: BooleanFunction
     mode: str
-    psi0: StateVector
-    psi1: StateVector
-    psi1_prime: StateVector | None
-    psi1_double_prime: StateVector | None
-    psi2: StateVector
-    psi3: StateVector
+    states: Mapping[str, StateVector]
     post_selection_probability: float
     ensemble_evolution_calls: int
 
     def distribution(self) -> dict:
-        return born_distribution(self.psi3, ("photon1", "photon2"))
+        final = next(reversed(self.states.values()))
+        return born_distribution(final, ("photon1", "photon2"))
 
     def pattern(self) -> tuple[tuple[int, int], float]:
         return top_pattern(self.distribution())
 
-    def named_states(self):
-        yield "psi0", self.psi0
-        yield "psi1", self.psi1
-        if self.psi1_prime is not None:
-            yield "psi1_prime", self.psi1_prime
-        if self.psi1_double_prime is not None:
-            yield "psi1_double_prime", self.psi1_double_prime
-        yield "psi2", self.psi2
-        yield "psi3", self.psi3
 
+def replay(ops, mode: str, start: StateVector) -> tuple[list[StateVector], float]:
+    """Replay ``ops`` on the compact space from ``start``.
 
-def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> ProtocolTrace:
-    """Replay ``exact_operation_sequence`` on the compact space and record the trace.
-
-    The medium step is the exact unitary or, in paper mode, the declared
-    polarizer rewrite; either needs the atoms at a collective extreme.
+    Returns the state after each op, ``start`` first, and the last declared
+    rewrite's weight |Kv|^2 (1.0 if there was none). The medium step is the
+    exact unitary or, in paper mode, the declared polarizer rewrite, which
+    is fixed at the quarter turn; either needs the atoms at a collective
+    extreme.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    balanced = f.classification == "balanced"
-    if balanced and not is_quarter_turn(config.theta):
-        raise ValueError("balanced functions require the medium angle theta = pi/2")
-    ops = exact_operation_sequence(f, config)
-
-    state = _PSI0
+    state = start
     states = [state]
     post_selection = 1.0
-    evolution_calls = 0
     for op in ops:
         if isinstance(op, AtomRotation):
             state = embed_single("atom", op.gate, PROTOCOL_SPACE).apply(state)
@@ -284,9 +269,10 @@ def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> Proto
                     "medium traversal reached with atoms away from the collective extremes "
                     "(protocol sequencing bug)"
                 )
-            evolution_calls += 1
             if mode == "exact":
                 state = u_eff_exact(op.theta).apply(state)
+            elif not is_quarter_turn(op.theta):
+                raise ValueError(f"the declared polarizer rewrite is fixed at theta = pi/2, got {op.theta!r}")
             else:
                 result = u_eff_paper().apply(state)
                 state = result.state
@@ -296,22 +282,25 @@ def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> Proto
         else:
             raise TypeError(f"unknown operation {op!r}")
         states.append(state)
+    return states, post_selection
 
+
+def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> ProtocolTrace:
+    """Replay ``exact_operation_sequence`` from every atom primed and name the trace's states."""
+    balanced = f.classification == "balanced"
+    if balanced and not is_quarter_turn(config.theta):
+        raise ValueError("balanced functions require the medium angle theta = pi/2")
+    ops = exact_operation_sequence(f, config)
+    states, post_selection = replay(ops, mode, _PSI0)
     # states[k] follows the first k ops: three pre-Hadamards, the oracle (for
     # a balanced function: atom rotation, medium, two photon rotations), and
     # the two post-Hadamards.
-    return ProtocolTrace(
-        function=f,
-        mode=mode,
-        psi0=states[0],
-        psi1=states[3],
-        psi1_prime=states[4] if balanced else None,
-        psi1_double_prime=states[5] if balanced else None,
-        psi2=states[-3],
-        psi3=states[-1],
-        post_selection_probability=post_selection,
-        ensemble_evolution_calls=evolution_calls,
-    )
+    named = {"psi0": states[0], "psi1": states[3]}
+    if balanced:
+        named.update(psi1_prime=states[4], psi1_double_prime=states[5])
+    named.update(psi2=states[-3], psi3=states[-1])
+    medium_steps = sum(isinstance(op, EnsembleEvolution) for op in ops)
+    return ProtocolTrace(f, mode, MappingProxyType(named), post_selection, medium_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ MUTANTS = (
     Mutant("naive atom rotation before the first medium step transposed", "manybody.py",
            "single = op.matrix @ single", "single = op.matrix.T @ single"),
     Mutant("naive photon rotation before the first medium step transposed", "manybody.py",
-           "photons = op.on_pair() @ photons", "photons = op.on_pair().T @ photons"),
+           "photons = op.pair @ photons", "photons = op.pair.T @ photons"),
     Mutant("cached medium eigenbasis with the level counts swapped", "manybody.py",
            "(n_atoms - m) * _GEN_PLUS + m * _GEN_MINUS", "m * _GEN_PLUS + (n_atoms - m) * _GEN_MINUS"),
     Mutant("lam and mu swapped in the bd0 terms", "manybody.py",
@@ -122,6 +122,11 @@ MUTANTS = (
     Mutant("primed photon pair written as the plain one", "ensemble.py",
            "np.array([[-1.0j, 1.0], [-1.0j, -1.0]])", "np.array([[-1.0j, 1.0], [-1.0j, 1.0]])",
            "tests/test_ensemble.py::TestPaperPolarizerMap::test_primed_branch_mirror"),
+    # every catalog atom gate is real, so only the random complex gates of
+    # the compact-vs-naive property see a conjugated one
+    Mutant("compact atom gate conjugated", "protocol.py",
+           'embed_single("atom", op.gate, PROTOCOL_SPACE)', 'embed_single("atom", op.matrix.conj(), PROTOCOL_SPACE)',
+           "tests/test_properties.py::test_compact_replay_matches_naive_on_random_sequences"),
     # edits outside the kernels: verify's results do not move, so a named
     # test pins each
     Mutant("paper-mode weight reported as 1.0", "protocol.py",

@@ -75,12 +75,16 @@ def test_medium_check_catches_a_medium_blind_to_the_angle_sign(monkeypatch):
 
 
 def test_naive_vs_collective_catches_a_photon_rotation_on_the_other_photon(monkeypatch):
-    """The naive and Dicke runs share ``on_pair``; the compact input is built
+    """The naive and Dicke runs share ``pair``; the compact input is built
     with np.kron, so a gate on the wrong photon shows."""
-    def swapped(self):
-        return np.kron(self.matrix, np.eye(2)) if self.photon == 2 else np.kron(np.eye(2), self.matrix)
+    post_init = manybody.PhotonRotation.__post_init__
 
-    monkeypatch.setattr(manybody.PhotonRotation, "on_pair", swapped)
+    def swapped(self):
+        post_init(self)
+        pair = np.kron(self.matrix, np.eye(2)) if self.photon == 2 else np.kron(np.eye(2), self.matrix)
+        object.__setattr__(self, "pair", pair)
+
+    monkeypatch.setattr(manybody.PhotonRotation, "__post_init__", swapped)
     result = checks.judge(checks.check_naive_vs_collective)
     assert not result.passed and result.deviation > 0.1
 

@@ -133,6 +133,9 @@ class TestVerifyCommand:
         assert audit["expected_inconsistent"] and audit["passed"]
         assert "not unitary" in audit["detail"]
         assert "PASS" in capsys.readouterr().out
+        # a measured deviation is written as a JSON float, a count of shots included
+        deviations = [c["deviation"] for c in report["checks"] if c["deviation"] is not None]
+        assert deviations and all(type(d) is float for d in deviations)
 
     def test_failed_check_exits_1(self, monkeypatch, capsys):
         from djensemble import cli

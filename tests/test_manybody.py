@@ -720,11 +720,9 @@ class TestPairGate:
     def test_pair_gate_is_read_only_and_equals_the_kron_form(self, photon):
         rng = np.random.default_rng(photon)
         op = PhotonRotation(photon, random_su2(rng))
-        gate = op.on_pair()
-        assert op.on_pair() is gate
-        assert not gate.flags.writeable
+        assert not op.pair.flags.writeable
         expected = np.kron(op.matrix, np.eye(2)) if photon == 1 else np.kron(np.eye(2), op.matrix)
-        assert np.array_equal(gate, expected)
+        assert np.array_equal(op.pair, expected)
 
     def test_equality_and_repr_see_only_photon_and_matrix(self):
         op = PhotonRotation(1, H1)

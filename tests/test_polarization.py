@@ -236,7 +236,7 @@ class TestSourceAndDetection:
     def test_source_per_photon_distributions(self):
         trace = run_protocol(table1_function("f1"), "exact", EnsembleConfig.from_theta(math.pi / 2))
         for name in ("photon1", "photon2"):
-            dist = born_distribution(trace.psi0, (name,))
+            dist = born_distribution(trace.states["psi0"], (name,))
             assert dist[(0,)] == pytest.approx(1.0, abs=1e-12)
 
     def test_detect_basis_state(self):

@@ -1,6 +1,7 @@
-"""Property tests: the Dicke simulator against the unreduced one on random
-sequences, the symmetric-sector rotation kernel against its oracles, and
-the public constructors on numbers at the edges of the float range."""
+"""Property tests: the Dicke simulator and the compact replay against the
+unreduced one on random sequences, the symmetric-sector rotation kernel
+against its oracles, and the public constructors on numbers at the edges of
+the float range."""
 
 import cmath
 import math
@@ -16,6 +17,7 @@ from test_manybody import symmetric_rotation_bruteforce
 from djensemble.ensemble import (
     P_MINUS,
     P_PLUS,
+    PROTOCOL_SPACE,
     EnsembleConfig,
     MicrowavePulse,
     check_phases_claim,
@@ -34,8 +36,8 @@ from djensemble.manybody import (
 )
 from djensemble.params import MediumSpec, required_detuning
 from djensemble.polarization import PHOTON, half_wave, quarter_wave
-from djensemble.protocol import classify
-from djensemble.qstate import SpaceLabel, basis_state, expm_hermitian
+from djensemble.protocol import classify, replay
+from djensemble.qstate import SpaceLabel, basis_state, born_distribution, expm_hermitian
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -136,6 +138,43 @@ def test_naive_matches_its_literal_form(n_atoms, polar, azimuth, ops):
     np.testing.assert_allclose(naive.amplitudes, naive_literal(n_atoms, atom, ops), rtol=0, atol=1e-13)
 
 
+su2s = st.builds(u2, st.just(0.0), angles, angles, st.floats(0.0, math.pi / 2))
+# diagonal or anti-diagonal: each atom level goes to one level, so the atoms stay at an extreme
+extreme_preserving = st.builds(
+    lambda a, b, flip: np.diag([cmath.exp(1j * a), cmath.exp(1j * b)])[:: -1 if flip else 1],
+    angles, angles, st.booleans(),
+)
+photon_rotations = st.builds(PhotonRotation, st.sampled_from((1, 2)), su2s)
+
+
+@st.composite
+def compact_sequences(draw):
+    """1-3 rounds of an extreme-preserving atom gate, a photon rotation and a
+    medium step, then an atom and a photon rotation: the compact replay needs
+    the atoms at an extreme at each medium step, not at the end."""
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        ops += [AtomRotation(draw(extreme_preserving)), draw(photon_rotations),
+                EnsembleEvolution(draw(st.floats(-7.0, 7.0)))]
+    return ops + [AtomRotation(draw(su2s)), draw(photon_rotations)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n_atoms=st.integers(1, 8), level=st.sampled_from((0, 1)), ops=compact_sequences())
+def test_compact_replay_matches_naive_on_random_sequences(n_atoms, level, ops):
+    # at N = 1 the compact space is naive_space(1) under other names; at any N
+    # the atoms are a product at every extreme, so the photon marginals agree
+    states, weight = replay(ops, "exact", basis_state(PROTOCOL_SPACE, (level, 0, 0)))
+    assert weight == 1.0 and len(states) == len(ops) + 1
+    final = states[-1]
+    single = full_simulate_naive(1, np.eye(2)[level], ops)
+    np.testing.assert_allclose(final.amplitudes, single.amplitudes, rtol=0, atol=1e-10)
+    photons = ("photon1", "photon2")
+    compact = born_distribution(final, photons)
+    naive = born_distribution(full_simulate_naive(n_atoms, np.eye(2)[level], ops), photons)
+    np.testing.assert_allclose([compact[k] for k in naive], list(naive.values()), rtol=0, atol=1e-10)
+
+
 # Numbers at every edge of the float range (NaN, +-inf, subnormals, 1e300)
 # and ints past it; a 2x2 matrix of them or of complex numbers, or a unitary
 # scaled off unit norm.
@@ -172,7 +211,7 @@ CONSTRUCTORS = [
     (
         PhotonRotation,
         [(st.sampled_from([1, 2]), edge_numbers), (unitaries(), edge_matrices)],
-        lambda o: [o.on_pair(), *replays(o)],
+        lambda o: [o.pair, *replays(o)],
     ),
     (
         EnsembleEvolution,

@@ -12,6 +12,7 @@ from djensemble.ensemble import (
     PROTOCOL_SPACE,
     EnsembleConfig,
     microwave_rotation,
+    u_eff_exact,
     u_eff_paper,
 )
 from djensemble.manybody import (
@@ -29,12 +30,13 @@ from djensemble.protocol import (
     h_eq_for,
     is_deterministic,
     reference_dj_circuit,
+    replay,
     run_protocol,
     table1_function,
     table1_functions,
 )
-from djensemble.polarization import clicks_for_pattern, composite_h, hadamard_variant
-from djensemble.qstate import StateVector, born_distribution, sample_shots
+from djensemble.polarization import clicks_for_pattern, composite_h, hadamard_variant, half_wave
+from djensemble.qstate import StateVector, basis_state, born_distribution, sample_shots
 
 SQRT2 = math.sqrt(2.0)
 CONFIG = EnsembleConfig.from_theta(math.pi / 2)
@@ -223,27 +225,27 @@ class TestPaperModeTraces:
     def test_initial_state(self):
         trace = run_protocol(table1_function("f3"), "paper", CONFIG)
         expected = state_from([0, 1], [1, 0], [1, 0])
-        np.testing.assert_allclose(trace.psi0.amplitudes, expected.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(trace.states["psi0"].amplitudes, expected.amplitudes, atol=1e-15)
 
     def test_first_hadamard_layer(self):
         trace = run_protocol(table1_function("f3"), "paper", CONFIG)
         plus = np.array([1.0, 1.0]) / SQRT2
         expected = state_from([1, -1], plus, plus)  # atom written up to a sign
-        equal, _ = equal_up_to_global_phase(trace.psi1, expected, 1e-12)
+        equal, _ = equal_up_to_global_phase(trace.states["psi1"], expected, 1e-12)
         assert equal
 
     def test_atoms_prepared_at_plain_extreme(self):
         trace = run_protocol(table1_function("f3"), "paper", CONFIG)
         plus = np.array([1.0, 1.0]) / SQRT2
         expected = state_from([1, 0], plus, plus)
-        equal, _ = equal_up_to_global_phase(trace.psi1_prime, expected, 1e-12)
+        equal, _ = equal_up_to_global_phase(trace.states["psi1_prime"], expected, 1e-12)
         assert equal
 
     def test_medium_output_shares_one_polarization(self):
         trace = run_protocol(table1_function("f3"), "paper", CONFIG)
         rotated = np.array([-1.0j, 1.0]) / SQRT2
         expected = state_from([1, 0], rotated, rotated)
-        equal, _ = equal_up_to_global_phase(trace.psi1_double_prime, expected, 1e-12)
+        equal, _ = equal_up_to_global_phase(trace.states["psi1_double_prime"], expected, 1e-12)
         assert equal
         assert trace.post_selection_probability == pytest.approx(1.0, abs=1e-12)
 
@@ -251,7 +253,7 @@ class TestPaperModeTraces:
     def test_post_selection_is_the_maps_weight(self, fid):
         # about 1 - 1.8e-15 here, so a weight written as 1.0 shows
         trace = run_protocol(table1_function(fid), "paper", CONFIG)
-        weight = u_eff_paper().apply(trace.psi1_prime).post_selection_probability
+        weight = u_eff_paper().apply(trace.states["psi1_prime"]).post_selection_probability
         assert trace.post_selection_probability == weight
 
     @pytest.mark.parametrize(
@@ -268,7 +270,7 @@ class TestPaperModeTraces:
     def test_post_oracle_factorization(self, fid, p1, p2):
         trace = run_protocol(table1_function(fid), "paper", CONFIG)
         expected = state_from([1, 0], np.array(p1) / SQRT2, np.array(p2) / SQRT2)
-        equal, _ = equal_up_to_global_phase(trace.psi2, expected, 1e-12)
+        equal, _ = equal_up_to_global_phase(trace.states["psi2"], expected, 1e-12)
         assert equal
 
     @pytest.mark.parametrize("fid", sorted(EXPECTED_PATTERNS))
@@ -296,7 +298,7 @@ class TestPaperModeTraces:
         for fid in ("f1", "f2"):
             trace = run_protocol(table1_function(fid), "paper", CONFIG)
             assert trace.ensemble_evolution_calls == 0
-            assert trace.psi1_prime is None and trace.psi1_double_prime is None
+            assert list(trace.states) == ["psi0", "psi1", "psi2", "psi3"]
 
     def test_wrong_angle_rejected_for_balanced(self):
         with pytest.raises(ValueError, match="pi/2"):
@@ -338,17 +340,17 @@ class TestExactModeTraces:
         minus = np.array([1.0, -1.0]) / SQRT2
         vertical = np.array([0.0, 1.0])
         f1 = run_protocol(table1_function("f1"), "exact", CONFIG)
-        equal, _ = equal_up_to_global_phase(f1.psi3, state_from(minus, vertical, vertical), 1e-12)
+        equal, _ = equal_up_to_global_phase(f1.states["psi3"], state_from(minus, vertical, vertical), 1e-12)
         assert equal
         f2 = run_protocol(table1_function("f2"), "exact", CONFIG)
-        equal, _ = equal_up_to_global_phase(f2.psi3, state_from(plus, vertical, vertical), 1e-12)
+        equal, _ = equal_up_to_global_phase(f2.states["psi3"], state_from(plus, vertical, vertical), 1e-12)
         assert equal
 
     def test_medium_output_is_both_vertical(self):
         trace = run_protocol(table1_function("f3"), "exact", CONFIG)
         vertical = np.array([0.0, 1.0])
         expected = state_from([1, 0], vertical, vertical)
-        equal, _ = equal_up_to_global_phase(trace.psi1_double_prime, expected, 1e-12)
+        equal, _ = equal_up_to_global_phase(trace.states["psi1_double_prime"], expected, 1e-12)
         assert equal
 
     @pytest.mark.parametrize("fid", ["f3", "f5", "f8"])
@@ -378,11 +380,67 @@ class TestExactModeTraces:
         trace = run_protocol(f, "exact", CONFIG)
         prefix = {"psi0": 0, "psi1": 3, "psi1_prime": 4, "psi1_double_prime": 5,
                   "psi2": len(ops) - 2, "psi3": len(ops)}
-        names = [name for name, _ in trace.named_states()]
-        assert len(names) == (6 if f.classification == "balanced" else 4)
-        for name, state in trace.named_states():
+        assert len(trace.states) == (6 if f.classification == "balanced" else 4)
+        for name, state in trace.states.items():
             naive = full_simulate_naive(1, (0.0, 1.0), ops[: prefix[name]])
             np.testing.assert_allclose(state.amplitudes, naive.amplitudes, atol=1e-12)
+
+
+class TestReplay:
+    """``replay`` takes any sequence, so its guards see inputs no catalog run makes."""
+
+    START = basis_state(PROTOCOL_SPACE, (1, 0, 0))
+
+    def test_start_first_and_no_weight_without_a_rewrite(self):
+        states, weight = replay([], "paper", self.START)
+        assert states == [self.START] and weight == 1.0
+
+    @pytest.mark.parametrize("mode", protocol.MODES)
+    def test_the_trace_names_states_of_the_replay(self, mode):
+        f = table1_function("f5")
+        trace = run_protocol(f, mode, CONFIG)
+        states, weight = replay(exact_operation_sequence(f, CONFIG), mode, self.START)
+        assert [s.amplitudes.tolist() for s in trace.states.values()] == [
+            s.amplitudes.tolist() for s in (states[0], states[3], states[4], states[5], states[-3], states[-1])
+        ]
+        assert trace.post_selection_probability == weight
+
+    def test_trace_states_are_read_only(self):
+        trace = run_protocol(table1_function("f1"), "exact", CONFIG)
+        with pytest.raises(TypeError):
+            trace.states["psi3"] = trace.states["psi0"]
+
+    def test_the_last_rewrite_weight_is_returned(self):
+        # about 1 for the first rewrite and 4 for the second, on the first one's output rotated
+        h1, turn = hadamard_variant(1).matrix, half_wave(0.3).matrix
+        ops = [PhotonRotation(1, h1), PhotonRotation(2, h1), EnsembleEvolution(math.pi / 2),
+               PhotonRotation(1, turn), PhotonRotation(2, turn), EnsembleEvolution(math.pi / 2)]
+        states, weight = replay(ops, "paper", self.START)
+        assert weight == u_eff_paper().apply(states[5]).post_selection_probability
+        assert weight == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", protocol.MODES)
+    def test_unknown_operation_rejected(self, mode):
+        with pytest.raises(TypeError, match="^unknown operation"):
+            replay([PhotonRotation(1, hadamard_variant(1).matrix), object()], mode, self.START)
+
+    @pytest.mark.parametrize("mode", protocol.MODES)
+    def test_medium_off_the_extremes_rejected(self, mode):
+        ops = [AtomRotation(hadamard_variant(1).matrix), EnsembleEvolution(math.pi / 2)]
+        with pytest.raises(ValueError, match=r"^medium traversal reached .* \(protocol sequencing bug\)$"):
+            replay(ops, mode, self.START)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"^mode must be one of \('exact', 'paper'\), got 'classical'$"):
+            replay([], "classical", self.START)
+
+    @pytest.mark.parametrize("theta", [1.0, -math.pi / 2, math.pi / 2 + 1e-6, 5 * math.pi / 2])
+    def test_paper_medium_only_at_the_quarter_turn(self, theta):
+        ops = [EnsembleEvolution(theta)]
+        with pytest.raises(ValueError, match=r"^the declared polarizer rewrite is fixed at theta = pi/2, got "):
+            replay(ops, "paper", self.START)
+        states, _ = replay(ops, "exact", self.START)
+        np.testing.assert_array_equal(states[1].amplitudes, u_eff_exact(theta).apply(self.START).amplitudes)
 
 
 class TestClassify:
