@@ -212,8 +212,11 @@ def _load_medium(token: str) -> MediumSpec:
         raise ValueError(f"medium file {token!r} is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"medium file {token!r} must be a JSON object")
+    fields = dataclasses.fields(MediumSpec)
+    if unknown := [key for key in data if key not in {f.name for f in fields}]:
+        raise ValueError(f"medium file {token!r}: unknown key {unknown[0]!r}")
     values = {}
-    for f in dataclasses.fields(MediumSpec):
+    for f in fields:
         if f.name not in data:
             if f.default is dataclasses.MISSING:
                 raise ValueError(f"medium file {token!r}: {f.name!r} must be a number, it is missing")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import LIN_TO_CIRC
-from .qstate import Operator, SpaceLabel, StateVector, _frozen_complex, check_count, check_positive, check_real, expm_hermitian
+from .qstate import Operator, SpaceLabel, StateVector, check_count, check_positive, check_real, expm_hermitian
 
 ATOM = SpaceLabel((("atom", 2),))
 PROTOCOL_SPACE = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
@@ -143,29 +143,18 @@ def _photon_pair_sum(single: np.ndarray) -> np.ndarray:
     return np.kron(single, _I2) + np.kron(_I2, single)
 
 
-# Assembled from the circular-mode projectors: atoms at the plain-ground
-# extreme shift photons in the plus mode, atoms at the primed extreme shift
-# photons in the minus mode. Built once and read-only, so every caller
-# shares the array.
-_H_EFF_DIMENSIONLESS = np.kron(np.diag([1.0, 0.0]), _photon_pair_sum(P_PLUS)) + np.kron(
+# The effective Hamiltonian divided by (lambda * n_atoms), assembled from the
+# circular-mode projectors: atoms at the plain-ground extreme shift photons
+# in the plus mode, atoms at the primed extreme shift photons in the minus
+# mode. Built once and read-only, so every caller shares the array.
+H_EFF = np.kron(np.diag([1.0, 0.0]), _photon_pair_sum(P_PLUS)) + np.kron(
     np.diag([0.0, 1.0]), _photon_pair_sum(P_MINUS)
 )
-_H_EFF_DIMENSIONLESS.setflags(write=False)
+H_EFF.setflags(write=False)
 
 
-def h_eff_dimensionless() -> np.ndarray:
-    """Effective Hamiltonian divided by (lambda * n_atoms), collective form, as a read-only matrix."""
-    return _H_EFF_DIMENSIONLESS
-
-
-def build_h_eff(config: EnsembleConfig) -> np.ndarray:
-    """Effective Hamiltonian in rad/s on the collective atom + photon space, as a read-only matrix."""
-    scale = config.lambda_value * config.n_atoms
-    return _frozen_complex(scale * h_eff_dimensionless())
-
-
-def build_h_eff_linear(config: EnsembleConfig) -> np.ndarray:
-    """The same Hamiltonian assembled directly from its linear-basis terms.
+def h_eff_linear() -> np.ndarray:
+    """``H_EFF`` assembled directly from its linear-basis terms, as a read-only matrix.
 
     The per-photon coupling matrices are written out literally here, with the
     +-i/2 off-diagonal structure of the horizontal/vertical rewrite, as an
@@ -173,16 +162,16 @@ def build_h_eff_linear(config: EnsembleConfig) -> np.ndarray:
     """
     m_plain = np.array([[0.5, -0.5j], [0.5j, 0.5]])
     m_primed = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
-    scale = config.lambda_value * config.n_atoms
     h = np.kron(np.diag([1.0, 0.0]), _photon_pair_sum(m_plain)) + np.kron(
         np.diag([0.0, 1.0]), _photon_pair_sum(m_primed)
     )
-    return _frozen_complex(scale * h)
+    h.setflags(write=False)
+    return h
 
 
 def u_eff_exact(theta: float) -> Operator:
     """Exact medium unitary exp(-i H t) at the evolution angle theta = lambda * N * t."""
-    return expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), theta)
+    return expm_hermitian(PROTOCOL_SPACE, H_EFF, theta)
 
 
 # The photon pair leaving the declared rewrite at the quarter turn, indexed

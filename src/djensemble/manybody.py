@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import ATOM, P_MINUS, P_PLUS, _photon_pair_sum, collective_extreme
+from .ensemble import ATOM, H_EFF, collective_extreme
 from .polarization import LIN_TO_CIRC, PHOTON
-from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, as_operator, check_count, check_real
+from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, check_count, check_real
 
 NAIVE_ATOM_LIMIT = 12
 # The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
@@ -39,10 +39,9 @@ _I2 = np.eye(2)
 _B2 = np.kron(LIN_TO_CIRC, LIN_TO_CIRC)
 # Both photons horizontal, the source output every simulation starts from.
 _PHOTONS_HH = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-# Photon-pair generators of the medium step per atom in each level:
+# H_EFF's diagonal blocks, the photon-pair generators per atom in each level:
 # n_plain * _GEN_PLUS + n_primed * _GEN_MINUS for a given configuration.
-_GEN_PLUS = _photon_pair_sum(P_PLUS)
-_GEN_MINUS = _photon_pair_sum(P_MINUS)
+_GEN_PLUS, _GEN_MINUS = H_EFF[:4, :4], H_EFF[4:, 4:]
 # Rows of the (N+1) x 4 Dicke array that the medium step phases at once;
 # bounds its temporaries only.
 _ROW_BLOCK = 1 << 16
@@ -291,10 +290,10 @@ def _sigma_x_basis(n_atoms: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def symmetric_rotation(u, n_atoms: int, rows: np.ndarray) -> np.ndarray:
+def symmetric_rotation(u: Operator, n_atoms: int, rows: np.ndarray) -> np.ndarray:
     """The N-fold tensor power of a single-qubit unitary applied to symmetric-sector rows.
 
-    ``u`` is a 2x2 Operator, used as built, or a raw 2x2 matrix, checked here.
+    ``u`` is a built 2x2 Operator, used as built; a raw matrix is refused.
     ``rows`` has shape (N+1,) or (N+1, k), indexed by excitation number m;
     the result has the same shape and ``rows`` is left unchanged. The
     (N+1) x (N+1) matrix is never formed. Splits off the global phase and
@@ -318,7 +317,11 @@ def symmetric_rotation(u, n_atoms: int, rows: np.ndarray) -> np.ndarray:
             f"dense symmetric rotation requested for {n_atoms} atoms; "
             f"limit is {DENSE_ROTATION_LIMIT}"
         )
-    u = as_operator(ATOM, u).matrix
+    if not isinstance(u, Operator):
+        raise TypeError(f"a gate must be a built Operator, got {type(u).__name__}")
+    if u.dim != 2:
+        raise ValueError(f"operator dimension {u.dim} does not match a single atom's 2")
+    u = u.matrix
     rows = np.asarray(rows)
     n1 = n_atoms + 1
     if rows.ndim not in (1, 2) or rows.shape[0] != n1:

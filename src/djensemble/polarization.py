@@ -9,12 +9,11 @@ single-photon-in-minus mode.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .qstate import Operator, SpaceLabel, as_operator, check_count, check_real, embed
+from .qstate import Operator, SpaceLabel, check_count, check_real, embed
 
 PHOTON = SpaceLabel((("photon", 2),))
 
@@ -90,14 +89,9 @@ def composite_h(kind: str) -> Operator:
     return out
 
 
-@functools.cache
-def _qubit_space(name: str) -> SpaceLabel:
-    return SpaceLabel(((name, 2),))
-
-
-def embed_single(name: str, matrix_2x2, space: SpaceLabel) -> Operator:
-    """Embed a 2x2 gate on the named qubit: an Operator as built, a raw matrix checked here, not after."""
-    return embed(as_operator(_qubit_space(name), matrix_2x2), name, space)
+def embed_single(name: str, gate: Operator, space: SpaceLabel) -> Operator:
+    """Embed a built 2x2 gate on the named qubit; ``embed`` refuses a raw matrix."""
+    return embed(gate, name, space)
 
 
 _DETECTORS = {(1, 0): "HD1", (1, 1): "VD1", (2, 0): "HD2", (2, 1): "VD2"}

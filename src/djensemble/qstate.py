@@ -12,9 +12,9 @@ other input, a read-only view of a writable array included, is copied.
 An ``Operator`` is a checked unitary: its unitarity check runs on every
 construction but ``embed``'s, which pads a checked operator with an exact
 identity and so cannot fail it (U'^dag U' - I = I (x) (U^dag U - I), entry
-for entry). A gate is checked once, where it is built: ``as_operator``
-takes an Operator of the right dimension as it is, so ``embed_single`` and
-``symmetric_rotation`` check a raw matrix only. A Hamiltonian is a plain
+for entry). A gate is checked once, where it is built: the kernels that
+apply one, ``embed`` and ``manybody.symmetric_rotation``, take a built
+Operator and refuse a raw matrix with a TypeError. A Hamiltonian is a plain
 Hermitian matrix, which ``expm_hermitian`` checks and exponentiates. A
 state scans its amplitudes for NaN and Inf only when their squared norm is
 not finite.
@@ -55,7 +55,6 @@ __all__ = [
     "SpaceLabel",
     "StateVector",
     "Operator",
-    "as_operator",
     "basis_state",
     "embed",
     "expm_hermitian",
@@ -214,15 +213,6 @@ class Operator:
         return Operator(self.space, self.matrix @ other.matrix)
 
 
-def as_operator(space: SpaceLabel, gate) -> Operator:
-    """``gate`` if it is an Operator of ``space``'s dimension, checked when it was built; else ``Operator(space, gate)``."""
-    if isinstance(gate, Operator):
-        if gate.dim == space.dim:
-            return gate
-        gate = gate.matrix  # refused by the shape check, as a wrong-shape matrix is
-    return Operator(space, gate)
-
-
 def basis_state(space: SpaceLabel, occupancy: Sequence[int]) -> StateVector:
     """Product basis state with the given per-subsystem level indices."""
     occ = tuple(check_count("level", i, 0) for i in occupancy)
@@ -241,6 +231,8 @@ def basis_state(space: SpaceLabel, occupancy: Sequence[int]) -> StateVector:
 
 def embed(op: Operator, target: str, space: SpaceLabel) -> Operator:
     """Pad ``op``, which acts on the subsystem named ``target``, with identity on the rest of ``space``."""
+    if not isinstance(op, Operator):
+        raise TypeError(f"a gate must be a built Operator, got {type(op).__name__}")
     position = space.index(target)
     dims = space.dims
     if op.dim != dims[position]:

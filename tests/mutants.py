@@ -44,11 +44,11 @@ MUTANTS = (
     Mutant("_medium_phase conjugated", "manybody.py",
            "tilt = np.exp(-1j * (theta / n_atoms)", "tilt = np.exp(1j * (theta / n_atoms)"),
     Mutant("u_eff_exact at -theta", "ensemble.py",
-           "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), theta)",
-           "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), -theta)"),
+           "expm_hermitian(PROTOCOL_SPACE, H_EFF, theta)",
+           "expm_hermitian(PROTOCOL_SPACE, H_EFF, -theta)"),
     Mutant("u_eff_exact at |theta|", "ensemble.py",
-           "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), theta)",
-           "expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), abs(theta))"),
+           "expm_hermitian(PROTOCOL_SPACE, H_EFF, theta)",
+           "expm_hermitian(PROTOCOL_SPACE, H_EFF, abs(theta))"),
     Mutant("symmetric_rotation with the half bases and their transposes swapped", "manybody.py",
            "plus = (xp.T @ (f[:hp] + f[::-1][:hp])).view(np.complex128)\n"
            "    minus = (xq.T @ (f[:hq] - f[::-1][:hq])).view(np.complex128)\n"
@@ -73,7 +73,7 @@ MUTANTS = (
            '"f3": ("double_prime", "prime"),', '"f3": ("prime", "double_prime"),'),
     Mutant("primed extreme phased as m = N - 1", "manybody.py",
            "first = extreme * n_atoms", "first = extreme * (n_atoms - 1)"),
-    Mutant("PhotonRotation.on_pair rotating the other photon", "manybody.py",
+    Mutant("PhotonRotation's pair gate built on the other photon", "manybody.py",
            "if self.photon == 1 else", "if self.photon == 2 else"),
     Mutant("born_distribution's fold transposed", "qstate.py",
            ".reshape(_FOLD_ROWS, width).sum(axis=0)", ".reshape(width, _FOLD_ROWS).sum(axis=1)"),
@@ -101,19 +101,6 @@ MUTANTS = (
     Mutant("stirlerr series kept for a window that reaches the table", "manybody.py",
            "if not small.any():", "if not small.all():",
            "tests/test_manybody.py::TestLogBinomial"),
-    # the replays pass both functions checked gates, so only a raw matrix
-    # reaches the check these two edits skip
-    Mutant("embed_single padding a raw matrix unchecked", "polarization.py",
-           "return embed(as_operator(_qubit_space(name), matrix_2x2), name, space)",
-           "from .qstate import _padded_operator\n"
-           "    raw = np.asarray(matrix_2x2, dtype=complex)\n"
-           "    gate = matrix_2x2 if isinstance(matrix_2x2, Operator) else _padded_operator(_qubit_space(name), raw)\n"
-           "    return embed(gate, name, space)",
-           "tests/test_polarization.py::TestEmbedSingle::test_non_unitary_gate_rejected"),
-    Mutant("symmetric_rotation using a raw matrix unchecked", "manybody.py",
-           "u = as_operator(ATOM, u).matrix",
-           "u = u.matrix if isinstance(u, Operator) else np.asarray(u, dtype=complex)",
-           "tests/test_manybody.py::test_non_finite_2x2_rejected[symmetric_rotation-nan]"),
     # the protocol never reaches the medium off the plain-ground extreme, and
     # the conjugated input changes nothing on its real product rows
     Mutant("paper map on the conjugated input", "ensemble.py",
@@ -125,7 +112,8 @@ MUTANTS = (
     # every catalog atom gate is real, so only the random complex gates of
     # the compact-vs-naive property see a conjugated one
     Mutant("compact atom gate conjugated", "protocol.py",
-           'embed_single("atom", op.gate, PROTOCOL_SPACE)', 'embed_single("atom", op.matrix.conj(), PROTOCOL_SPACE)',
+           'embed_single("atom", op.gate, PROTOCOL_SPACE)',
+           'embed_single("atom", AtomRotation(op.matrix.conj()).gate, PROTOCOL_SPACE)',
            "tests/test_properties.py::test_compact_replay_matches_naive_on_random_sequences"),
     # edits outside the kernels: verify's results do not move, so a named
     # test pins each

@@ -413,6 +413,24 @@ class TestParamsCommand:
         assert main(["params", "--medium", str(spec)]) == 2
         assert capsys.readouterr().err == f"error: medium file {str(spec)!r}: {message}\n"
 
+    @pytest.mark.parametrize("extra", [{"lenght_m": 5}, {"lenght_m": 5, "coupling": 1.0}, {"n_atom": 10}])
+    def test_unknown_key_is_named(self, tmp_path, capsys, extra):
+        # a misspelt key was ignored, and the preset's default or another key used in its place
+        spec = tmp_path / "medium.json"
+        spec.write_text(json.dumps({"length_m": 2e-4, "n_atoms": 100000, "coupling_rad_s": 2.91e8, **extra}))
+        assert main(["params", "--medium", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: medium file {str(spec)!r}: unknown key {next(iter(extra))!r}\n"
+
+    def test_margin_past_the_float_range_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "medium.json"
+        spec.write_text('{"length_m": 1e-10, "n_atoms": 100000, "coupling_rad_s": 2.91e8, "relaxation_s": 1e300}')
+        assert main(["params", "--medium", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "error: medium parameters put the detuning or a derived quantity out of floating-point range\n"
+        )
+
     def test_underflowing_transit_time_is_named(self, tmp_path, capsys):
         spec = tmp_path / "medium.json"
         spec.write_text('{"length_m": 5e-324, "n_atoms": 100000, "coupling_rad_s": 2.91e8}')

@@ -10,13 +10,12 @@ from djensemble.ensemble import (
     P_MINUS,
     P_PLUS,
     PROTOCOL_SPACE,
+    H_EFF,
     EnsembleConfig,
     MicrowavePulse,
-    build_h_eff,
-    build_h_eff_linear,
     check_phases_claim,
     collective_extreme,
-    h_eff_dimensionless,
+    h_eff_linear,
     is_quarter_turn,
     microwave_rotation,
     u_eff_exact,
@@ -25,7 +24,7 @@ from djensemble.ensemble import (
 from djensemble.params import PRESETS, ensemble_config_from_report, required_detuning
 from djensemble.polarization import LIN_TO_CIRC, hadamard_variant
 from djensemble.protocol import run_protocol, table1_function
-from djensemble.qstate import StateVector, expm_hermitian
+from djensemble.qstate import SpaceLabel, StateVector, basis_state, expm_hermitian
 
 SQRT2 = math.sqrt(2.0)
 
@@ -163,41 +162,32 @@ class TestMicrowaveRotation:
 
 
 class TestEffectiveHamiltonian:
+    """``H_EFF`` is H / (lambda * n_atoms); the evolution angle carries every physical scale."""
+
     def test_double_plus_matrix_element(self):
-        config = EnsembleConfig(n_atoms=50, coupling=2.0, detuning=20.0, interaction_time=0.1)
-        h_circ = circular_photons(build_h_eff(config))
-        scale = config.lambda_value * config.n_atoms
+        h_circ = circular_photons(H_EFF)
         # atom at the plain extreme with both photons in the plus mode
-        assert h_circ[0, 0] == pytest.approx(2.0 * scale, rel=1e-12)
+        assert h_circ[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_minus_modes_uncoupled_from_plain_atoms(self):
-        config = EnsembleConfig.from_theta(1.0)
-        h_circ = circular_photons(build_h_eff(config))
+        h_circ = circular_photons(H_EFF)
         # atom plain, both photons in the minus mode: circular photon index 3
-        assert abs(h_circ[3, 3]) < 1e-9 * config.lambda_value * config.n_atoms
+        assert abs(h_circ[3, 3]) < 1e-9
 
     def test_hermitian(self):
-        h = build_h_eff(EnsembleConfig.from_theta(0.7))
-        np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
+        np.testing.assert_allclose(H_EFF, H_EFF.conj().T, atol=1e-12)
 
     def test_linear_form_equivalence(self):
-        config = EnsembleConfig.from_theta(math.pi / 2)
-        a = build_h_eff(config)
-        b = build_h_eff_linear(config)
-        scale = np.max(np.abs(a))
-        assert np.max(np.abs(a - b)) <= 1e-12 * scale
+        assert np.max(np.abs(H_EFF - h_eff_linear())) <= 1e-12 * np.max(np.abs(H_EFF))
 
     def test_dimensionless_matrix_is_shared_and_read_only(self):
-        h = h_eff_dimensionless()
-        assert h_eff_dimensionless() is h
-        assert not h.flags.writeable
+        assert not H_EFF.flags.writeable
         with pytest.raises(ValueError):
-            h[0, 0] = 0.0
+            H_EFF[0, 0] = 0.0
 
-    @pytest.mark.parametrize("build", [build_h_eff, build_h_eff_linear])
-    def test_scaled_matrix_is_read_only(self, build):
-        h = build(EnsembleConfig.from_theta(0.7))
-        assert type(h) is np.ndarray and not h.flags.writeable
+    def test_linear_form_is_read_only(self):
+        h = h_eff_linear()
+        assert type(h) is np.ndarray and h.dtype == np.complex128 and not h.flags.writeable
         with pytest.raises(ValueError):
             h[0, 0] = 0.0
 
@@ -206,18 +196,14 @@ class TestEffectiveHamiltonian:
         expected = np.kron(np.diag([1.0, 0.0]), np.kron(P_PLUS, i2) + np.kron(i2, P_PLUS)) + np.kron(
             np.diag([0.0, 1.0]), np.kron(P_MINUS, i2) + np.kron(i2, P_MINUS)
         )
-        assert np.array_equal(h_eff_dimensionless(), expected)
-        config = EnsembleConfig(n_atoms=40, coupling=2.0, detuning=25.0, interaction_time=0.140625)
-        linear = build_h_eff_linear(config) / (config.lambda_value * config.n_atoms)
-        assert np.max(np.abs(h_eff_dimensionless() - linear)) <= 1e-12
+        assert np.array_equal(H_EFF, expected)
+        assert np.max(np.abs(H_EFF - h_eff_linear())) <= 1e-12
 
     def test_linear_form_off_diagonals(self):
-        h = build_h_eff_linear(EnsembleConfig(n_atoms=1, coupling=1.0, detuning=10.0, interaction_time=10.0))
-        scale = 0.1  # lambda * n_atoms
-        shaped = h.reshape(2, 2, 2, 2, 2, 2)
+        shaped = h_eff_linear().reshape(2, 2, 2, 2, 2, 2)
         # plain-atom block, photon 1 coupling, photon 2 diagonal: entry i/2 below the diagonal
-        assert shaped[0, 1, 0, 0, 0, 0] == pytest.approx(0.5j * scale, rel=1e-12)
-        assert shaped[0, 0, 0, 0, 1, 0] == pytest.approx(-0.5j * scale, rel=1e-12)
+        assert shaped[0, 1, 0, 0, 0, 0] == pytest.approx(0.5j, rel=1e-12)
+        assert shaped[0, 0, 0, 0, 1, 0] == pytest.approx(-0.5j, rel=1e-12)
 
 
 class TestExactEvolution:
@@ -257,7 +243,7 @@ class TestExactEvolution:
         # u_eff_exact(config) read config.theta into this same exponential
         spec = PRESETS["cs-cell"]
         config = ensemble_config_from_report(spec, required_detuning(spec))
-        before = expm_hermitian(PROTOCOL_SPACE, h_eff_dimensionless(), config.theta).matrix
+        before = expm_hermitian(PROTOCOL_SPACE, H_EFF, config.theta).matrix
         assert np.array_equal(u_eff_exact(config.theta).matrix, before)
 
     @pytest.mark.parametrize("build", [u_eff_exact, EnsembleConfig.from_theta, check_phases_claim],
@@ -270,13 +256,6 @@ class TestExactEvolution:
         # "1" and True were taken as the angle 1, and None raised a TypeError
         with pytest.raises(ValueError, match=message):
             build(theta)
-
-    def test_dimensionless_generator_is_reused(self):
-        h = h_eff_dimensionless()
-        config = EnsembleConfig(n_atoms=7, coupling=3.0, detuning=30.0, interaction_time=1.0)
-        np.testing.assert_allclose(
-            build_h_eff(config), config.lambda_value * 7 * h, atol=1e-12
-        )
 
 
 class TestCollectiveExtreme:
@@ -414,6 +393,12 @@ class TestPaperPolarizerMap:
         amps[0] = amps[4] = 1 / SQRT2
         with pytest.raises(ValueError, match="extreme"):
             pmap.apply(StateVector(PROTOCOL_SPACE, amps))
+
+    def test_other_space_rejected(self):
+        # eight amplitudes on another space: the map is K on the atom + two-photon space only
+        space = SpaceLabel((("photon1", 2), ("photon2", 2), ("atom", 2)))
+        with pytest.raises(ValueError, match="^polarizer map is defined on the atom \\+ two-photon space$"):
+            u_eff_paper().apply(basis_state(space, (0, 0, 0)))
 
 
 class TestPhasesClaim:

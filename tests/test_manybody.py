@@ -7,7 +7,7 @@ import pytest
 from helpers import coherent_dicke_vector, log_binomial_reference
 
 from djensemble import manybody
-from djensemble.ensemble import PROTOCOL_SPACE, EnsembleConfig, u_eff_exact
+from djensemble.ensemble import ATOM, PROTOCOL_SPACE, EnsembleConfig, u_eff_exact
 from djensemble.manybody import (
     NAIVE_ATOM_LIMIT,
     AtomRotation,
@@ -175,7 +175,7 @@ class TestSymmetricRotation:
         rng = np.random.default_rng(50 + n)
         for _ in range(5):
             u = random_su2(rng)
-            built = symmetric_rotation(u, n, np.eye(n + 1))
+            built = symmetric_rotation(Operator(ATOM, u), n, np.eye(n + 1))
             np.testing.assert_allclose(built, symmetric_rotation_bruteforce(u, n), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 9])
@@ -183,14 +183,14 @@ class TestSymmetricRotation:
         rng = np.random.default_rng(60 + n)
         for _ in range(5):
             u = random_su2(rng)
-            built = symmetric_rotation(u, n, np.eye(n + 1))
+            built = symmetric_rotation(Operator(ATOM, u), n, np.eye(n + 1))
             np.testing.assert_allclose(built, symmetric_rotation_binomial(u, n), atol=1e-11)
 
     def test_global_phase_carried(self):
         phase = np.exp(0.31j)
         u = phase * H1
-        built = symmetric_rotation(u, 4, np.eye(5))
-        np.testing.assert_allclose(built, phase**4 * symmetric_rotation(H1, 4, np.eye(5)), atol=1e-12)
+        built = symmetric_rotation(Operator(ATOM, u), 4, np.eye(5))
+        np.testing.assert_allclose(built, phase**4 * symmetric_rotation(Operator(ATOM, H1), 4, np.eye(5)), atol=1e-12)
 
     def test_transports_coherent_states(self):
         rng = np.random.default_rng(70)
@@ -199,11 +199,11 @@ class TestSymmetricRotation:
         vec = rng.normal(size=2) + 1j * rng.normal(size=2)
         vec = vec / np.linalg.norm(vec)
         direct = coherent_dicke_vector(u @ vec, n)
-        rotated = symmetric_rotation(u, n, coherent_dicke_vector(vec, n))
+        rotated = symmetric_rotation(Operator(ATOM, u), n, coherent_dicke_vector(vec, n))
         np.testing.assert_allclose(rotated, direct, atol=1e-11)
 
     def test_near_identity_special_case(self):
-        built = symmetric_rotation(-np.eye(2), 3, np.eye(4))
+        built = symmetric_rotation(Operator(ATOM, -np.eye(2)), 3, np.eye(4))
         np.testing.assert_allclose(built, -np.eye(4), atol=1e-12)
 
     def test_small_angles_are_not_rounded_away(self):
@@ -214,32 +214,32 @@ class TestSymmetricRotation:
         for t in (1e-8, 1e-10, 1e-13):
             c, s = math.cos(t), math.sin(t)
             u = np.array([[c - 1j * s * nz, (-1j * nx - ny) * s], [(-1j * nx + ny) * s, c + 1j * s * nz]])
-            rotated = symmetric_rotation(u, n, coherent_dicke_vector(vec, n))
+            rotated = symmetric_rotation(Operator(ATOM, u), n, coherent_dicke_vector(vec, n))
             np.testing.assert_allclose(rotated, coherent_dicke_vector(u @ vec, n), rtol=0, atol=1e-12)
-        identity = symmetric_rotation(np.eye(2), n, coherent_dicke_vector(vec, n))
+        identity = symmetric_rotation(Operator(ATOM, np.eye(2)), n, coherent_dicke_vector(vec, n))
         np.testing.assert_array_equal(identity, coherent_dicke_vector(vec, n))
 
     def test_size_guard(self):
         # the limit is checked before the rows are looked at
         with pytest.raises(ValueError, match="limit"):
-            symmetric_rotation(H1, 100_000, np.zeros(1))
+            symmetric_rotation(Operator(ATOM, H1), 100_000, np.zeros(1))
 
     @pytest.mark.parametrize("n", [0, -1, 2.0, True], ids=["zero", "negative", "float", "bool"])
     def test_atom_count_is_checked(self, n):
         with pytest.raises(ValueError, match="^n_atoms must be"):
-            symmetric_rotation(H1, n, np.eye(2))
+            symmetric_rotation(Operator(ATOM, H1), n, np.eye(2))
 
     @pytest.mark.parametrize("shape", [(3,), (5,), (3, 4), (5, 4, 1)])
     def test_rows_of_the_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="rows must have shape"):
-            symmetric_rotation(H1, 3, np.zeros(shape))
+            symmetric_rotation(Operator(ATOM, H1), 3, np.zeros(shape))
 
     def test_rows_are_not_changed(self):
         rng = np.random.default_rng(72)
         rows = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
         before = rows.copy()
         for u in (random_su2(rng), np.eye(2)):
-            symmetric_rotation(u, 5, rows)
+            symmetric_rotation(Operator(ATOM, u), 5, rows)
             np.testing.assert_array_equal(rows, before)
 
     def test_memory_stays_near_the_rows(self):
@@ -252,7 +252,7 @@ class TestSymmetricRotation:
         _sigma_x_basis(n)
         tracemalloc.start()
         try:
-            symmetric_rotation(u, n, rows)
+            symmetric_rotation(Operator(ATOM, u), n, rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -260,33 +260,28 @@ class TestSymmetricRotation:
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize(
-    "build",
-    [AtomRotation, lambda m: PhotonRotation(2, m), lambda m: symmetric_rotation(m, 3, np.eye(4))],
-    ids=["AtomRotation", "PhotonRotation", "symmetric_rotation"],
-)
+@pytest.mark.parametrize("build", [AtomRotation, lambda m: PhotonRotation(2, m)], ids=["AtomRotation", "PhotonRotation"])
 def test_non_finite_2x2_rejected(build, bad):
     # NaN compares False with the unitarity tolerance, so it must be caught first
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         build(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [AtomRotation, lambda m: PhotonRotation(2, m), lambda m: symmetric_rotation(m, 3, np.eye(4)),
-     lambda m: embed_single("atom", m, PROTOCOL_SPACE)],
-    ids=["AtomRotation", "PhotonRotation", "symmetric_rotation", "embed_single"],
-)
+@pytest.mark.parametrize("build", [AtomRotation, lambda m: PhotonRotation(2, m)], ids=["AtomRotation", "PhotonRotation"])
 def test_one_unitarity_rule_for_every_gate(build):
-    # U^dag U - I = 2e-11 is over qstate's 1e-12, which the simulators' ops
-    # and the compact replay's embedding both apply; 8e-13 is under it
+    # U^dag U - I = 2e-11 is over qstate's 1e-12, which every gate is built
+    # with; 8e-13 is under it
     with pytest.raises(ValueError, match="unitary"):
         build(H1 * (1.0 + 1e-11))
     build(H1 * (1.0 + 4e-13))
 
 
 class TestEachGateCheckedOnce:
-    """An operation checks its 2x2 when it is built; the replays take its ``gate`` unchecked."""
+    """An operation checks its 2x2 when it is built; the replays take its ``gate`` unchecked.
+
+    The kernels that apply a gate take only a built Operator, so a raw
+    matrix cannot reach them unchecked.
+    """
 
     @pytest.fixture
     def unitarity_checks(self, monkeypatch):
@@ -327,24 +322,46 @@ class TestEachGateCheckedOnce:
     @pytest.mark.parametrize("op", [AtomRotation(H1), PhotonRotation(2, hadamard_variant(2).matrix)],
                              ids=["AtomRotation", "PhotonRotation"])
     def test_gate_and_matrix_give_identical_results(self, op):
+        # the kernels read the gate's matrix as built: an Operator rebuilt
+        # from ``matrix`` gives the same bits
         assert op.gate.matrix is op.matrix
+        rebuilt = Operator(op.gate.space, op.matrix)
         name = "atom" if isinstance(op, AtomRotation) else f"photon{op.photon}"
         assert np.array_equal(embed_single(name, op.gate, PROTOCOL_SPACE).matrix,
-                              embed_single(name, op.matrix, PROTOCOL_SPACE).matrix)
+                              embed_single(name, rebuilt, PROTOCOL_SPACE).matrix)
         rows = np.random.default_rng(5).normal(size=(8, 4)) + 0j
-        assert np.array_equal(symmetric_rotation(op.gate, 7, rows), symmetric_rotation(op.matrix, 7, rows))
+        assert np.array_equal(symmetric_rotation(op.gate, 7, rows), symmetric_rotation(rebuilt, 7, rows))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda u: embed_single("atom", u, PROTOCOL_SPACE),
+          r"^operator dimension 8 does not match subsystem 'atom' of dimension 2$"),
+         (lambda u: symmetric_rotation(u, 3, np.eye(4)), r"^operator dimension 8 does not match a single atom's 2$")],
+        ids=["embed_single", "symmetric_rotation"],
+    )
+    def test_wrong_dimension_operator_refused_as_its_matrix_is(self, build, message):
+        # a built Operator of the wrong dimension is refused with a ValueError,
+        # its matrix with the TypeError of any raw matrix
+        u = u_eff_exact(1.0)
+        with pytest.raises(ValueError, match=message):
+            build(u)
+        with pytest.raises(TypeError, match=r"^a gate must be a built Operator, got ndarray$"):
+            build(u.matrix)
 
     @pytest.mark.parametrize(
         "build",
         [lambda u: embed_single("atom", u, PROTOCOL_SPACE), lambda u: symmetric_rotation(u, 3, np.eye(4))],
         ids=["embed_single", "symmetric_rotation"],
     )
-    def test_wrong_dimension_operator_refused_as_its_matrix_is(self, build):
-        u = u_eff_exact(1.0)
-        message = r"^matrix shape \(8, 8\) does not match space dimension 2$"
-        for gate in (u, u.matrix):
-            with pytest.raises(ValueError, match=message):
-                build(gate)
+    @pytest.mark.parametrize(
+        "matrix",
+        [H1, H1 * (1.0 + 1e-11), np.array([[math.nan, 0.0], [0.0, 1.0]]), [[1.0, 0.0], [0.0, 1.0]]],
+        ids=["unitary", "not-unitary", "nan", "list"],
+    )
+    def test_raw_matrix_refused(self, build, matrix):
+        # unitary or not, a gate that was never built as an Operator is refused
+        with pytest.raises(TypeError, match=r"^a gate must be a built Operator, got (ndarray|list)$"):
+            build(matrix)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -478,7 +495,7 @@ class TestAtomState:
 
     def test_apply_per_atom_identity(self):
         amps = coherent_dicke_vector(np.array([0.6, 0.8]), 6)
-        np.testing.assert_allclose(symmetric_rotation(np.eye(2), 6, amps), amps, atol=1e-12)
+        np.testing.assert_allclose(symmetric_rotation(Operator(ATOM, np.eye(2)), 6, amps), amps, atol=1e-12)
 
     def test_rotation_from_full_extreme(self):
         out = full_simulate_dicke(5, (0.0, 1.0), [AtomRotation(H1)])
@@ -489,7 +506,7 @@ class TestAtomState:
         vec = np.array([0.6, 0.8j])
         rng = np.random.default_rng(71)
         u = random_su2(rng)
-        via_dicke = symmetric_rotation(u, 7, coherent_dicke_vector(vec, 7))
+        via_dicke = symmetric_rotation(Operator(ATOM, u), 7, coherent_dicke_vector(vec, 7))
         via_product = coherent_dicke_vector(u @ vec, 7)
         np.testing.assert_allclose(via_dicke, via_product, atol=1e-11)
 
@@ -913,3 +930,9 @@ class TestDickeSimulator:
         marg_c = trace.distribution()
         for key in marg_c:
             assert marg_d[key] == pytest.approx(marg_c[key], abs=1e-10)
+
+    def test_rejects_an_unknown_operation_on_the_product_and_on_the_rows(self):
+        # off the extremes the first medium step writes the rows
+        for ops in ([object()], [EnsembleEvolution(0.3), object()]):
+            with pytest.raises(TypeError, match="^unknown operation <object object"):
+                full_simulate_dicke(2, (0.6, 0.8), ops)

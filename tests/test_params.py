@@ -114,6 +114,13 @@ class TestRequiredDetuning:
         with pytest.raises(ValueError, match="floating-point range"):
             required_detuning(MediumSpec(1e-4, 10, 1e-200))
 
+    def test_margin_past_the_float_range_is_named(self):
+        # no step overflows with an exception: relaxation / transit time rounds to inf
+        spec = MediumSpec(length_m=1e-10, n_atoms=100000, coupling_rad_s=2.91e8, relaxation_s=1e300)
+        with pytest.raises(ValueError, match="^medium parameters put the detuning or a derived quantity "
+                                             "out of floating-point range$"):
+            required_detuning(spec)
+
     @pytest.mark.parametrize(
         "field,value",
         [("length_m", "2e-4"), ("length_m", None), ("n_atoms", "10"), ("coupling_rad_s", 2.91e8 + 0j),

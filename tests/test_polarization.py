@@ -8,6 +8,7 @@ from djensemble.ensemble import P_PLUS, PROTOCOL_SPACE, EnsembleConfig
 from djensemble.polarization import (
     HADAMARD_GADGETS,
     LIN_TO_CIRC,
+    PHOTON,
     clicks_for_pattern,
     composite_h,
     embed_single,
@@ -18,6 +19,7 @@ from djensemble.polarization import (
 )
 from djensemble.protocol import run_protocol, table1_function
 from djensemble.qstate import (
+    Operator,
     SpaceLabel,
     StateVector,
     born_distribution,
@@ -121,20 +123,22 @@ class TestGadgets:
 
 
 class TestEmbedSingle:
-    """``embed`` pads without checking, so a bad gate must be caught on its 2x2."""
+    """``embed`` pads without checking, so it takes only a gate checked where it was built."""
 
     def test_matches_kron_on_each_qubit(self):
         h = EXPECTED_VARIANTS[2]
         for position, name in enumerate(PROTOCOL_SPACE.names):
             factors = [h if i == position else np.eye(2) for i in range(3)]
             expected = np.kron(factors[0], np.kron(factors[1], factors[2]))
-            assert np.array_equal(embed_single(name, h, PROTOCOL_SPACE).matrix, expected)
+            assert np.array_equal(embed_single(name, Operator(PHOTON, h), PROTOCOL_SPACE).matrix, expected)
 
     def test_non_unitary_gate_rejected(self):
-        # U^dag U - I = 2e-11: outside the 1e-12 of this 2x2 check, the same
-        # qstate rule that AtomRotation and PhotonRotation are built with
+        # U^dag U - I = 2e-11: outside the 1e-12 of the 2x2 check that every
+        # gate is built with, and a raw matrix never reaches the padding
         gate = EXPECTED_VARIANTS[1] * (1.0 + 1e-11)
         with pytest.raises(ValueError, match="unitary"):
+            Operator(PHOTON, gate)
+        with pytest.raises(TypeError, match="^a gate must be a built Operator, got ndarray$"):
             embed_single("photon1", gate, PROTOCOL_SPACE)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -142,6 +146,8 @@ class TestEmbedSingle:
         gate = np.array(EXPECTED_VARIANTS[3], dtype=complex)
         gate[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
+            Operator(PHOTON, gate)
+        with pytest.raises(TypeError, match="^a gate must be a built Operator, got ndarray$"):
             embed_single("atom", gate, PROTOCOL_SPACE)
 
 

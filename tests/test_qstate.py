@@ -40,6 +40,10 @@ class TestSpaceLabel:
         with pytest.raises(ValueError, match="unique"):
             SpaceLabel((("a", 2), ("a", 2)))
 
+    def test_empty_space_rejected(self):
+        with pytest.raises(ValueError, match="^a space needs at least one subsystem$"):
+            SpaceLabel(())
+
     def test_nonpositive_dimension_rejected(self):
         with pytest.raises(ValueError):
             SpaceLabel((("a", 0),))
@@ -87,11 +91,21 @@ class TestBasisState:
         state = basis_state(SpaceLabel((("a", 2), ("b", 2))), (np.int64(1), np.uint8(0)))
         np.testing.assert_array_equal(state.amplitudes, [0, 0, 1, 0])
 
+    @pytest.mark.parametrize("occupancy", [(0,), (0, 1, 0)], ids=["short", "long"])
+    def test_one_level_per_subsystem(self, occupancy):
+        with pytest.raises(ValueError, match="^need one level index per subsystem$"):
+            basis_state(SpaceLabel((("a", 2), ("b", 2))), occupancy)
+
 
 class TestStateVector:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             StateVector(QUBIT_A, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("amps", [[1.0], [1.0, 0.0, 0.0]], ids=["short", "long"])
+    def test_amplitude_length_must_match_space(self, amps):
+        with pytest.raises(ValueError, match=f"^amplitude length {len(amps)} does not match space dimension 2$"):
+            StateVector(QUBIT_A, amps)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -170,6 +184,17 @@ class TestOperator:
     def test_dimension_must_match_space(self):
         with pytest.raises(ValueError, match="shape"):
             Operator(QUBIT_A, np.eye(3))
+
+    def test_apply_across_spaces_refused(self):
+        # the same dimension under another name is another space
+        other = SpaceLabel((("b", 2),))
+        with pytest.raises(ValueError, match="^operator and state live on different spaces$"):
+            Operator(QUBIT_A, np.eye(2)).apply(basis_state(other, (0,)))
+
+    def test_product_across_spaces_refused(self):
+        other = SpaceLabel((("b", 2),))
+        with pytest.raises(ValueError, match="^operators live on different spaces$"):
+            Operator(QUBIT_A, np.eye(2)) @ Operator(other, np.eye(2))
 
     def test_norm_changing_apply_raises(self):
         # states have unit norm by construction, so an operator that changes
@@ -283,6 +308,12 @@ class TestEmbed:
         with pytest.raises(ValueError, match="dimension"):
             embed(op, "photon1", self.SPACE)
 
+    @pytest.mark.parametrize("gate", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]]], ids=["ndarray", "list"])
+    def test_raw_matrix_refused(self, gate):
+        # the padding is not checked, so only a gate checked where it was built may reach it
+        with pytest.raises(TypeError, match="^a gate must be a built Operator, got (ndarray|list)$"):
+            embed(gate, "photon1", self.SPACE)
+
 
 class TestExpmHermitian:
     def test_diagonal_projector(self):
@@ -372,6 +403,11 @@ class TestBornDistribution:
         amps = np.kron([1.0, 0.0], [0.0, 1.0])  # a=0, b=1
         dist = born_distribution(StateVector(space, amps), ("b", "a"))
         assert dist[(1, 0)] == pytest.approx(1.0)
+
+    def test_duplicate_subsystem_refused(self):
+        space = SpaceLabel((("a", 2), ("b", 2)))
+        with pytest.raises(ValueError, match="^duplicate subsystem in request$"):
+            born_distribution(basis_state(space, (0, 0)), ("a", "b", "a"))
 
     @pytest.mark.parametrize("names", [("a",), ("b",), ("c",), ("c", "a"), ("b", "c"), ("c", "a", "b")])
     def test_marginal_matches_squared_amplitudes(self, names):
