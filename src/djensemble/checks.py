@@ -79,7 +79,7 @@ def check_medium_unitarity() -> tuple:
 
 
 def check_polarizer_claim() -> tuple:
-    report = ensemble.check_phases_claim(math.pi / 2)
+    report = ensemble.check_phases_claim()
     dev = max(
         _max_dev(report.claimed_abs_gram, np.ones((4, 4))),
         _max_dev(report.fidelities, 0.5 * np.ones(4)),
@@ -130,11 +130,10 @@ def _random_off_extreme_sequence(rng: np.random.Generator) -> list:
 
 
 def check_dicke_vs_naive() -> tuple:
-    config = ensemble.EnsembleConfig.from_theta(math.pi / 2)
     primed = (0.0, 1.0)
     cases = []
     for fid in ("f1", "f2", "f3", "f7"):
-        ops = protocol.exact_operation_sequence(protocol.table1_function(fid), config)
+        ops = protocol.exact_operation_sequence(protocol.table1_function(fid), math.pi / 2)
         cases += [(n, primed, ops) for n in (1, 3, 6)]
     rng = np.random.default_rng(2011)
     cases += [(n, primed, _random_off_extreme_sequence(rng)) for n in (2, 3, 4, 5, 6, 2, 3, 4)]
@@ -172,14 +171,13 @@ def check_feasibility_presets() -> tuple:
 
 
 def check_protocol_patterns() -> tuple:
-    config = ensemble.EnsembleConfig.from_theta(math.pi / 2)
     expected = {
         "f1": (1, 1), "f2": (1, 1), "f3": (0, 1), "f4": (0, 1),
         "f5": (1, 0), "f6": (1, 0), "f7": (0, 0), "f8": (0, 0),
     }
     worst, ok = 0.0, True
     for f in protocol.table1_functions():
-        trace = protocol.run_protocol(f, "paper", config)
+        trace = protocol.run_protocol(f, "paper", math.pi / 2)
         pattern, prob = trace.pattern()
         ok = ok and pattern == expected[f.id] and protocol.is_deterministic(prob)
         outcome = protocol.classify(pattern)

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import __version__
 from .checks import run_all_checks
-from .ensemble import EnsembleConfig
 from .manybody import NAIVE_ATOM_LIMIT, full_simulate_naive
 from .params import PRESETS, MediumSpec, ensemble_config_from_report, required_detuning
 from .polarization import clicks_for_pattern
@@ -45,7 +44,7 @@ EXIT_USAGE = 2
 MAX_SHOTS = 10**8
 
 
-def _default_config() -> EnsembleConfig:
+def _default_theta() -> float:
     spec = PRESETS["cs-cell"]
     return ensemble_config_from_report(spec, required_detuning(spec))
 
@@ -118,16 +117,16 @@ def _fail(message: str) -> int:
 
 
 def _run_functions(args, entry, **request) -> int:
-    """Replay the protocol once per ``--function`` and report ``entry(f, trace, config)`` each."""
+    """Replay the protocol once per ``--function`` and report ``entry(f, trace, theta)`` each."""
     try:
         functions = _resolve_functions(args.function)
     except ValueError as exc:
         return _fail(str(exc))
-    config = _default_config()
+    theta = _default_theta()
     report = _report_skeleton(
         args.command, {"function": args.function, "mode": args.mode, **request}
     )
-    report["results"] = [entry(f, run_protocol(f, args.mode, config), config) for f in functions]
+    report["results"] = [entry(f, run_protocol(f, args.mode, theta), theta) for f in functions]
     return _emit(report, args.out)
 
 
@@ -137,7 +136,7 @@ def _cmd_run(args) -> int:
     if args.n_atoms_oracle is not None and not 1 <= args.n_atoms_oracle <= NAIVE_ATOM_LIMIT:
         return _fail(f"--n-atoms-oracle must be between 1 and {NAIVE_ATOM_LIMIT}")
 
-    def entry(f, trace, config) -> dict:
+    def entry(f, trace, theta) -> dict:
         # one Born pass per function: the top pattern and the verdict come from it
         dist = trace.distribution()
         pattern, top = top_pattern(dist)
@@ -162,7 +161,7 @@ def _cmd_run(args) -> int:
             e["counts"] = {_pattern_key(k): v for k, v in sorted(counts.items())}
         if args.n_atoms_oracle is not None:
             oracle_state = full_simulate_naive(
-                args.n_atoms_oracle, (0.0, 1.0), exact_operation_sequence(f, config)
+                args.n_atoms_oracle, (0.0, 1.0), exact_operation_sequence(f, theta)
             )
             oracle_dist = born_distribution(oracle_state, ("photon1", "photon2"))
             e["oracle"] = {
@@ -235,13 +234,13 @@ def _cmd_params(args) -> int:
     try:
         spec = _load_medium(args.medium)
         feas = required_detuning(spec)
-        config = ensemble_config_from_report(spec, feas)
+        theta = ensemble_config_from_report(spec, feas)
     except ValueError as exc:
         return _fail(str(exc))
     report = _report_skeleton("params", {"medium": args.medium})
     report["medium"] = dataclasses.asdict(spec)
     report["feasibility"] = dataclasses.asdict(feas)
-    report["evolution_angle"] = config.theta
+    report["evolution_angle"] = theta
     print(f"transit time T = {feas.transit_time_s:.4g} s")
     print(f"required detuning = {feas.detuning_rad_s:.4g} rad/s ({feas.detuning_cyclic_hz:.4g} Hz cyclic)")
     print(f"detuning / coupling = {feas.detuning_over_coupling:.4g} (dispersive_ok={feas.dispersive_ok})")
@@ -253,7 +252,7 @@ def _cmd_sample(args) -> int:
     if problem := _sampling_problem(args, 1, "sample requires --shots >= 1"):
         return _fail(problem)
 
-    def entry(f, trace, config) -> dict:
+    def entry(f, trace, theta) -> dict:
         counts = sample_shots(trace.distribution(), args.shots, args.seed)
         correct = sum(
             c for pattern, c in counts.items()
@@ -279,7 +278,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    def entry(f, trace, config) -> dict:
+    def entry(f, trace, theta) -> dict:
         states = [
             {
                 "state": name,

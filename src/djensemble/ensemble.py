@@ -13,8 +13,8 @@ Two evolutions of the photon pair through the medium are provided:
 
 The collective atom register is two-dimensional and is exact only while the
 atoms sit at the all-ground or all-excited-ground extremes, which the
-protocol guarantees whenever the medium is traversed. hbar = 1 throughout;
-couplings and detunings are angular frequencies in rad/s.
+protocol guarantees whenever the medium is traversed. hbar = 1 throughout,
+and a medium traversal is given by its dimensionless angle theta = lambda N t.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import LIN_TO_CIRC
-from .qstate import Operator, SpaceLabel, StateVector, check_count, check_positive, check_real, expm_hermitian
+from .qstate import Operator, SpaceLabel, StateVector, check_real, expm_hermitian
 
 ATOM = SpaceLabel((("atom", 2),))
 PROTOCOL_SPACE = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
@@ -37,53 +37,6 @@ P_PLUS = LIN_TO_CIRC.conj().T @ np.diag([1.0, 0.0]) @ LIN_TO_CIRC
 P_MINUS = LIN_TO_CIRC.conj().T @ np.diag([0.0, 1.0]) @ LIN_TO_CIRC
 
 _I2 = np.eye(2)
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Physical parameters of one photon-ensemble interaction.
-
-    ``lambda_value`` is the per-atom light shift coupling^2/detuning and
-    ``theta`` the dimensionless evolution angle lambda * n_atoms * time.
-    """
-
-    n_atoms: int
-    coupling: float
-    detuning: float
-    interaction_time: float
-
-    def __post_init__(self):
-        check_count("n_atoms", self.n_atoms)
-        check_positive("coupling", self.coupling)
-        check_positive("detuning", self.detuning)
-        # negative times are allowed: from_theta of a negative angle gives one
-        check_real("interaction_time", self.interaction_time)
-        try:
-            finite = math.isfinite(self.lambda_value) and math.isfinite(self.theta)
-        except OverflowError:  # coupling**2, or an n_atoms past the float range
-            finite = False
-        if not finite:
-            raise ValueError(
-                f"coupling={self.coupling!r}, detuning={self.detuning!r}, n_atoms={self.n_atoms!r} "
-                f"and interaction_time={self.interaction_time!r} put the light shift "
-                "coupling^2/detuning or the angle lambda * n_atoms * time out of floating-point range"
-            )
-
-    @property
-    def lambda_value(self) -> float:
-        return self.coupling**2 / self.detuning
-
-    @property
-    def theta(self) -> float:
-        return self.lambda_value * self.n_atoms * self.interaction_time
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "EnsembleConfig":
-        """Config at the requested angle with placeholder physics: 10^5 atoms, coupling 1, detuning 10."""
-        n_atoms, coupling, detuning = 100_000, 1.0, 10.0
-        lam = coupling**2 / detuning
-        return cls(n_atoms=n_atoms, coupling=coupling, detuning=detuning,
-                   interaction_time=check_real("theta", theta) / (lam * n_atoms))
 
 
 def is_quarter_turn(theta: float) -> bool:
@@ -238,12 +191,11 @@ def u_eff_paper() -> PaperPolarizerMap:
 
 @dataclass(frozen=True)
 class PhasesClaimReport:
-    """Consistency audit of the declared rewrite against the exact unitary.
+    """Consistency audit of the declared rewrite against the exact unitary at the quarter turn.
 
     ``singular_values`` are K's on each atom branch, shape (2, 4).
     """
 
-    theta: float
     claimed_abs_gram: np.ndarray
     fidelities: np.ndarray
     consistent: bool
@@ -251,27 +203,25 @@ class PhasesClaimReport:
     singular_values: np.ndarray
 
 
-def check_phases_claim(theta: float) -> PhasesClaimReport:
-    """Compare the declared rewrite with the exact unitary on the four rows.
+def check_phases_claim() -> PhasesClaimReport:
+    """Compare the declared rewrite with the exact unitary at theta = pi/2 on the four rows.
 
     The four inputs are orthonormal while the declared outputs all share one
     polarization factor, so their pairwise absolute overlaps are 1: no
     unitary does that, and the report says so.
     """
-    if not is_quarter_turn(check_real("theta", theta)):
-        raise ValueError("the claim audit is defined at theta = pi/2")
     # the rows |00>, |11>, |01>, |10> with the atoms at the plain-ground extreme
     rows = [0, 3, 1, 2]
     claimed = _K[:, rows]  # a copy: fancy indexing
     claimed /= np.linalg.norm(claimed, axis=0)
     claimed_gram = claimed.conj().T @ claimed
-    fid = np.abs(np.sum(claimed.conj() * u_eff_exact(theta).matrix[:, rows], axis=0))
+    fid = np.abs(np.sum(claimed.conj() * u_eff_exact(math.pi / 2).matrix[:, rows], axis=0))
     # consistent unless the outputs are pairwise parallel
     consistent = bool(np.max(np.abs(np.abs(claimed_gram) - 1.0)) > 1e-12)
     verdict = "no inconsistency detected" if consistent else (
         "claimed map not unitary: orthonormal inputs are sent to pairwise parallel outputs")
     branch_blocks = _K.reshape(2, 4, 2, 4)[[0, 1], :, [0, 1], :]
     return PhasesClaimReport(
-        theta=theta, claimed_abs_gram=np.abs(claimed_gram), fidelities=fid, consistent=consistent,
+        claimed_abs_gram=np.abs(claimed_gram), fidelities=fid, consistent=consistent,
         verdict=verdict, singular_values=np.linalg.svd(branch_blocks, compute_uv=False),
     )

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .ensemble import EnsembleConfig
 from .qstate import check_count, check_positive
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
@@ -109,14 +108,14 @@ def required_detuning(spec: MediumSpec) -> FeasibilityReport:
     )
 
 
-def ensemble_config_from_report(spec: MediumSpec, report: FeasibilityReport) -> EnsembleConfig:
-    """Round-trip a feasibility report into a dynamics configuration."""
-    return EnsembleConfig(
-        n_atoms=spec.n_atoms,
-        coupling=spec.coupling_rad_s,
-        detuning=report.detuning_rad_s,
-        interaction_time=report.transit_time_s,
-    )
+def ensemble_config_from_report(spec: MediumSpec, report: FeasibilityReport) -> float:
+    """The medium angle theta = lambda * N * T that the protocol takes, pi/2 to rounding."""
+    theta = report.lambda_rad_s * spec.n_atoms * report.transit_time_s
+    if not math.isfinite(theta):  # lambda * N past the float range, at a transit time near underflow
+        raise ValueError(
+            "medium parameters put the angle lambda * n_atoms * transit time out of floating-point range"
+        )
+    return theta
 
 
 # Quoted media: a room-temperature cesium vapor cell and a rubidium

@@ -28,7 +28,6 @@ from .ensemble import (
     HADAMARD_PULSES,
     NOT_PULSE,
     PROTOCOL_SPACE,
-    EnsembleConfig,
     collective_extreme,
     is_quarter_turn,
     microwave_rotation,
@@ -37,7 +36,7 @@ from .ensemble import (
 )
 from .manybody import AtomRotation, EnsembleEvolution, PhotonRotation
 from .polarization import composite_h, embed_single, hadamard_variant
-from .qstate import StateVector, basis_state, born_distribution, check_count
+from .qstate import StateVector, basis_state, born_distribution, check_count, check_real
 
 MODES = ("exact", "paper")
 
@@ -164,13 +163,16 @@ def h_eq_for(f: BooleanFunction) -> tuple[str, str]:
     return H_EQ_ASSIGNMENTS[f.id]
 
 
-def build_oracle(f: BooleanFunction, config: EnsembleConfig) -> tuple:
-    """Operation steps realizing the function oracle.
+def build_oracle(f: BooleanFunction, theta: float) -> tuple:
+    """Operation steps realizing the function oracle, with the medium angle ``theta``.
 
     Balanced: per-atom Hadamard, one medium traversal, then the composite
     photon rotations. Constant: identity (all-zero function) or a per-atom
     NOT pulse (all-one function). No other classification is representable.
+    The angle is checked for every function, though a constant one has no
+    medium step.
     """
+    theta = check_real("theta", theta)
     cls = f.classification
     if cls == "neither":
         raise ValueError("this realization only encodes constant or balanced functions")
@@ -181,19 +183,19 @@ def build_oracle(f: BooleanFunction, config: EnsembleConfig) -> tuple:
     kinds = h_eq_for(f)
     return (
         _ATOM_HADAMARD,
-        EnsembleEvolution(config.theta),
+        EnsembleEvolution(theta),
         _COMPOSITE_ROTATIONS[1, kinds[0]],
         _COMPOSITE_ROTATIONS[2, kinds[1]],
     )
 
 
-def exact_operation_sequence(f: BooleanFunction, config: EnsembleConfig) -> tuple:
+def exact_operation_sequence(f: BooleanFunction, theta: float) -> tuple:
     """The full protocol as one replayable operation list.
 
     Three Hadamards (atoms, photon 1, photon 2), the function oracle, then
     Hadamards on photon 1 and photon 2.
     """
-    return _PRE_HADAMARDS + build_oracle(f, config) + _POST_HADAMARDS
+    return _PRE_HADAMARDS + build_oracle(f, theta) + _POST_HADAMARDS
 
 
 @dataclass(frozen=True)
@@ -285,12 +287,12 @@ def replay(ops, mode: str, start: StateVector) -> tuple[list[StateVector], float
     return states, post_selection
 
 
-def run_protocol(f: BooleanFunction, mode: str, config: EnsembleConfig) -> ProtocolTrace:
+def run_protocol(f: BooleanFunction, mode: str, theta: float) -> ProtocolTrace:
     """Replay ``exact_operation_sequence`` from every atom primed and name the trace's states."""
+    ops = exact_operation_sequence(f, theta)
     balanced = f.classification == "balanced"
-    if balanced and not is_quarter_turn(config.theta):
+    if balanced and not is_quarter_turn(theta):
         raise ValueError("balanced functions require the medium angle theta = pi/2")
-    ops = exact_operation_sequence(f, config)
     states, post_selection = replay(ops, mode, _PSI0)
     # states[k] follows the first k ops: three pre-Hadamards, the oracle (for
     # a balanced function: atom rotation, medium, two photon rotations), and

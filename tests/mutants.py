@@ -120,6 +120,10 @@ MUTANTS = (
     Mutant("paper-mode weight reported as 1.0", "protocol.py",
            "post_selection = result.post_selection_probability", "post_selection = 1.0",
            "tests/test_protocol.py::TestPaperModeTraces::test_post_selection_is_the_maps_weight"),
+    # a constant function builds no medium step, so nothing else checks its angle
+    Mutant("protocol angle taken unchecked", "protocol.py",
+           '    theta = check_real("theta", theta)\n    cls = f.classification', "    cls = f.classification",
+           "tests/test_protocol.py::TestMediumAngle::test_bad_angle_is_named"),
     Mutant("deterministic within 1e-3", "protocol.py",
            "DETERMINISTIC_EPS = 1e-9", "DETERMINISTIC_EPS = 1e-3",
            "tests/test_protocol.py::TestClassify::test_deterministic_within_one_part_in_a_billion"),

@@ -13,7 +13,6 @@ from djensemble.ensemble import (
     HADAMARD_PULSES,
     NOT_PULSE,
     H_EFF,
-    EnsembleConfig,
     check_phases_claim,
     h_eff_linear,
     microwave_rotation,
@@ -39,7 +38,7 @@ from djensemble.protocol import (
 )
 from djensemble.qstate import StateVector, born_distribution, sample_shots
 
-QUARTER_TURN = EnsembleConfig.from_theta(math.pi / 2)
+QUARTER_TURN = math.pi / 2
 
 
 def report(num, name, passed, detail):
@@ -159,7 +158,7 @@ def test_07_exact_mode_constant_branch():
 
 
 def test_08_polarizer_claim_audit():
-    audit = check_phases_claim(QUARTER_TURN.theta)
+    audit = check_phases_claim()
     dev = max(
         float(np.max(np.abs(audit.claimed_abs_gram - np.ones((4, 4))))),
         float(np.max(np.abs(audit.fidelities - 0.5))),
@@ -171,7 +170,7 @@ def test_08_polarizer_claim_audit():
 def test_09_oracle_equivalence():
     start = time.perf_counter()
     worst_marginal = 0.0
-    u = u_eff_exact(QUARTER_TURN.theta)
+    u = u_eff_exact(QUARTER_TURN)
     rng = np.random.default_rng(123)
     for n in range(1, 11):
         for level in (0, 1):

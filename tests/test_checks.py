@@ -45,9 +45,7 @@ def test_dicke_vs_naive_catches_a_mirrored_medium_phase(monkeypatch):
     )
     result = checks.judge(checks.check_dicke_vs_naive)
     assert not result.passed and result.deviation > 0.1
-    ops = protocol.exact_operation_sequence(
-        protocol.table1_function("f3"), ensemble.EnsembleConfig.from_theta(math.pi / 2)
-    )
+    ops = protocol.exact_operation_sequence(protocol.table1_function("f3"), math.pi / 2)
     naive = manybody.full_simulate_naive(3, (0.0, 1.0), ops)
     dicke = manybody.full_simulate_dicke(3, (0.0, 1.0), ops)
     extracted = manybody.dicke_amplitudes_from_naive(naive, 3).reshape(-1)

@@ -431,6 +431,16 @@ class TestParamsCommand:
             "error: medium parameters put the detuning or a derived quantity out of floating-point range\n"
         )
 
+    def test_angle_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # every feasibility number is finite, but lambda * N * T rounds to inf
+        spec, out = tmp_path / "medium.json", tmp_path / "params.json"
+        spec.write_text('{"length_m": 1e-300, "n_atoms": 100000, "coupling_rad_s": 2.91e8}')
+        assert main(["params", "--medium", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: medium parameters put the angle lambda * n_atoms * transit time out of floating-point range\n"
+        )
+        assert not out.exists()
+
     def test_underflowing_transit_time_is_named(self, tmp_path, capsys):
         spec = tmp_path / "medium.json"
         spec.write_text('{"length_m": 5e-324, "n_atoms": 100000, "coupling_rad_s": 2.91e8}')

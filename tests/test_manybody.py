@@ -7,7 +7,7 @@ import pytest
 from helpers import coherent_dicke_vector, log_binomial_reference
 
 from djensemble import manybody
-from djensemble.ensemble import ATOM, PROTOCOL_SPACE, EnsembleConfig, u_eff_exact
+from djensemble.ensemble import ATOM, PROTOCOL_SPACE, u_eff_exact
 from djensemble.manybody import (
     NAIVE_ATOM_LIMIT,
     AtomRotation,
@@ -298,8 +298,7 @@ class TestEachGateCheckedOnce:
     @pytest.mark.parametrize("mode, checks", [("exact", [8]), ("paper", [])])
     def test_compact_replay_checks_only_the_exact_medium(self, unitarity_checks, mode, checks):
         # the one check in exact mode is expm_hermitian's result, u_eff_exact
-        config = EnsembleConfig.from_theta(math.pi / 2)
-        run_protocol(table1_function("f3"), mode, config)
+        run_protocol(table1_function("f3"), mode, math.pi / 2)
         assert unitarity_checks == checks
 
     def test_dicke_replay_checks_nothing(self, unitarity_checks, monkeypatch):
@@ -517,24 +516,22 @@ class TestNaiveSimulator:
             full_simulate_naive(13, (0.0, 1.0), [])
 
     def test_single_atom_matches_collective_model(self):
-        config = EnsembleConfig.from_theta(math.pi / 2)
-        u = u_eff_exact(config.theta).matrix
+        u = u_eff_exact(math.pi / 2).matrix
         for level in (0, 1):
             atom = np.zeros(2)
             atom[level] = 1.0
-            naive = full_simulate_naive(1, atom, [EnsembleEvolution(config.theta)])
+            naive = full_simulate_naive(1, atom, [EnsembleEvolution(math.pi / 2)])
             collective_in = np.kron(atom, [1.0, 0.0, 0.0, 0.0])
             np.testing.assert_allclose(naive.amplitudes, u @ collective_in, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_extreme_atoms_match_collective_marginals(self, n):
-        config = EnsembleConfig.from_theta(math.pi / 2)
-        u = u_eff_exact(config.theta).matrix
+        u = u_eff_exact(math.pi / 2).matrix
         rng = np.random.default_rng(80 + n)
         # the photons start horizontal; random rotations give a random product input
         u1, u2 = random_su2(rng), random_su2(rng)
         photons = np.kron(u1[:, 0], u2[:, 0])
-        ops = [PhotonRotation(1, u1), PhotonRotation(2, u2), EnsembleEvolution(config.theta)]
+        ops = [PhotonRotation(1, u1), PhotonRotation(2, u2), EnsembleEvolution(math.pi / 2)]
         naive = full_simulate_naive(n, (1.0, 0.0), ops)
         expected = (u @ np.kron([1.0, 0.0], photons)).reshape(2, 4)[0]
         marg = born_distribution(naive, ("photon1", "photon2"))
@@ -573,14 +570,12 @@ class TestNaiveSimulator:
         np.testing.assert_allclose(naive.amplitudes, expected, atol=1e-14)
 
     def test_superposed_atoms_entangle_with_photons(self):
-        config = EnsembleConfig.from_theta(math.pi / 2)
         atom = np.array([1.0, -1.0]) / SQRT2
-        naive = full_simulate_naive(3, atom, [EnsembleEvolution(config.theta)])
+        naive = full_simulate_naive(3, atom, [EnsembleEvolution(math.pi / 2)])
         assert atom_photon_schmidt_values(naive, 3)[1] > 0.1
 
     def test_extreme_atoms_do_not_entangle(self):
-        config = EnsembleConfig.from_theta(math.pi / 2)
-        naive = full_simulate_naive(3, (1.0, 0.0), [EnsembleEvolution(config.theta)])
+        naive = full_simulate_naive(3, (1.0, 0.0), [EnsembleEvolution(math.pi / 2)])
         svals = atom_photon_schmidt_values(naive, 3)
         assert svals[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(svals[1:] < 1e-12)
@@ -776,8 +771,7 @@ class TestLogBinomial:
 class TestDickeSimulator:
     @pytest.mark.parametrize("fid", [f.id for f in table1_functions()])
     def test_protocol_sequences_match_naive(self, fid):
-        config = EnsembleConfig.from_theta(math.pi / 2)
-        ops = exact_operation_sequence(table1_function(fid), config)
+        ops = exact_operation_sequence(table1_function(fid), math.pi / 2)
         for n in (1, 2, 4, 8, 12):
             naive = full_simulate_naive(n, (0.0, 1.0), ops)
             dicke = full_simulate_dicke(n, (0.0, 1.0), ops)
@@ -785,8 +779,7 @@ class TestDickeSimulator:
             np.testing.assert_allclose(extracted, dicke.amplitudes, atol=1e-10)
 
     def test_non_extreme_evolution_matches_naive(self):
-        config = EnsembleConfig.from_theta(math.pi / 2)
-        ops = [AtomRotation(H1), EnsembleEvolution(config.theta)]
+        ops = [AtomRotation(H1), EnsembleEvolution(math.pi / 2)]
         for n in (2, 5, 9):
             naive = full_simulate_naive(n, (0.0, 1.0), ops)
             dicke = full_simulate_dicke(n, (0.0, 1.0), ops)
@@ -795,10 +788,9 @@ class TestDickeSimulator:
 
     def test_rotation_after_entangling_evolution(self):
         # forces the dense symmetric rotation on the general representation
-        config = EnsembleConfig.from_theta(math.pi / 2)
         rng = np.random.default_rng(90)
         u = random_su2(rng)
-        ops = [AtomRotation(H1), EnsembleEvolution(config.theta), AtomRotation(u), PhotonRotation(1, H1)]
+        ops = [AtomRotation(H1), EnsembleEvolution(math.pi / 2), AtomRotation(u), PhotonRotation(1, H1)]
         for n in (2, 6):
             naive = full_simulate_naive(n, (0.0, 1.0), ops)
             dicke = full_simulate_dicke(n, (0.0, 1.0), ops)
@@ -843,7 +835,7 @@ class TestDickeSimulator:
     @pytest.mark.parametrize(
         "n,ops",
         [
-            (10**6, exact_operation_sequence(table1_function("f3"), EnsembleConfig.from_theta(math.pi / 2))),
+            (10**6, exact_operation_sequence(table1_function("f3"), math.pi / 2)),
             (6, [AtomRotation(H1), EnsembleEvolution(0.7), PhotonRotation(1, H1), EnsembleEvolution(0.7)]),
         ],
         ids=["f3-at-a-million-atoms", "off-extreme-at-six-atoms"],
@@ -864,7 +856,7 @@ class TestDickeSimulator:
         # with the atoms at an extreme, each medium step phases the product
         # state's one row, never the (N+1) x 4 rows
         n = 10**6
-        ops = exact_operation_sequence(table1_function(fid), EnsembleConfig.from_theta(math.pi / 2))
+        ops = exact_operation_sequence(table1_function(fid), math.pi / 2)
         phased_rows = []
         medium_phase = manybody._medium_phase
         monkeypatch.setattr(
@@ -911,8 +903,7 @@ class TestDickeSimulator:
 
     @pytest.mark.parametrize("names", [("photon1", "photon2"), ("photon2", "photon1")])
     def test_million_atom_photon_marginal_matches_literal_sum(self, names):
-        config = EnsembleConfig.from_theta(math.pi / 2)
-        ops = exact_operation_sequence(table1_function("f3"), config)
+        ops = exact_operation_sequence(table1_function("f3"), math.pi / 2)
         dicke = full_simulate_dicke(10**6, (0.0, 1.0), ops)
         probs = (np.abs(dicke.amplitudes) ** 2).reshape(-1, 2, 2).sum(axis=0)
         expected = probs if names == ("photon1", "photon2") else probs.T
@@ -922,10 +913,9 @@ class TestDickeSimulator:
     def test_large_ensemble_protocol_matches_collective(self):
         from djensemble.protocol import run_protocol
 
-        config = EnsembleConfig.from_theta(math.pi / 2)
         f = table1_function("f3")
-        dicke = full_simulate_dicke(100_000, (0.0, 1.0), exact_operation_sequence(f, config))
-        trace = run_protocol(f, "exact", config)
+        dicke = full_simulate_dicke(100_000, (0.0, 1.0), exact_operation_sequence(f, math.pi / 2))
+        trace = run_protocol(f, "exact", math.pi / 2)
         marg_d = born_distribution(dicke, ("photon1", "photon2"))
         marg_c = trace.distribution()
         for key in marg_c:

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from djensemble.cli import main
+from djensemble.ensemble import is_quarter_turn
 from djensemble.params import (
     PRESETS,
     MediumSpec,
@@ -11,6 +14,7 @@ from djensemble.params import (
     required_detuning,
     transit_time,
 )
+from djensemble.protocol import MODES, run_protocol, table1_functions
 
 
 class TestTransitTime:
@@ -134,10 +138,48 @@ class TestRequiredDetuning:
 
 
 class TestRoundTrip:
+    """``ensemble_config_from_report`` is the medium angle theta = lambda * N * T that the protocol takes."""
+
     @pytest.mark.parametrize("preset", ["cs-cell", "rb-mot"])
     def test_quarter_turn_round_trip(self, preset):
         spec = PRESETS[preset]
         report = required_detuning(spec)
-        config = ensemble_config_from_report(spec, report)
-        assert config.theta == pytest.approx(math.pi / 2, rel=1e-12)
-        assert config.lambda_value == pytest.approx(report.lambda_rad_s, rel=1e-12)
+        theta = ensemble_config_from_report(spec, report)
+        assert theta == report.lambda_rad_s * spec.n_atoms * report.transit_time_s
+        assert is_quarter_turn(theta)
+
+    def test_cesium_cell_is_exactly_the_quarter_turn(self):
+        spec = PRESETS["cs-cell"]
+        assert ensemble_config_from_report(spec, required_detuning(spec)) == math.pi / 2
+
+    def test_rubidium_trap_is_within_two_ulp_of_the_quarter_turn(self):
+        # it reads 1.5707963267948968, one ulp above pi/2
+        spec = PRESETS["rb-mot"]
+        theta = ensemble_config_from_report(spec, required_detuning(spec))
+        assert abs(theta - math.pi / 2) <= 2 * math.ulp(math.pi / 2)
+
+    @pytest.mark.parametrize("preset", ["cs-cell", "rb-mot"])
+    def test_params_report_angle_is_the_protocols(self, preset, tmp_path):
+        out = tmp_path / "params.json"
+        assert main(["params", "--medium", preset, "--out", str(out)]) == 0
+        spec = PRESETS[preset]
+        theta = ensemble_config_from_report(spec, required_detuning(spec))
+        assert json.loads(out.read_text())["evolution_angle"] == theta
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("preset", ["cs-cell", "rb-mot"])
+    def test_protocol_at_the_preset_angle_matches_the_quarter_turn(self, preset, mode):
+        spec = PRESETS[preset]
+        theta = ensemble_config_from_report(spec, required_detuning(spec))
+        for f in table1_functions():
+            expected = run_protocol(f, mode, math.pi / 2).distribution()
+            assert run_protocol(f, mode, theta).distribution() == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_angle_past_the_float_range_is_named(self):
+        # a transit time near underflow: the report's numbers are finite, but
+        # lambda * N rounds to inf
+        spec = MediumSpec(length_m=1e-300, n_atoms=100000, coupling_rad_s=2.91e8)
+        report = required_detuning(spec)
+        with pytest.raises(ValueError, match="^medium parameters put the angle lambda \\* n_atoms \\* transit time "
+                                             "out of floating-point range$"):
+            ensemble_config_from_report(spec, report)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import equal_up_to_global_phase
 
-from djensemble.ensemble import P_PLUS, PROTOCOL_SPACE, EnsembleConfig
+from djensemble.ensemble import P_PLUS, PROTOCOL_SPACE
 from djensemble.polarization import (
     HADAMARD_GADGETS,
     LIN_TO_CIRC,
@@ -240,7 +240,7 @@ class TestSourceAndDetection:
         assert abs(abs(phase) - math.pi / 2) < 1e-12
 
     def test_source_per_photon_distributions(self):
-        trace = run_protocol(table1_function("f1"), "exact", EnsembleConfig.from_theta(math.pi / 2))
+        trace = run_protocol(table1_function("f1"), "exact", math.pi / 2)
         for name in ("photon1", "photon2"):
             dist = born_distribution(trace.states["psi0"], (name,))
             assert dist[(0,)] == pytest.approx(1.0, abs=1e-12)

@@ -19,9 +19,7 @@ from djensemble.ensemble import (
     P_MINUS,
     P_PLUS,
     PROTOCOL_SPACE,
-    EnsembleConfig,
     MicrowavePulse,
-    check_phases_claim,
     microwave_rotation,
     u_eff_exact,
 )
@@ -37,7 +35,7 @@ from djensemble.manybody import (
 )
 from djensemble.params import MediumSpec, required_detuning
 from djensemble.polarization import PHOTON, half_wave, quarter_wave
-from djensemble.protocol import classify, replay
+from djensemble.protocol import classify, replay, run_protocol, table1_function
 from djensemble.qstate import Operator, SpaceLabel, basis_state, born_distribution, expm_hermitian
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
@@ -219,11 +217,16 @@ CONSTRUCTORS = [
         [(angles, edge_numbers)],
         lambda o: [o.theta, u_eff_exact(o.theta).matrix, *replays(o)],
     ),
+    # the protocol at its medium angle: f1 runs at any angle, f3 at the quarter turn only
     (
-        EnsembleConfig,
-        [(st.integers(1, 10**6), edge_numbers), (st.floats(0.1, 10.0), edge_numbers),
-         (st.floats(0.1, 10.0), edge_numbers), (angles, edge_numbers)],
-        lambda o: [o.lambda_value, o.theta],
+        lambda theta: run_protocol(table1_function("f1"), "paper", theta),
+        [(angles, edge_scalars)],
+        lambda o: [s.amplitudes for s in o.states.values()],
+    ),
+    (
+        lambda theta: run_protocol(table1_function("f3"), "exact", theta),
+        [(st.just(math.pi / 2), edge_scalars)],
+        lambda o: [s.amplitudes for s in o.states.values()],
     ),
     (
         MediumSpec,
@@ -244,12 +247,6 @@ CONSTRUCTORS = [
     ),
     (half_wave, [(angles, edge_scalars)], lambda o: [o.matrix]),
     (quarter_wave, [(angles, edge_scalars)], lambda o: [o.matrix]),
-    (EnsembleConfig.from_theta, [(angles, edge_scalars)], lambda o: [o.lambda_value, o.theta]),
-    (
-        check_phases_claim,
-        [(st.just(math.pi / 2), edge_scalars)],
-        lambda o: [o.theta, o.claimed_abs_gram, o.fidelities, o.singular_values],
-    ),
     (
         lambda a, b: basis_state(SpaceLabel((("a", 2), ("b", 3))), (a, b)),
         [(st.integers(0, 1), edge_scalars), (st.integers(0, 2), edge_scalars)],

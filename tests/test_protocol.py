@@ -10,7 +10,6 @@ from djensemble.ensemble import (
     HADAMARD_PULSES,
     NOT_PULSE,
     PROTOCOL_SPACE,
-    EnsembleConfig,
     microwave_rotation,
     u_eff_exact,
     u_eff_paper,
@@ -39,7 +38,7 @@ from djensemble.polarization import clicks_for_pattern, composite_h, hadamard_va
 from djensemble.qstate import StateVector, basis_state, born_distribution, sample_shots
 
 SQRT2 = math.sqrt(2.0)
-CONFIG = EnsembleConfig.from_theta(math.pi / 2)
+THETA = math.pi / 2
 
 TABLE1 = {
     "f1": (0, 0, 0, 0),
@@ -156,23 +155,23 @@ class TestOracleConstruction:
         assert h_eq_for(bare) == ("double_prime", "prime")
 
     def test_identity_oracle(self):
-        assert build_oracle(table1_function("f1"), CONFIG) == ()
+        assert build_oracle(table1_function("f1"), THETA) == ()
 
     def test_not_oracle_flips_atoms_only(self):
-        steps = build_oracle(table1_function("f2"), CONFIG)
+        steps = build_oracle(table1_function("f2"), THETA)
         assert len(steps) == 1 and isinstance(steps[0], AtomRotation)
         flipped = steps[0].matrix @ (np.array([1.0, -1.0]) / SQRT2)
         np.testing.assert_allclose(np.abs(flipped), np.array([1.0, 1.0]) / SQRT2, atol=1e-12)
 
     def test_balanced_oracle_shape(self):
-        steps = build_oracle(table1_function("f4"), CONFIG)
+        steps = build_oracle(table1_function("f4"), THETA)
         kinds = [type(s) for s in steps]
         assert kinds == [AtomRotation, EnsembleEvolution, PhotonRotation, PhotonRotation]
         assert sum(isinstance(s, EnsembleEvolution) for s in steps) == 1
 
     def test_neither_rejected(self):
         with pytest.raises(ValueError, match="constant or balanced"):
-            build_oracle(BooleanFunction(2, (0, 0, 0, 1)), CONFIG)
+            build_oracle(BooleanFunction(2, (0, 0, 0, 1)), THETA)
 
 
 class TestSharedOperations:
@@ -207,14 +206,14 @@ class TestSharedOperations:
 
     def test_sequences_share_the_fixed_steps(self):
         for f in table1_functions():
-            ops = exact_operation_sequence(f, CONFIG)
+            ops = exact_operation_sequence(f, THETA)
             fixed = protocol._PRE_HADAMARDS + protocol._POST_HADAMARDS
             assert len(ops) >= 5 and all(a is b for a, b in zip(ops[:3] + ops[-2:], fixed))
             oracle = ops[3:-2]
             if f.classification == "balanced":
                 kinds = h_eq_for(f)
                 assert oracle[0] is protocol._ATOM_HADAMARD
-                assert oracle[1] == EnsembleEvolution(CONFIG.theta)
+                assert oracle[1] == EnsembleEvolution(THETA)
                 assert oracle[2] is protocol._COMPOSITE_ROTATIONS[1, kinds[0]]
                 assert oracle[3] is protocol._COMPOSITE_ROTATIONS[2, kinds[1]]
             else:
@@ -223,26 +222,26 @@ class TestSharedOperations:
 
 class TestPaperModeTraces:
     def test_initial_state(self):
-        trace = run_protocol(table1_function("f3"), "paper", CONFIG)
+        trace = run_protocol(table1_function("f3"), "paper", THETA)
         expected = state_from([0, 1], [1, 0], [1, 0])
         np.testing.assert_allclose(trace.states["psi0"].amplitudes, expected.amplitudes, atol=1e-15)
 
     def test_first_hadamard_layer(self):
-        trace = run_protocol(table1_function("f3"), "paper", CONFIG)
+        trace = run_protocol(table1_function("f3"), "paper", THETA)
         plus = np.array([1.0, 1.0]) / SQRT2
         expected = state_from([1, -1], plus, plus)  # atom written up to a sign
         equal, _ = equal_up_to_global_phase(trace.states["psi1"], expected, 1e-12)
         assert equal
 
     def test_atoms_prepared_at_plain_extreme(self):
-        trace = run_protocol(table1_function("f3"), "paper", CONFIG)
+        trace = run_protocol(table1_function("f3"), "paper", THETA)
         plus = np.array([1.0, 1.0]) / SQRT2
         expected = state_from([1, 0], plus, plus)
         equal, _ = equal_up_to_global_phase(trace.states["psi1_prime"], expected, 1e-12)
         assert equal
 
     def test_medium_output_shares_one_polarization(self):
-        trace = run_protocol(table1_function("f3"), "paper", CONFIG)
+        trace = run_protocol(table1_function("f3"), "paper", THETA)
         rotated = np.array([-1.0j, 1.0]) / SQRT2
         expected = state_from([1, 0], rotated, rotated)
         equal, _ = equal_up_to_global_phase(trace.states["psi1_double_prime"], expected, 1e-12)
@@ -252,7 +251,7 @@ class TestPaperModeTraces:
     @pytest.mark.parametrize("fid", ["f3", "f4", "f5", "f6", "f7", "f8"])
     def test_post_selection_is_the_maps_weight(self, fid):
         # about 1 - 1.8e-15 here, so a weight written as 1.0 shows
-        trace = run_protocol(table1_function(fid), "paper", CONFIG)
+        trace = run_protocol(table1_function(fid), "paper", THETA)
         weight = u_eff_paper().apply(trace.states["psi1_prime"]).post_selection_probability
         assert trace.post_selection_probability == weight
 
@@ -268,14 +267,14 @@ class TestPaperModeTraces:
         ],
     )
     def test_post_oracle_factorization(self, fid, p1, p2):
-        trace = run_protocol(table1_function(fid), "paper", CONFIG)
+        trace = run_protocol(table1_function(fid), "paper", THETA)
         expected = state_from([1, 0], np.array(p1) / SQRT2, np.array(p2) / SQRT2)
         equal, _ = equal_up_to_global_phase(trace.states["psi2"], expected, 1e-12)
         assert equal
 
     @pytest.mark.parametrize("fid", sorted(EXPECTED_PATTERNS))
     def test_final_patterns(self, fid):
-        trace = run_protocol(table1_function(fid), "paper", CONFIG)
+        trace = run_protocol(table1_function(fid), "paper", THETA)
         pattern, prob = trace.pattern()
         assert pattern == EXPECTED_PATTERNS[fid]
         assert prob >= 1.0 - 1e-9
@@ -284,52 +283,74 @@ class TestPaperModeTraces:
     @pytest.mark.parametrize("fid", sorted(EXPECTED_PATTERNS))
     def test_classification_matches_truth(self, fid):
         f = table1_function(fid)
-        trace = run_protocol(f, "paper", CONFIG)
+        trace = run_protocol(f, "paper", THETA)
         outcome = classify(trace.pattern()[0])
         assert outcome.classification == f.classification
         assert fid in outcome.function_pair
 
     def test_single_medium_traversal_for_balanced(self):
         for fid in ("f3", "f4", "f5", "f6", "f7", "f8"):
-            trace = run_protocol(table1_function(fid), "paper", CONFIG)
+            trace = run_protocol(table1_function(fid), "paper", THETA)
             assert trace.ensemble_evolution_calls == 1
 
     def test_no_medium_traversal_for_constant(self):
         for fid in ("f1", "f2"):
-            trace = run_protocol(table1_function(fid), "paper", CONFIG)
+            trace = run_protocol(table1_function(fid), "paper", THETA)
             assert trace.ensemble_evolution_calls == 0
             assert list(trace.states) == ["psi0", "psi1", "psi2", "psi3"]
 
     def test_wrong_angle_rejected_for_balanced(self):
-        with pytest.raises(ValueError, match="pi/2"):
-            run_protocol(table1_function("f3"), "paper", EnsembleConfig.from_theta(1.0))
-
-    @pytest.mark.parametrize("mode", ["paper", "exact"])
-    @pytest.mark.parametrize("time", [0.0, 1.0, -1.0])
-    def test_nonfinite_angle_rejected_for_balanced(self, mode, time):
-        # coupling^2 over the smallest subnormal detuning overflows, so the
-        # angle would be NaN (time 0) or +-inf; the config is rejected when
-        # built, so no run in either mode can be handed one
-        with pytest.raises(ValueError, match="floating-point range"):
-            run_protocol(
-                table1_function("f3"),
-                mode,
-                EnsembleConfig(n_atoms=1, coupling=1.0, detuning=5e-324, interaction_time=time),
-            )
+        for mode in ("paper", "exact"):
+            with pytest.raises(ValueError, match="^balanced functions require the medium angle theta = pi/2$"):
+                run_protocol(table1_function("f3"), mode, 1.0)
 
     def test_constant_ignores_angle(self):
-        trace = run_protocol(table1_function("f1"), "paper", EnsembleConfig.from_theta(1.0))
+        trace = run_protocol(table1_function("f1"), "paper", 1.0)
         assert trace.pattern()[0] == (1, 1)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            run_protocol(table1_function("f1"), "classical", CONFIG)
+            run_protocol(table1_function("f1"), "classical", THETA)
+
+
+class TestMediumAngle:
+    """The protocol takes its medium angle as a float and checks it for every function.
+
+    A constant function builds no medium step, so for f1 this check alone
+    refuses a bad angle.
+    """
+
+    ENTRIES = {
+        "run_protocol-exact": lambda f, theta: run_protocol(f, "exact", theta),
+        "run_protocol-paper": lambda f, theta: run_protocol(f, "paper", theta),
+        "exact_operation_sequence": exact_operation_sequence,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("fid", ["f1", "f3"])
+    @pytest.mark.parametrize(
+        "theta,message",
+        [(math.nan, "^theta must be finite, got nan$"), (math.inf, "^theta must be finite, got inf$"),
+         (-math.inf, "^theta must be finite, got -inf$"), (True, "^theta must be a real number, got True$"),
+         ("1.5", "^theta must be a real number, got '1.5'$"), (None, "^theta must be a real number, got None$"),
+         (1.5 + 0j, "^theta must be a real number, got \\(1.5\\+0j\\)$")],
+        ids=["nan", "inf", "-inf", "bool", "string", "none", "complex"],
+    )
+    def test_bad_angle_is_named(self, entry, fid, theta, message):
+        with pytest.raises(ValueError, match=message):
+            self.ENTRIES[entry](table1_function(fid), theta)
+
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, np.float64(7.0), 3])
+    def test_any_finite_angle_builds_the_medium_step(self, theta):
+        ops = exact_operation_sequence(table1_function("f3"), theta)
+        assert ops[4] == EnsembleEvolution(float(theta))
+        assert type(ops[4].theta) is float
 
 
 class TestExactModeTraces:
     @pytest.mark.parametrize("fid", ["f1", "f2"])
     def test_constant_branch_is_mode_independent(self, fid):
-        trace = run_protocol(table1_function(fid), "exact", CONFIG)
+        trace = run_protocol(table1_function(fid), "exact", THETA)
         pattern, prob = trace.pattern()
         assert pattern == (1, 1)
         assert prob >= 1.0 - 1e-9
@@ -339,15 +360,15 @@ class TestExactModeTraces:
         plus = np.array([1.0, 1.0]) / SQRT2
         minus = np.array([1.0, -1.0]) / SQRT2
         vertical = np.array([0.0, 1.0])
-        f1 = run_protocol(table1_function("f1"), "exact", CONFIG)
+        f1 = run_protocol(table1_function("f1"), "exact", THETA)
         equal, _ = equal_up_to_global_phase(f1.states["psi3"], state_from(minus, vertical, vertical), 1e-12)
         assert equal
-        f2 = run_protocol(table1_function("f2"), "exact", CONFIG)
+        f2 = run_protocol(table1_function("f2"), "exact", THETA)
         equal, _ = equal_up_to_global_phase(f2.states["psi3"], state_from(plus, vertical, vertical), 1e-12)
         assert equal
 
     def test_medium_output_is_both_vertical(self):
-        trace = run_protocol(table1_function("f3"), "exact", CONFIG)
+        trace = run_protocol(table1_function("f3"), "exact", THETA)
         vertical = np.array([0.0, 1.0])
         expected = state_from([1, 0], vertical, vertical)
         equal, _ = equal_up_to_global_phase(trace.states["psi1_double_prime"], expected, 1e-12)
@@ -356,10 +377,10 @@ class TestExactModeTraces:
     @pytest.mark.parametrize("fid", ["f3", "f5", "f8"])
     def test_balanced_distribution_matches_naive_oracle(self, fid):
         f = table1_function(fid)
-        trace = run_protocol(f, "exact", CONFIG)
+        trace = run_protocol(f, "exact", THETA)
         dist = trace.distribution()
         for n in (1, 2, 5, 10):
-            naive = full_simulate_naive(n, (0.0, 1.0), exact_operation_sequence(f, CONFIG))
+            naive = full_simulate_naive(n, (0.0, 1.0), exact_operation_sequence(f, THETA))
             oracle = born_distribution(naive, ("photon1", "photon2"))
             for key, value in oracle.items():
                 assert dist[key] == pytest.approx(value, abs=1e-10)
@@ -368,7 +389,7 @@ class TestExactModeTraces:
         assert not is_deterministic(trace.pattern()[1])
 
     def test_post_selection_probability_is_one(self):
-        trace = run_protocol(table1_function("f3"), "exact", CONFIG)
+        trace = run_protocol(table1_function("f3"), "exact", THETA)
         assert trace.post_selection_probability == 1.0
 
     @pytest.mark.parametrize("fid", sorted(EXPECTED_PATTERNS))
@@ -376,8 +397,8 @@ class TestExactModeTraces:
         # at N = 1 the compact state is the physical state, so every recorded
         # state is the naive replay of a prefix of the operation sequence
         f = table1_function(fid)
-        ops = exact_operation_sequence(f, CONFIG)
-        trace = run_protocol(f, "exact", CONFIG)
+        ops = exact_operation_sequence(f, THETA)
+        trace = run_protocol(f, "exact", THETA)
         prefix = {"psi0": 0, "psi1": 3, "psi1_prime": 4, "psi1_double_prime": 5,
                   "psi2": len(ops) - 2, "psi3": len(ops)}
         assert len(trace.states) == (6 if f.classification == "balanced" else 4)
@@ -398,15 +419,15 @@ class TestReplay:
     @pytest.mark.parametrize("mode", protocol.MODES)
     def test_the_trace_names_states_of_the_replay(self, mode):
         f = table1_function("f5")
-        trace = run_protocol(f, mode, CONFIG)
-        states, weight = replay(exact_operation_sequence(f, CONFIG), mode, self.START)
+        trace = run_protocol(f, mode, THETA)
+        states, weight = replay(exact_operation_sequence(f, THETA), mode, self.START)
         assert [s.amplitudes.tolist() for s in trace.states.values()] == [
             s.amplitudes.tolist() for s in (states[0], states[3], states[4], states[5], states[-3], states[-1])
         ]
         assert trace.post_selection_probability == weight
 
     def test_trace_states_are_read_only(self):
-        trace = run_protocol(table1_function("f1"), "exact", CONFIG)
+        trace = run_protocol(table1_function("f1"), "exact", THETA)
         with pytest.raises(TypeError):
             trace.states["psi3"] = trace.states["psi0"]
 
@@ -488,12 +509,12 @@ class TestDetection:
     """Seeded coincidences drawn from a run's distribution, as ``sample`` draws them."""
 
     def test_f7_coincidence_clicks(self):
-        trace = run_protocol(table1_function("f7"), "paper", CONFIG)
+        trace = run_protocol(table1_function("f7"), "paper", THETA)
         assert sample_shots(trace.distribution(), 5, seed=0)[(0, 0)] == 5
         assert clicks_for_pattern((0, 0)) == ("HD1", "HD2")
 
     def test_f1_coincidence_clicks(self):
-        trace = run_protocol(table1_function("f1"), "exact", CONFIG)
+        trace = run_protocol(table1_function("f1"), "exact", THETA)
         assert sample_shots(trace.distribution(), 1, seed=9)[(1, 1)] == 1
         assert clicks_for_pattern((1, 1)) == ("VD1", "VD2")
 
