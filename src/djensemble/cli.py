@@ -203,11 +203,11 @@ def _load_medium(token: str) -> MediumSpec:
         raise ValueError(f"medium {token!r} is neither a preset ({', '.join(PRESETS)}) nor a file")
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read medium file {token!r}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+        raise ValueError(f"cannot read medium file {token!r}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # nesting past the recursion limit
         raise ValueError(f"medium file {token!r} is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"medium file {token!r} must be a JSON object")

@@ -57,39 +57,27 @@ def collective_extreme(amplitudes) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class MicrowavePulse:
-    """Resonant two-level drive parameters: pulse area (Omega*t) and field phase."""
+def microwave_rotation(pulse) -> Operator:
+    """Single-atom rotation exp(-i H t) for a resonant drive ``pulse = (area, phase)``.
 
-    area: float
-    phase: float
-
-    def __post_init__(self):
-        check_real("area", self.area)
-        check_real("phase", self.phase)
-
-
-def microwave_rotation(pulse: MicrowavePulse) -> Operator:
-    """Single-atom rotation exp(-i H t) for the resonant drive Hamiltonian.
-
-    The generator, in units of the Rabi coupling, is
+    The area is Omega*t; the generator, in units of the Rabi coupling, is
     -(e^{i phase}|g'><g| + h.c.), so the result is
     cos(area) I + i sin(area) (e^{i phase}|g'><g| + e^{-i phase}|g><g'|).
     """
-    generator = -np.array(
-        [[0.0, np.exp(-1j * pulse.phase)], [np.exp(1j * pulse.phase), 0.0]]
-    )
-    return expm_hermitian(ATOM, generator, pulse.area)
+    area, phase = pulse
+    area, phase = check_real("area", area), check_real("phase", phase)
+    generator = -np.array([[0.0, np.exp(-1j * phase)], [np.exp(1j * phase), 0.0]])
+    return expm_hermitian(ATOM, generator, area)
 
 
-# Pulse settings realizing the four Hadamard variants, and the atomic NOT.
+# Pulse settings (area, phase) realizing the four Hadamard variants, and the atomic NOT.
 HADAMARD_PULSES = {
-    1: MicrowavePulse(math.pi / 4, -math.pi / 2),
-    2: MicrowavePulse(math.pi / 4, 0.0),
-    3: MicrowavePulse(math.pi / 4, math.pi / 2),
-    4: MicrowavePulse(math.pi / 4, math.pi),
+    1: (math.pi / 4, -math.pi / 2),
+    2: (math.pi / 4, 0.0),
+    3: (math.pi / 4, math.pi / 2),
+    4: (math.pi / 4, math.pi),
 }
-NOT_PULSE = MicrowavePulse(math.pi / 2, math.pi / 2)
+NOT_PULSE = (math.pi / 2, math.pi / 2)
 
 
 def _photon_pair_sum(single: np.ndarray) -> np.ndarray:

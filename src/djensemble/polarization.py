@@ -74,19 +74,15 @@ HADAMARD_GADGETS = {
 }
 
 
+# Hadamard variants whose product is each composite rotation, leftmost first.
+_COMPOSITE_VARIANTS = {"prime": (1, 4, 3), "double_prime": (1, 2, 3)}
+
+
 def composite_h(kind: str) -> Operator:
     """Composite rotation h' = h1 h4 h3 or h'' = h1 h2 h3; both are diagonal phases."""
-    if kind == "prime":
-        ops = (hadamard_variant(1), hadamard_variant(4), hadamard_variant(3))
-    elif kind == "double_prime":
-        ops = (hadamard_variant(1), hadamard_variant(2), hadamard_variant(3))
-    else:
+    if kind not in _COMPOSITE_VARIANTS:
         raise ValueError(f"kind must be 'prime' or 'double_prime', got {kind!r}")
-    out = ops[0] @ ops[1] @ ops[2]
-    off = max(abs(out.matrix[0, 1]), abs(out.matrix[1, 0]))
-    if off > 1e-12:
-        raise AssertionError(f"composite rotation is not diagonal, off-diagonal {off:.3e}")
-    return out
+    return gadget_compose(hadamard_variant(i) for i in _COMPOSITE_VARIANTS[kind])
 
 
 def embed_single(name: str, gate: Operator, space: SpaceLabel) -> Operator:

@@ -79,7 +79,7 @@ H_EQ_ASSIGNMENTS = {
 # matrices read-only, so every sequence shares them.
 _H1 = hadamard_variant(1).matrix
 _PRE_HADAMARDS = (AtomRotation(_H1), PhotonRotation(1, _H1), PhotonRotation(2, _H1))
-_POST_HADAMARDS = (PhotonRotation(1, _H1), PhotonRotation(2, _H1))
+_POST_HADAMARDS = _PRE_HADAMARDS[1:]
 _ATOM_HADAMARD = AtomRotation(microwave_rotation(HADAMARD_PULSES[1]).matrix)
 _ATOM_NOT = AtomRotation(microwave_rotation(NOT_PULSE).matrix)
 _COMPOSITE_ROTATIONS = {
@@ -122,9 +122,6 @@ class BooleanFunction:
         if 2 * ones == len(self.table):
             return "balanced"
         return "neither"
-
-    def value(self, x: int) -> int:
-        return self.table[x]
 
 
 def table1_function(fid: str) -> BooleanFunction:
@@ -177,7 +174,7 @@ def build_oracle(f: BooleanFunction, theta: float) -> tuple:
     if cls == "neither":
         raise ValueError("this realization only encodes constant or balanced functions")
     if cls == "constant":
-        if f.value(0) == 0:
+        if f.table[0] == 0:
             return ()
         return (_ATOM_NOT,)
     kinds = h_eq_for(f)
@@ -234,8 +231,6 @@ class ProtocolTrace:
     involves no medium traversal.
     """
 
-    function: BooleanFunction
-    mode: str
     states: Mapping[str, StateVector]
     post_selection_probability: float
     ensemble_evolution_calls: int
@@ -302,7 +297,7 @@ def run_protocol(f: BooleanFunction, mode: str, theta: float) -> ProtocolTrace:
         named.update(psi1_prime=states[4], psi1_double_prime=states[5])
     named.update(psi2=states[-3], psi3=states[-1])
     medium_steps = sum(isinstance(op, EnsembleEvolution) for op in ops)
-    return ProtocolTrace(f, mode, MappingProxyType(named), post_selection, medium_steps)
+    return ProtocolTrace(MappingProxyType(named), post_selection, medium_steps)
 
 
 # ---------------------------------------------------------------------------

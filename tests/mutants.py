@@ -71,6 +71,8 @@ MUTANTS = (
            "(n_atoms - m) * np.angle(beta) + m * np.angle(alpha)"),
     Mutant("f3's assignment swapped", "protocol.py",
            '"f3": ("double_prime", "prime"),', '"f3": ("prime", "double_prime"),'),
+    Mutant("composite rotation from the wrong variant order", "polarization.py",
+           '"prime": (1, 4, 3)', '"prime": (1, 3, 4)'),
     Mutant("primed extreme phased as m = N - 1", "manybody.py",
            "first = extreme * n_atoms", "first = extreme * (n_atoms - 1)"),
     Mutant("PhotonRotation's pair gate built on the other photon", "manybody.py",

@@ -449,6 +449,21 @@ class TestParamsCommand:
             "error: length_m 5e-324 is so small that the transit time underflows to 0\n"
         )
 
+    @pytest.mark.parametrize("name, data, message", [
+        ("deep.json", b"[" * 100_000, "is not JSON: maximum recursion depth exceeded"),
+        ("deep.json", b'{"length_m": ' + b"[" * 1000 + b"]" * 1000 + b"}",
+         "is not JSON: maximum recursion depth exceeded"),
+        ("latin1.json", '{"note": "café"}'.encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["nested-array", "nested-value", "latin-1"])
+    def test_unparsable_medium_file_is_named(self, tmp_path, capsys, name, data, message):
+        # nesting past the recursion limit, or bytes that are not UTF-8, is a bad file like any other
+        spec = tmp_path / name
+        spec.write_bytes(data)
+        assert main(["params", "--medium", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and repr(str(spec)) in captured.err and message in captured.err
+
     def test_directory_medium_exits_2(self, tmp_path, capsys):
         assert main(["params", "--medium", str(tmp_path)]) == 2
         err = capsys.readouterr().err

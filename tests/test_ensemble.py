@@ -10,7 +10,6 @@ from djensemble.ensemble import (
     P_PLUS,
     PROTOCOL_SPACE,
     H_EFF,
-    MicrowavePulse,
     check_phases_claim,
     collective_extreme,
     h_eff_linear,
@@ -74,7 +73,7 @@ class TestMicrowaveRotation:
         rng = np.random.default_rng(41)
         for _ in range(100):
             area, phase = rng.uniform(-math.pi, math.pi, size=2)
-            built = microwave_rotation(MicrowavePulse(area, phase)).matrix
+            built = microwave_rotation((area, phase)).matrix
             expected = math.cos(area) * np.eye(2) + 1j * math.sin(area) * np.array(
                 [[0.0, np.exp(-1j * phase)], [np.exp(1j * phase), 0.0]]
             )
@@ -90,7 +89,7 @@ class TestMicrowaveRotation:
     def test_non_number_pulse_rejected(self, area, phase, field):
         value = area if field == "area" else phase
         with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
-            MicrowavePulse(area, phase)
+            microwave_rotation((area, phase))
 
 
 class TestEffectiveHamiltonian:

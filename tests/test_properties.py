@@ -19,7 +19,6 @@ from djensemble.ensemble import (
     P_MINUS,
     P_PLUS,
     PROTOCOL_SPACE,
-    MicrowavePulse,
     microwave_rotation,
     u_eff_exact,
 )
@@ -235,9 +234,9 @@ CONSTRUCTORS = [
         feasibility_values,
     ),
     (
-        MicrowavePulse,
+        lambda area, phase: microwave_rotation((area, phase)),
         [(angles, edge_numbers), (angles, edge_numbers)],
-        lambda o: [microwave_rotation(o).matrix],
+        lambda o: [o.matrix],
     ),
     (u_eff_exact, [(angles, edge_scalars)], lambda o: [o.matrix]),
     (

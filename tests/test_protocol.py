@@ -101,10 +101,6 @@ class TestBooleanFunction:
         with pytest.raises(ValueError, match="entries"):
             BooleanFunction(2, (0, 1))
 
-    def test_value_indexing(self):
-        f = table1_function("f3")
-        assert [f.value(x) for x in range(4)] == [0, 0, 1, 1]
-
 
 class TestEnumeration:
     def test_two_bit_catalog_matches_table(self):
