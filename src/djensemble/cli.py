@@ -76,8 +76,8 @@ def _out_problem(out_path: str) -> str | None:
 def _emit(report: dict, out_path: str | None, code: int = EXIT_OK) -> int:
     """Write ``report`` to ``out_path``, if given; return ``code``, or EXIT_USAGE when the write fails."""
     if out_path:
-        # a NaN or Inf in a report is a fault of the program: fail, never write it
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        # a NaN or Inf in a report is a fault of the program: fail, never write it (C encoder: no indent)
+        text = json.dumps(report, allow_nan=False) + "\n"
         try:
             Path(out_path).write_text(text, encoding="utf-8")
         except OSError as exc:

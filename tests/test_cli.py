@@ -260,16 +260,40 @@ class TestOutOption:
         err = capsys.readouterr().err
         assert err == f"error: cannot write --out {str(tmp_path / 'report.json')!r}: Permission denied\n"
 
-    def test_nan_never_reaches_a_report(self, tmp_path):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_nan_never_reaches_a_report(self, tmp_path, value):
         from djensemble.cli import _emit
 
         out = tmp_path / "report.json"
+        # a list inside a dict, the shape of `distribution` and `amplitudes`
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _emit({"deviation": float("nan")}, str(out))
+            _emit({"results": [{"amplitudes": [0.5, value]}]}, str(out))
         assert not out.exists()
 
 
 class TestReportLayout:
+    def test_report_is_one_compact_line(self, tmp_path, monkeypatch):
+        # an indent, or json.dump, would leave CPython's C encoder for the pure-Python one
+        import json.encoder
+
+        if json.encoder.c_make_encoder is None:
+            pytest.skip("this Python has no C JSON encoder")
+
+        def pure_python_encoder(*args):
+            raise AssertionError("a report must be encoded by json.dumps in C, with no indent")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+        invocations = [
+            [command, "--function", "all", "--mode", mode] + (["--shots", "100"] if command == "sample" else [])
+            for command in ("run", "trace", "sample") for mode in MODES
+        ] + [["verify"], ["params", "--medium", "cs-cell"]]
+        for i, argv in enumerate(invocations):
+            out = tmp_path / f"report{i}.json"
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            text = out.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), allow_nan=False) + "\n", argv
+            assert text.count("\n") == 1, argv
+
     def test_key_order(self, tmp_path):
         envelope = ["schema", "version", "command", "request", "results"]
         run_keys = [
@@ -334,7 +358,7 @@ class TestParamsCommand:
         assert main(["params", "--medium", str(spec), "--out", str(out)]) == 0
         text = out.read_text()
         assert '"length_m": 1.0,' in text and '"coupling_rad_s": 291000000.0,' in text
-        assert '"n_atoms": 100000,' in text and '"relaxation_s": 1.0\n' in text
+        assert '"n_atoms": 100000,' in text and '"relaxation_s": 1.0}' in text
 
     def test_zero_length_spec_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "medium.json"
