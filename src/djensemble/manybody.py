@@ -26,7 +26,7 @@ import numpy as np
 
 from .ensemble import ATOM, H_EFF, collective_extreme
 from .polarization import LIN_TO_CIRC, PHOTON
-from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, check_count, check_real
+from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, banded_state, check_count, check_real
 
 NAIVE_ATOM_LIMIT = 12
 # The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
@@ -42,7 +42,7 @@ _PHOTONS_HH = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 # H_EFF's diagonal blocks, the photon-pair generators per atom in each level:
 # n_plain * _GEN_PLUS + n_primed * _GEN_MINUS for a given configuration.
 _GEN_PLUS, _GEN_MINUS = H_EFF[:4, :4], H_EFF[4:, 4:]
-# Rows of the (N+1) x 4 Dicke array that the medium step phases at once;
+# Rows of the Dicke band that the medium step phases at once;
 # bounds its temporaries only.
 _ROW_BLOCK = 1 << 16
 # i^m for m mod 4, exactly
@@ -524,18 +524,6 @@ def _medium_phase(rows: np.ndarray, theta: float, n_atoms: int, m: np.ndarray) -
     np.matmul(circ, np.exp(-1j * theta) * _B2.conj(), out=rows)
 
 
-def _coherent_rows(atom: np.ndarray, photons: np.ndarray, n_atoms: int) -> np.ndarray:
-    """The (N+1) x 4 rows of the product state atom^(x)N (x) photons.
-
-    Only the coherent band is written: the zero pages of the rest are never
-    touched, so they never become resident.
-    """
-    start, band = coherent_dicke_amplitudes(atom, n_atoms)
-    rows = np.zeros((n_atoms + 1, 4), dtype=complex)
-    rows[start : start + len(band)] = np.outer(band, photons)
-    return rows
-
-
 def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     """Evolve the symmetric sector: identical physics to the naive simulator.
 
@@ -545,25 +533,26 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     after every rotation, and the Dicke amplitudes are taken from it at unit
     norm, so the state's squared norm drifts by rounding only, at any N.
 
-    The state is photon-pair rows indexed by excitation number m. A product
-    state is one row plus the single-atom vector, and its rotations and its
-    medium steps with the atoms at an extreme are O(1). The first medium
-    step off the extremes, or the end of the run, writes the (N+1) x 4 rows,
-    of which only the O(sqrt(N)) coherent band is computed. After that a
-    medium step is O(N) in place and an atom rotation is a symmetric
-    rotation of the rows (N <= 1024): four real O(N^2 / 4) products with the
-    halves of the sigma_x eigenbasis, built once per N by two O(N^3 / 8)
-    eigendecompositions.
-    The returned state takes the final rows without copying them.
+    The state is photon-pair rows for a band of excitation numbers m; all
+    other rows are zero. A product state is one row plus the single-atom
+    vector, and its rotations and its medium steps with the atoms at an
+    extreme are O(1). The first medium step off the extremes, or the end of
+    the run, writes the O(sqrt(N)) rows of the coherent band. After that a
+    medium step is O(band) in place and an atom rotation pads the rows to
+    N + 1 for a symmetric rotation (N <= 1024): four real O(N^2 / 4) products
+    with the halves of the sigma_x eigenbasis, built once per N by two
+    O(N^3 / 8) eigendecompositions. The result is a ``banded_state``.
     """
     atom = _atom_start(atom_init)
     check_count("n_atoms", n_atoms)
-    # ``atom`` is None once the rows hold every excitation number
-    rows = _PHOTONS_HH.reshape(1, 4).copy()
+    # ``rows`` holds m = first .. first + len(rows) - 1; ``atom`` is None once they hold the state
+    rows, first = _PHOTONS_HH.reshape(1, 4).copy(), 0
     for op in ops:
         if isinstance(op, AtomRotation):
             if atom is None:
-                rows = symmetric_rotation(op.gate, n_atoms, rows)
+                padded = np.zeros((n_atoms + 1, 4), dtype=complex)
+                padded[first : first + len(rows)] = rows
+                rows, first = symmetric_rotation(op.gate, n_atoms, padded), 0
             else:
                 vec = op.matrix @ atom
                 # one ulp of magnitude drift here becomes N ulps after the N-fold
@@ -572,12 +561,12 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
         elif isinstance(op, PhotonRotation):
             rows = rows @ op.pair.T
         elif isinstance(op, EnsembleEvolution):
-            first = 0  # the m of row 0
             if atom is not None:
                 # phasing the empty level's residual r (|r| <= 1e-12) as absent errs by ~2|theta r|/sqrt(N)
                 extreme = collective_extreme(atom)
                 if extreme is None:
-                    rows, atom = _coherent_rows(atom, rows, n_atoms), None
+                    first, band = coherent_dicke_amplitudes(atom, n_atoms)
+                    rows, atom = np.outer(band, rows), None
                 else:
                     first = extreme * n_atoms
             # one block of rows at a time, so no temporary grows with N
@@ -587,8 +576,7 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
         else:
             raise TypeError(f"unknown operation {op!r}")
     if atom is not None:
-        rows = _coherent_rows(atom, rows, n_atoms)
-    # Frozen and owned by nothing else, the rows pass into StateVector without
-    # a copy. Not renormalized: StateVector rejects any drift of the squared norm.
-    rows.setflags(write=False)
-    return StateVector(dicke_space(n_atoms), rows)
+        first, band = coherent_dicke_amplitudes(atom, n_atoms)
+        rows = np.outer(band, rows)
+    # Not renormalized: banded_state rejects any drift of the squared norm.
+    return banded_state(dicke_space(n_atoms), first, rows)

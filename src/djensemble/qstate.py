@@ -6,9 +6,11 @@ values can be shared freely across threads. One input is taken without a
 copy: a C-contiguous complex128 ndarray that owns its data and is already
 read-only. Views of it are read-only too and no writable owner stands
 behind it, so a caller that froze its own array has handed it over and
-sharing it is as safe as a copy; ``full_simulate_dicke`` passes its final
-(N+1) x 4 array this way and saves a copy of it (64 MB at N = 10^6). Every
-other input, a read-only view of a writable array included, is copied.
+sharing it is as safe as a copy, as with an ``AtomRotation`` built from
+another's matrix. Every other input, a read-only view of a writable array
+included, is copied. ``banded_state`` writes a state's zeros outside a band
+of leading-subsystem rows, checks the band alone and records it as
+``support``, the rows ``born_distribution`` sums when it marginalizes them.
 An ``Operator`` is a checked unitary: its unitarity check runs on every
 construction but ``embed``'s, which pads a checked operator with an exact
 identity and so cannot fail it (U'^dag U' - I = I (x) (U^dag U - I), entry
@@ -56,6 +58,7 @@ __all__ = [
     "StateVector",
     "Operator",
     "basis_state",
+    "banded_state",
     "embed",
     "expm_hermitian",
     "check_real",
@@ -154,6 +157,8 @@ class StateVector:
 
     space: SpaceLabel
     amplitudes: np.ndarray
+    # leading-subsystem rows (start, stop) outside which every amplitude is 0; set by banded_state alone
+    support: tuple[int, int] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         amps = _frozen_complex(self.amplitudes).reshape(-1)
@@ -161,15 +166,20 @@ class StateVector:
             raise ValueError(
                 f"amplitude length {amps.size} does not match space dimension {self.space.dim}"
             )
-        norm2 = float(np.vdot(amps, amps).real)
-        # a finite sum of squares has finite terms, so the amplitudes are
-        # scanned for NaN and Inf only when the sum is not finite
-        if not math.isfinite(norm2):
-            _check_finite(amps)
-            raise ValueError(f"amplitudes must be finite in squared norm, but <psi|psi> = {norm2!r}")
-        if abs(norm2 - 1.0) > CONSTRUCTION_ATOL:
-            raise ValueError(f"state must be normalized but <psi|psi> = {norm2!r}")
+        _check_unit_norm(amps)
         object.__setattr__(self, "amplitudes", amps)
+
+
+def _check_unit_norm(amps: np.ndarray) -> None:
+    """Raise ValueError unless <psi|psi> is 1 within CONSTRUCTION_ATOL, naming any NaN or Inf."""
+    norm2 = float(np.vdot(amps, amps).real)
+    # a finite sum of squares has finite terms, so the amplitudes are
+    # scanned for NaN and Inf only when the sum is not finite
+    if not math.isfinite(norm2):
+        _check_finite(amps)
+        raise ValueError(f"amplitudes must be finite in squared norm, but <psi|psi> = {norm2!r}")
+    if abs(norm2 - 1.0) > CONSTRUCTION_ATOL:
+        raise ValueError(f"state must be normalized but <psi|psi> = {norm2!r}")
 
 
 @dataclass(frozen=True)
@@ -227,6 +237,26 @@ def basis_state(space: SpaceLabel, occupancy: Sequence[int]) -> StateVector:
         flat = flat * dim + level
     amps[flat] = 1.0
     return StateVector(space, amps)
+
+
+def banded_state(space: SpaceLabel, start: int, band: np.ndarray) -> StateVector:
+    """The state whose leading-subsystem rows start, start + 1, ... are the rows of ``band``, all else 0.
+
+    Only the band is checked by StateVector's norm rule: the zeros are written
+    here, so ``support`` is this function's fact and no caller's claim.
+    """
+    band = np.asarray(band, dtype=np.complex128)
+    stop = check_count("start", start, 0) + len(band)
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    rows = amps.reshape(space.dims[0], -1)
+    if band.shape[1:] != rows.shape[1:] or stop > len(rows):
+        raise ValueError(f"band of shape {band.shape} from row {start} does not fit rows of shape {rows.shape}")
+    rows[start:stop] = band
+    amps.setflags(write=False)
+    _check_unit_norm(rows[start:stop])
+    state = object.__new__(StateVector)
+    vars(state).update(space=space, amplitudes=amps, support=(start, stop))
+    return state
 
 
 def embed(op: Operator, target: str, space: SpaceLabel) -> Operator:
@@ -295,10 +325,16 @@ def born_distribution(state: StateVector, subsystems: Sequence[str]) -> dict:
     dims = state.space.dims
     kept_dims = [dims[i] for i in keep]
     drop = [i for i in range(len(dims)) if i not in keep]
+    amps = state.amplitudes.reshape(dims)
+    if state.support is not None and 0 in drop:
+        # the rows outside the support are 0; widened to whole groups of _FOLD_ROWS (or
+        # the last row), the rows read meet the fold as in the whole state: the same bits
+        start, stop = state.support
+        amps = amps[start - start % _FOLD_ROWS : min(-(-stop // _FOLD_ROWS) * _FOLD_ROWS, dims[0])]
     # kept axes last, in the requested order: a view when they already are
     # (the photon marginal), so |a|^2 is summed in one pass with no
     # state-sized temporary
-    rows = state.amplitudes.reshape(dims).transpose(drop + keep).reshape(-1, math.prod(kept_dims))
+    rows = amps.transpose(drop + keep).reshape(-1, math.prod(kept_dims))
     parts = np.ascontiguousarray(rows).view(np.float64)
     n_rows, width = parts.shape
     folded = n_rows - n_rows % _FOLD_ROWS

@@ -117,6 +117,15 @@ MUTANTS = (
            'embed_single("atom", op.gate, PROTOCOL_SPACE)',
            'embed_single("atom", AtomRotation(op.matrix.conj()).gate, PROTOCOL_SPACE)',
            "tests/test_properties.py::test_compact_replay_matches_naive_on_random_sequences"),
+    # a banded state's marginal and its norm check; the bit-for-bit test
+    # against the whole state and the test of the band's last row pin them
+    Mutant("born_distribution's band sum one row short of the support", "qstate.py",
+           "min(-(-stop // _FOLD_ROWS) * _FOLD_ROWS, dims[0])]",
+           "min(-(-stop // _FOLD_ROWS) * _FOLD_ROWS, dims[0]) - 1]",
+           "tests/test_manybody.py::TestDickeSimulator::test_banded_marginal_is_the_whole_states_bit_for_bit"),
+    Mutant("banded_state's norm checked one row short of the band", "qstate.py",
+           "_check_unit_norm(rows[start:stop])", "_check_unit_norm(rows[start : stop - 1])",
+           "tests/test_qstate.py::TestBandedState::test_band_is_checked_by_the_state_rule_to_its_last_row"),
     # edits outside the kernels: verify's results do not move, so a named
     # test pins each
     Mutant("paper-mode weight reported as 1.0", "protocol.py",

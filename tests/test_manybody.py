@@ -26,7 +26,7 @@ from djensemble.manybody import (
 )
 from djensemble.polarization import embed_single, hadamard_variant
 from djensemble.protocol import exact_operation_sequence, run_protocol, table1_function, table1_functions
-from djensemble.qstate import Operator, born_distribution
+from djensemble.qstate import Operator, StateVector, born_distribution
 
 SQRT2 = math.sqrt(2.0)
 H1 = hadamard_variant(1).matrix
@@ -813,8 +813,8 @@ class TestDickeSimulator:
 
     def test_product_shortcut_inside_the_extreme_rule(self, monkeypatch):
         # |beta| = 5e-13 passes the 1e-12 extreme rule, so the medium step
-        # phases the product form; forced through the (N+1) x 4 array, the
-        # run differs by about 2 theta |beta| / sqrt(N), 2e-15 here
+        # phases the product form; forced through the coherent band's rows,
+        # the run differs by about 2 theta |beta| / sqrt(N), 2e-15 here
         n, beta = 10**6, 5e-13
         atom = (math.sqrt(1.0 - beta**2), beta)
         ops = [PhotonRotation(1, H1), EnsembleEvolution(math.pi / 2), PhotonRotation(2, H1)]
@@ -827,7 +827,9 @@ class TestDickeSimulator:
         assert phased_rows == [1]
         monkeypatch.setattr(manybody, "collective_extreme", lambda amplitudes: None)
         general = full_simulate_dicke(n, atom, ops).amplitudes.reshape(n + 1, 4)
-        assert sum(phased_rows) == 1 + n + 1
+        # the general step phases the band's rows and none of the zeros past it
+        _, band = coherent_dicke_amplitudes(np.array(atom, dtype=complex), n)
+        assert sum(phased_rows) == 1 + len(band)
         # both bands are a few rows at m = 0; every row past them is exactly 0
         assert np.max(np.abs(shortcut[:64] - general[:64])) <= 1e-10
         assert not shortcut[64:].any() and not general[64:].any()
@@ -865,6 +867,65 @@ class TestDickeSimulator:
         full_simulate_dicke(n, (0.0, 1.0), ops)
         steps = sum(isinstance(op, EnsembleEvolution) for op in ops)
         assert steps >= 1 and phased_rows == [1] * steps
+
+    def test_off_extreme_medium_step_phases_only_the_band(self, monkeypatch):
+        # the band is about 110 sqrt(N p q) = 53,000 rows at N = 10^6, p = 0.64
+        phased_rows = []
+        medium_phase = manybody._medium_phase
+        monkeypatch.setattr(
+            manybody, "_medium_phase", lambda rows, *a: (phased_rows.append(len(rows)), medium_phase(rows, *a))
+        )
+        full_simulate_dicke(10**6, (0.6, 0.8), [EnsembleEvolution(0.3)])
+        assert 0 < sum(phased_rows) < 10**5
+
+    @pytest.mark.parametrize(
+        "n,atom,ops",
+        [
+            (10**6, (0.0, 1.0), exact_operation_sequence(table1_function("f3"), math.pi / 2)),
+            (10**5, (0.6, 0.8), [EnsembleEvolution(0.7), PhotonRotation(1, H1), EnsembleEvolution(-0.3)]),
+            (6, (0.6, 0.8), [EnsembleEvolution(0.7), AtomRotation(H1), PhotonRotation(1, H1), EnsembleEvolution(0.7)]),
+        ],
+        ids=["f3-at-a-million-atoms", "off-extreme-at-1e5-atoms", "padded-for-a-rotation-at-six-atoms"],
+    )
+    @pytest.mark.parametrize("names", [("photon1", "photon2"), ("photon2", "photon1"), ("photon2",)])
+    def test_banded_marginal_is_the_whole_states_bit_for_bit(self, n, atom, ops, names):
+        banded = full_simulate_dicke(n, atom, ops)
+        assert banded.support is not None
+        whole = StateVector(banded.space, banded.amplitudes)
+        assert born_distribution(banded, names) == born_distribution(whole, names)
+
+    def test_rotation_pads_the_band_at_its_excitation_numbers(self, monkeypatch):
+        # near the primed extreme the band is the top few dozen of 1001 rows;
+        # the same run with the band spelled out over every row from the start
+        # must give the same bits
+        n, atom = 1000, (1e-6, math.sqrt(1.0 - 1e-12))
+        ops = [EnsembleEvolution(0.7), AtomRotation(H1), EnsembleEvolution(0.3), PhotonRotation(1, H1)]
+        banded = full_simulate_dicke(n, atom, ops)
+        amplitudes = manybody.coherent_dicke_amplitudes
+        starts = []
+
+        def whole(single, n_atoms):
+            start, band = amplitudes(single, n_atoms)
+            starts.append(start)
+            rows = np.zeros(n_atoms + 1, dtype=complex)
+            rows[start : start + len(band)] = band
+            return 0, rows
+
+        monkeypatch.setattr(manybody, "coherent_dicke_amplitudes", whole)
+        dense = full_simulate_dicke(n, atom, ops)
+        assert starts[0] > 900
+        assert np.array_equal(banded.amplitudes, dense.amplitudes)
+
+    def test_catalog_at_a_hundred_million_atoms_matches_the_compact_run(self):
+        # the state is 6.4 GB of zeros about a band of a few dozen rows; only
+        # the band is written or read
+        n = 10**8
+        for f in table1_functions():
+            dicke = full_simulate_dicke(n, (0.0, 1.0), exact_operation_sequence(f, math.pi / 2))
+            marginal = born_distribution(dicke, ("photon1", "photon2"))
+            del dicke
+            compact = run_protocol(f, "exact", math.pi / 2).distribution()
+            assert max(abs(marginal[k] - compact[k]) for k in compact) <= 1e-10, f.id
 
     def test_off_extreme_medium_step_at_a_million_atoms(self):
         # the coherent amplitudes' norm drift once made this state fail

@@ -14,6 +14,7 @@ from djensemble.qstate import (
     StateVector,
     _padded_operator,
     _padding_identity,
+    banded_state,
     basis_state,
     born_distribution,
     embed,
@@ -169,6 +170,76 @@ class TestStateVector:
             frozen.setflags(write=False)
             with pytest.raises(ValueError, match=message):
                 StateVector(QUBIT_A, frozen)
+
+
+class TestBandedState:
+    SPACE = SpaceLabel((("atoms", 3 * _FOLD_ROWS + 5), ("photon1", 2), ("photon2", 2)))
+
+    def band(self, start, length, seed=0):
+        rng = np.random.default_rng([seed, start, length])
+        band = rng.normal(size=(length, 4)) + 1j * rng.normal(size=(length, 4))
+        return band / np.linalg.norm(band)
+
+    def test_band_is_written_into_frozen_zeros(self):
+        band = self.band(40, 7)
+        state = banded_state(self.SPACE, 40, band)
+        rows = state.amplitudes.reshape(-1, 4)
+        assert state.support == (40, 47)
+        assert np.array_equal(rows[40:47], band) and not rows[:40].any() and not rows[47:].any()
+        assert not state.amplitudes.flags.writeable and state.amplitudes.flags.owndata
+
+    def test_public_constructions_have_no_support(self):
+        assert basis_state(QUBIT_A, (0,)).support is None
+        assert StateVector(QUBIT_A, [0.6, 0.8]).support is None
+
+    def test_support_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="support"):
+            StateVector(QUBIT_A, [1.0, 0.0], support=(0, 1))
+
+    @pytest.mark.parametrize(
+        "last_row, message",
+        [
+            ([0.1, 0.0, 0.0, 0.0], "^state must be normalized"),
+            ([np.nan, 0.0, 0.0, 0.0], r"^amplitudes must be finite \(no NaN or Inf\)$"),
+        ],
+        ids=["off-norm", "nan"],
+    )
+    def test_band_is_checked_by_the_state_rule_to_its_last_row(self, last_row, message):
+        band = np.vstack([self.band(3, 2), [last_row]])
+        with pytest.raises(ValueError, match=message) as banded:
+            banded_state(self.SPACE, 3, band)
+        whole = np.zeros((self.SPACE.dims[0], 4), dtype=complex)
+        whole[3:6] = band
+        with pytest.raises(ValueError) as dense:
+            StateVector(self.SPACE, whole.reshape(-1))
+        assert str(banded.value) == str(dense.value)
+
+    @pytest.mark.parametrize("start, shape", [(-1, (2, 4)), (3 * _FOLD_ROWS + 4, (2, 4)), (0, (2, 2))])
+    def test_band_must_fit_the_rows(self, start, shape):
+        with pytest.raises(ValueError):
+            banded_state(self.SPACE, start, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize(
+        "start, length", [(0, 1), (0, 3 * _FOLD_ROWS + 5), (5, 3), (31, 2), (33, _FOLD_ROWS), (36, 2 * _FOLD_ROWS + 1)]
+    )
+    @pytest.mark.parametrize(
+        "names",
+        [order for k in (1, 2, 3) for order in itertools.permutations(("atoms", "photon1", "photon2"), k)],
+    )
+    def test_marginal_is_the_whole_states_bit_for_bit(self, start, length, names):
+        state = banded_state(self.SPACE, start, self.band(start, length))
+        whole = StateVector(self.SPACE, state.amplitudes)
+        assert born_distribution(state, names) == born_distribution(whole, names)
+
+    def test_marginal_reads_the_support_widened_to_whole_fold_groups_only(self):
+        # a support that is not the truth shows which rows are summed:
+        # rows 40..46 widen to 32..63 and miss the weight on rows 10 and 70;
+        # rows 40..70 widen to 32..95 and see row 70's
+        state = banded_state(self.SPACE, 10, np.vstack([[[0.6, 0, 0, 0]], np.zeros((59, 4)), [[0, 0, 0.8, 0]]]))
+        vars(state)["support"] = (40, 47)
+        assert set(born_distribution(state, ("photon1", "photon2")).values()) == {0.0}
+        vars(state)["support"] = (40, 71)
+        assert born_distribution(state, ("photon1", "photon2")) == {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.8**2, (1, 1): 0.0}
 
 
 class TestOperator:
