@@ -195,6 +195,14 @@ def _cmd_verify(args) -> int:
     return _emit(report, args.out, EXIT_OK if all_passed else EXIT_VERIFY_FAILED)
 
 
+def _unique_keys(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) < len(pairs):  # raise the first key named a second time
+        seen = set()
+        raise KeyError(next(key for key, _ in pairs if key in seen or seen.add(key)))
+    return data
+
+
 def _load_medium(token: str) -> MediumSpec:
     if token in PRESETS:
         return PRESETS[token]
@@ -206,7 +214,9 @@ def _load_medium(token: str) -> MediumSpec:
     except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
         raise ValueError(f"cannot read medium file {token!r}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except KeyError as exc:  # json.loads alone would keep a repeated key's last value
+        raise ValueError(f"medium file {token!r}: repeated key {exc.args[0]!r}") from exc
     except (ValueError, RecursionError) as exc:  # nesting past the recursion limit
         raise ValueError(f"medium file {token!r} is not JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -122,45 +122,28 @@ _STIRLERR_SMALL = np.array(
 _LOG_AMP_CUT = math.log(2.0**-1074) - 16.0
 
 
-# _stirlerr and _bd0 each pick one of two forms per entry with np.where, and
-# a form that no entry picks is not computed: every stirlerr entry of a band
-# at N <= 15 is a table entry, and a band that is narrow next to N p and
-# N q, as at large N, has only series entries in both. The picked entries
-# are the same bits either way.
-
-
 def _stirlerr(n: np.ndarray) -> np.ndarray:
     """ln n! - ln(sqrt(2 pi n) (n/e)^n) for an array of integer-valued n >= 0."""
-    small = n <= 15
-    if small.all():
-        return _STIRLERR_SMALL[n.astype(int)]
     r = 1.0 / np.maximum(n, 16.0)
     r2 = r * r
     series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r2 / 1188) * r2) * r2) * r2) * r
-    if not small.any():
-        return series
-    return np.where(small, _STIRLERR_SMALL[np.minimum(n, 15).astype(int)], series)
+    return np.where(n <= 15, _STIRLERR_SMALL[np.minimum(n, 15).astype(int)], series)
 
 
 def _bd0(x: np.ndarray, lam: float) -> np.ndarray:
     """x ln(x / lam) + lam - x, without the cancellation near x = lam."""
     d = x - lam
     v = d / (x + lam)
-    # for |v| < 0.1 each term of the series is below 1% of the one before
-    near = np.abs(v) < 0.1
-    all_near = near.all()
-    if not all_near:
-        with np.errstate(divide="ignore", over="ignore"):
-            direct = x * np.log(np.where(x > 0, x / lam, 1.0)) + lam - x
-        if not near.any():
-            return direct
     v2 = v * v
     term = 2.0 * x * v
     series = d * v
     for j in range(1, 10):
         term *= v2
         series += term * (1.0 / (2 * j + 1))
-    return series if all_near else np.where(near, series, direct)
+    with np.errstate(divide="ignore", over="ignore"):
+        direct = x * np.log(np.where(x > 0, x / lam, 1.0)) + lam - x
+    # for |v| < 0.1 each term of the series is below 1% of the one before
+    return np.where(np.abs(v) < 0.1, series, direct)
 
 
 def _log_binomial(m: np.ndarray, n_atoms: int, lam: float, mu: float) -> np.ndarray:
@@ -207,11 +190,10 @@ def _coherent_band(n_atoms: int, p: float, q: float) -> tuple[np.ndarray, np.nda
 def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np.ndarray]:
     """Symmetric-sector amplitudes of the N-fold product of one qubit state.
 
-    Index m counts atoms in the primed level. The single-atom vector is taken
-    at unit norm, (alpha, beta) / s with s = sqrt(|alpha|^2 + |beta|^2), the
-    rule ``full_simulate_dicke`` applies after every rotation of a product
-    state, so the squared magnitudes are exactly the binomial weights
-    b(m; N, |beta/s|^2).
+    Index m counts atoms in the primed level. The single-atom vector is read
+    at unit norm, (alpha, beta) / s with s = sqrt(|alpha|^2 + |beta|^2), the one
+    normalization of ``full_simulate_dicke``, so the squared magnitudes are
+    exactly the binomial weights b(m; N, |beta/s|^2).
     Returns ``(start, band)``: the amplitudes of m = start, start + 1, ...;
     every entry outside the band underflows and is exactly zero. The band is
     about 110 sqrt(N p q) entries about the mode N p, with p = |beta/s|^2 and
@@ -527,11 +509,10 @@ def _medium_phase(rows: np.ndarray, theta: float, n_atoms: int, m: np.ndarray) -
 def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     """Evolve the symmetric sector: identical physics to the naive simulator.
 
-    ``atom_init`` is the normalized single-atom 2-vector replicated across
-    the ensemble, and the photons start horizontal, as for
-    ``full_simulate_naive``. The single-atom vector is kept at unit norm
-    after every rotation, and the Dicke amplitudes are taken from it at unit
-    norm, so the state's squared norm drifts by rounding only, at any N.
+    ``atom_init`` is the normalized single-atom 2-vector replicated across the
+    ensemble, and the photons start horizontal, as for ``full_simulate_naive``.
+    Product-state rotations do not renormalize it; the Dicke amplitudes are read
+    from it at unit norm, so the squared norm drifts by rounding only, at any N.
 
     The state is photon-pair rows for a band of excitation numbers m; all
     other rows are zero. A product state is one row plus the single-atom
@@ -554,10 +535,7 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
                 padded[first : first + len(rows)] = rows
                 rows, first = symmetric_rotation(op.gate, n_atoms, padded), 0
             else:
-                vec = op.matrix @ atom
-                # one ulp of magnitude drift here becomes N ulps after the N-fold
-                # product, so keep the single-atom vector exactly unit length
-                atom = vec / np.linalg.norm(vec)
+                atom = op.matrix @ atom
         elif isinstance(op, PhotonRotation):
             rows = rows @ op.pair.T
         elif isinstance(op, EnsembleEvolution):

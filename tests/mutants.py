@@ -93,16 +93,12 @@ MUTANTS = (
     # reports that as a FAIL line
     Mutant("bd0 series with the wrong denominators", "manybody.py",
            "series += term * (1.0 / (2 * j + 1))", "series += term * (1.0 / (2 * j + 3))"),
-    # verify's bands are at N <= 6: every stirlerr entry there is a table
-    # entry, and bd0's direct form is within about 1e-15 of its series. The
-    # next two edits change only windows that mix both forms, beyond what
-    # verify's 1e-10 bounds see; the bit-for-bit reference test pins them.
-    Mutant("bd0 series skipped unless every entry is near", "manybody.py",
-           "if not near.any():", "if not near.all():",
-           "tests/test_manybody.py::TestLogBinomial"),
-    Mutant("stirlerr series kept for a window that reaches the table", "manybody.py",
-           "if not small.any():", "if not small.all():",
-           "tests/test_manybody.py::TestLogBinomial"),
+    # every vector the replays hand over is at unit norm to rounding, which
+    # moves verify's figures by ulps; only a scaled vector shows the edit
+    Mutant("coherent band from the unscaled vector", "manybody.py",
+           "p = (abs(beta) / scale) ** 2\n    q = (abs(alpha) / scale) ** 2",
+           "p = abs(beta) ** 2\n    q = abs(alpha) ** 2",
+           "tests/test_manybody.py::TestAtomState::test_scaled_vector_gives_the_unit_vectors_band"),
     # the protocol never reaches the medium off the plain-ground extreme, and
     # the conjugated input changes nothing on its real product rows
     Mutant("paper map on the conjugated input", "ensemble.py",

@@ -447,6 +447,17 @@ class TestParamsCommand:
         assert captured.out == ""
         assert captured.err == f"error: medium file {str(spec)!r}: unknown key {next(iter(extra))!r}\n"
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"length_m": 2e-4, "length_m": 3e-4, "n_atoms": 100000, "coupling_rad_s": 2.91e8}', "length_m"),
+        ('{"length_m": 2e-4, "n_atoms": 100000, "coupling_rad_s": 2.91e8, "n_atoms": 100000}', "n_atoms"),
+    ], ids=["different-value", "same-value"])
+    def test_repeated_key_is_named(self, tmp_path, capsys, text, key):
+        # json.loads kept the last value, so the run silently used 3e-4
+        spec = tmp_path / "medium.json"
+        spec.write_text(text)
+        assert main(["params", "--medium", str(spec)]) == 2
+        assert capsys.readouterr() == ("", f"error: medium file {str(spec)!r}: repeated key {key!r}\n")
+
     def test_margin_past_the_float_range_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "medium.json"
         spec.write_text('{"length_m": 1e-10, "n_atoms": 100000, "coupling_rad_s": 2.91e8, "relaxation_s": 1e300}')

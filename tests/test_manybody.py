@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import coherent_dicke_vector, log_binomial_reference
+from helpers import coherent_dicke_vector
 
 from djensemble import manybody
 from djensemble.ensemble import ATOM, PROTOCOL_SPACE, u_eff_exact
@@ -15,7 +15,6 @@ from djensemble.manybody import (
     PhotonRotation,
     _evolution_block,
     _excitation_order,
-    _log_binomial,
     _medium_eigenbasis,
     _sigma_x_basis,
     coherent_dicke_amplitudes,
@@ -427,6 +426,17 @@ class TestAtomState:
             else:
                 assert log_mag < math.log(2.0**-1074)
 
+    @pytest.mark.parametrize("n", [6, 10**6])
+    @pytest.mark.parametrize("c", [3.0, 1e-3])
+    def test_scaled_vector_gives_the_unit_vectors_band(self, n, c):
+        # full_simulate_dicke leaves its single-atom vector's norm as its
+        # rotations round it; the band is read from the vector at unit norm
+        vec = np.array([0.6, 0.8j])
+        start, band = coherent_dicke_amplitudes(vec, n)
+        scaled_start, scaled = coherent_dicke_amplitudes(c * vec, n)
+        assert scaled_start == start
+        np.testing.assert_allclose(scaled, band, rtol=0.0, atol=1e-14)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             coherent_dicke_amplitudes(np.zeros(2), 3)
@@ -753,19 +763,6 @@ class TestPairGate:
         # 1.0 rotated photon 1 in the naive replay but was an unknown subsystem in the compact one
         with pytest.raises(ValueError, match=message):
             PhotonRotation(photon, H1)
-
-
-class TestLogBinomial:
-    @pytest.mark.parametrize("n", [1, 6, 512, 10**6, 10**9])
-    @pytest.mark.parametrize("p", [1e-34, 0.3, 0.64, 1 - 1e-12])
-    def test_equals_the_reference_form_bit_for_bit(self, n, p):
-        q = 1.0 - p
-        # the first window the band search evaluates
-        mode = min(n, int((n + 1) * p))
-        half = 32 + int(56.0 * math.sqrt(n * p * q))
-        m = np.arange(max(0, mode - half), min(n + 1, mode + half + 1), dtype=float)
-        got = _log_binomial(m, n, n * p, n * q)
-        assert np.array_equal(got, log_binomial_reference(m, n, n * p, n * q))
 
 
 class TestDickeSimulator:
