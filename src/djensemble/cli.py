@@ -293,7 +293,7 @@ def _cmd_trace(args) -> int:
             {
                 "state": name,
                 "subsystems": [[n, d] for n, d in state.space.subsystems],
-                "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+                "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),
             }
             for name, state in trace.states.items()
         ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .ensemble import ATOM, H_EFF, collective_extreme
 from .polarization import LIN_TO_CIRC, PHOTON
-from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, banded_state, check_count, check_real
+from .qstate import CONSTRUCTION_ATOL, Operator, SpaceLabel, StateVector, band_rows, check_count, check_real
 
 NAIVE_ATOM_LIMIT = 12
 # The limit bounds the cached sigma_x eigenbasis that symmetric rotations use:
@@ -34,6 +34,8 @@ NAIVE_ATOM_LIMIT = 12
 # eigendecompositions once per N, after which a rotation of (N+1) x k rows is
 # O(N^2 k). Bigger ensembles stay on the coherent product path.
 DENSE_ROTATION_LIMIT = 1024
+# The most atoms whose dense amplitudes a DickeState builds: 64 (N + 1) bytes, 640 MB here.
+DENSE_STATE_LIMIT = 10**7
 
 _I2 = np.eye(2)
 _B2 = np.kron(LIN_TO_CIRC, LIN_TO_CIRC)
@@ -492,6 +494,53 @@ def dicke_space(n_atoms: int) -> SpaceLabel:
     return SpaceLabel((("atoms", n_atoms + 1), ("photon1", 2), ("photon2", 2)))
 
 
+@dataclass(frozen=True)
+class DickeState:
+    """A symmetric-sector state of N atoms and both photons, in one of two forms.
+
+    Either form's ``rows`` hold all of its weight, checked at unit norm, and
+    ``qstate.born_distribution`` marginalizes the atoms from them alone. The
+    product form is the single-atom 2-vector ``atom``, read at unit norm as
+    ``coherent_dicke_amplitudes`` reads it, on every atom, times the one row,
+    the photon pair (``first`` is 0). The band form (``atom`` None) is the
+    photon-pair rows of m = first, first + 1, ... that ``band_rows`` returns,
+    every other row 0. The dense ``amplitudes`` are built on the first
+    request, for at most DENSE_STATE_LIMIT atoms.
+    """
+
+    n_atoms: int
+    first: int
+    rows: np.ndarray
+    atom: tuple[complex, complex] | None = None
+
+    def __post_init__(self):
+        n_atoms = check_count("n_atoms", self.n_atoms)
+        # the product form's pair is checked as the one row of a space with one atomic level
+        first, rows = band_rows(dicke_space(n_atoms if self.atom is None else 0), self.first, self.rows)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "rows", rows)
+        if self.atom is not None:
+            alpha, beta = map(complex, self.atom)  # a ValueError unless two entries
+            object.__setattr__(self, "atom", (alpha, beta))
+
+    @property
+    def space(self) -> SpaceLabel:
+        return dicke_space(self.n_atoms)
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        if self.n_atoms > DENSE_STATE_LIMIT:
+            raise ValueError(f"dense amplitudes requested for {self.n_atoms} atoms; limit is {DENSE_STATE_LIMIT}")
+        first, rows = self.first, self.rows
+        if self.atom is not None:
+            first, band = coherent_dicke_amplitudes(self.atom, self.n_atoms)
+            rows = np.outer(band, rows)
+        amps = np.zeros(4 * (self.n_atoms + 1), dtype=complex)
+        amps.reshape(-1, 4)[first : first + len(rows)] = rows
+        amps.setflags(write=False)
+        return amps
+
+
 def _medium_phase(rows: np.ndarray, theta: float, n_atoms: int, m: np.ndarray) -> None:
     """The medium step, in place, on photon-pair rows (k, 4) with m primed atoms each.
 
@@ -506,7 +555,7 @@ def _medium_phase(rows: np.ndarray, theta: float, n_atoms: int, m: np.ndarray) -
     np.matmul(circ, np.exp(-1j * theta) * _B2.conj(), out=rows)
 
 
-def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
+def full_simulate_dicke(n_atoms: int, atom_init, ops) -> DickeState:
     """Evolve the symmetric sector: identical physics to the naive simulator.
 
     ``atom_init`` is the normalized single-atom 2-vector replicated across the
@@ -517,12 +566,13 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
     The state is photon-pair rows for a band of excitation numbers m; all
     other rows are zero. A product state is one row plus the single-atom
     vector, and its rotations and its medium steps with the atoms at an
-    extreme are O(1). The first medium step off the extremes, or the end of
-    the run, writes the O(sqrt(N)) rows of the coherent band. After that a
-    medium step is O(band) in place and an atom rotation pads the rows to
-    N + 1 for a symmetric rotation (N <= 1024): four real O(N^2 / 4) products
-    with the halves of the sigma_x eigenbasis, built once per N by two
-    O(N^3 / 8) eigendecompositions. The result is a ``banded_state``.
+    extreme are O(1). The first medium step off the extremes writes the
+    O(sqrt(N)) rows of the coherent band. After that a medium step is
+    O(band) in place and an atom rotation pads the rows to N + 1 for a
+    symmetric rotation (N <= 1024): four real O(N^2 / 4) products with the
+    halves of the sigma_x eigenbasis, built once per N by two O(N^3 / 8)
+    eigendecompositions. The result is a ``DickeState`` in the form the run
+    ends in: the product if no medium step left the extremes, else the band.
     """
     atom = _atom_start(atom_init)
     check_count("n_atoms", n_atoms)
@@ -553,8 +603,5 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> StateVector:
                 _medium_phase(block, op.theta, n_atoms, np.arange(first + lo, first + lo + len(block)))
         else:
             raise TypeError(f"unknown operation {op!r}")
-    if atom is not None:
-        first, band = coherent_dicke_amplitudes(atom, n_atoms)
-        rows = np.outer(band, rows)
-    # Not renormalized: banded_state rejects any drift of the squared norm.
-    return banded_state(dicke_space(n_atoms), first, rows)
+    # Not renormalized: DickeState rejects any drift of the rows' squared norm.
+    return DickeState(n_atoms, first if atom is None else 0, rows, atom)

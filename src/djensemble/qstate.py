@@ -8,9 +8,10 @@ read-only. Views of it are read-only too and no writable owner stands
 behind it, so a caller that froze its own array has handed it over and
 sharing it is as safe as a copy, as with an ``AtomRotation`` built from
 another's matrix. Every other input, a read-only view of a writable array
-included, is copied. ``banded_state`` writes a state's zeros outside a band
-of leading-subsystem rows, checks the band alone and records it as
-``support``, the rows ``born_distribution`` sums when it marginalizes them.
+included, is copied. ``born_distribution`` marginalizes a state that holds
+``rows`` (``manybody.DickeState``) over its leading subsystem from those rows
+alone; ``band_rows`` checks a band of them and widens it to whole fold
+groups, so that a band's marginal has the bits of its dense amplitudes'.
 An ``Operator`` is a checked unitary: its unitarity check runs on every
 construction but ``embed``'s, which pads a checked operator with an exact
 identity and so cannot fail it (U'^dag U' - I = I (x) (U^dag U - I), entry
@@ -60,7 +61,7 @@ __all__ = [
     "StateVector",
     "Operator",
     "basis_state",
-    "banded_state",
+    "band_rows",
     "embed",
     "expm_hermitian",
     "check_real",
@@ -159,8 +160,6 @@ class StateVector:
 
     space: SpaceLabel
     amplitudes: np.ndarray
-    # leading-subsystem rows (start, stop) outside which every amplitude is 0; set by banded_state alone
-    support: tuple[int, int] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         amps = _frozen_complex(self.amplitudes).reshape(-1)
@@ -241,24 +240,25 @@ def basis_state(space: SpaceLabel, occupancy: Sequence[int]) -> StateVector:
     return StateVector(space, amps)
 
 
-def banded_state(space: SpaceLabel, start: int, band: np.ndarray) -> StateVector:
-    """The state whose leading-subsystem rows start, start + 1, ... are the rows of ``band``, all else 0.
+def band_rows(space: SpaceLabel, start: int, band: np.ndarray) -> tuple[int, np.ndarray]:
+    """The leading-subsystem rows start, start + 1, ... of a state that is 0 elsewhere, for ``born_distribution``.
 
-    Only the band is checked by StateVector's norm rule: the zeros are written
-    here, so ``support`` is this function's fact and no caller's claim.
+    ``band`` is checked by StateVector's norm rule and widened with zero rows
+    to whole groups of _FOLD_ROWS rows (or to the last row), so the fold meets
+    it as it meets the dense state's rows: the marginal has the same bits.
+    Returns ``(first, rows)``, the rows read-only.
     """
     band = np.asarray(band, dtype=np.complex128)
     stop = check_count("start", start, 0) + len(band)
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    rows = amps.reshape(space.dims[0], -1)
-    if band.shape[1:] != rows.shape[1:] or stop > len(rows):
-        raise ValueError(f"band of shape {band.shape} from row {start} does not fit rows of shape {rows.shape}")
-    rows[start:stop] = band
-    amps.setflags(write=False)
-    _check_unit_norm(rows[start:stop])
-    state = object.__new__(StateVector)
-    vars(state).update(space=space, amplitudes=amps, support=(start, stop))
-    return state
+    shape = (space.dims[0], space.dim // space.dims[0])
+    if band.shape[1:] != shape[1:] or stop > shape[0]:
+        raise ValueError(f"band of shape {band.shape} from row {start} does not fit rows of shape {shape}")
+    _check_unit_norm(band)
+    first, end = start - start % _FOLD_ROWS, min(-(-stop // _FOLD_ROWS) * _FOLD_ROWS, shape[0])
+    rows = np.zeros((end - first,) + band.shape[1:], dtype=np.complex128)
+    rows[start - first : stop - first] = band
+    rows.setflags(write=False)
+    return first, rows
 
 
 def embed(op: Operator, target: str, space: SpaceLabel) -> Operator:
@@ -327,12 +327,9 @@ def born_distribution(state: StateVector, subsystems: Sequence[str]) -> dict:
     dims = state.space.dims
     kept_dims = [dims[i] for i in keep]
     drop = [i for i in range(len(dims)) if i not in keep]
-    amps = state.amplitudes.reshape(dims)
-    if state.support is not None and 0 in drop:
-        # the rows outside the support are 0; widened to whole groups of _FOLD_ROWS (or
-        # the last row), the rows read meet the fold as in the whole state: the same bits
-        start, stop = state.support
-        amps = amps[start - start % _FOLD_ROWS : min(-(-stop // _FOLD_ROWS) * _FOLD_ROWS, dims[0])]
+    rows = getattr(state, "rows", None)
+    # a state that holds ``rows`` (manybody.DickeState) holds all its weight on them
+    amps = rows.reshape((-1, *dims[1:])) if rows is not None and 0 in drop else state.amplitudes.reshape(dims)
     # kept axes last, in the requested order: a view when they already are
     # (the photon marginal), so |a|^2 is summed in one pass with no
     # state-sized temporary

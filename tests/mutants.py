@@ -113,15 +113,23 @@ MUTANTS = (
            'embed_single("atom", op.gate, PROTOCOL_SPACE)',
            'embed_single("atom", AtomRotation(op.matrix.conj()).gate, PROTOCOL_SPACE)',
            "tests/test_properties.py::test_compact_replay_matches_naive_on_random_sequences"),
-    # a banded state's marginal and its norm check; the bit-for-bit test
-    # against the whole state and the test of the band's last row pin them
-    Mutant("born_distribution's band sum one row short of the support", "qstate.py",
-           "min(-(-stop // _FOLD_ROWS) * _FOLD_ROWS, dims[0])]",
-           "min(-(-stop // _FOLD_ROWS) * _FOLD_ROWS, dims[0]) - 1]",
-           "tests/test_manybody.py::TestDickeSimulator::test_banded_marginal_is_the_whole_states_bit_for_bit"),
-    Mutant("banded_state's norm checked one row short of the band", "qstate.py",
-           "_check_unit_norm(rows[start:stop])", "_check_unit_norm(rows[start : stop - 1])",
+    # the Dicke state's forms: verify reads their dense amplitudes, so named
+    # tests pin the marginal of their rows, the band's norm check and
+    # widening, and the product's unit-norm read of its atom
+    Mutant("Dicke rows summed as |a| where |a|^2 belongs", "qstate.py",
+           "amps = rows.reshape((-1, *dims[1:]))", "amps = np.sqrt(abs(rows)).reshape((-1, *dims[1:]))",
+           "tests/test_manybody.py::TestDickeSimulator::test_catalog_at_a_billion_atoms_and_more_matches_the_compact_run"),
+    Mutant("dense product built from the atom at its own norm", "manybody.py",
+           "rows = np.outer(band, rows)",
+           "rows = np.outer(band * math.hypot(*map(abs, self.atom)) ** self.n_atoms, rows)",
+           "tests/test_manybody.py::TestDickeSimulator::test_product_form_reads_its_atom_at_unit_norm"),
+    Mutant("band_rows' norm checked one row short of the band", "qstate.py",
+           "_check_unit_norm(band)", "_check_unit_norm(band[:-1])",
            "tests/test_qstate.py::TestBandedState::test_band_is_checked_by_the_state_rule_to_its_last_row"),
+    Mutant("band_rows not widened to whole fold groups", "qstate.py",
+           "first, end = start - start % _FOLD_ROWS, min(-(-stop // _FOLD_ROWS) * _FOLD_ROWS, shape[0])",
+           "first, end = start, stop",
+           "tests/test_qstate.py::TestBandedState::test_marginal_is_the_whole_states_bit_for_bit"),
     # edits outside the kernels: verify's results do not move, so a named
     # test pins each
     Mutant("paper-mode weight reported as 1.0", "protocol.py",

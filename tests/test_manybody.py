@@ -8,9 +8,12 @@ from helpers import coherent_dicke_vector
 
 from djensemble import manybody
 from djensemble.ensemble import ATOM, PROTOCOL_SPACE, u_eff_exact
+from djensemble import checks, manybody
 from djensemble.manybody import (
+    DENSE_STATE_LIMIT,
     NAIVE_ATOM_LIMIT,
     AtomRotation,
+    DickeState,
     EnsembleEvolution,
     PhotonRotation,
     _evolution_block,
@@ -841,13 +844,15 @@ class TestDickeSimulator:
     )
     def test_coherent_rows_are_written_once(self, monkeypatch, n, ops):
         # the product state is written out at its first off-extreme medium
-        # step or at the end of the run, never both
+        # step or when its dense amplitudes are asked for, never both
         calls = []
         amplitudes = manybody.coherent_dicke_amplitudes
         monkeypatch.setattr(
             manybody, "coherent_dicke_amplitudes", lambda *a: (calls.append(a[1]), amplitudes(*a))[1]
         )
-        full_simulate_dicke(n, (0.0, 1.0), ops)
+        state = full_simulate_dicke(n, (0.0, 1.0), ops)
+        assert calls == ([] if state.atom is not None else [n])
+        state.amplitudes
         assert calls == [n]
 
     @pytest.mark.parametrize("fid", [f.id for f in table1_functions() if f.classification == "balanced"])
@@ -878,18 +883,93 @@ class TestDickeSimulator:
     @pytest.mark.parametrize(
         "n,atom,ops",
         [
-            (10**6, (0.0, 1.0), exact_operation_sequence(table1_function("f3"), math.pi / 2)),
             (10**5, (0.6, 0.8), [EnsembleEvolution(0.7), PhotonRotation(1, H1), EnsembleEvolution(-0.3)]),
             (6, (0.6, 0.8), [EnsembleEvolution(0.7), AtomRotation(H1), PhotonRotation(1, H1), EnsembleEvolution(0.7)]),
         ],
-        ids=["f3-at-a-million-atoms", "off-extreme-at-1e5-atoms", "padded-for-a-rotation-at-six-atoms"],
+        ids=["off-extreme-at-1e5-atoms", "padded-for-a-rotation-at-six-atoms"],
     )
     @pytest.mark.parametrize("names", [("photon1", "photon2"), ("photon2", "photon1"), ("photon2",)])
     def test_banded_marginal_is_the_whole_states_bit_for_bit(self, n, atom, ops, names):
         banded = full_simulate_dicke(n, atom, ops)
-        assert banded.support is not None
+        assert banded.atom is None
         whole = StateVector(banded.space, banded.amplitudes)
         assert born_distribution(banded, names) == born_distribution(whole, names)
+
+    def test_band_marginal_is_unchanged_on_the_random_check_sequences(self):
+        # verify's off-extreme sequences end in the band form; its marginal
+        # keeps the bits of the dense state's, which the banded state had
+        rng = np.random.default_rng(2011)
+        for n in (2, 3, 4, 5, 6, 2, 3, 4):
+            state = full_simulate_dicke(n, (0.0, 1.0), checks._random_off_extreme_sequence(rng))
+            assert state.atom is None
+            for names in (("photon1", "photon2"), ("photon2", "photon1"), ("photon1",)):
+                whole = StateVector(state.space, state.amplitudes)
+                assert born_distribution(state, names) == born_distribution(whole, names)
+
+    @pytest.mark.parametrize(
+        "n,atom,ops",
+        [
+            (10**6, (0.0, 1.0), exact_operation_sequence(table1_function("f3"), math.pi / 2)),
+            (1024, (0.6, 0.8j), [AtomRotation(H1), PhotonRotation(1, H1), PhotonRotation(2, H1)]),
+            (7, (0.0, 1.0), exact_operation_sequence(table1_function("f1"), math.pi / 2)),
+            (1, (1.0, 0.0), [PhotonRotation(1, H1), EnsembleEvolution(0.7), PhotonRotation(2, H1)]),
+        ],
+        ids=["f3-at-a-million-atoms", "rotated-at-1024-atoms", "f1-at-seven-atoms", "extreme-medium-at-one-atom"],
+    )
+    @pytest.mark.parametrize("names", [("photon1", "photon2"), ("photon2", "photon1"), ("photon2",)])
+    def test_product_marginal_is_its_dense_expansions(self, n, atom, ops, names):
+        # the product form is marginalized as |pair|^2; its dense expansion
+        # sums the coherent band's weights, 1 to rounding, against it
+        product = full_simulate_dicke(n, atom, ops)
+        assert product.atom is not None and product.rows.shape == (1, 4)
+        dist = born_distribution(product, names)
+        expanded = born_distribution(StateVector(product.space, product.amplitudes), names)
+        assert dist.keys() == expanded.keys()
+        assert max(abs(dist[k] - expanded[k]) for k in dist) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, NAIVE_ATOM_LIMIT + 1))
+    def test_product_marginal_matches_naive(self, n):
+        # with the atoms at an extreme the naive state has one nonzero row, so
+        # the two differ by the two medium kernels' rounding (1.1e-15 here);
+        # the catalog's atom rotations leave the naive replay itself up to
+        # 5.7e-15 off the compact run at N <= 12, the product form 6.7e-16
+        rng = np.random.default_rng([77, n])
+        cases = [(np.eye(2)[level], [PhotonRotation(1, random_su2(rng)), PhotonRotation(2, random_su2(rng)),
+                                     EnsembleEvolution(0.7), PhotonRotation(1, random_su2(rng))], 2e-15)
+                 for level in (0, 1)]
+        cases += [((0.0, 1.0), exact_operation_sequence(f, math.pi / 2), 1e-14) for f in table1_functions()]
+        for atom, ops, tol in cases:
+            product = full_simulate_dicke(n, atom, ops)
+            assert product.atom is not None
+            naive = born_distribution(full_simulate_naive(n, atom, ops), ("photon1", "photon2"))
+            dist = born_distribution(product, ("photon1", "photon2"))
+            assert max(abs(dist[k] - naive[k]) for k in naive) <= tol
+
+    @pytest.mark.parametrize("n", [10**9, 10**12])
+    def test_catalog_at_a_billion_atoms_and_more_matches_the_compact_run(self, n):
+        # every catalog medium step finds the atoms at an extreme, so the run
+        # ends as its product form and no row of the N + 1 is written
+        for f in table1_functions():
+            dicke = full_simulate_dicke(n, (0.0, 1.0), exact_operation_sequence(f, math.pi / 2))
+            assert dicke.atom is not None
+            marginal = born_distribution(dicke, ("photon1", "photon2"))
+            compact = run_protocol(f, "exact", math.pi / 2).distribution()
+            assert max(abs(marginal[k] - compact[k]) for k in compact) <= 1e-15, f.id
+
+    @pytest.mark.parametrize("n", [DENSE_STATE_LIMIT + 1, 10**9])
+    def test_dense_request_past_the_limit_names_n(self, n):
+        state = full_simulate_dicke(n, (0.0, 1.0), exact_operation_sequence(table1_function("f3"), math.pi / 2))
+        with pytest.raises(ValueError, match=f"^dense amplitudes requested for {n} atoms; limit is {DENSE_STATE_LIMIT}$"):
+            state.amplitudes
+
+    @pytest.mark.parametrize("c", [3.0, 1e-3])
+    def test_product_form_reads_its_atom_at_unit_norm(self, c):
+        # the dense amplitudes of a scaled atom are the unit atom's, at unit norm
+        pair = np.array([[0.6, 0.0, 0.0, 0.8j]])
+        unit = DickeState(6, 0, pair, np.array([0.6, 0.8j]))
+        scaled = DickeState(6, 0, pair, c * np.array([0.6, 0.8j]))
+        np.testing.assert_allclose(scaled.amplitudes, unit.amplitudes, rtol=0.0, atol=1e-14)
+        assert abs(np.vdot(scaled.amplitudes, scaled.amplitudes).real - 1.0) <= 1e-14
 
     def test_rotation_pads_the_band_at_its_excitation_numbers(self, monkeypatch):
         # near the primed extreme the band is the top few dozen of 1001 rows;
@@ -931,27 +1011,28 @@ class TestDickeSimulator:
         assert sum(born_distribution(out, ("photon1", "photon2")).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_medium_step_memory_stays_near_the_state(self):
-        # the medium step itself must add only block-sized temporaries: at
-        # N = 3e5 one 2^16-row block is 22% of the state and the peak reads
-        # 1.36x, where one state-sized temporary would read 2x or more
+        # the medium step works on the band's rows alone: at N = 3e5 the
+        # 28,960 band rows fit one 2^16-row block and the run peaks at 0.28x
+        # the dense N + 1 rows, which are built only when asked for, after it
         tracemalloc.start()
         try:
             out = full_simulate_dicke(3 * 10**5, (0.6, 0.8), [EnsembleEvolution(0.3)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * out.amplitudes.nbytes
+        assert peak <= 0.5 * out.amplitudes.nbytes
 
     def test_result_takes_the_run_array_without_a_copy(self):
-        # at N = 10^6 a 4 MB row block is small beside the 64 MB state, so a
-        # copy of the state at the hand-off would show as a peak near 2x
+        # the result takes the band's rows, widened by band_rows, and no
+        # dense array: at N = 10^6 the run peaks at 0.15x the 64 MB dense
+        # rows, where writing them during the run would read 1x or more
         tracemalloc.start()
         try:
             out = full_simulate_dicke(10**6, (0.6, 0.8), [EnsembleEvolution(0.3)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * out.amplitudes.nbytes
+        assert peak <= 0.5 * out.amplitudes.nbytes
 
     def test_result_is_read_only(self):
         out = full_simulate_dicke(5, (0.6, 0.8), [EnsembleEvolution(0.3), AtomRotation(H1)])

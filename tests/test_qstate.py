@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import equal_up_to_global_phase
 
+from djensemble.manybody import DickeState, dicke_space
 from djensemble.qstate import (
     _FOLD_ROWS,
     _SHOT_BLOCK,
@@ -14,7 +15,6 @@ from djensemble.qstate import (
     StateVector,
     _padded_operator,
     _padding_identity,
-    banded_state,
     basis_state,
     born_distribution,
     embed,
@@ -173,7 +173,8 @@ class TestStateVector:
 
 
 class TestBandedState:
-    SPACE = SpaceLabel((("atoms", 3 * _FOLD_ROWS + 5), ("photon1", 2), ("photon2", 2)))
+    N_ATOMS = 3 * _FOLD_ROWS + 4
+    SPACE = dicke_space(N_ATOMS)
 
     def band(self, start, length, seed=0):
         rng = np.random.default_rng([seed, start, length])
@@ -181,16 +182,19 @@ class TestBandedState:
         return band / np.linalg.norm(band)
 
     def test_band_is_written_into_frozen_zeros(self):
+        # the rows widen to whole fold groups; the dense amplitudes, built on
+        # request, hold the band and zeros
         band = self.band(40, 7)
-        state = banded_state(self.SPACE, 40, band)
+        state = DickeState(self.N_ATOMS, 40, band)
+        assert (state.first, len(state.rows)) == (32, 32) and not state.rows.flags.writeable
         rows = state.amplitudes.reshape(-1, 4)
-        assert state.support == (40, 47)
         assert np.array_equal(rows[40:47], band) and not rows[:40].any() and not rows[47:].any()
         assert not state.amplitudes.flags.writeable and state.amplitudes.flags.owndata
 
     def test_public_constructions_have_no_support(self):
-        assert basis_state(QUBIT_A, (0,)).support is None
-        assert StateVector(QUBIT_A, [0.6, 0.8]).support is None
+        # a band is held by the state that holds it, never flagged on a dense state
+        assert not hasattr(basis_state(QUBIT_A, (0,)), "support")
+        assert not hasattr(StateVector(QUBIT_A, [0.6, 0.8]), "support")
 
     def test_support_is_not_an_argument(self):
         with pytest.raises(TypeError, match="support"):
@@ -207,7 +211,7 @@ class TestBandedState:
     def test_band_is_checked_by_the_state_rule_to_its_last_row(self, last_row, message):
         band = np.vstack([self.band(3, 2), [last_row]])
         with pytest.raises(ValueError, match=message) as banded:
-            banded_state(self.SPACE, 3, band)
+            DickeState(self.N_ATOMS, 3, band)
         whole = np.zeros((self.SPACE.dims[0], 4), dtype=complex)
         whole[3:6] = band
         with pytest.raises(ValueError) as dense:
@@ -217,7 +221,7 @@ class TestBandedState:
     @pytest.mark.parametrize("start, shape", [(-1, (2, 4)), (3 * _FOLD_ROWS + 4, (2, 4)), (0, (2, 2))])
     def test_band_must_fit_the_rows(self, start, shape):
         with pytest.raises(ValueError):
-            banded_state(self.SPACE, start, np.full(shape, 0.5))
+            DickeState(self.N_ATOMS, start, np.full(shape, 0.5))
 
     @pytest.mark.parametrize(
         "start, length", [(0, 1), (0, 3 * _FOLD_ROWS + 5), (5, 3), (31, 2), (33, _FOLD_ROWS), (36, 2 * _FOLD_ROWS + 1)]
@@ -227,18 +231,27 @@ class TestBandedState:
         [order for k in (1, 2, 3) for order in itertools.permutations(("atoms", "photon1", "photon2"), k)],
     )
     def test_marginal_is_the_whole_states_bit_for_bit(self, start, length, names):
-        state = banded_state(self.SPACE, start, self.band(start, length))
+        state = DickeState(self.N_ATOMS, start, self.band(start, length))
         whole = StateVector(self.SPACE, state.amplitudes)
         assert born_distribution(state, names) == born_distribution(whole, names)
 
+    @pytest.mark.parametrize(
+        "start, length, widened", [(40, 7, (32, 32)), (40, 31, (32, 64)), (70, 31, (64, 37)), (0, 1, (0, 32))]
+    )
+    def test_band_widens_to_whole_fold_groups_or_the_last_row(self, start, length, widened):
+        state = DickeState(self.N_ATOMS, start, self.band(start, length))
+        assert (state.first, len(state.rows)) == widened
+
     def test_marginal_reads_the_support_widened_to_whole_fold_groups_only(self):
-        # a support that is not the truth shows which rows are summed:
-        # rows 40..46 widen to 32..63 and miss the weight on rows 10 and 70;
-        # rows 40..70 widen to 32..95 and see row 70's
-        state = banded_state(self.SPACE, 10, np.vstack([[[0.6, 0, 0, 0]], np.zeros((59, 4)), [[0, 0, 0.8, 0]]]))
-        vars(state)["support"] = (40, 47)
+        # rows 10..70 widen to 0..95; rows that are not the truth show which
+        # are summed: rows 32..63 miss the weight on rows 10 and 70, and rows
+        # 64..95 see row 70's
+        state = DickeState(self.N_ATOMS, 10, np.vstack([[[0.6, 0, 0, 0]], np.zeros((59, 4)), [[0, 0, 0.8, 0]]]))
+        assert (state.first, len(state.rows)) == (0, 96)
+        rows = state.rows
+        vars(state)["rows"] = rows[32:64]
         assert set(born_distribution(state, ("photon1", "photon2")).values()) == {0.0}
-        vars(state)["support"] = (40, 71)
+        vars(state)["rows"] = rows[64:96]
         assert born_distribution(state, ("photon1", "photon2")) == {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.8**2, (1, 1): 0.0}
 
 
