@@ -177,7 +177,7 @@ def u_eff_paper() -> PaperPolarizerMap:
     return PaperPolarizerMap()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasesClaimReport:
     """Consistency audit of the declared rewrite against the exact unitary at the quarter turn.
 

@@ -3,8 +3,9 @@
 ``full_simulate_naive`` evolves the unreduced product space of N two-level
 atoms plus both photons and is the ground truth for everything else; it is
 capped at 12 atoms. ``full_simulate_dicke`` reproduces the same physics on
-the permutation-symmetric sector at O(N) cost in the atomic dimension, which
-is what makes the protocol runnable at realistic atom numbers.
+the permutation-symmetric sector, where a product state costs O(1) and a
+coherent band about 110 sqrt(N p q) rows, which is what makes the protocol
+runnable at realistic atom numbers.
 
 Both simulators consume the same small operation vocabulary (per-atom
 rotation, medium evolution, single-photon rotation), so a protocol sequence
@@ -66,12 +67,12 @@ def _atom_start(atom_init) -> np.ndarray:
     return StateVector(ATOM, atom_init).amplitudes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomRotation:
     """The same single-atom unitary applied to every atom; ``gate`` is its Operator, checked once, here."""
 
     matrix: np.ndarray
-    gate: Operator = field(init=False, repr=False, compare=False)
+    gate: Operator = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gate", Operator(ATOM, self.matrix))
@@ -88,15 +89,15 @@ class EnsembleEvolution:
         check_real("theta", self.theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhotonRotation:
     """A 2x2 polarization rotation on photon 1 or 2; ``gate`` is its Operator, checked once, here."""
 
     photon: int
     matrix: np.ndarray
     # derived once, at construction: the checked gate and its read-only 4x4 gate on |p1 p2>
-    gate: Operator = field(init=False, repr=False, compare=False)
-    pair: np.ndarray = field(init=False, repr=False, compare=False)
+    gate: Operator = field(init=False, repr=False)
+    pair: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if check_count("photon", self.photon) > 2:
@@ -494,7 +495,7 @@ def dicke_space(n_atoms: int) -> SpaceLabel:
     return SpaceLabel((("atoms", n_atoms + 1), ("photon1", 2), ("photon2", 2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DickeState:
     """A symmetric-sector state of N atoms and both photons, in one of two forms.
 

@@ -1,14 +1,10 @@
 """Dense complex linear algebra on small labeled tensor-product spaces.
 
-Everything here is immutable: amplitude and matrix arrays are copied on
-construction and marked read-only, so all operations are pure functions and
-values can be shared freely across threads. One input is taken without a
-copy: a C-contiguous complex128 ndarray that owns its data and is already
-read-only. Views of it are read-only too and no writable owner stands
-behind it, so a caller that froze its own array has handed it over and
-sharing it is as safe as a copy, as with an ``AtomRotation`` built from
-another's matrix. Every other input, a read-only view of a writable array
-included, is copied. ``born_distribution`` marginalizes a state that holds
+Everything here is immutable: every amplitude and matrix input is copied on
+construction and the copy marked read-only, so a value owns its arrays, no
+caller can write to them after the check, all operations are pure functions
+and values can be shared freely across threads. Values that hold arrays
+compare by identity. ``born_distribution`` marginalizes a state that holds
 ``rows`` (``manybody.DickeState``) over its leading subsystem from those rows
 alone; ``band_rows`` checks a band of them and widens it to whole fold
 groups, so that a band's marginal has the bits of its dense amplitudes'.
@@ -55,34 +51,11 @@ _SHOT_BLOCK = 1 << 20
 # the fold by 7.8e-16 (2.8e-15, 4.4e-16 at N = 10^6); 8 to 512 run at one speed.
 _FOLD_ROWS = 32
 
-__all__ = [
-    "CONSTRUCTION_ATOL",
-    "SpaceLabel",
-    "StateVector",
-    "Operator",
-    "basis_state",
-    "band_rows",
-    "embed",
-    "expm_hermitian",
-    "check_real",
-    "check_positive",
-    "check_count",
-    "born_distribution",
-    "sample_shots",
-]
-
 
 def _frozen_complex(values) -> np.ndarray:
-    """A read-only complex128 array no caller can write: a frozen owner as is, else a copy."""
-    frozen_owner = (
-        type(values) is np.ndarray
-        and not values.flags.writeable
-        and values.flags.owndata
-        and values.flags.c_contiguous
-        and values.dtype == np.complex128
-    )
+    """A read-only complex128 copy of ``values``."""
     try:
-        arr = values if frozen_owner else np.array(values, dtype=np.complex128)
+        arr = np.array(values, dtype=np.complex128)
     except OverflowError as exc:  # an int past the float range
         raise ValueError(f"entries must be finite: {exc}") from None
     arr.setflags(write=False)
@@ -154,7 +127,7 @@ class SpaceLabel:
         raise ValueError(f"unknown subsystem {name!r}; have {self.names}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit-norm complex amplitude vector over a labeled space, in row-major subsystem order."""
 
@@ -183,7 +156,7 @@ def _check_unit_norm(amps: np.ndarray) -> None:
         raise ValueError(f"state must be normalized but <psi|psi> = {norm2!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """Dense unitary matrix over a labeled space, checked at construction."""
 

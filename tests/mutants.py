@@ -130,8 +130,19 @@ MUTANTS = (
            "first, end = start - start % _FOLD_ROWS, min(-(-stop // _FOLD_ROWS) * _FOLD_ROWS, shape[0])",
            "first, end = start, stop",
            "tests/test_qstate.py::TestBandedState::test_marginal_is_the_whole_states_bit_for_bit"),
+    # the medium step's blocks: the default block holds every band that
+    # verify and the catalog build, so a test shrinks it to 7 rows
+    Mutant("medium-step block offsets dropped", "manybody.py",
+           "np.arange(first + lo, first + lo + len(block))", "np.arange(first, first + len(block))",
+           "tests/test_manybody.py::TestDickeSimulator::test_medium_step_blocks_phase_their_own_rows"),
     # edits outside the kernels: verify's results do not move, so a named
     # test pins each
+    Mutant("frozen owner shared again", "qstate.py",
+           "arr = np.array(values, dtype=np.complex128)",
+           "arr = values if (type(values) is np.ndarray and not values.flags.writeable and values.flags.owndata\n"
+           "                      and values.flags.c_contiguous and values.dtype == np.complex128)"
+           " else np.array(values, dtype=np.complex128)",
+           "tests/test_qstate.py::TestStateVector::test_frozen_owner_is_copied"),
     Mutant("paper-mode weight reported as 1.0", "protocol.py",
            "post_selection = result.post_selection_probability", "post_selection = 1.0",
            "tests/test_protocol.py::TestPaperModeTraces::test_post_selection_is_the_maps_weight"),

@@ -343,6 +343,11 @@ class TestPhasesClaim:
         report = check_phases_claim()
         np.testing.assert_allclose(report.singular_values, [[2.0, 0.0, 0.0, 0.0]] * 2, atol=1e-12)
 
+    def test_equality_is_identity(self):
+        report = check_phases_claim()
+        assert report == report and report != check_phases_claim()
+        assert hash(report) == hash(report)
+
     def test_quarter_turn_rule(self):
         assert is_quarter_turn(math.pi / 2) and is_quarter_turn(math.pi / 2 + 1e-10)
         for theta in (math.pi / 2 + 2e-9, 0.0, -math.pi / 2, math.nan, math.inf, -math.inf):

@@ -159,10 +159,21 @@ class TestStateVector:
         owner[0] = 0.0
         assert state.amplitudes[0] == 1.0
 
-    def test_frozen_owner_is_taken_without_a_copy(self):
+    def test_frozen_owner_is_copied(self):
+        # numpy lets an array that owns its data turn writing back on, so a
+        # frozen owner is no promise that the caller will not write to it
         amps = np.array([0.6, 0.8j], dtype=np.complex128)
         amps.setflags(write=False)
-        assert np.shares_memory(StateVector(QUBIT_A, amps).amplitudes, amps)
+        state = StateVector(QUBIT_A, amps)
+        amps.setflags(write=True)
+        amps[:] = [5.0, 7.0]
+        assert state.amplitudes.tolist() == [0.6, 0.8j]
+        assert born_distribution(state, ("a",)) == pytest.approx({(0,): 0.36, (1,): 0.64}, abs=1e-15)
+
+    def test_equality_is_identity(self):
+        state = StateVector(QUBIT_A, [0.6, 0.8j])
+        assert state == state and state != StateVector(QUBIT_A, [0.6, 0.8j])
+        assert hash(state) == hash(state)
 
     def test_frozen_owner_is_still_checked(self):
         for amps, message in (([np.nan, 0.0], "finite"), ([1.0, 1.0], "normalized")):
@@ -279,6 +290,20 @@ class TestOperator:
         other = SpaceLabel((("b", 2),))
         with pytest.raises(ValueError, match="^operators live on different spaces$"):
             Operator(QUBIT_A, np.eye(2)) @ Operator(other, np.eye(2))
+
+    def test_frozen_owner_is_copied(self):
+        u = np.eye(2, dtype=np.complex128)
+        u.setflags(write=False)
+        op = Operator(QUBIT_A, u)
+        u.setflags(write=True)
+        u[:] = [[5.0, 7.0], [7.0, 5.0]]
+        np.testing.assert_array_equal(op.matrix, np.eye(2))
+        assert not op.matrix.flags.writeable
+
+    def test_equality_is_identity(self):
+        op = Operator(QUBIT_A, np.eye(2))
+        assert op == op and op != Operator(QUBIT_A, np.eye(2))
+        assert hash(op) == hash(op)
 
     def test_norm_changing_apply_raises(self):
         # states have unit norm by construction, so an operator that changes
