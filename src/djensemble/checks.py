@@ -197,8 +197,8 @@ def check_reference_circuit() -> tuple:
 
 
 def check_sampling() -> tuple:
-    counts_a = sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=99)
-    counts_b = sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=99)
+    (counts_a,) = sample_shots([{0: 0.5, 1: 0.5}], 10_000, seed=99)
+    (counts_b,) = sample_shots([{0: 0.5, 1: 0.5}], 10_000, seed=99)
     ok = counts_a == counts_b and abs(counts_a[0] - 5000) <= 150
     return ok, float(abs(counts_a[0] - 5000)), "3-sigma window and bit reproducibility"
 

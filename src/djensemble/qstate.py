@@ -323,33 +323,46 @@ def born_distribution(state: StateVector, subsystems: Sequence[str]) -> dict:
     return {outcome: float(p) for outcome, p in zip(outcomes, probs)}
 
 
-def sample_shots(dist: Mapping, shots: int, seed: int) -> dict:
-    """Draw ``shots`` outcomes from a probability table, reproducibly.
-
-    Counter-based rule: the seed keys one Philox stream
-    (``Generator(Philox(SeedSequence(seed)))``), and shot i reads the i-th
-    ``random()`` double of that stream against the cumulative table. Shot i
-    is a pure function of (seed, i), so the counts do not depend on
-    evaluation order or on the block size used to bound memory, and the
-    first k shots of a larger draw are exactly the k-shot draw. Counting the
-    uniforms below each table entry costs O(K * shots) for K outcomes.
-    """
-    shots = check_count("shots", shots)
-    seed = check_count("seed", seed, 0)
+def _cumulative_table(dist: Mapping) -> tuple[list, np.ndarray]:
+    """A table's outcomes and its cumulative sums before its last non-zero entry."""
     outcomes = list(dist.keys())
     p = np.array([float(dist[o]) for o in outcomes])
     if p.size == 0 or np.any(p < -1e-12) or not abs(p.sum() - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("malformed distribution: probabilities must be >= 0 and sum to 1")
     p = np.clip(p, 0.0, None)
-    cdf = np.cumsum(p / p.sum())
     # Close the table at the last non-zero entry, so a rounding gap below 1
     # never falls to a trailing zero-probability outcome: every shot is below it.
-    last = int(np.flatnonzero(p)[-1])
+    return outcomes, np.cumsum(p / p.sum())[: int(np.flatnonzero(p)[-1])]
+
+
+def sample_shots(dists: Sequence[Mapping], shots: int, seed: int) -> list[dict]:
+    """Draw ``shots`` outcomes from each probability table, reproducibly.
+
+    Counter-based rule: the seed keys one Philox stream
+    (``Generator(Philox(SeedSequence(seed)))``), and shot i of every table
+    reads the i-th ``random()`` double of that stream against the table's
+    cumulative sums. Shot i is a pure function of (seed, i), so a table's
+    counts do not depend on the tables beside it, on evaluation order or on
+    the block size used to bound memory, and the first k shots of a larger
+    draw are exactly the k-shot draw. Every table is checked before the
+    first draw. A call costs one pass over the stream plus O(K * shots) per
+    table of K outcomes, for counting the uniforms below each entry. Returns
+    one count dict per table, in order.
+    """
+    if isinstance(dists, Mapping) or not isinstance(dists, Sequence):
+        raise TypeError(f"dists must be a sequence of probability tables, got {type(dists).__name__}")
+    shots = check_count("shots", shots)
+    seed = check_count("seed", seed, 0)
+    tables = [_cumulative_table(dist) for dist in dists]
+    below = [np.zeros(len(cdf), dtype=np.int64) for _, cdf in tables]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    below = np.zeros(last, dtype=np.int64)
     for start in range(0, shots, _SHOT_BLOCK):
         u = rng.random(min(_SHOT_BLOCK, shots - start))
-        for k in range(last):
-            below[k] += np.count_nonzero(u < cdf[k])
-    totals = np.diff(below, prepend=0, append=[shots] * (len(outcomes) - last))
-    return {o: int(n) for o, n in zip(outcomes, totals)}
+        for (_, cdf), counts in zip(tables, below):
+            for k, edge in enumerate(cdf):
+                counts[k] += np.count_nonzero(u < edge)
+    results = []
+    for (outcomes, _), counts in zip(tables, below):
+        totals = np.diff(counts, prepend=0, append=[shots] * (len(outcomes) - len(counts)))
+        results.append({o: int(n) for o, n in zip(outcomes, totals)})
+    return results

@@ -135,6 +135,14 @@ MUTANTS = (
     Mutant("medium-step block offsets dropped", "manybody.py",
            "np.arange(first + lo, first + lo + len(block))", "np.arange(first, first + len(block))",
            "tests/test_manybody.py::TestDickeSimulator::test_medium_step_blocks_phase_their_own_rows"),
+    # verify samples one table, so only a call with several tables shows
+    # a table that reads its own stretch of the stream
+    Mutant("each table reads the next block of the stream", "qstate.py",
+           "        u = rng.random(min(_SHOT_BLOCK, shots - start))\n"
+           "        for (_, cdf), counts in zip(tables, below):\n",
+           "        for (_, cdf), counts in zip(tables, below):\n"
+           "            u = rng.random(min(_SHOT_BLOCK, shots - start))\n",
+           "tests/test_qstate.py::TestSampleShots::test_each_table_counts_as_its_own_call"),
     # edits outside the kernels: verify's results do not move, so a named
     # test pins each
     Mutant("frozen owner shared again", "qstate.py",

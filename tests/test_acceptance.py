@@ -245,8 +245,8 @@ def test_11_reference_circuit():
 
 
 def test_12_sampling_statistics():
-    counts_a = sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=2024)
-    counts_b = sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=2024)
+    (counts_a,) = sample_shots([{0: 0.5, 1: 0.5}], 10_000, seed=2024)
+    (counts_b,) = sample_shots([{0: 0.5, 1: 0.5}], 10_000, seed=2024)
     three_sigma = 3 * math.sqrt(10_000 * 0.25)
     ok = counts_a == counts_b and abs(counts_a[0] - 5000) <= three_sigma
     report(

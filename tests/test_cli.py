@@ -16,6 +16,7 @@ import djensemble
 from djensemble import cli
 from djensemble.cli import MAX_SHOTS, main
 from djensemble.protocol import MODES
+from djensemble.qstate import sample_shots
 
 
 def read_report(path):
@@ -574,6 +575,37 @@ class TestGoldenCounts:
         constant = {"00": 0, "01": 0, "10": 0, "11": 1000}
         balanced = {"00": 278, "01": 214, "10": 274, "11": 234}
         assert counts == {f"f{i}": constant if i <= 2 else balanced for i in range(1, 9)}
+
+
+class TestOneDrawPerCommand:
+    """A command draws the seed's stream once for all its functions, and each entry is its own command's."""
+
+    SAMPLED = ["--shots", "1000", "--seed", "5"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("command", ["sample", "run"])
+    def test_each_entry_equals_its_own_command(self, tmp_path, capsys, command, mode):
+        def results(function):
+            out = tmp_path / f"{function}.json"
+            assert main([command, *self.SAMPLED, "--function", function, "--mode", mode, "--out", str(out)]) == 0
+            return read_report(out)["results"]
+
+        every = results("all")
+        assert [e["function"] for e in every] == [f"f{i}" for i in range(1, 9)]
+        for e in every:
+            assert results(e["function"]) == [e]
+
+    @pytest.mark.parametrize("command", ["sample", "run"])
+    def test_one_sampler_call_for_every_function(self, monkeypatch, capsys, command):
+        calls = []
+
+        def counted(dists, shots, seed):
+            calls.append(len(dists))
+            return sample_shots(dists, shots, seed)
+
+        monkeypatch.setattr(cli, "sample_shots", counted)
+        assert main([command, *self.SAMPLED, "--function", "all"]) == 0
+        assert calls == [8]
 
 
 class TestShotsOption:

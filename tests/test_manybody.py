@@ -1056,7 +1056,7 @@ class TestDickeSimulator:
         expected = list(born_distribution(whole, names).values())
         np.testing.assert_allclose(list(born_distribution(blocked, names).values()), expected, rtol=0, atol=1e-15)
 
-    def test_result_takes_the_run_array_without_a_copy(self):
+    def test_replay_peak_memory_stays_below_the_dense_rows(self):
         # the result takes the band's rows, widened by band_rows, and no
         # dense array: at N = 10^6 the run peaks at 0.15x the 64 MB dense
         # rows, where writing them during the run would read 1x or more

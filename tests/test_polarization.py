@@ -249,14 +249,14 @@ class TestSourceAndDetection:
         state = StateVector(self.TWO_PHOTONS, np.array([0.0, 1.0, 0.0, 0.0]))  # |0,1>
         dist = born_distribution(state, ("photon1", "photon2"))
         assert dist[(0, 1)] == pytest.approx(1.0)
-        assert sample_shots(dist, 1, seed=5)[(0, 1)] == 1
+        assert sample_shots([dist], 1, seed=5)[0][(0, 1)] == 1
         assert clicks_for_pattern((0, 1)) == ("HD1", "VD2")
 
     def test_detect_product_superposition(self):
         plus = np.array([1.0, 1.0]) / SQRT2
         dist = born_distribution(StateVector(self.TWO_PHOTONS, np.kron(plus, [1.0, 0.0])), ("photon1", "photon2"))
         assert dist[(0, 0)] == pytest.approx(0.5)
-        counts = sample_shots(dist, 30, seed=0)
+        (counts,) = sample_shots([dist], 30, seed=0)
         # photon 2 is horizontal with certainty; photon 1 shows both outcomes
         assert counts[(0, 1)] == counts[(1, 1)] == 0
         assert counts[(0, 0)] > 0 and counts[(1, 0)] > 0
@@ -269,4 +269,4 @@ class TestSourceAndDetection:
     def test_detect_same_seed_reproducible(self):
         plus = np.array([1.0, 1.0]) / SQRT2
         dist = born_distribution(StateVector(self.TWO_PHOTONS, np.kron(plus, plus)), ("photon1", "photon2"))
-        assert sample_shots(dist, 1, seed=123) == sample_shots(dist, 1, seed=123)
+        assert sample_shots([dist], 1, seed=123)[0] == sample_shots([dist], 1, seed=123)[0]

@@ -506,12 +506,12 @@ class TestDetection:
 
     def test_f7_coincidence_clicks(self):
         trace = run_protocol(table1_function("f7"), "paper", THETA)
-        assert sample_shots(trace.distribution(), 5, seed=0)[(0, 0)] == 5
+        assert sample_shots([trace.distribution()], 5, seed=0)[0][(0, 0)] == 5
         assert clicks_for_pattern((0, 0)) == ("HD1", "HD2")
 
     def test_f1_coincidence_clicks(self):
         trace = run_protocol(table1_function("f1"), "exact", THETA)
-        assert sample_shots(trace.distribution(), 1, seed=9)[(1, 1)] == 1
+        assert sample_shots([trace.distribution()], 1, seed=9)[0][(1, 1)] == 1
         assert clicks_for_pattern((1, 1)) == ("VD1", "VD2")
 
 

@@ -579,31 +579,31 @@ class TestBornDistribution:
 
 class TestSampleShots:
     def test_deterministic_distribution(self):
-        assert sample_shots({"A": 1.0}, 100, seed=1) == {"A": 100}
+        assert sample_shots([{"A": 1.0}], 100, seed=1)[0] == {"A": 100}
 
     def test_counts_sum_to_shots(self):
-        counts = sample_shots({0: 0.25, 1: 0.75}, 500, seed=2)
+        (counts,) = sample_shots([{0: 0.25, 1: 0.75}], 500, seed=2)
         assert sum(counts.values()) == 500
 
     def test_binomial_three_sigma(self):
-        counts = sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=42)
+        (counts,) = sample_shots([{0: 0.5, 1: 0.5}], 10_000, seed=42)
         assert abs(counts[0] - 5000) <= 3 * 50
 
     def test_same_seed_reproduces(self):
-        a = sample_shots({0: 0.3, 1: 0.7}, 2000, seed=7)
-        b = sample_shots({0: 0.3, 1: 0.7}, 2000, seed=7)
+        (a,) = sample_shots([{0: 0.3, 1: 0.7}], 2000, seed=7)
+        (b,) = sample_shots([{0: 0.3, 1: 0.7}], 2000, seed=7)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = sample_shots({0: 0.5, 1: 0.5}, 2000, seed=1)
-        b = sample_shots({0: 0.5, 1: 0.5}, 2000, seed=2)
+        (a,) = sample_shots([{0: 0.5, 1: 0.5}], 2000, seed=1)
+        (b,) = sample_shots([{0: 0.5, 1: 0.5}], 2000, seed=2)
         assert a != b
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            sample_shots({0: 0.5, 1: 0.5}, 0, seed=1)
+            sample_shots([{0: 0.5, 1: 0.5}], 0, seed=1)
         with pytest.raises(ValueError, match="malformed"):
-            sample_shots({0: 0.5, 1: 0.6}, 10, seed=1)
+            sample_shots([{0: 0.5, 1: 0.6}], 10, seed=1)
 
     @pytest.mark.parametrize(
         "shots,seed,message",
@@ -616,35 +616,35 @@ class TestSampleShots:
     def test_shot_count_and_seed_are_named(self, shots, seed, message):
         # 5.5 shots drew 5, and seed 3.9 drew seed 3's counts
         with pytest.raises(ValueError, match=message):
-            sample_shots({0: 0.5, 1: 0.5}, shots, seed)
+            sample_shots([{0: 0.5, 1: 0.5}], shots, seed)
 
     def test_numpy_integer_shots_and_seed_accepted(self):
-        assert sample_shots({0: 0.5, 1: 0.5}, np.int64(100), np.uint32(7)) == sample_shots({0: 0.5, 1: 0.5}, 100, 7)
+        assert sample_shots([{0: 0.5, 1: 0.5}], np.int64(100), np.uint32(7))[0] == sample_shots([{0: 0.5, 1: 0.5}], 100, 7)[0]
 
     @pytest.mark.parametrize("table", [{0: math.nan, 1: 1.0}, {0: 1.0, 1: math.nan}, {0: 0.5, 1: math.nan, 2: 0.5}])
     def test_nan_table_rejected(self, table):
         with pytest.raises(ValueError, match="malformed"):
-            sample_shots(table, 10, seed=1)
+            sample_shots([table], 10, seed=1)
 
     def test_prefix_property(self):
         # Shot i depends only on (seed, i): a shorter draw is a prefix of a
         # longer one, also across a block boundary.
         dist = {"a": 0.2, "b": 0.3, "c": 0.5}
-        longer = sample_shots(dist, _SHOT_BLOCK + 3, seed=11)
+        (longer,) = sample_shots([dist], _SHOT_BLOCK + 3, seed=11)
         for k in (1, 1000, _SHOT_BLOCK - 5, _SHOT_BLOCK + 1):
-            shorter = sample_shots(dist, k, seed=11)
+            (shorter,) = sample_shots([dist], k, seed=11)
             assert all(shorter[o] <= longer[o] for o in dist)
 
     def test_multi_block_counts_sum_to_shots(self):
         shots = 2 * _SHOT_BLOCK + 7
-        counts = sample_shots({0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, shots, seed=5)
+        (counts,) = sample_shots([{0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}], shots, seed=5)
         assert sum(counts.values()) == shots
         assert all(isinstance(n, int) for n in counts.values())
 
     @pytest.mark.parametrize("zero", [0, 2, 4])
     def test_zero_probability_never_drawn(self, zero):
         dist = {i: (0.0 if i == zero else 0.25) for i in range(5)}
-        counts = sample_shots(dist, 100_000, seed=8)
+        (counts,) = sample_shots([dist], 100_000, seed=8)
         assert counts[zero] == 0
         assert sum(counts.values()) == 100_000
 
@@ -652,14 +652,14 @@ class TestSampleShots:
         block_bytes = _SHOT_BLOCK * np.dtype(np.float64).itemsize
         tracemalloc.start()
         try:
-            sample_shots({0: 0.25, 1: 0.75}, 3 * _SHOT_BLOCK + 7, seed=3)
+            sample_shots([{0: 0.25, 1: 0.75}], 3 * _SHOT_BLOCK + 7, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 4 * block_bytes
 
     def test_pinned_counts(self):
-        assert sample_shots({0: 0.5, 1: 0.5}, 10_000, seed=42) == {0: 5017, 1: 4983}
+        assert sample_shots([{0: 0.5, 1: 0.5}], 10_000, seed=42)[0] == {0: 5017, 1: 4983}
 
     @staticmethod
     def _searchsorted_reference(dist, shots, seed):
@@ -676,9 +676,9 @@ class TestSampleShots:
         return {o: int(n) for o, n in zip(outcomes, totals)}
 
     @staticmethod
-    def _random_table(rng):
-        """A table with exact zeros, 1e-33 entries and, often, trailing zeros."""
-        k = int(rng.integers(1, 9))
+    def _random_table(rng, least=1):
+        """A table of ``least`` to 8 outcomes with exact zeros, 1e-33 entries and, often, trailing zeros."""
+        k = int(rng.integers(least, 9))
         p = rng.random(k) ** 3
         kind = rng.integers(0, 4, size=k)
         p[kind == 0] = 0.0
@@ -694,13 +694,39 @@ class TestSampleShots:
         for _ in range(300):
             dist = self._random_table(rng)
             shots, seed = int(rng.integers(1, 3000)), int(rng.integers(0, 2**32))
-            assert sample_shots(dist, shots, seed) == self._searchsorted_reference(dist, shots, seed), dist
+            assert sample_shots([dist], shots, seed)[0] == self._searchsorted_reference(dist, shots, seed), dist
 
     @pytest.mark.parametrize("shots", [_SHOT_BLOCK - 1, _SHOT_BLOCK, _SHOT_BLOCK + 1, 2 * _SHOT_BLOCK + 5])
     def test_counts_equal_the_reference_across_blocks(self, shots):
         rng = np.random.default_rng(shots)
         dist = self._random_table(rng)
-        assert sample_shots(dist, shots, 77) == self._searchsorted_reference(dist, shots, 77)
+        assert sample_shots([dist], shots, 77)[0] == self._searchsorted_reference(dist, shots, 77)
+
+    @pytest.mark.parametrize("shots", [1, 10_000, _SHOT_BLOCK - 1, _SHOT_BLOCK + 1])
+    def test_each_table_counts_as_its_own_call(self, shots):
+        # every table reads shot i from the i-th uniform, so the tables beside
+        # it and their order leave its counts as they are alone
+        rng = np.random.default_rng(shots + 3)
+        dists = [self._random_table(rng, least=2) for _ in range(5)]
+        alone = [sample_shots([dist], shots, 21)[0] for dist in dists]
+        assert sample_shots(dists, shots, 21) == alone
+        for _ in range(3):
+            order = rng.permutation(len(dists))
+            assert sample_shots([dists[i] for i in order], shots, 21) == [alone[i] for i in order]
+
+    @pytest.mark.parametrize("dists", [{0: 0.5, 1: 0.5}, {}], ids=["table", "empty-table"])
+    def test_bare_table_is_refused(self, dists):
+        # a table's keys would otherwise be read as its tables
+        with pytest.raises(TypeError, match="^dists must be a sequence of probability tables, got dict$"):
+            sample_shots(dists, 10, seed=1)
+
+    def test_every_table_is_checked_before_the_first_draw(self, monkeypatch):
+        def poisoned(*args, **kwargs):
+            raise AssertionError("no uniform may be drawn for a malformed table")
+
+        monkeypatch.setattr(np.random, "Generator", poisoned)
+        with pytest.raises(ValueError, match="malformed"):
+            sample_shots([{0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.6}], 10, seed=1)
 
     def test_largest_uniform_never_reaches_a_trailing_zero(self, monkeypatch):
         # the running sum of seven sevenths ends at 0.9999999999999998, below
@@ -718,7 +744,7 @@ class TestSampleShots:
         p = np.array(list(dist.values()))
         assert np.cumsum(p / p.sum())[-1] < np.nextafter(1.0, 0.0)
         monkeypatch.setattr(np.random, "Generator", LargestUniform)
-        assert sample_shots(dist, 10, seed=1) == {**{i: 0 for i in range(6)}, 6: 10, 7: 0}
+        assert sample_shots([dist], 10, seed=1)[0] == {**{i: 0 for i in range(6)}, 6: 10, 7: 0}
 
     def test_table_with_rounding_above_one_before_the_last_entry(self):
         # the running sum of nine ninths is 1.0000000000000002 before a 1e-33
@@ -728,7 +754,7 @@ class TestSampleShots:
         dist[9] = 1e-33
         p = np.array(list(dist.values()))
         assert np.cumsum(p / p.sum())[8] > 1.0
-        counts = sample_shots(dist, 5000, seed=9)
+        (counts,) = sample_shots([dist], 5000, seed=9)
         assert counts == self._searchsorted_reference(dist, 5000, 9)
         assert counts[9] == 0 and sum(counts.values()) == 5000
 
