@@ -190,6 +190,14 @@ def _coherent_band(n_atoms: int, p: float, q: float) -> tuple[np.ndarray, np.nda
     return m[band], log_amp[band]
 
 
+def _atom_norm(alpha: complex, beta: complex) -> float:
+    """sqrt(|alpha|^2 + |beta|^2) of a single-atom vector; a ValueError unless nonzero and finite."""
+    scale = math.hypot(abs(alpha), abs(beta))
+    if not 0.0 < scale < math.inf:  # NaN fails too
+        raise ValueError("the single-atom vector must be nonzero with a finite norm")
+    return scale
+
+
 def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np.ndarray]:
     """Symmetric-sector amplitudes of the N-fold product of one qubit state.
 
@@ -205,9 +213,7 @@ def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np
     """
     check_count("n_atoms", n_atoms)
     alpha, beta = complex(single[0]), complex(single[1])
-    scale = math.hypot(abs(alpha), abs(beta))
-    if not 0.0 < scale < math.inf:  # NaN fails too
-        raise ValueError("the single-atom vector must be nonzero with a finite norm")
+    scale = _atom_norm(alpha, beta)
     p = (abs(beta) / scale) ** 2
     q = (abs(alpha) / scale) ** 2
     # p or q underflows to 0 only for |beta/s| or |alpha/s| below about
@@ -275,6 +281,13 @@ def _sigma_x_basis(n_atoms: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def _dense_rotation_atoms(n_atoms: int) -> int:
+    """``n_atoms``, checked as a count within DENSE_ROTATION_LIMIT."""
+    if check_count("n_atoms", n_atoms) > DENSE_ROTATION_LIMIT:
+        raise ValueError(f"dense symmetric rotation requested for {n_atoms} atoms; limit is {DENSE_ROTATION_LIMIT}")
+    return n_atoms
+
+
 def symmetric_rotation(u: Operator, n_atoms: int, rows: np.ndarray) -> np.ndarray:
     """The N-fold tensor power of a single-qubit unitary applied to symmetric-sector rows.
 
@@ -297,11 +310,7 @@ def symmetric_rotation(u: Operator, n_atoms: int, rows: np.ndarray) -> np.ndarra
     rotation (v10 == 0), the identity included, only multiplies each row by
     its phase.
     """
-    if check_count("n_atoms", n_atoms) > DENSE_ROTATION_LIMIT:
-        raise ValueError(
-            f"dense symmetric rotation requested for {n_atoms} atoms; "
-            f"limit is {DENSE_ROTATION_LIMIT}"
-        )
+    _dense_rotation_atoms(n_atoms)
     if not isinstance(u, Operator):
         raise TypeError(f"a gate must be a built Operator, got {type(u).__name__}")
     if u.dim != 2:
@@ -501,9 +510,9 @@ class DickeState:
 
     Either form's ``rows`` hold all of its weight, checked at unit norm, and
     ``qstate.born_distribution`` marginalizes the atoms from them alone. The
-    product form is the single-atom 2-vector ``atom``, read at unit norm as
-    ``coherent_dicke_amplitudes`` reads it, on every atom, times the one row,
-    the photon pair (``first`` is 0). The band form (``atom`` None) is the
+    product form is the single-atom 2-vector ``atom``, checked and read at
+    unit norm as ``coherent_dicke_amplitudes`` reads it, on every atom, times
+    the one row, the photon pair (``first`` must be 0). The band form (``atom`` None) is the
     photon-pair rows of m = first, first + 1, ... that ``band_rows`` returns,
     every other row 0. The dense ``amplitudes`` are built on the first
     request, for at most DENSE_STATE_LIMIT atoms.
@@ -516,13 +525,16 @@ class DickeState:
 
     def __post_init__(self):
         n_atoms = check_count("n_atoms", self.n_atoms)
+        if self.atom is not None:
+            alpha, beta = map(complex, self.atom)  # a ValueError unless two entries
+            _atom_norm(alpha, beta)
+            object.__setattr__(self, "atom", (alpha, beta))
+            if self.first != 0:
+                raise ValueError(f"a product form's first must be 0, got {self.first!r}")
         # the product form's pair is checked as the one row of a space with one atomic level
         first, rows = band_rows(dicke_space(n_atoms if self.atom is None else 0), self.first, self.rows)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "rows", rows)
-        if self.atom is not None:
-            alpha, beta = map(complex, self.atom)  # a ValueError unless two entries
-            object.__setattr__(self, "atom", (alpha, beta))
 
     @property
     def space(self) -> SpaceLabel:
@@ -582,7 +594,7 @@ def full_simulate_dicke(n_atoms: int, atom_init, ops) -> DickeState:
     for op in ops:
         if isinstance(op, AtomRotation):
             if atom is None:
-                padded = np.zeros((n_atoms + 1, 4), dtype=complex)
+                padded = np.zeros((_dense_rotation_atoms(n_atoms) + 1, 4), dtype=complex)
                 padded[first : first + len(rows)] = rows
                 rows, first = symmetric_rotation(op.gate, n_atoms, padded), 0
             else:

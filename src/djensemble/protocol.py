@@ -6,6 +6,12 @@ balanced functions: per-atom rotation, one medium traversal, then composite
 photon rotations; for constant functions: identity or an atomic NOT), and a
 final photon Hadamard maps the result onto a coincidence pattern.
 
+A balanced oracle's photon rotations follow one per-photon rule: photon i
+gets h'' when f depends on its input bit x_i and h' when it does not. Each
+photon only learns whether f reads its own bit, which is why the two-bit
+algorithm needs no entanglement (Collins, Kim and Holton, PRA 58, R1633,
+1998).
+
 The protocol is one operation sequence, ``exact_operation_sequence``.
 ``run_protocol`` replays it with ``replay``, which takes any sequence, on
 the compact (atom, photon1, photon2) space, where the atom slot holds the
@@ -63,17 +69,6 @@ PATTERN_TO_PAIR = {
     (0, 0): ("f7", "f8"),
 }
 
-# Composite photon rotations selecting each balanced pair: (photon1, photon2).
-H_EQ_ASSIGNMENTS = {
-    "f3": ("double_prime", "prime"),
-    "f4": ("double_prime", "prime"),
-    "f5": ("prime", "double_prime"),
-    "f6": ("prime", "double_prime"),
-    "f7": ("double_prime", "double_prime"),
-    "f8": ("double_prime", "double_prime"),
-}
-
-
 # The fixed operations of every sequence, built once by their own
 # constructors (and checked there); the operations are frozen and their
 # matrices read-only, so every sequence shares them.
@@ -82,11 +77,13 @@ _PRE_HADAMARDS = (AtomRotation(_H1), PhotonRotation(1, _H1), PhotonRotation(2, _
 _POST_HADAMARDS = _PRE_HADAMARDS[1:]
 _ATOM_HADAMARD = AtomRotation(microwave_rotation(HADAMARD_PULSES[1]).matrix)
 _ATOM_NOT = AtomRotation(microwave_rotation(NOT_PULSE).matrix)
-_COMPOSITE_ROTATIONS = {
-    (photon, kind): PhotonRotation(photon, matrix)
-    for kind, matrix in ((k, composite_h(k).matrix) for k in ("prime", "double_prime"))
-    for photon in (1, 2)
-}
+# The closing rule, per photon: the table index whose entry differs from
+# t[0] iff f depends on the photon's bit (the table is indexed 2 x1 + x2, and
+# all six balanced 2-bit functions are affine), then the photon's (h', h'').
+_CLOSING_RULE = tuple(
+    (probe, tuple(PhotonRotation(photon, composite_h(kind).matrix) for kind in ("prime", "double_prime")))
+    for photon, probe in ((1, 2), (2, 1))
+)
 # Every atom in the primed level, both photons horizontal.
 _PSI0 = basis_state(PROTOCOL_SPACE, (1, 0, 0))
 
@@ -151,23 +148,14 @@ def enumerate_functions(n_bits: int) -> tuple[BooleanFunction, ...]:
     return tuple(functions)
 
 
-def h_eq_for(f: BooleanFunction) -> tuple[str, str]:
-    """Composite-rotation assignment (photon1, photon2) for a balanced function."""
-    if f.id not in H_EQ_ASSIGNMENTS:
-        raise ValueError(
-            "composite rotations are defined for the balanced catalog functions f3..f8"
-        )
-    return H_EQ_ASSIGNMENTS[f.id]
-
-
 def build_oracle(f: BooleanFunction, theta: float) -> tuple:
     """Operation steps realizing the function oracle, with the medium angle ``theta``.
 
-    Balanced: per-atom Hadamard, one medium traversal, then the composite
-    photon rotations. Constant: identity (all-zero function) or a per-atom
-    NOT pulse (all-one function). No other classification is representable.
-    The angle is checked for every function, though a constant one has no
-    medium step.
+    Balanced (2-bit only): per-atom Hadamard, one medium traversal, then
+    each photon's composite rotation by the closing rule. Constant: identity
+    (all-zero function) or a per-atom NOT pulse (all-one function). No other
+    classification is representable. The angle is checked for every
+    function, though a constant one has no medium step.
     """
     theta = check_real("theta", theta)
     cls = f.classification
@@ -177,13 +165,11 @@ def build_oracle(f: BooleanFunction, theta: float) -> tuple:
         if f.table[0] == 0:
             return ()
         return (_ATOM_NOT,)
-    kinds = h_eq_for(f)
-    return (
-        _ATOM_HADAMARD,
-        EnsembleEvolution(theta),
-        _COMPOSITE_ROTATIONS[1, kinds[0]],
-        _COMPOSITE_ROTATIONS[2, kinds[1]],
-    )
+    if f.n_bits != 2:
+        raise ValueError("composite rotations are defined for the balanced catalog functions f3..f8")
+    t = f.table
+    closing = tuple(rotations[t[0] != t[probe]] for probe, rotations in _CLOSING_RULE)
+    return (_ATOM_HADAMARD, EnsembleEvolution(theta)) + closing
 
 
 def exact_operation_sequence(f: BooleanFunction, theta: float) -> tuple:

@@ -46,9 +46,10 @@ _SHOT_BLOCK = 1 << 20
 
 # Rows of the marginal's (M, 2K) float view that born_distribution sums as one
 # wide row. A row of 2K floats is too narrow for einsum's inner loop, which
-# keeps one running sum per column, so the fold also bounds rounding: on f1's
-# N = 10^8 band (549,807 rows) a one-pass sum errs from run_protocol by 3.1e-14,
-# the fold by 7.8e-16 (2.8e-15, 4.4e-16 at N = 10^6); 8 to 512 run at one speed.
+# keeps one running sum per column, so the fold also bounds rounding: on the
+# band of three off-extreme medium steps at N = 10^8 (atom (0.6, 0.8i), 527,840
+# rows) a one-pass sum errs from a math.fsum of each column by 2.4e-14, the fold
+# by 3.3e-16 (2.6e-15, 1.1e-16 at N = 10^6); 8 to 512 run at one speed.
 _FOLD_ROWS = 32
 
 

@@ -69,8 +69,8 @@ MUTANTS = (
     Mutant("coherent-band phase with alpha and beta swapped", "manybody.py",
            "(n_atoms - m) * np.angle(alpha) + m * np.angle(beta)",
            "(n_atoms - m) * np.angle(beta) + m * np.angle(alpha)"),
-    Mutant("f3's assignment swapped", "protocol.py",
-           '"f3": ("double_prime", "prime"),', '"f3": ("prime", "double_prime"),'),
+    Mutant("closing rule: photon 1 reads the x2 bit", "protocol.py",
+           "for photon, probe in ((1, 2), (2, 1))", "for photon, probe in ((1, 1), (2, 1))"),
     Mutant("composite rotation from the wrong variant order", "polarization.py",
            '"prime": (1, 4, 3)', '"prime": (1, 3, 4)'),
     Mutant("primed extreme phased as m = N - 1", "manybody.py",
@@ -123,6 +123,13 @@ MUTANTS = (
            "rows = np.outer(band, rows)",
            "rows = np.outer(band * math.hypot(*map(abs, self.atom)) ** self.n_atoms, rows)",
            "tests/test_manybody.py::TestDickeSimulator::test_product_form_reads_its_atom_at_unit_norm"),
+    Mutant("product form's atom taken unchecked", "manybody.py",
+           "            _atom_norm(alpha, beta)\n", "",
+           "tests/test_manybody.py::TestDickeSimulator::test_product_form_refuses_an_atom_it_cannot_read"),
+    # the limit then first meets the (N + 1)-row pad, which cannot be allocated at N = 10^12
+    Mutant("rotation limit checked after the band is padded", "manybody.py",
+           "np.zeros((_dense_rotation_atoms(n_atoms) + 1, 4), dtype=complex)", "np.zeros((n_atoms + 1, 4), dtype=complex)",
+           "tests/test_manybody.py::TestDickeSimulator::test_rotation_limit_is_checked_before_the_band_is_padded"),
     Mutant("band_rows' norm checked one row short of the band", "qstate.py",
            "_check_unit_norm(band)", "_check_unit_norm(band[:-1])",
            "tests/test_qstate.py::TestBandedState::test_band_is_checked_by_the_state_rule_to_its_last_row"),

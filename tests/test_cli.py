@@ -775,21 +775,54 @@ _any_json = st.one_of(
     st.floats(), st.integers(-(10**400), 10**400), st.booleans(), st.none(), st.text(max_size=4),
     st.lists(st.integers(), max_size=2),
 )
+_VALID_MEDIUM = st.fixed_dictionaries(
+    {"length_m": st.floats(1e-6, 1.0), "n_atoms": st.integers(1, 10**7),
+     "coupling_rad_s": st.floats(1e3, 1e10)},
+    optional={"relaxation_s": st.floats(1e-9, 1.0)},
+)
+
+
+def _key_named_twice(medium: dict) -> st.SearchStrategy:
+    """The medium's JSON text with one of its keys written a second time, with the same value."""
+    return st.sampled_from(sorted(medium)).map(
+        lambda key: f"{json.dumps(medium)[:-1]}, {json.dumps(key)}: {json.dumps(medium[key])}}}"
+    )
+
+
+# Medium file contents, as bytes.
 MEDIUM_BLOBS = mixed(
-    st.fixed_dictionaries(
-        {"length_m": st.floats(1e-6, 1.0), "n_atoms": st.integers(1, 10**7),
-         "coupling_rad_s": st.floats(1e3, 1e10)},
-        optional={"relaxation_s": st.floats(1e-9, 1.0)},
-    ).map(json.dumps),
+    _VALID_MEDIUM.map(lambda medium: json.dumps(medium).encode()),
     st.one_of(
         st.dictionaries(
             st.sampled_from(["length_m", "n_atoms", "coupling_rad_s", "relaxation_s", "extra"]),
             _any_json, max_size=5,
-        ).map(json.dumps),
-        st.lists(_any_json, max_size=3).map(json.dumps),
-        st.sampled_from(["", "{", "length_m = 2e-4", "null"]),
+        ).map(json.dumps).map(str.encode),
+        st.lists(_any_json, max_size=3).map(json.dumps).map(str.encode),
+        st.sampled_from([b"", b"{", b"length_m = 2e-4", b"null"]),
+        _VALID_MEDIUM.flatmap(_key_named_twice).map(str.encode),
+        # nesting past the interpreter's recursion limit
+        st.sampled_from([b"[" * 100_000, b'{"length_m": ' * 100_000]),
+        # not UTF-8: a medium saved as UTF-16, or a 0xff byte, which UTF-8 never uses
+        _VALID_MEDIUM.map(lambda medium: json.dumps(medium).encode("utf-16")),
+        st.binary(max_size=8).map(lambda raw: b"\xff" + raw),
     ),
 )
+
+
+def _names_a_key_twice(blob: bytes) -> bool:
+    """Whether ``blob`` is JSON that names some key twice in one object."""
+    repeated = False
+
+    def note(pairs):
+        nonlocal repeated
+        repeated |= len(dict(pairs)) < len(pairs)
+        return {}
+
+    try:
+        json.loads(blob, object_pairs_hook=note)
+    except (ValueError, RecursionError):
+        return False
+    return repeated
 
 
 @st.composite
@@ -812,7 +845,7 @@ def test_fuzzed_argv_ends_in_a_known_exit(tmp_path_factory, argv, blob):
     """Any argv built from the parser's own options returns 0, 1 (verify only) or 2
     with one error line, or stops in argparse with SystemExit(2); nothing else escapes."""
     where = tmp_path_factory.mktemp("fuzz")
-    (where / "medium.json").write_text(blob, encoding="utf-8")
+    (where / "medium.json").write_bytes(blob)
     argv = [t.replace("<dir>", str(where)).replace("<medium>", str(where / "medium.json")) for t in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -832,3 +865,20 @@ def test_fuzzed_argv_ends_in_a_known_exit(tmp_path_factory, argv, blob):
             raise AssertionError(f"{name} in the report of {argv}")
 
         json.loads(report.read_text(encoding="utf-8"), parse_constant=no_constant)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(blob=MEDIUM_BLOBS)
+def test_any_medium_file_ends_in_a_report_or_one_error_line(tmp_path_factory, blob):
+    """``params`` reads any medium file to exit 0, or to exit 2 with one error
+    line; a file that names a key twice is never read as its last value."""
+    medium = tmp_path_factory.mktemp("medium") / "medium.json"
+    medium.write_bytes(blob)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["params", "--medium", str(medium)])
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert code == 2 or not _names_a_key_twice(blob)

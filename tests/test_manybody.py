@@ -990,6 +990,24 @@ class TestDickeSimulator:
         np.testing.assert_allclose(scaled.amplitudes, unit.amplitudes, rtol=0.0, atol=1e-14)
         assert abs(np.vdot(scaled.amplitudes, scaled.amplitudes).real - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("atom", [(0, 0), (math.nan, 1), (math.inf, 0)], ids=["zero", "nan", "inf"])
+    def test_product_form_refuses_an_atom_it_cannot_read(self, atom):
+        # the atom is checked by coherent_dicke_amplitudes' rule when the state
+        # is built, not first when its dense amplitudes are requested
+        with pytest.raises(ValueError, match="^the single-atom vector must be nonzero with a finite norm$"):
+            DickeState(10, 0, [[1, 0, 0, 0]], atom)
+
+    def test_product_form_names_its_first_row(self):
+        with pytest.raises(ValueError, match="^a product form's first must be 0, got 7$"):
+            DickeState(10, 7, [[1, 0, 0, 0]], (1, 0))
+
+    def test_rotation_limit_is_checked_before_the_band_is_padded(self):
+        # the band after an off-extreme medium step at N = 10^12 is a few
+        # hundred rows; padding it to N + 1 rows would need 58 TiB
+        n, atom = 10**12, np.array([1.0, 1e-5]) / math.hypot(1.0, 1e-5)
+        with pytest.raises(ValueError, match=f"^dense symmetric rotation requested for {n} atoms; limit is 1024$"):
+            full_simulate_dicke(n, atom, [EnsembleEvolution(0.3), AtomRotation(H1)])
+
     def test_rotation_pads_the_band_at_its_excitation_numbers(self, monkeypatch):
         # near the primed extreme the band is the top few dozen of 1001 rows;
         # the same run with the band spelled out over every row from the start

@@ -26,7 +26,6 @@ from djensemble.protocol import (
     classify,
     enumerate_functions,
     exact_operation_sequence,
-    h_eq_for,
     is_deterministic,
     reference_dj_circuit,
     replay,
@@ -136,19 +135,52 @@ class TestEnumeration:
             enumerate_functions(n_bits)
 
 
+# The paper's composite rotations (photon1, photon2) for each balanced pair,
+# written out as the reference the per-photon closing rule must reproduce.
+PAPER_ASSIGNMENTS = {
+    "f3": ("double_prime", "prime"),
+    "f4": ("double_prime", "prime"),
+    "f5": ("prime", "double_prime"),
+    "f6": ("prime", "double_prime"),
+    "f7": ("double_prime", "double_prime"),
+    "f8": ("double_prime", "double_prime"),
+}
+KINDS = ("prime", "double_prime")
+
+
+def closing_kinds(f):
+    """The composite kinds (photon1, photon2) that close f's oracle, read from its matrices."""
+    steps = build_oracle(f, THETA)[2:]
+    assert [type(s) for s in steps] == [PhotonRotation, PhotonRotation]
+    assert [s.photon for s in steps] == [1, 2]
+    return tuple(next(k for k in KINDS if np.array_equal(s.matrix, composite_h(k).matrix)) for s in steps)
+
+
 class TestOracleConstruction:
     def test_h_eq_assignments(self):
-        assert h_eq_for(table1_function("f3")) == ("double_prime", "prime")
-        assert h_eq_for(table1_function("f5")) == ("prime", "double_prime")
-        assert h_eq_for(table1_function("f8")) == ("double_prime", "double_prime")
+        assert closing_kinds(table1_function("f3")) == ("double_prime", "prime")
+        assert closing_kinds(table1_function("f5")) == ("prime", "double_prime")
+        assert closing_kinds(table1_function("f8")) == ("double_prime", "double_prime")
+
+    @pytest.mark.parametrize("fid", sorted(PAPER_ASSIGNMENTS))
+    def test_closing_rule_reproduces_the_paper_assignments(self, fid):
+        assert closing_kinds(table1_function(fid)) == PAPER_ASSIGNMENTS[fid]
 
     def test_h_eq_rejects_constant(self):
-        with pytest.raises(ValueError):
-            h_eq_for(table1_function("f1"))
+        # a constant oracle has no closing rotations at all
+        for fid in ("f1", "f2"):
+            assert not any(isinstance(s, PhotonRotation) for s in build_oracle(table1_function(fid), THETA))
 
     def test_h_eq_binds_unlabeled_catalog_table(self):
         bare = BooleanFunction(2, (0, 0, 1, 1))  # built from the table, as f3's
-        assert h_eq_for(bare) == ("double_prime", "prime")
+        assert closing_kinds(bare) == ("double_prime", "prime")
+
+    @pytest.mark.parametrize("table", [(0, 1), (0, 0, 0, 0, 1, 1, 1, 1), (0, 1, 1, 0, 1, 0, 0, 1)])
+    def test_closing_rule_is_two_bit_only(self, table):
+        f = BooleanFunction(len(table).bit_length() - 1, table)
+        assert f.classification == "balanced"
+        with pytest.raises(ValueError, match="^composite rotations are defined for the balanced catalog functions f3..f8$"):
+            build_oracle(f, THETA)
 
     def test_identity_oracle(self):
         assert build_oracle(table1_function("f1"), THETA) == ()
@@ -178,7 +210,8 @@ class TestSharedOperations:
         yield from protocol._POST_HADAMARDS
         yield protocol._ATOM_HADAMARD
         yield protocol._ATOM_NOT
-        yield from protocol._COMPOSITE_ROTATIONS.values()
+        for _, rotations in protocol._CLOSING_RULE:
+            yield from rotations
 
     def test_matrices_are_read_only_and_operations_frozen(self):
         for op in self.shared():
@@ -196,9 +229,11 @@ class TestSharedOperations:
             protocol._ATOM_HADAMARD.matrix, microwave_rotation(HADAMARD_PULSES[1]).matrix
         )
         assert np.array_equal(protocol._ATOM_NOT.matrix, microwave_rotation(NOT_PULSE).matrix)
-        for (photon, kind), op in protocol._COMPOSITE_ROTATIONS.items():
-            assert op.photon == photon
-            assert np.array_equal(op.matrix, composite_h(kind).matrix)
+        for photon, (_, rotations) in enumerate(protocol._CLOSING_RULE, 1):
+            assert len(rotations) == len(KINDS)
+            for kind, op in zip(KINDS, rotations):
+                assert op.photon == photon
+                assert np.array_equal(op.matrix, composite_h(kind).matrix)
 
     def test_sequences_share_the_fixed_steps(self):
         for f in table1_functions():
@@ -207,11 +242,12 @@ class TestSharedOperations:
             assert len(ops) >= 5 and all(a is b for a, b in zip(ops[:3] + ops[-2:], fixed))
             oracle = ops[3:-2]
             if f.classification == "balanced":
-                kinds = h_eq_for(f)
+                kinds = PAPER_ASSIGNMENTS[f.id]
+                (_, photon1), (_, photon2) = protocol._CLOSING_RULE
                 assert oracle[0] is protocol._ATOM_HADAMARD
                 assert oracle[1] == EnsembleEvolution(THETA)
-                assert oracle[2] is protocol._COMPOSITE_ROTATIONS[1, kinds[0]]
-                assert oracle[3] is protocol._COMPOSITE_ROTATIONS[2, kinds[1]]
+                assert oracle[2] is photon1[KINDS.index(kinds[0])]
+                assert oracle[3] is photon2[KINDS.index(kinds[1])]
             else:
                 assert oracle == (() if f.id == "f1" else (protocol._ATOM_NOT,))
 
