@@ -3,7 +3,9 @@ feasibility numbers, and sample detector coincidences.
 
 Every command builds one JSON-serializable report; the console output is a
 rendering of the same structure. Exit codes: 0 success, 1 verification
-failure, 2 usage or input error.
+failure, 2 usage or input error. The parser checks each option value as it
+reads it, by its type, choices or required flag; ``main`` reports a refusal,
+a bad medium file's too, as one ``error:`` line and returns 2.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .params import PRESETS, MediumSpec, ensemble_config_from_report, required_d
 from .polarization import clicks_for_pattern
 from .protocol import (
     MODES,
+    TABLE1_TABLES,
     classify,
     exact_operation_sequence,
     is_deterministic,
@@ -58,20 +61,21 @@ def _pattern_key(pattern) -> str:
     return f"{pattern[0]}{pattern[1]}"
 
 
-def _resolve_functions(function_id: str):
-    if function_id == "all":
-        return table1_functions()
-    return (table1_function(function_id),)
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that raises its refusal where argparse would print its usage and exit 2."""
+
+    def error(self, message: str):  # exit_on_error=False still exits on a missing or unknown argument (3.10, 3.11)
+        raise argparse.ArgumentError(None, message)
 
 
-def _out_problem(out_path: str) -> str | None:
-    """Why ``--out`` cannot name a report file, or None; checked before any work."""
-    path = Path(out_path)
+def _out_path(text: str) -> str:
+    """``--out`` as given, unless it names a directory or a file in a missing directory."""
+    path = Path(text)
     if path.is_dir():
-        return f"--out {out_path!r} is a directory"
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     if not path.parent.is_dir():
-        return f"--out {out_path!r}: no directory {str(path.parent)!r}"
-    return None
+        raise argparse.ArgumentTypeError(f"{text!r}: no directory {str(path.parent)!r}")
+    return text
 
 
 def _emit(report: dict, out_path: str | None, code: int = EXIT_OK) -> int:
@@ -86,30 +90,27 @@ def _emit(report: dict, out_path: str | None, code: int = EXIT_OK) -> int:
     return code
 
 
-def _shot_count(text: str) -> int:
-    """``--shots`` as an int; an integral float such as ``1e5`` is accepted too."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value.is_integer():  # also rejects nan and inf
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(value)
+def _count(least: int, most: float = math.inf):
+    """The parser type of an integer from ``least`` to ``most``; an integral float such as ``1e5`` is one too."""
 
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            try:
+                number = float(text)
+            except ValueError:
+                number = math.nan
+            if not number.is_integer():  # also rejects nan and inf
+                raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            value = int(number)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text!r}")
+        return value
 
-def _sampling_problem(args, least: int, too_few: str) -> str | None:
-    """Why ``--shots`` or ``--seed`` is out of range, or None; ``too_few`` is the message below ``least`` shots."""
-    if args.shots < least:
-        return too_few
-    if args.shots > MAX_SHOTS:
-        return f"--shots must be at most {MAX_SHOTS}"
-    if args.seed < 0:
-        return "--seed must be non-negative"
-    return None
+    return count
 
 
 def _fail(message: str) -> int:
@@ -125,10 +126,7 @@ def _run_functions(args, entry, **request) -> int:
     call, which reads the seed's stream once; otherwise ``dist`` and
     ``counts`` are None.
     """
-    try:
-        functions = _resolve_functions(args.function)
-    except ValueError as exc:
-        return _fail(str(exc))
+    functions = table1_functions() if args.function == "all" else (table1_function(args.function),)
     theta = _default_theta()
     report = _report_skeleton(
         args.command, {"function": args.function, "mode": args.mode, **request}
@@ -144,11 +142,6 @@ def _run_functions(args, entry, **request) -> int:
 
 
 def _cmd_run(args) -> int:
-    if problem := _sampling_problem(args, 0, "--shots must be non-negative (0 means no sampling)"):
-        return _fail(problem)
-    if args.n_atoms_oracle is not None and not 1 <= args.n_atoms_oracle <= NAIVE_ATOM_LIMIT:
-        return _fail(f"--n-atoms-oracle must be between 1 and {NAIVE_ATOM_LIMIT}")
-
     def entry(f, trace, dist, counts, theta) -> dict:
         # the top pattern and the verdict come from the one Born pass
         pattern, top = top_pattern(dist)
@@ -270,9 +263,6 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if problem := _sampling_problem(args, 1, "sample requires --shots >= 1"):
-        return _fail(problem)
-
     def entry(f, trace, dist, counts, theta) -> dict:
         correct = sum(
             c for pattern, c in counts.items()
@@ -321,51 +311,52 @@ def _cmd_trace(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every later call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="djensemble",
         description="Two-photon constant-vs-balanced protocol simulator and verifier",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_seed=True):
-        p.add_argument("--function", required=True, help="f1..f8 or 'all'")
+        p.add_argument("--function", required=True, choices=[*TABLE1_TABLES, "all"])
         p.add_argument("--mode", default="paper", choices=MODES)
         if with_seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="write the JSON report to this path")
+            p.add_argument("--seed", type=_count(0), default=0)
+        p.add_argument("--out", type=_out_path, help="write the JSON report to this path")
 
     run_p = sub.add_parser("run", help="protocol distribution and classification")
     add_common(run_p)
-    run_p.add_argument("--shots", type=_shot_count, default=0, help="optional sampled counts")
+    run_p.add_argument("--shots", type=_count(0, MAX_SHOTS), default=0, help="optional sampled counts")
     run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify", help="run the full identity and oracle check suite")
-    verify_p.add_argument("--out", default=None)
+    verify_p.add_argument("--out", type=_out_path)
     verify_p.set_defaults(func=_cmd_verify)
 
     params_p = sub.add_parser("params", help="feasibility numbers for a medium")
     params_p.add_argument("--medium", required=True, help="preset name or JSON file")
-    params_p.add_argument("--out", default=None)
+    params_p.add_argument("--out", type=_out_path)
     params_p.set_defaults(func=_cmd_params)
 
     sample_p = sub.add_parser("sample", help="seeded detector coincidence counts")
     add_common(sample_p)
-    sample_p.add_argument("--shots", type=_shot_count, default=0)
+    sample_p.add_argument("--shots", type=_count(1, MAX_SHOTS), required=True)
     sample_p.set_defaults(func=_cmd_sample)
 
     trace_p = sub.add_parser("trace", help="dump all intermediate states")
     add_common(trace_p, with_seed=False)
     trace_p.set_defaults(func=_cmd_trace)
 
-    run_p.add_argument("--n-atoms-oracle", type=int, default=None,
+    run_p.add_argument("--n-atoms-oracle", type=_count(1, NAIVE_ATOM_LIMIT),
                        help="replay the run on the unreduced oracle with this many atoms")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.out is not None and (problem := _out_problem(args.out)):
-        return _fail(problem)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _fail(str(exc))
     return args.func(args)
 
 

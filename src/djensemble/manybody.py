@@ -60,10 +60,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _atom_start(atom_init) -> np.ndarray:
-    """The single-atom start vector: shape (2,), then the amplitudes of a ``StateVector`` on one atom."""
-    shape = np.shape(atom_init)
-    if shape != (2,):
-        raise ValueError(f"atom_init must be a single-atom 2-vector, got shape {shape}")
+    """The single-atom start vector: ``_atom_norm``'s rule, then the amplitudes of a ``StateVector`` on one atom."""
+    _atom_norm(atom_init)
     return StateVector(ATOM, atom_init).amplitudes
 
 
@@ -190,12 +188,15 @@ def _coherent_band(n_atoms: int, p: float, q: float) -> tuple[np.ndarray, np.nda
     return m[band], log_amp[band]
 
 
-def _atom_norm(alpha: complex, beta: complex) -> float:
-    """sqrt(|alpha|^2 + |beta|^2) of a single-atom vector; a ValueError unless nonzero and finite."""
+def _atom_norm(single) -> tuple[complex, complex, float]:
+    """A single-atom vector as (alpha, beta, its norm); a ValueError unless of shape (2,), nonzero and finite."""
+    if (shape := np.shape(single)) != (2,):
+        raise ValueError(f"the single-atom vector must be a 2-vector, got shape {shape}")
+    alpha, beta = complex(single[0]), complex(single[1])
     scale = math.hypot(abs(alpha), abs(beta))
     if not 0.0 < scale < math.inf:  # NaN fails too
         raise ValueError("the single-atom vector must be nonzero with a finite norm")
-    return scale
+    return alpha, beta, scale
 
 
 def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np.ndarray]:
@@ -212,8 +213,7 @@ def coherent_dicke_amplitudes(single: np.ndarray, n_atoms: int) -> tuple[int, np
     squared norm is 1 to rounding at any N. The cost is O(sqrt(N p q)).
     """
     check_count("n_atoms", n_atoms)
-    alpha, beta = complex(single[0]), complex(single[1])
-    scale = _atom_norm(alpha, beta)
+    alpha, beta, scale = _atom_norm(single)
     p = (abs(beta) / scale) ** 2
     q = (abs(alpha) / scale) ** 2
     # p or q underflows to 0 only for |beta/s| or |alpha/s| below about
@@ -526,8 +526,7 @@ class DickeState:
     def __post_init__(self):
         n_atoms = check_count("n_atoms", self.n_atoms)
         if self.atom is not None:
-            alpha, beta = map(complex, self.atom)  # a ValueError unless two entries
-            _atom_norm(alpha, beta)
+            alpha, beta, _ = _atom_norm(self.atom)
             object.__setattr__(self, "atom", (alpha, beta))
             if self.first != 0:
                 raise ValueError(f"a product form's first must be 0, got {self.first!r}")

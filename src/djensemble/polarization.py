@@ -90,9 +90,15 @@ def embed_single(name: str, gate: Operator, space: SpaceLabel) -> Operator:
     return embed(gate, name, space)
 
 
-_DETECTORS = {(1, 0): "HD1", (1, 1): "VD1", (2, 0): "HD2", (2, 1): "VD2"}
+def pattern_bits(pattern) -> tuple[int, int]:
+    """A detection pattern as two int bits, photon 1's first; a ValueError unless two integers, each 0 or 1."""
+    bits = tuple(check_count("pattern bit", b, 0) for b in pattern)
+    if len(bits) != 2 or max(bits) > 1:
+        raise ValueError(f"pattern must be two bits, got {pattern!r}")
+    return bits
 
 
 def clicks_for_pattern(pattern) -> tuple[str, str]:
-    b1, b2 = pattern
-    return _DETECTORS[(1, int(b1))], _DETECTORS[(2, int(b2))]
+    """The detectors that click: photon k's HDk for bit 0 (horizontal), VDk for bit 1."""
+    b1, b2 = pattern_bits(pattern)
+    return ("HD1", "VD1")[b1], ("HD2", "VD2")[b2]

@@ -41,7 +41,7 @@ from .ensemble import (
     u_eff_paper,
 )
 from .manybody import AtomRotation, EnsembleEvolution, PhotonRotation
-from .polarization import composite_h, embed_single, hadamard_variant
+from .polarization import composite_h, embed_single, hadamard_variant, pattern_bits
 from .qstate import StateVector, basis_state, born_distribution, check_count, check_real
 
 MODES = ("exact", "paper")
@@ -190,9 +190,7 @@ class Outcome:
 
 def classify(pattern) -> Outcome:
     """Constant iff both photons arrive vertical; the pattern also names the pair."""
-    key = tuple(check_count("pattern bit", b, 0) for b in pattern)
-    if key not in PATTERN_TO_PAIR:
-        raise ValueError(f"pattern must be two bits, got {pattern!r}")
+    key = pattern_bits(pattern)
     classification = "constant" if key == (1, 1) else "balanced"
     return Outcome(key, classification, PATTERN_TO_PAIR[key])
 

@@ -124,8 +124,12 @@ MUTANTS = (
            "rows = np.outer(band * math.hypot(*map(abs, self.atom)) ** self.n_atoms, rows)",
            "tests/test_manybody.py::TestDickeSimulator::test_product_form_reads_its_atom_at_unit_norm"),
     Mutant("product form's atom taken unchecked", "manybody.py",
-           "            _atom_norm(alpha, beta)\n", "",
+           "alpha, beta, _ = _atom_norm(self.atom)", "alpha, beta = map(complex, self.atom)",
            "tests/test_manybody.py::TestDickeSimulator::test_product_form_refuses_an_atom_it_cannot_read"),
+    # the band of the first two entries comes back, whatever follows them
+    Mutant("coherent band read past the single-atom shape", "manybody.py",
+           "alpha, beta, scale = _atom_norm(single)", "alpha, beta, scale = _atom_norm(single[:2])",
+           "tests/test_manybody.py::TestAtomState::test_vector_of_another_shape_is_refused"),
     # the limit then first meets the (N + 1)-row pad, which cannot be allocated at N = 10^12
     Mutant("rotation limit checked after the band is padded", "manybody.py",
            "np.zeros((_dense_rotation_atoms(n_atoms) + 1, 4), dtype=complex)", "np.zeros((n_atoms + 1, 4), dtype=complex)",
@@ -171,6 +175,13 @@ MUTANTS = (
     Mutant("linear extension flagged from three populated rows", "ensemble.py",
            "np.abs(state.amplitudes) > 1e-12) > 1,", "np.abs(state.amplitudes) > 1e-12) > 2,",
            "tests/test_ensemble.py::TestPaperPolarizerMap::test_two_populated_rows_use_linear_extension"),
+    Mutant("detector clicks read from int() of each bit", "polarization.py",
+           "b1, b2 = pattern_bits(pattern)", "b1, b2 = map(int, pattern)",
+           "tests/test_polarization.py::TestSourceAndDetection::test_pattern_is_read_by_one_two_bit_rule"),
+    # argparse then prints its usage and raises SystemExit(2) out of main
+    Mutant("parser refusal handed back to argparse", "cli.py",
+           "raise argparse.ArgumentError(None, message)", "super().error(message)",
+           "tests/test_cli.py::TestRefusals::test_refusal_is_one_error_line"),
     Mutant("decoherence threshold at 100 transit times", "params.py",
            "DECOHERENCE_THRESHOLD = 1e3", "DECOHERENCE_THRESHOLD = 1e2",
            "tests/test_params.py::TestRequiredDetuning::test_decoherence_threshold_is_a_thousand_transit_times"),

@@ -89,10 +89,10 @@ class TestRunCommand:
         assert main(["run", "--function", "f9"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_unknown_mode_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--function", "f1", "--mode", "bogus"])
-        assert exc.value.code == 2
+    def test_unknown_mode_exits_2(self, capsys):
+        assert main(["run", "--function", "f1", "--mode", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --mode: invalid choice: 'bogus'") and err.count("\n") == 1
 
     @pytest.mark.parametrize("extra", [
         ["--n-atoms-oracle", "13"],
@@ -104,7 +104,9 @@ class TestRunCommand:
     def test_bad_input_exits_2(self, extra, capsys):
         assert main(["run", "--function", "f3", "--mode", "exact"] + extra) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        # the last option given is the bad one, and the error names it
+        named = extra[-2] if len(extra) > 1 else extra[0].split("=")[0]
+        assert err.startswith(f"error: argument {named}: ") and err.count("\n") == 1
 
     def test_report_round_trips(self, tmp_path):
         out = tmp_path / "report.json"
@@ -246,7 +248,7 @@ class TestOutOption:
         }[where]
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: --out") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: argument --out: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=COMMAND_IDS)
@@ -637,15 +639,13 @@ class TestShotsOption:
         monkeypatch.setattr(cli, "sample_shots", poisoned)
         assert main([command, "--function", "f3", "--shots", text]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: --shots must be at most {MAX_SHOTS}\n"
+        assert err == f"error: argument --shots: must be at most {MAX_SHOTS}, got {text!r}\n"
 
     @pytest.mark.parametrize("command", ["run", "sample"])
     @pytest.mark.parametrize("text", ["1.5", "1e-3", "nan", "inf", "-inf", "1e400", "ten", ""])
     def test_non_integral_value_exits_2(self, capsys, command, text):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--function", "f1", f"--shots={text}"])
-        assert exc.value.code == 2
-        assert "--shots: invalid int value" in capsys.readouterr().err
+        assert main([command, "--function", "f1", f"--shots={text}"]) == 2
+        assert capsys.readouterr() == ("", f"error: argument --shots: invalid int value: {text!r}\n")
 
 
 class TestTraceCommand:
@@ -660,10 +660,9 @@ class TestTraceCommand:
             total = sum(re * re + im * im for re, im in state["amplitudes"])
             assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_seed_is_not_an_option(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["trace", "--function", "f1", "--seed", "1"])
-        assert exc.value.code == 2
+    def test_seed_is_not_an_option(self, capsys):
+        assert main(["trace", "--function", "f1", "--seed", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --seed 1\n")
 
     def test_unknown_function_exits_2(self, capsys):
         assert main(["trace", "--function", "f9"]) == 2
@@ -710,11 +709,9 @@ class TestParserReuse:
             return read_report(out)
 
         bad = ["run", "--function", "f3", "--shots", "lots"]
-        with pytest.raises(SystemExit) as exc:
-            main(bad)
-        assert exc.value.code == 2
+        assert main(bad) == 2
         bad_err = capsys.readouterr().err
-        assert bad_err.endswith("djensemble run: error: argument --shots: invalid int value: 'lots'\n")
+        assert bad_err == "error: argument --shots: invalid int value: 'lots'\n"
 
         good = run(["run", "--function", "f3", "--mode", "exact", "--shots", "5", "--seed", "3"], "good")
         assert good["request"] == {"function": "f3", "mode": "exact", "shots": 5, "seed": 3}
@@ -729,11 +726,37 @@ class TestParserReuse:
 
         # a parser built afresh gives the same error and the same reports
         cli.build_parser.cache_clear()
-        with pytest.raises(SystemExit):
-            main(bad)
+        assert main(bad) == 2
         assert capsys.readouterr().err == bad_err
         assert run(oracle_argv, "oracle-fresh") == oracle
         assert run(plain_argv, "plain-fresh") == plain
+
+
+class TestRefusals:
+    """``main`` returns 2 for any command line the parser refuses, with one
+    ``error:`` line that names the option and nothing on stdout; help still exits 0."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["sample", "--function", "f3"], "the following arguments are required: --shots"),
+        (["run"], "the following arguments are required: --function"),
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["run", "--function", "f3", "--n-atoms-oracle", "x"], "argument --n-atoms-oracle: invalid int value: 'x'"),
+        (["run", "--function", "f3", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["sample-without-shots", "run-without-function", "no-command", "unknown-command",
+            "oracle-not-a-number", "unknown-option"])
+    def test_refusal_is_one_error_line(self, capsys, argv, named):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {named}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["-h"], ["run", "--help"]], ids=["-h", "run --help"])
+    def test_help_exits_0_with_the_help_on_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: djensemble{' run' if argv[0] == 'run' else ''} ") and err == ""
 
 
 def _parser_options():
@@ -843,22 +866,18 @@ def fuzzed_argv(draw):
 @given(argv=fuzzed_argv(), blob=MEDIUM_BLOBS)
 def test_fuzzed_argv_ends_in_a_known_exit(tmp_path_factory, argv, blob):
     """Any argv built from the parser's own options returns 0, 1 (verify only) or 2
-    with one error line, or stops in argparse with SystemExit(2); nothing else escapes."""
+    with one error line and nothing on stdout; nothing escapes ``main``."""
     where = tmp_path_factory.mktemp("fuzz")
     (where / "medium.json").write_bytes(blob)
     argv = [t.replace("<dir>", str(where)).replace("<medium>", str(where / "medium.json")) for t in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2, argv
-            assert ": error: " in err.getvalue().splitlines()[-1], argv
-            return
+        code = main(argv)
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), argv
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert out.getvalue() == "", argv
     report = where / "report.json"
     if code in (0, 1) and str(report) in argv:
         def no_constant(name):

@@ -474,6 +474,22 @@ class TestAtomState:
             coherent_dicke_amplitudes(np.array(vec), 3)
 
     @pytest.mark.parametrize(
+        "read",
+        [lambda vec: coherent_dicke_amplitudes(vec, 4), lambda vec: DickeState(4, 0, [[1, 0, 0, 0]], vec)],
+        ids=["coherent_dicke_amplitudes", "DickeState"],
+    )
+    @pytest.mark.parametrize(
+        "vec,shape",
+        [(np.array([0.6, 0.8, 5.0]), r"\(3,\)"), ((0.6,), r"\(1,\)"), ([[0.6, 0.8], [0.0, 1.0]], r"\(2, 2\)")],
+        ids=["three-vector", "one-vector", "two-by-two"],
+    )
+    def test_vector_of_another_shape_is_refused(self, read, vec, shape):
+        # the band of (0.6, 0.8) came back for three entries; one entry or a
+        # 2 x 2 list raised IndexError, TypeError or an unpacking error
+        with pytest.raises(ValueError, match=f"^the single-atom vector must be a 2-vector, got shape {shape}$"):
+            read(vec)
+
+    @pytest.mark.parametrize(
         "n_atoms,message",
         [(2.5, "^n_atoms must be an integer, got 2.5$"), (True, "^n_atoms must be an integer, got True$"),
          ("3", "^n_atoms must be an integer, got '3'$"), (0, "^n_atoms must be at least 1, got 0$"),

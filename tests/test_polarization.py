@@ -17,7 +17,7 @@ from djensemble.polarization import (
     half_wave,
     quarter_wave,
 )
-from djensemble.protocol import run_protocol, table1_function
+from djensemble.protocol import classify, run_protocol, table1_function
 from djensemble.qstate import (
     Operator,
     SpaceLabel,
@@ -251,6 +251,19 @@ class TestSourceAndDetection:
         assert dist[(0, 1)] == pytest.approx(1.0)
         assert sample_shots([dist], 1, seed=5)[0][(0, 1)] == 1
         assert clicks_for_pattern((0, 1)) == ("HD1", "VD2")
+
+    @pytest.mark.parametrize("read", [clicks_for_pattern, classify])
+    @pytest.mark.parametrize(
+        "pattern,message",
+        [((1.9, 0), "^pattern bit must be an integer, got 1.9$"),
+         ((True, 0), "^pattern bit must be an integer, got True$"),
+         ((2, 0), r"^pattern must be two bits, got \(2, 0\)$")],
+        ids=["fraction", "bool", "two"],
+    )
+    def test_pattern_is_read_by_one_two_bit_rule(self, read, pattern, message):
+        # clicks_for_pattern took 1.9 and True to 1 with int(), and (2, 0) raised KeyError
+        with pytest.raises(ValueError, match=message):
+            read(pattern)
 
     def test_detect_product_superposition(self):
         plus = np.array([1.0, 1.0]) / SQRT2
