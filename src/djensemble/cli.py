@@ -2,10 +2,12 @@
 feasibility numbers, and sample detector coincidences.
 
 Every command builds one JSON-serializable report; the console output is a
-rendering of the same structure. Exit codes: 0 success, 1 verification
-failure, 2 usage or input error. The parser checks each option value as it
-reads it, by its type, choices or required flag; ``main`` reports a refusal,
-a bad medium file's too, as one ``error:`` line and returns 2.
+rendering of the same structure, printed after the report is written to
+``--out``, so a failed write leaves stdout empty. Exit codes: 0 success, 1
+verification failure, 2 usage or input error. The parser checks each option
+value as it reads it, by its type, choices or required flag; ``main``
+reports a refusal, a bad medium file's too, as one ``error:`` line and
+returns 2.
 """
 
 from __future__ import annotations
@@ -78,8 +80,11 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _emit(report: dict, out_path: str | None, code: int = EXIT_OK) -> int:
-    """Write ``report`` to ``out_path``, if given; return ``code``, or EXIT_USAGE when the write fails."""
+def _emit(report: dict, out_path: str | None, lines: list[str], code: int = EXIT_OK) -> int:
+    """Write ``report`` to ``out_path``, if given, then print its console ``lines``; return ``code``.
+
+    A failed write prints no line and returns EXIT_USAGE, so stdout stays empty.
+    """
     if out_path:
         # a NaN or Inf in a report is a fault of the program: fail, never write it (C encoder: no indent)
         text = json.dumps(report, allow_nan=False) + "\n"
@@ -87,6 +92,8 @@ def _emit(report: dict, out_path: str | None, code: int = EXIT_OK) -> int:
             Path(out_path).write_text(text, encoding="utf-8")
         except OSError as exc:
             return _fail(f"cannot write --out {out_path!r}: {exc.strerror or exc}")
+    for line in lines:
+        print(line)
     return code
 
 
@@ -119,7 +126,7 @@ def _fail(message: str) -> int:
 
 
 def _run_functions(args, entry, **request) -> int:
-    """Replay the protocol once per ``--function`` and report ``entry(f, trace, dist, counts, theta)`` each.
+    """Replay the protocol once per ``--function``; ``entry(f, trace, dist, counts, theta)`` gives each (result, line).
 
     A request that names ``shots`` builds each function's distribution once
     and, for shots > 0, draws every function's counts in one ``sample_shots``
@@ -137,8 +144,9 @@ def _run_functions(args, entry, **request) -> int:
         dists = [trace.distribution() for trace in traces]
         if args.shots > 0:
             counts = sample_shots(dists, args.shots, args.seed)
-    report["results"] = [entry(*row, theta) for row in zip(functions, traces, dists, counts)]
-    return _emit(report, args.out)
+    rows = [entry(*row, theta) for row in zip(functions, traces, dists, counts)]
+    report["results"] = [result for result, _ in rows]
+    return _emit(report, args.out, [line for _, line in rows])
 
 
 def _cmd_run(args) -> int:
@@ -177,9 +185,8 @@ def _cmd_run(args) -> int:
                 "comparable": args.mode == "exact",
             }
         shown = ", ".join(f"{k}: {v:.6g}" for k, v in e["distribution"].items() if v > 1e-12)
-        print(f"{f.id}: pattern {e['top_pattern']} (p={top:.9f}) "
-              f"-> {e['classification'] or 'undetermined'}  [{shown}]")
-        return e
+        return e, (f"{f.id}: pattern {e['top_pattern']} (p={top:.9f}) "
+                   f"-> {e['classification'] or 'undetermined'}  [{shown}]")
 
     return _run_functions(args, entry, shots=args.shots, seed=args.seed)
 
@@ -191,12 +198,13 @@ def _cmd_verify(args) -> int:
     all_passed = all(r.passed for r in results)
     report["all_passed"] = all_passed
     width = max(len(r.name) for r in results)
+    lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         tag = " (expected-inconsistent)" if r.expected_inconsistent else ""
         dev = f" deviation={r.deviation:.3e}" if r.deviation is not None else ""
-        print(f"{r.name:<{width}}  {status}{tag}{dev}  {r.detail}")
-    return _emit(report, args.out, EXIT_OK if all_passed else EXIT_VERIFY_FAILED)
+        lines.append(f"{r.name:<{width}}  {status}{tag}{dev}  {r.detail}")
+    return _emit(report, args.out, lines, EXIT_OK if all_passed else EXIT_VERIFY_FAILED)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -255,11 +263,13 @@ def _cmd_params(args) -> int:
     report["medium"] = dataclasses.asdict(spec)
     report["feasibility"] = dataclasses.asdict(feas)
     report["evolution_angle"] = theta
-    print(f"transit time T = {feas.transit_time_s:.4g} s")
-    print(f"required detuning = {feas.detuning_rad_s:.4g} rad/s ({feas.detuning_cyclic_hz:.4g} Hz cyclic)")
-    print(f"detuning / coupling = {feas.detuning_over_coupling:.4g} (dispersive_ok={feas.dispersive_ok})")
-    print(f"relaxation margin = {feas.decoherence_margin:.4g} (decoherence_ok={feas.decoherence_ok})")
-    return _emit(report, args.out)
+    lines = [
+        f"transit time T = {feas.transit_time_s:.4g} s",
+        f"required detuning = {feas.detuning_rad_s:.4g} rad/s ({feas.detuning_cyclic_hz:.4g} Hz cyclic)",
+        f"detuning / coupling = {feas.detuning_over_coupling:.4g} (dispersive_ok={feas.dispersive_ok})",
+        f"relaxation margin = {feas.decoherence_margin:.4g} (decoherence_ok={feas.decoherence_ok})",
+    ]
+    return _emit(report, args.out, lines)
 
 
 def _cmd_sample(args) -> int:
@@ -273,7 +283,6 @@ def _cmd_sample(args) -> int:
             for pattern, count in sorted(counts.items())
             if count > 0
         }
-        print(f"{f.id}: {coincidences} correct-rate {correct / args.shots:.4f}")
         return {
             "function": f.id,
             "mode": args.mode,
@@ -282,7 +291,7 @@ def _cmd_sample(args) -> int:
             "coincidences": coincidences,
             "counts": {_pattern_key(k): v for k, v in sorted(counts.items()) if v > 0},
             "empirical_classification_rate": correct / args.shots,
-        }
+        }, f"{f.id}: {coincidences} correct-rate {correct / args.shots:.4f}"
 
     return _run_functions(args, entry, shots=args.shots, seed=args.seed)
 
@@ -297,13 +306,12 @@ def _cmd_trace(args) -> int:
             }
             for name, state in trace.states.items()
         ]
-        print(f"{f.id}: {len(states)} states recorded")
         return {
             "function": f.id,
             "mode": args.mode,
             "post_selection_probability": trace.post_selection_probability,
             "states": states,
-        }
+        }, f"{f.id}: {len(states)} states recorded"
 
     return _run_functions(args, entry)
 

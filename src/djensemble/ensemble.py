@@ -3,7 +3,8 @@
 Two evolutions of the photon pair through the medium are provided:
 
 * ``u_eff_exact``: the unitary generated by the effective Stark-shift
-  Hamiltonian, computed by exact eigendecomposition.
+  Hamiltonian, from its exact eigendecomposition, which is computed once,
+  at import.
 * ``u_eff_paper``: the polarizer-style rewrite the protocol's design assumes
   for the same interaction, fixed at the quarter turn theta = pi/2 where the
   balanced oracle works (``is_quarter_turn``). It is the linear operator K,
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import LIN_TO_CIRC
-from .qstate import Operator, SpaceLabel, StateVector, check_real, expm_hermitian
+from .qstate import Hamiltonian, Operator, SpaceLabel, StateVector, check_real, expm_hermitian
 
 ATOM = SpaceLabel((("atom", 2),))
 PROTOCOL_SPACE = SpaceLabel((("atom", 2), ("photon1", 2), ("photon2", 2)))
@@ -67,7 +68,7 @@ def microwave_rotation(pulse) -> Operator:
     area, phase = pulse
     area, phase = check_real("area", area), check_real("phase", phase)
     generator = -np.array([[0.0, np.exp(-1j * phase)], [np.exp(1j * phase), 0.0]])
-    return expm_hermitian(ATOM, generator, area)
+    return expm_hermitian(Hamiltonian(ATOM, generator), area)
 
 
 # Pulse settings (area, phase) realizing the four Hadamard variants, and the atomic NOT.
@@ -92,6 +93,8 @@ H_EFF = np.kron(np.diag([1.0, 0.0]), _photon_pair_sum(P_PLUS)) + np.kron(
     np.diag([0.0, 1.0]), _photon_pair_sum(P_MINUS)
 )
 H_EFF.setflags(write=False)
+# H_EFF checked and diagonalized once, for every u_eff_exact
+_MEDIUM = Hamiltonian(PROTOCOL_SPACE, H_EFF)
 
 
 def h_eff_linear() -> np.ndarray:
@@ -112,7 +115,7 @@ def h_eff_linear() -> np.ndarray:
 
 def u_eff_exact(theta: float) -> Operator:
     """Exact medium unitary exp(-i H t) at the evolution angle theta = lambda * N * t."""
-    return expm_hermitian(PROTOCOL_SPACE, H_EFF, theta)
+    return expm_hermitian(_MEDIUM, theta)
 
 
 # The photon pair leaving the declared rewrite at the quarter turn, indexed

@@ -131,8 +131,8 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
     return np.where(n <= 15, _STIRLERR_SMALL[np.minimum(n, 15).astype(int)], series)
 
 
-def _bd0(x: np.ndarray, lam: float) -> np.ndarray:
-    """x ln(x / lam) + lam - x, without the cancellation near x = lam."""
+def _bd0(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """x ln(x / lam) + lam - x, without the cancellation near x = lam; ``lam`` broadcasts against x."""
     d = x - lam
     v = d / (x + lam)
     v2 = v * v
@@ -152,18 +152,15 @@ def _log_binomial(m: np.ndarray, n_atoms: int, lam: float, mu: float) -> np.ndar
 
     The form carries a factor exp(N - lam - mu), which cancels the rounding
     of p + q to first order: the weights sum to 1 to rounding at any N.
+    Each kernel runs once, on its terms stacked: stirlerr on [N, m, N - m],
+    bd0 on [m, N - m] against [lam, mu].
     """
     k = n_atoms - m
     with np.errstate(divide="ignore"):
         spread = np.where((m > 0) & (k > 0), np.log(2.0 * math.pi * m * k / n_atoms), 0.0)
-    return (
-        _stirlerr(np.array(float(n_atoms)))
-        - _stirlerr(m)
-        - _stirlerr(k)
-        - _bd0(m, lam)
-        - _bd0(k, mu)
-        - 0.5 * spread
-    )
+    stir = _stirlerr(np.stack((np.full_like(m, n_atoms), m, k)))
+    dev = _bd0(np.stack((m, k)), np.array([[lam], [mu]]))
+    return stir[0] - stir[1] - stir[2] - dev[0] - dev[1] - 0.5 * spread
 
 
 def _coherent_band(n_atoms: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:

@@ -304,7 +304,7 @@ def reference_dj_circuit(f: BooleanFunction) -> ReferenceCircuitResult:
 
     With the ancilla in |->, the oracle call is the phase (-1)^f(x) on the
     query register, so the ancilla is left out. The final Hadamards are an
-    unnormalised fast Walsh-Hadamard transform, one butterfly pass per
+    unnormalised fast Walsh-Hadamard transform, one in-place butterfly pass per
     qubit; pattern bits are big-endian (the first bit is the most
     significant input bit).
 
@@ -316,8 +316,9 @@ def reference_dj_circuit(f: BooleanFunction) -> ReferenceCircuitResult:
     n = f.n_bits
     amps = 1.0 - 2.0 * np.array(f.table, dtype=float)
     for k in range(n):
+        # a view: each pass writes its sums and differences back into amps
         pairs = amps.reshape(2**k, 2, -1)
-        amps = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
     probs = (amps / 2**n) ** 2
 
     p_all_zero = float(probs[0])

@@ -13,10 +13,12 @@ construction but ``embed``'s, which pads a checked operator with an exact
 identity and so cannot fail it (U'^dag U' - I = I (x) (U^dag U - I), entry
 for entry). A gate is checked once, where it is built: the kernels that
 apply one, ``embed`` and ``manybody.symmetric_rotation``, take a built
-Operator and refuse a raw matrix with a TypeError. A Hamiltonian is a plain
-Hermitian matrix, which ``expm_hermitian`` checks and exponentiates. A
-state scans its amplitudes for NaN and Inf only when their squared norm is
-not finite.
+Operator and refuse a raw matrix with a TypeError. A ``Hamiltonian`` is
+checked and diagonalized once, where it is built, the same way: it must be
+finite and Hermitian, and ``expm_hermitian`` takes a built Hamiltonian,
+refuses a raw matrix with a TypeError and only exponentiates its stored
+eigendecomposition. A state scans its amplitudes for NaN and Inf only when
+their squared norm is not finite.
 
 Scalar inputs are checked by three rules here, which the other modules call
 instead of writing their own; each raises a ValueError naming the field:
@@ -267,25 +269,55 @@ def _padded_operator(space: SpaceLabel, matrix: np.ndarray) -> Operator:
     return padded
 
 
-def expm_hermitian(space: SpaceLabel, h: np.ndarray, theta: float) -> Operator:
-    """exp(-i * theta * H) on ``space`` for the Hermitian matrix H, via eigendecomposition.
+@dataclass(frozen=True, eq=False)
+class Hamiltonian:
+    """Hermitian matrix over a labeled space, checked and diagonalized once, at construction.
+
+    ``eigenvalues`` w and the columns of ``eigenvectors`` v give H = v diag(w) v^dag;
+    ``adjoint`` holds v^dag. Every array is read-only.
+    """
+
+    space: SpaceLabel
+    matrix: np.ndarray
+    # derived once, at construction: np.linalg.eigh of the checked matrix
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
+    adjoint: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mat = _frozen_complex(self.matrix)
+        dim = self.space.dim
+        if mat.shape != (dim, dim):
+            raise ValueError(f"matrix shape {mat.shape} does not match space dimension {dim}")
+        # a NaN entry would pass the Hermitian comparison below (nan > tol is False)
+        _check_finite(mat, "generator entries")
+        scale = max(1.0, float(np.max(np.abs(mat))))
+        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        if dev > CONSTRUCTION_ATOL * scale:
+            raise ValueError(f"generator is not Hermitian: max |H - H^dag| = {dev:.3e}")
+        w, v = np.linalg.eigh(mat)
+        adjoint = v.conj().T
+        for arr in (w, v, adjoint):
+            arr.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "adjoint", adjoint)
+
+
+def expm_hermitian(h: Hamiltonian, theta: float) -> Operator:
+    """exp(-i * theta * H) on the Hamiltonian's space, from its stored eigendecomposition.
 
     ``theta`` carries the whole dimensionless evolution angle, so H should be
     supplied in dimensionless form.
     """
+    if not isinstance(h, Hamiltonian):
+        raise TypeError(f"a generator must be a built Hamiltonian, got {type(h).__name__}")
     theta = check_real("theta", theta)
-    mat = _frozen_complex(h)
-    # a NaN entry would pass the Hermitian comparison below (nan > tol is False)
-    _check_finite(mat, "generator entries")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > CONSTRUCTION_ATOL * scale:
-        raise ValueError(f"generator is not Hermitian: max |H - H^dag| = {dev:.3e}")
-    w, v = np.linalg.eigh(mat)
     # theta * w past the float range gives NaN entries, which Operator rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        u = (v * np.exp(-1j * theta * w)) @ v.conj().T
-    return Operator(space, u)
+        u = (h.eigenvectors * np.exp(-1j * theta * h.eigenvalues)) @ h.adjoint
+    return Operator(h.space, u)
 
 
 def born_distribution(state: StateVector, subsystems: Sequence[str]) -> dict:

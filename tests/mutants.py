@@ -44,11 +44,12 @@ MUTANTS = (
     Mutant("_medium_phase conjugated", "manybody.py",
            "tilt = np.exp(-1j * (theta / n_atoms)", "tilt = np.exp(1j * (theta / n_atoms)"),
     Mutant("u_eff_exact at -theta", "ensemble.py",
-           "expm_hermitian(PROTOCOL_SPACE, H_EFF, theta)",
-           "expm_hermitian(PROTOCOL_SPACE, H_EFF, -theta)"),
+           "expm_hermitian(_MEDIUM, theta)", "expm_hermitian(_MEDIUM, -theta)"),
     Mutant("u_eff_exact at |theta|", "ensemble.py",
-           "expm_hermitian(PROTOCOL_SPACE, H_EFF, theta)",
-           "expm_hermitian(PROTOCOL_SPACE, H_EFF, abs(theta))"),
+           "expm_hermitian(_MEDIUM, theta)", "expm_hermitian(_MEDIUM, abs(theta))"),
+    # v e^{-i theta w} v^T is unitary too, so only the angle's action shows it
+    Mutant("the Hamiltonian keeps v^T for v^dag", "qstate.py",
+           "adjoint = v.conj().T", "adjoint = v.T"),
     Mutant("symmetric_rotation with the half bases and their transposes swapped", "manybody.py",
            "plus = (xp.T @ (f[:hp] + f[::-1][:hp])).view(np.complex128)\n"
            "    minus = (xq.T @ (f[:hq] - f[::-1][:hq])).view(np.complex128)\n"
@@ -69,6 +70,10 @@ MUTANTS = (
     Mutant("coherent-band phase with alpha and beta swapped", "manybody.py",
            "(n_atoms - m) * np.angle(alpha) + m * np.angle(beta)",
            "(n_atoms - m) * np.angle(beta) + m * np.angle(alpha)"),
+    # each pass then builds a new array and leaves amps as the oracle's signs
+    Mutant("the butterfly skips its write-back", "protocol.py",
+           "pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]",
+           "pairs = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)"),
     Mutant("closing rule: photon 1 reads the x2 bit", "protocol.py",
            "for photon, probe in ((1, 2), (2, 1))", "for photon, probe in ((1, 1), (2, 1))"),
     Mutant("composite rotation from the wrong variant order", "polarization.py",
@@ -88,7 +93,7 @@ MUTANTS = (
     Mutant("cached medium eigenbasis with the level counts swapped", "manybody.py",
            "(n_atoms - m) * _GEN_PLUS + m * _GEN_MINUS", "m * _GEN_PLUS + (n_atoms - m) * _GEN_MINUS"),
     Mutant("lam and mu swapped in the bd0 terms", "manybody.py",
-           "- _bd0(m, lam)\n        - _bd0(k, mu)", "- _bd0(m, mu)\n        - _bd0(k, lam)"),
+           "np.array([[lam], [mu]])", "np.array([[mu], [lam]])"),
     # the band is then not normalized, so a check raises; run_all_checks
     # reports that as a FAIL line
     Mutant("bd0 series with the wrong denominators", "manybody.py",
@@ -182,6 +187,16 @@ MUTANTS = (
     Mutant("parser refusal handed back to argparse", "cli.py",
            "raise argparse.ArgumentError(None, message)", "super().error(message)",
            "tests/test_cli.py::TestRefusals::test_refusal_is_one_error_line"),
+    # /dev/full shows it where it exists; a NaN report's refused write shows it everywhere
+    Mutant("console lines printed before the --out write", "cli.py",
+           "    if out_path:\n"
+           "        # a NaN or Inf in a report",
+           "    for line in lines:\n"
+           "        print(line)\n"
+           "    lines = []\n"
+           "    if out_path:\n"
+           "        # a NaN or Inf in a report",
+           "tests/test_cli.py::TestOutOption::test_nan_never_reaches_a_report"),
     Mutant("decoherence threshold at 100 transit times", "params.py",
            "DECOHERENCE_THRESHOLD = 1e3", "DECOHERENCE_THRESHOLD = 1e2",
            "tests/test_params.py::TestRequiredDetuning::test_decoherence_threshold_is_a_thousand_transit_times"),

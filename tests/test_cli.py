@@ -263,15 +263,26 @@ class TestOutOption:
         err = capsys.readouterr().err
         assert err == f"error: cannot write --out {str(tmp_path / 'report.json')!r}: Permission denied\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="this system has no /dev/full")
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=COMMAND_IDS)
+    def test_failed_write_leaves_stdout_empty(self, capsys, argv):
+        # /dev/full passes the --out directory rules and only the write fails,
+        # after the work: no console line may be printed before it
+        assert main(argv + ["--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write --out '/dev/full': ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
-    def test_nan_never_reaches_a_report(self, tmp_path, value):
+    def test_nan_never_reaches_a_report(self, tmp_path, capsys, value):
         from djensemble.cli import _emit
 
         out = tmp_path / "report.json"
         # a list inside a dict, the shape of `distribution` and `amplitudes`
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _emit({"results": [{"amplitudes": [0.5, value]}]}, str(out))
+            _emit({"results": [{"amplitudes": [0.5, value]}]}, str(out), ["f1: a console line"])
         assert not out.exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestReportLayout:

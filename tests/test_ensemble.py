@@ -21,7 +21,7 @@ from djensemble.ensemble import (
 from djensemble.params import PRESETS, ensemble_config_from_report, required_detuning
 from djensemble.polarization import LIN_TO_CIRC, hadamard_variant
 from djensemble.protocol import run_protocol, table1_function
-from djensemble.qstate import SpaceLabel, StateVector, basis_state, expm_hermitian
+from djensemble.qstate import Hamiltonian, SpaceLabel, StateVector, basis_state, expm_hermitian
 
 SQRT2 = math.sqrt(2.0)
 
@@ -143,6 +143,15 @@ class TestExactEvolution:
             u = u_eff_exact(theta).matrix
             np.testing.assert_allclose(u, full_u_oracle(theta), atol=1e-12)
 
+    def test_matches_a_fresh_eigh_of_h_eff_bit_for_bit(self):
+        # H_EFF is diagonalized once, at import; every angle must still give
+        # the entries of the route that diagonalizes it for each call
+        w, v = np.linalg.eigh(H_EFF)
+        rng = np.random.default_rng(44)
+        for theta in rng.uniform(-20.0, 20.0, size=50):
+            expected = (v * np.exp(-1j * theta * w)) @ v.conj().T
+            assert np.array_equal(u_eff_exact(theta).matrix, expected)
+
     def test_zero_angle_identity(self):
         u = u_eff_exact(0.0).matrix
         np.testing.assert_allclose(u, np.eye(8), atol=1e-12)
@@ -174,7 +183,7 @@ class TestExactEvolution:
         # u_eff_exact takes the medium's angle into this same exponential
         spec = PRESETS["cs-cell"]
         theta = ensemble_config_from_report(spec, required_detuning(spec))
-        before = expm_hermitian(PROTOCOL_SPACE, H_EFF, theta).matrix
+        before = expm_hermitian(Hamiltonian(PROTOCOL_SPACE, H_EFF), theta).matrix
         assert np.array_equal(u_eff_exact(theta).matrix, before)
 
     @pytest.mark.parametrize("build", [u_eff_exact], ids=["u_eff_exact"])

@@ -15,10 +15,13 @@ from djensemble.manybody import (
     DickeState,
     EnsembleEvolution,
     PhotonRotation,
+    _bd0,
     _evolution_block,
     _excitation_order,
+    _log_binomial,
     _medium_eigenbasis,
     _sigma_x_basis,
+    _stirlerr,
     coherent_dicke_amplitudes,
     dicke_amplitudes_from_naive,
     full_simulate_dicke,
@@ -77,6 +80,21 @@ def symmetric_rotation_bruteforce(u, n):
         m = bin(idx).count("1")
         iso[idx, m] = 1.0 / math.sqrt(math.comb(n, m))
     return iso.T @ full @ iso
+
+
+def two_pass_log_binomial(m, n_atoms, lam, mu):
+    """Loader's ln b(m; N, p) with each stirlerr and bd0 term in its own pass, N's as a 0-d array."""
+    k = n_atoms - m
+    with np.errstate(divide="ignore"):
+        spread = np.where((m > 0) & (k > 0), np.log(2.0 * math.pi * m * k / n_atoms), 0.0)
+    return (
+        _stirlerr(np.array(float(n_atoms)))
+        - _stirlerr(m)
+        - _stirlerr(k)
+        - _bd0(m, lam)
+        - _bd0(k, mu)
+        - 0.5 * spread
+    )
 
 
 def literal_hamiltonian(n, lam):
@@ -465,6 +483,22 @@ class TestAtomState:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             coherent_dicke_amplitudes(np.zeros(2), 3)
+
+    def test_stacked_log_binomial_is_the_two_pass_form_bit_for_bit(self):
+        # each kernel runs once on its stacked terms; every entry must keep
+        # the bits of the form that ran one pass per term
+        rng = np.random.default_rng(280)
+        for _ in range(280):
+            n = int(10.0 ** rng.uniform(0.0, 9.0))
+            p = rng.choice([rng.uniform(), 10.0 ** rng.uniform(-12.0, -1.0), 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)])
+            q = 1.0 - p
+            # the band search's first window: its two ends and 256 entries between them
+            mode, half = min(n, int((n + 1) * p)), 32 + int(56.0 * math.sqrt(n * p * q))
+            lo, hi = max(0, mode - half), min(n + 1, mode + half + 1)
+            ends = np.r_[lo : min(lo + 64, hi), max(hi - 64, lo) : hi]
+            m = np.unique(np.concatenate([ends, rng.integers(lo, hi, 256)])).astype(float)
+            stacked = _log_binomial(m, n, n * p, n * q)
+            assert stacked.tobytes() == two_pass_log_binomial(m, n, n * p, n * q).tobytes(), (n, p)
 
     @pytest.mark.parametrize("vec", [[math.inf, 1.0], [math.nan, 0.0], [1.0, complex(math.nan, 0.0)]],
                              ids=["inf", "nan", "complex-nan"])

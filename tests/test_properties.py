@@ -35,7 +35,7 @@ from djensemble.manybody import (
 from djensemble.params import MediumSpec, required_detuning
 from djensemble.polarization import PHOTON, half_wave, quarter_wave
 from djensemble.protocol import classify, replay, run_protocol, table1_function
-from djensemble.qstate import Operator, SpaceLabel, basis_state, born_distribution, expm_hermitian
+from djensemble.qstate import Hamiltonian, Operator, SpaceLabel, basis_state, born_distribution, expm_hermitian
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -240,7 +240,7 @@ CONSTRUCTORS = [
     ),
     (u_eff_exact, [(angles, edge_scalars)], lambda o: [o.matrix]),
     (
-        lambda theta: expm_hermitian(PHOTON, np.array([[1.0, 0.5j], [-0.5j, -1.0]]), theta),
+        lambda theta: expm_hermitian(Hamiltonian(PHOTON, np.array([[1.0, 0.5j], [-0.5j, -1.0]])), theta),
         [(angles, edge_scalars)],
         lambda o: [o.matrix],
     ),

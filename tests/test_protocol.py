@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -618,6 +619,24 @@ class TestReferenceCircuit:
                 max(p_all_zero, 1.0 - p_all_zero), abs=1e-12
             )
             assert result.deterministic == (min(p_all_zero, 1.0 - p_all_zero) <= 1e-9)
+
+    def test_every_small_function_matches_the_dense_hadamard_product(self):
+        # the butterfly writes each pass back into its own array; every truth
+        # table up to n = 3 and every enumerated one at n = 4, against the
+        # dense product of n Hadamards, leaves each function's table as it was
+        for n in range(1, 5):
+            hadamard_n = np.ones((1, 1))
+            for _ in range(n):
+                hadamard_n = np.kron(hadamard_n, np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2)
+            tables = itertools.product((0, 1), repeat=2**n) if n <= 3 else (f.table for f in enumerate_functions(4))
+            for table in tables:
+                f = BooleanFunction(n, table)
+                result = reference_dj_circuit(f)
+                assert f.table == tuple(table)
+                probs = (hadamard_n @ ((-1.0) ** np.array(table) / 2 ** (n / 2))) ** 2
+                assert abs(result.top_probability - probs.max()) <= 1e-15
+                assert abs(probs[int("".join(map(str, result.top_pattern)), 2)] - probs.max()) <= 1e-15
+                assert abs(result.classification_probability - max(probs[0], 1.0 - probs[0])) <= 1e-15
 
     def test_sixteen_bit_balanced_is_deterministic(self):
         table = np.zeros(2**16, dtype=int)

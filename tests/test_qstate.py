@@ -10,6 +10,7 @@ from djensemble.manybody import DickeState, dicke_space
 from djensemble.qstate import (
     _FOLD_ROWS,
     _SHOT_BLOCK,
+    Hamiltonian,
     Operator,
     SpaceLabel,
     StateVector,
@@ -426,28 +427,28 @@ class TestEmbed:
 
 class TestExpmHermitian:
     def test_diagonal_projector(self):
-        u = expm_hermitian(QUBIT_A, np.diag([1.0, 0.0]), math.pi / 2).matrix
+        u = expm_hermitian(Hamiltonian(QUBIT_A, np.diag([1.0, 0.0])), math.pi / 2).matrix
         np.testing.assert_allclose(u, np.diag([-1.0j, 1.0]), atol=1e-15)
 
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         space = SpaceLabel((("s", 4),))
-        np.testing.assert_allclose(expm_hermitian(space, m + m.conj().T, 0.0).matrix, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(expm_hermitian(Hamiltonian(space, m + m.conj().T), 0.0).matrix, np.eye(4), atol=1e-14)
 
     def test_group_property(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            h, space = m + m.conj().T, SpaceLabel((("s", 3),))
+            h = Hamiltonian(SpaceLabel((("s", 3),)), m + m.conj().T)
             t1, t2 = rng.uniform(-3, 3, size=2)
-            split = expm_hermitian(space, h, t1).matrix @ expm_hermitian(space, h, t2).matrix
-            joint = expm_hermitian(space, h, t1 + t2).matrix
+            split = expm_hermitian(h, t1).matrix @ expm_hermitian(h, t2).matrix
+            joint = expm_hermitian(h, t1 + t2).matrix
             np.testing.assert_allclose(split, joint, atol=1e-12)
 
     def test_microwave_generator_at_zero_phase(self):
         # drive generator at zero field phase, quarter pulse area
-        u = expm_hermitian(QUBIT_A, -np.array([[0.0, 1.0], [1.0, 0.0]]), math.pi / 4).matrix
+        u = expm_hermitian(Hamiltonian(QUBIT_A, -np.array([[0.0, 1.0], [1.0, 0.0]])), math.pi / 4).matrix
         h2 = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
         np.testing.assert_allclose(u, h2, atol=1e-14)
 
@@ -458,27 +459,72 @@ class TestExpmHermitian:
         m = rng.normal(size=(6, 6))
         space = SpaceLabel((("s", 6),))
         p = np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, size=6)))
-        real = expm_hermitian(space, m + m.T, 0.7).matrix
-        cplx = expm_hermitian(space, p @ (m + m.T) @ p.conj().T, 0.7).matrix
+        real = expm_hermitian(Hamiltonian(space, m + m.T), 0.7).matrix
+        cplx = expm_hermitian(Hamiltonian(space, p @ (m + m.T) @ p.conj().T), 0.7).matrix
         np.testing.assert_allclose(real, p.conj().T @ cplx @ p, atol=1e-13)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            expm_hermitian(QUBIT_A, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+            Hamiltonian(QUBIT_A, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_generator_rejected(self, bad):
         # a NaN entry would pass the Hermitian comparison: nan > tol is False
         with pytest.raises(ValueError, match="generator entries must be finite"):
-            expm_hermitian(QUBIT_A, np.diag([bad, 0.0]), 1.0)
+            Hamiltonian(QUBIT_A, np.diag([bad, 0.0]))
 
     def test_result_is_unitary(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
             h = m + m.conj().T
-            u = expm_hermitian(SpaceLabel((("s", 5),)), h, rng.uniform(-10, 10)).matrix
+            u = expm_hermitian(Hamiltonian(SpaceLabel((("s", 5),)), h), rng.uniform(-10, 10)).matrix
             np.testing.assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
+
+
+class TestHamiltonian:
+    """A generator is checked and diagonalized once, where it is built; ``expm_hermitian`` takes only a built one."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_is_refused_with_its_message(self, bad):
+        with pytest.raises(ValueError, match=r"^generator entries must be finite \(no NaN or Inf\)$"):
+            Hamiltonian(QUBIT_A, np.array([[0.0, bad], [bad, 0.0]]))
+
+    def test_non_hermitian_matrix_is_refused_with_its_message(self):
+        with pytest.raises(ValueError, match=r"^generator is not Hermitian: max \|H - H\^dag\| = 1\.000e\+00$"):
+            Hamiltonian(QUBIT_A, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_shape_must_match_the_space(self):
+        with pytest.raises(ValueError, match=r"^matrix shape \(3, 3\) does not match space dimension 2$"):
+            Hamiltonian(QUBIT_A, np.eye(3))
+
+    def test_arrays_are_read_only_copies(self):
+        h = np.array([[1.0, 0.5j], [-0.5j, -1.0]])
+        built = Hamiltonian(QUBIT_A, h)
+        h[0, 0] = 7.0  # the caller's array is not the Hamiltonian's
+        assert built.matrix[0, 0] == 1.0
+        for arr in (built.matrix, built.eigenvalues, built.eigenvectors, built.adjoint):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_stored_eigendecomposition_is_eigh_of_the_matrix(self):
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        built = Hamiltonian(SpaceLabel((("s", 4),)), m + m.conj().T)
+        w, v = np.linalg.eigh(m + m.conj().T)
+        assert np.array_equal(built.eigenvalues, w)
+        assert np.array_equal(built.eigenvectors, v)
+        assert np.array_equal(built.adjoint, v.conj().T)
+
+    @pytest.mark.parametrize("raw", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]]], ids=["ndarray", "list"])
+    def test_expm_hermitian_refuses_a_raw_matrix(self, raw):
+        with pytest.raises(TypeError, match="^a generator must be a built Hamiltonian, got (ndarray|list)$"):
+            expm_hermitian(raw, 1.0)
+
+    def test_expm_hermitian_checks_its_angle(self):
+        with pytest.raises(ValueError, match="^theta must be finite, got nan$"):
+            expm_hermitian(Hamiltonian(QUBIT_A, np.eye(2)), math.nan)
 
 
 class TestBornDistribution:
