@@ -28,6 +28,7 @@ from .polarization import clicks_for_pattern
 from .protocol import (
     MODES,
     TABLE1_TABLES,
+    build_oracle,
     classify,
     exact_operation_sequence,
     is_deterministic,
@@ -45,8 +46,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 # Largest --shots accepted. At this count `sample --mode exact` takes about
-# 0.8 s for one function and 1.7 s for --function all, which draws the stream
-# once for its eight tables (2-vCPU Xeon, numpy 2.4, Python 3.11).
+# 1.1 s for one function and 1.8 s for --function all, which draws the stream
+# once for the five tables of its distinct oracles (process wall time, median
+# of 5; shared 2-vCPU Xeon, numpy 2.4, Python 3.11).
 MAX_SHOTS = 10**8
 
 
@@ -71,7 +73,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_path(text: str) -> str:
-    """``--out`` as given, unless it names a directory or a file in a missing directory."""
+    """``--out`` as given, unless it is empty or names a directory or a file in a missing directory."""
+    if not text:  # Path("") is "."
+        raise argparse.ArgumentTypeError("an empty value names no file")
     path = Path(text)
     if path.is_dir():
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
@@ -125,32 +129,54 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _run_functions(args, entry, **request) -> int:
-    """Replay the protocol once per ``--function``; ``entry(f, trace, dist, counts, theta)`` gives each (result, line).
+def _run_functions(args, entry, naive_atoms=None, **request) -> int:
+    """Replay the protocol once per distinct oracle; ``entry(f, trace, dist, counts, naive_dist)`` gives each (result, line).
 
-    A request that names ``shots`` builds each function's distribution once
-    and, for shots > 0, draws every function's counts in one ``sample_shots``
-    call, which reads the seed's stream once; otherwise ``dist`` and
-    ``counts`` are None.
+    A function and its complement build the same oracle, so the same
+    sequence: each group of ``--function``'s functions sharing one is
+    replayed once, by its first member, and every member's entry reads that
+    replay, in ``--function`` order. A request that names ``shots`` builds
+    each replay's distribution once and, for shots > 0, draws every replay's
+    counts in one ``sample_shots`` call, which reads the seed's stream once;
+    otherwise ``dist`` and ``counts`` are None. With ``naive_atoms``, each
+    distinct sequence is also replayed once on the unreduced simulator at
+    that many atoms, and ``naive_dist`` is its photon distribution;
+    otherwise None.
     """
     functions = table1_functions() if args.function == "all" else (table1_function(args.function),)
     theta = _default_theta()
     report = _report_skeleton(
         args.command, {"function": args.function, "mode": args.mode, **request}
     )
-    traces = [run_protocol(f, args.mode, theta) for f in functions]
-    dists = counts = [None] * len(traces)
+    # oracles compare by their rotations' identity (shared, frozen constants) and their medium step's angle
+    oracles = [build_oracle(f, theta) for f in functions]
+    firsts = {}
+    for oracle, f in zip(oracles, functions):
+        firsts.setdefault(oracle, f)
+    traces = {oracle: run_protocol(f, args.mode, theta) for oracle, f in firsts.items()}
+    dists = counts = naive_dists = dict.fromkeys(firsts)
     if "shots" in request:
-        dists = [trace.distribution() for trace in traces]
+        dists = {oracle: trace.distribution() for oracle, trace in traces.items()}
         if args.shots > 0:
-            counts = sample_shots(dists, args.shots, args.seed)
-    rows = [entry(*row, theta) for row in zip(functions, traces, dists, counts)]
+            counts = dict(zip(dists, sample_shots(list(dists.values()), args.shots, args.seed)))
+    if naive_atoms is not None:
+        naive_dists = {
+            oracle: born_distribution(
+                full_simulate_naive(naive_atoms, (0.0, 1.0), exact_operation_sequence(f, theta)),
+                ("photon1", "photon2"),
+            )
+            for oracle, f in firsts.items()
+        }
+    rows = [
+        entry(f, traces[oracle], dists[oracle], counts[oracle], naive_dists[oracle])
+        for oracle, f in zip(oracles, functions)
+    ]
     report["results"] = [result for result, _ in rows]
     return _emit(report, args.out, [line for _, line in rows])
 
 
 def _cmd_run(args) -> int:
-    def entry(f, trace, dist, counts, theta) -> dict:
+    def entry(f, trace, dist, counts, naive_dist) -> dict:
         # the top pattern and the verdict come from the one Born pass
         pattern, top = top_pattern(dist)
         deterministic = is_deterministic(top)
@@ -171,16 +197,12 @@ def _cmd_run(args) -> int:
         }
         if counts is not None:
             e["counts"] = {_pattern_key(k): v for k, v in sorted(counts.items())}
-        if args.n_atoms_oracle is not None:
-            oracle_state = full_simulate_naive(
-                args.n_atoms_oracle, (0.0, 1.0), exact_operation_sequence(f, theta)
-            )
-            oracle_dist = born_distribution(oracle_state, ("photon1", "photon2"))
+        if naive_dist is not None:
             e["oracle"] = {
                 "n_atoms": args.n_atoms_oracle,
-                "distribution": {_pattern_key(k): v for k, v in sorted(oracle_dist.items())},
+                "distribution": {_pattern_key(k): v for k, v in sorted(naive_dist.items())},
                 "max_difference_vs_run": max(
-                    abs(oracle_dist[k] - dist[k]) for k in oracle_dist
+                    abs(naive_dist[k] - dist[k]) for k in naive_dist
                 ),
                 "comparable": args.mode == "exact",
             }
@@ -188,7 +210,7 @@ def _cmd_run(args) -> int:
         return e, (f"{f.id}: pattern {e['top_pattern']} (p={top:.9f}) "
                    f"-> {e['classification'] or 'undetermined'}  [{shown}]")
 
-    return _run_functions(args, entry, shots=args.shots, seed=args.seed)
+    return _run_functions(args, entry, naive_atoms=args.n_atoms_oracle, shots=args.shots, seed=args.seed)
 
 
 def _cmd_verify(args) -> int:
@@ -273,7 +295,7 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    def entry(f, trace, dist, counts, theta) -> dict:
+    def entry(f, trace, dist, counts, naive_dist) -> dict:
         correct = sum(
             c for pattern, c in counts.items()
             if classify(pattern).classification == f.classification
@@ -297,7 +319,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    def entry(f, trace, dist, counts, theta) -> dict:
+    def entry(f, trace, dist, counts, naive_dist) -> dict:
         states = [
             {
                 "state": name,

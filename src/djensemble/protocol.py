@@ -10,7 +10,10 @@ A balanced oracle's photon rotations follow one per-photon rule: photon i
 gets h'' when f depends on its input bit x_i and h' when it does not. Each
 photon only learns whether f reads its own bit, which is why the two-bit
 algorithm needs no entanglement (Collins, Kim and Holton, PRA 58, R1633,
-1998).
+1998). So a balanced f and its complement 1 - f share one oracle, built
+from the same operation objects: f3/f4, f5/f6 and f7/f8 replay the same
+sequence, and the eight catalog functions are five physical runs (the
+algorithm neither can nor needs to tell f from its complement).
 
 The protocol is one operation sequence, ``exact_operation_sequence``.
 ``run_protocol`` replays it with ``replay``, which takes any sequence, on

@@ -197,6 +197,11 @@ MUTANTS = (
            "    if out_path:\n"
            "        # a NaN or Inf in a report",
            "tests/test_cli.py::TestOutOption::test_nan_never_reaches_a_report"),
+    # f1 and f2 share one replay, and f3..f8 another: f5..f8 report f3's pattern under --function all
+    Mutant("functions grouped by their classification, not their oracle", "cli.py",
+           "oracles = [build_oracle(f, theta) for f in functions]",
+           "oracles = [f.classification for f in functions]",
+           "tests/test_cli.py::TestOneDrawPerCommand::test_each_entry_equals_its_own_command"),
     Mutant("decoherence threshold at 100 transit times", "params.py",
            "DECOHERENCE_THRESHOLD = 1e3", "DECOHERENCE_THRESHOLD = 1e2",
            "tests/test_params.py::TestRequiredDetuning::test_decoherence_threshold_is_a_thousand_transit_times"),

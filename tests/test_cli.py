@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import djensemble
 from djensemble import cli
 from djensemble.cli import MAX_SHOTS, main
-from djensemble.protocol import MODES
+from djensemble.manybody import full_simulate_naive
+from djensemble.protocol import MODES, run_protocol
 from djensemble.qstate import sample_shots
 
 
@@ -250,6 +251,12 @@ class TestOutOption:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: argument --out: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=COMMAND_IDS)
+    def test_empty_value_names_no_file(self, capsys, argv):
+        # Path("") is ".", a directory: the refusal must name the empty value instead
+        assert main(argv + ["--out", ""]) == 2
+        assert capsys.readouterr() == ("", "error: argument --out: an empty value names no file\n")
 
     @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=COMMAND_IDS)
     def test_write_failure_exits_2(self, tmp_path, monkeypatch, capsys, argv):
@@ -591,16 +598,24 @@ class TestGoldenCounts:
 
 
 class TestOneDrawPerCommand:
-    """A command draws the seed's stream once for all its functions, and each entry is its own command's."""
+    """A command replays each distinct oracle once and draws the seed's stream once for all its
+    functions, and each entry is its own command's."""
 
     SAMPLED = ["--shots", "1000", "--seed", "5"]
+    # f and its complement share an oracle: f1, f2 and the three balanced pairs
+    DISTINCT_ORACLES = 5
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("command", ["sample", "run"])
-    def test_each_entry_equals_its_own_command(self, tmp_path, capsys, command, mode):
+    @pytest.mark.parametrize("argv", [
+        ["sample", *SAMPLED],
+        ["run", *SAMPLED],
+        ["trace"],
+        ["run", "--n-atoms-oracle", "5"],
+    ], ids=["sample", "run", "trace", "run-oracle"])
+    def test_each_entry_equals_its_own_command(self, tmp_path, capsys, argv, mode):
         def results(function):
             out = tmp_path / f"{function}.json"
-            assert main([command, *self.SAMPLED, "--function", function, "--mode", mode, "--out", str(out)]) == 0
+            assert main([*argv, "--function", function, "--mode", mode, "--out", str(out)]) == 0
             return read_report(out)["results"]
 
         every = results("all")
@@ -618,7 +633,34 @@ class TestOneDrawPerCommand:
 
         monkeypatch.setattr(cli, "sample_shots", counted)
         assert main([command, *self.SAMPLED, "--function", "all"]) == 0
-        assert calls == [8]
+        assert calls == [self.DISTINCT_ORACLES]
+
+    # each group is replayed by its first member
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("function, replayed", [("all", ["f1", "f2", "f3", "f5", "f7"]), ("f4", ["f4"])],
+                             ids=["all", "f4"])
+    @pytest.mark.parametrize("argv", [["sample", *SAMPLED], ["run"], ["trace"]], ids=["sample", "run", "trace"])
+    def test_one_replay_per_distinct_oracle(self, monkeypatch, capsys, argv, function, replayed, mode):
+        calls = []
+
+        def counted(f, *args):
+            calls.append(f.id)
+            return run_protocol(f, *args)
+
+        monkeypatch.setattr(cli, "run_protocol", counted)
+        assert main([*argv, "--function", function, "--mode", mode]) == 0
+        assert calls == replayed
+
+    def test_one_unreduced_replay_per_distinct_oracle(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(n_atoms, *args):
+            calls.append(n_atoms)
+            return full_simulate_naive(n_atoms, *args)
+
+        monkeypatch.setattr(cli, "full_simulate_naive", counted)
+        assert main(["run", "--function", "all", "--mode", "exact", "--n-atoms-oracle", "5"]) == 0
+        assert calls == [5] * self.DISTINCT_ORACLES
 
 
 class TestShotsOption:
