@@ -27,6 +27,7 @@ from .params import PRESETS, MediumSpec, ensemble_config_from_report, required_d
 from .polarization import clicks_for_pattern
 from .protocol import (
     MODES,
+    PATTERN_TO_PAIR,
     TABLE1_TABLES,
     build_oracle,
     classify,
@@ -46,9 +47,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 # Largest --shots accepted. At this count `sample --mode exact` takes about
-# 1.1 s for one function and 1.8 s for --function all, which draws the stream
-# once for the five tables of its distinct oracles (process wall time, median
-# of 5; shared 2-vCPU Xeon, numpy 2.4, Python 3.11).
+# 1.1 s for one function and 1.5 s for --function all, which draws the stream
+# once for the five tables of its distinct oracles and counts it against the
+# 11 distinct values among their 15 cumulative entries (process wall time,
+# median of 5; shared 2-vCPU Xeon, numpy 2.4, Python 3.11).
 MAX_SHOTS = 10**8
 
 
@@ -130,18 +132,21 @@ def _fail(message: str) -> int:
 
 
 def _run_functions(args, entry, naive_atoms=None, **request) -> int:
-    """Replay the protocol once per distinct oracle; ``entry(f, trace, dist, counts, naive_dist)`` gives each (result, line).
+    """Replay each distinct step once per command; ``entry(f, trace, dist, counts, naive_dist)`` gives each (result, line).
 
     A function and its complement build the same oracle, so the same
     sequence: each group of ``--function``'s functions sharing one is
     replayed once, by its first member, and every member's entry reads that
-    replay, in ``--function`` order. A request that names ``shots`` builds
-    each replay's distribution once and, for shots > 0, draws every replay's
-    counts in one ``sample_shots`` call, which reads the seed's stream once;
-    otherwise ``dist`` and ``counts`` are None. With ``naive_atoms``, each
-    distinct sequence is also replayed once on the unreduced simulator at
-    that many atoms, and ``naive_dist`` is its photon distribution;
-    otherwise None.
+    replay, in ``--function`` order. Each replay resumes from the prefix its
+    sequence shares with the one replayed before it: under ``--function
+    all`` every sequence after f1's reuses the opening Hadamards, and f5's
+    and f7's reuse f3's medium step, so the command replays each distinct
+    step once. A request that names ``shots`` builds each replay's
+    distribution once and, for shots > 0, draws every replay's counts in
+    one ``sample_shots`` call, which reads the seed's stream once; otherwise
+    ``dist`` and ``counts`` are None. With ``naive_atoms``, each distinct
+    sequence is also replayed once on the unreduced simulator at that many
+    atoms, and ``naive_dist`` is its photon distribution; otherwise None.
     """
     functions = table1_functions() if args.function == "all" else (table1_function(args.function),)
     theta = _default_theta()
@@ -153,7 +158,9 @@ def _run_functions(args, entry, naive_atoms=None, **request) -> int:
     firsts = {}
     for oracle, f in zip(oracles, functions):
         firsts.setdefault(oracle, f)
-    traces = {oracle: run_protocol(f, args.mode, theta) for oracle, f in firsts.items()}
+    traces, previous = {}, None
+    for oracle, f in firsts.items():
+        traces[oracle] = previous = run_protocol(f, args.mode, theta, after=previous)
     dists = counts = naive_dists = dict.fromkeys(firsts)
     if "shots" in request:
         dists = {oracle: trace.distribution() for oracle, trace in traces.items()}
@@ -295,16 +302,13 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    # each detection pattern's verdict and detector pair, labelled once per command
+    verdicts = {pattern: classify(pattern).classification for pattern in PATTERN_TO_PAIR}
+    clicks = {pattern: "+".join(clicks_for_pattern(pattern)) for pattern in PATTERN_TO_PAIR}
+
     def entry(f, trace, dist, counts, naive_dist) -> dict:
-        correct = sum(
-            c for pattern, c in counts.items()
-            if classify(pattern).classification == f.classification
-        )
-        coincidences = {
-            "+".join(clicks_for_pattern(pattern)): count
-            for pattern, count in sorted(counts.items())
-            if count > 0
-        }
+        correct = sum(c for pattern, c in counts.items() if verdicts[pattern] == f.classification)
+        coincidences = {clicks[pattern]: count for pattern, count in sorted(counts.items()) if count > 0}
         return {
             "function": f.id,
             "mode": args.mode,

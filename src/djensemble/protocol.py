@@ -20,7 +20,11 @@ The protocol is one operation sequence, ``exact_operation_sequence``.
 the compact (atom, photon1, photon2) space, where the atom slot holds the
 shared single-atom state; the physical ensemble state is its N-fold
 product, so the two agree up to a global phase and coincide exactly at the
-collective extremes. The unreduced and symmetric-sector simulators in
+collective extremes. Every sequence opens with the same three Hadamards,
+and the balanced ones share the atom pulse and the medium step too; given
+the trace replayed before it, ``run_protocol`` resumes after the prefix the
+two sequences share, so a command that replays several functions replays
+each distinct step once. The unreduced and symmetric-sector simulators in
 ``manybody`` replay the same sequence for cross-checks.
 """
 
@@ -130,8 +134,12 @@ def table1_function(fid: str) -> BooleanFunction:
     return BooleanFunction(2, TABLE1_TABLES[fid])
 
 
+# The catalog, f1..f8, built and checked once; its functions are frozen.
+_TABLE1_FUNCTIONS = tuple(map(table1_function, TABLE1_TABLES))
+
+
 def table1_functions() -> tuple[BooleanFunction, ...]:
-    return tuple(table1_function(f"f{i}") for i in range(1, 9))
+    return _TABLE1_FUNCTIONS
 
 
 def enumerate_functions(n_bits: int) -> tuple[BooleanFunction, ...]:
@@ -209,18 +217,34 @@ def top_pattern(dist: dict) -> tuple[tuple[int, int], float]:
     return best, dist[best]
 
 
+@dataclass(frozen=True, eq=False)
+class ReplaySteps:
+    """One compact replay, step by step: what a later replay resumes from.
+
+    ``states`` holds the state after each of ``ops``, the start first, and
+    ``weights`` the last declared rewrite's weight at each of them.
+    """
+
+    mode: str
+    ops: tuple
+    states: tuple[StateVector, ...]
+    weights: tuple[float, ...]
+
+
 @dataclass(frozen=True)
 class ProtocolTrace:
     """Named intermediate states of one protocol run, in replay order.
 
     The atom subsystem of each state holds the shared single-atom vector;
     the primed intermediates are absent for constant functions, whose oracle
-    involves no medium traversal.
+    involves no medium traversal. ``steps`` is the whole replay, which a
+    later run resumes from.
     """
 
     states: Mapping[str, StateVector]
     post_selection_probability: float
     ensemble_evolution_calls: int
+    steps: ReplaySteps = field(repr=False, compare=False)
 
     def distribution(self) -> dict:
         final = next(reversed(self.states.values()))
@@ -239,12 +263,33 @@ def replay(ops, mode: str, start: StateVector) -> tuple[list[StateVector], float
     is fixed at the quarter turn; either needs the atoms at a collective
     extreme.
     """
+    steps = replay_steps(ops, mode, start)
+    return list(steps.states), steps.weights[-1]
+
+
+def replay_steps(ops, mode: str, start: StateVector, after: ReplaySteps | None = None) -> ReplaySteps:
+    """``replay``, step by step; with ``after``, resumed where ``ops`` leave ``after.ops``.
+
+    ``after`` is a replay in the same mode. When it started from ``start``
+    too, the replay takes its states and weights over the longest prefix the
+    two sequences share and applies only the rest. Rotations match by
+    identity (the protocol's are shared, frozen constants) and medium steps
+    by angle, so every state is the same object, reached by the same
+    arithmetic, as a fresh replay's.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    state = start
-    states = [state]
-    post_selection = 1.0
-    for op in ops:
+    ops = tuple(ops)
+    shared, states, weights = 0, [start], [1.0]
+    if after is not None:
+        if after.mode != mode:
+            raise ValueError(f"a replay in {after.mode!r} mode cannot be resumed in {mode!r} mode")
+        if after.states[0] is start:
+            shared = next((k for k, (op, prior) in enumerate(zip(ops, after.ops)) if op != prior),
+                          min(len(ops), len(after.ops)))
+            states, weights = list(after.states[: shared + 1]), list(after.weights[: shared + 1])
+    state, post_selection = states[-1], weights[-1]
+    for op in ops[shared:]:
         if isinstance(op, AtomRotation):
             state = embed_single("atom", op.gate, PROTOCOL_SPACE).apply(state)
         elif isinstance(op, EnsembleEvolution):
@@ -266,16 +311,22 @@ def replay(ops, mode: str, start: StateVector) -> tuple[list[StateVector], float
         else:
             raise TypeError(f"unknown operation {op!r}")
         states.append(state)
-    return states, post_selection
+        weights.append(post_selection)
+    return ReplaySteps(mode, ops, tuple(states), tuple(weights))
 
 
-def run_protocol(f: BooleanFunction, mode: str, theta: float) -> ProtocolTrace:
-    """Replay ``exact_operation_sequence`` from every atom primed and name the trace's states."""
+def run_protocol(f: BooleanFunction, mode: str, theta: float, after: ProtocolTrace | None = None) -> ProtocolTrace:
+    """Replay ``exact_operation_sequence`` from every atom primed and name the trace's states.
+
+    With ``after``, a trace run before in the same mode, the replay resumes
+    after the prefix its sequence shares with that trace's (``replay_steps``).
+    """
     ops = exact_operation_sequence(f, theta)
     balanced = f.classification == "balanced"
     if balanced and not is_quarter_turn(theta):
         raise ValueError("balanced functions require the medium angle theta = pi/2")
-    states, post_selection = replay(ops, mode, _PSI0)
+    steps = replay_steps(ops, mode, _PSI0, after.steps if after is not None else None)
+    states = steps.states
     # states[k] follows the first k ops: three pre-Hadamards, the oracle (for
     # a balanced function: atom rotation, medium, two photon rotations), and
     # the two post-Hadamards.
@@ -284,7 +335,7 @@ def run_protocol(f: BooleanFunction, mode: str, theta: float) -> ProtocolTrace:
         named.update(psi1_prime=states[4], psi1_double_prime=states[5])
     named.update(psi2=states[-3], psi3=states[-1])
     medium_steps = sum(isinstance(op, EnsembleEvolution) for op in ops)
-    return ProtocolTrace(MappingProxyType(named), post_selection, medium_steps)
+    return ProtocolTrace(MappingProxyType(named), steps.weights[-1], medium_steps, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -378,24 +378,28 @@ def sample_shots(dists: Sequence[Mapping], shots: int, seed: int) -> list[dict]:
     counts do not depend on the tables beside it, on evaluation order or on
     the block size used to bound memory, and the first k shots of a larger
     draw are exactly the k-shot draw. Every table is checked before the
-    first draw. A call costs one pass over the stream plus O(K * shots) per
-    table of K outcomes, for counting the uniforms below each entry. Returns
-    one count dict per table, in order.
+    first draw. A call costs one pass over the stream plus O(E * shots),
+    where E is the number of distinct cumulative sums over all its tables:
+    the uniforms below each distinct sum are counted once, and every table
+    reads its entries' counts from those. Returns one count dict per table,
+    in order.
     """
     if isinstance(dists, Mapping) or not isinstance(dists, Sequence):
         raise TypeError(f"dists must be a sequence of probability tables, got {type(dists).__name__}")
     shots = check_count("shots", shots)
     seed = check_count("seed", seed, 0)
     tables = [_cumulative_table(dist) for dist in dists]
-    below = [np.zeros(len(cdf), dtype=np.int64) for _, cdf in tables]
+    # the same comparisons as one pass per table entry, so the same counts, bit for bit
+    edges, edge_of_entry = np.unique(np.concatenate([np.empty(0), *(cdf for _, cdf in tables)]), return_inverse=True)
+    below = np.zeros(len(edges), dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     for start in range(0, shots, _SHOT_BLOCK):
         u = rng.random(min(_SHOT_BLOCK, shots - start))
-        for (_, cdf), counts in zip(tables, below):
-            for k, edge in enumerate(cdf):
-                counts[k] += np.count_nonzero(u < edge)
+        for k, edge in enumerate(edges):
+            below[k] += np.count_nonzero(u < edge)
+    entries = np.split(below[edge_of_entry], np.cumsum([len(cdf) for _, cdf in tables[:-1]], dtype=int))
     results = []
-    for (outcomes, _), counts in zip(tables, below):
+    for (outcomes, _), counts in zip(tables, entries):
         totals = np.diff(counts, prepend=0, append=[shots] * (len(outcomes) - len(counts)))
         results.append({o: int(n) for o, n in zip(outcomes, totals)})
     return results

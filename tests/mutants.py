@@ -151,12 +151,11 @@ MUTANTS = (
     Mutant("medium-step block offsets dropped", "manybody.py",
            "np.arange(first + lo, first + lo + len(block))", "np.arange(first, first + len(block))",
            "tests/test_manybody.py::TestDickeSimulator::test_medium_step_blocks_phase_their_own_rows"),
-    # verify samples one table, so only a call with several tables shows
-    # a table that reads its own stretch of the stream
-    Mutant("each table reads the next block of the stream", "qstate.py",
+    # every distinct edge of every table must read the block's one stretch of the stream
+    Mutant("each edge reads the next block of the stream", "qstate.py",
            "        u = rng.random(min(_SHOT_BLOCK, shots - start))\n"
-           "        for (_, cdf), counts in zip(tables, below):\n",
-           "        for (_, cdf), counts in zip(tables, below):\n"
+           "        for k, edge in enumerate(edges):\n",
+           "        for k, edge in enumerate(edges):\n"
            "            u = rng.random(min(_SHOT_BLOCK, shots - start))\n",
            "tests/test_qstate.py::TestSampleShots::test_each_table_counts_as_its_own_call"),
     # edits outside the kernels: verify's results do not move, so a named
@@ -167,6 +166,14 @@ MUTANTS = (
            "                      and values.flags.c_contiguous and values.dtype == np.complex128)"
            " else np.array(values, dtype=np.complex128)",
            "tests/test_qstate.py::TestStateVector::test_frozen_owner_is_copied"),
+    # a resumed replay: verify's replays are all fresh, so named tests pin the
+    # mode check and the prefix rule
+    Mutant("replay resumed after a trace of the other mode", "protocol.py",
+           "if after.mode != mode:", "if after.mode not in MODES:",
+           "tests/test_protocol.py::TestResume::test_a_trace_of_the_other_mode_is_refused"),
+    Mutant("steps matched by type, not by identity or angle", "protocol.py",
+           "if op != prior)", "if type(op) is not type(prior))",
+           "tests/test_protocol.py::TestResume::test_every_ordered_catalog_pair_resumes_to_the_fresh_run"),
     Mutant("paper-mode weight reported as 1.0", "protocol.py",
            "post_selection = result.post_selection_probability", "post_selection = 1.0",
            "tests/test_protocol.py::TestPaperModeTraces::test_post_selection_is_the_maps_weight"),

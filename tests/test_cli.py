@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import djensemble
-from djensemble import cli
+from djensemble import cli, protocol
 from djensemble.cli import MAX_SHOTS, main
 from djensemble.manybody import full_simulate_naive
 from djensemble.protocol import MODES, run_protocol
@@ -643,13 +643,31 @@ class TestOneDrawPerCommand:
     def test_one_replay_per_distinct_oracle(self, monkeypatch, capsys, argv, function, replayed, mode):
         calls = []
 
-        def counted(f, *args):
+        def counted(f, *args, **kwargs):
             calls.append(f.id)
-            return run_protocol(f, *args)
+            return run_protocol(f, *args, **kwargs)
 
         monkeypatch.setattr(cli, "run_protocol", counted)
         assert main([*argv, "--function", function, "--mode", mode]) == 0
         assert calls == replayed
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_distinct_step_applied_once(self, monkeypatch, capsys, mode):
+        # replayed from scratch, f1, f2, f3, f5 and f7 embed 35 gates and take 3 medium
+        # steps; each resumes from the prefix it shares with the one before: 5 + 3 + 5 + 4 + 4
+        calls = []
+
+        def counted(kind, fn):
+            def call(*args):
+                calls.append(kind)
+                return fn(*args)
+
+            return call
+
+        for name, kind in (("embed_single", "gate"), ("u_eff_exact", "medium"), ("u_eff_paper", "medium")):
+            monkeypatch.setattr(protocol, name, counted(kind, getattr(protocol, name)))
+        assert main(["run", "--function", "all", "--mode", mode]) == 0
+        assert (calls.count("gate"), calls.count("medium")) == (21, 1)
 
     def test_one_unreduced_replay_per_distinct_oracle(self, monkeypatch, capsys):
         calls = []

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from helpers import coherent_dicke_vector
 from test_manybody import symmetric_rotation_bruteforce
@@ -34,7 +34,7 @@ from djensemble.manybody import (
 )
 from djensemble.params import MediumSpec, required_detuning
 from djensemble.polarization import PHOTON, half_wave, quarter_wave
-from djensemble.protocol import classify, replay, run_protocol, table1_function
+from djensemble.protocol import classify, replay, replay_steps, run_protocol, table1_function
 from djensemble.qstate import Hamiltonian, Operator, SpaceLabel, basis_state, born_distribution, expm_hermitian
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
@@ -146,14 +146,14 @@ photon_rotations = st.builds(PhotonRotation, st.sampled_from((1, 2)), su2s)
 
 
 @st.composite
-def compact_sequences(draw):
+def compact_sequences(draw, medium_angles=st.floats(-7.0, 7.0)):
     """1-3 rounds of an extreme-preserving atom gate, a photon rotation and a
     medium step, then an atom and a photon rotation: the compact replay needs
     the atoms at an extreme at each medium step, not at the end."""
     ops = []
     for _ in range(draw(st.integers(1, 3))):
         ops += [AtomRotation(draw(extreme_preserving)), draw(photon_rotations),
-                EnsembleEvolution(draw(st.floats(-7.0, 7.0)))]
+                EnsembleEvolution(draw(medium_angles))]
     return ops + [AtomRotation(draw(su2s)), draw(photon_rotations)]
 
 
@@ -171,6 +171,48 @@ def test_compact_replay_matches_naive_on_random_sequences(n_atoms, level, ops):
     compact = born_distribution(final, photons)
     naive = born_distribution(full_simulate_naive(n_atoms, np.eye(2)[level], ops), photons)
     np.testing.assert_allclose([compact[k] for k in naive], list(naive.values()), rtol=0, atol=1e-10)
+
+
+@st.composite
+def sequence_pairs(draw):
+    """A mode and two compact sequences that share a prefix of random length.
+
+    The prefix stops before the first sequence's closing atom rotation, so
+    the atoms are at an extreme wherever the second one continues; paper
+    mode keeps every medium step at the quarter turn its rewrite is fixed at.
+    """
+    mode = draw(st.sampled_from(("exact", "paper")))
+    medium_angles = st.floats(-7.0, 7.0) if mode == "exact" else st.just(math.pi / 2)
+    first = draw(compact_sequences(medium_angles))
+    shared = draw(st.integers(0, len(first) - 2))
+    return mode, first, first[:shared] + draw(compact_sequences(medium_angles)), shared
+
+
+def replayed(ops, mode, start, after=None):
+    """The replay's steps, or the message it was refused with: the paper rewrite annihilates some inputs."""
+    try:
+        return replay_steps(ops, mode, start, after=after)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(level=st.sampled_from((0, 1)), pair=sequence_pairs())
+def test_resumed_replay_is_the_fresh_replay(level, pair):
+    mode, first, second, shared = pair
+    start = basis_state(PROTOCOL_SPACE, (level, 0, 0))
+    before = replayed(first, mode, start)
+    assume(not isinstance(before, str))
+    resumed = replayed(second, mode, start, after=before)
+    fresh = replayed(second, mode, start)
+    if isinstance(fresh, str):
+        assert resumed == fresh
+        return
+    assert resumed.states[: shared + 1] == before.states[: shared + 1]  # the same objects
+    assert len(resumed.states) == len(fresh.states) == len(second) + 1
+    for a, b in zip(resumed.states, fresh.states):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert resumed.weights == fresh.weights
 
 
 # Numbers at every edge of the float range (NaN, +-inf, subnormals, 1e300)

@@ -108,6 +108,10 @@ class TestEnumeration:
         assert [f.id for f in functions] == [f"f{i}" for i in range(1, 9)]
         assert [f.table for f in functions] == [TABLE1[f"f{i}"] for i in range(1, 9)]
 
+    def test_catalog_is_built_once(self):
+        assert table1_functions() is table1_functions() is enumerate_functions(2)
+        assert [f.table for f in table1_functions()] == [table1_function(f"f{i}").table for i in range(1, 9)]
+
     def test_one_bit_count(self):
         functions = enumerate_functions(1)
         assert len(functions) == 4
@@ -495,6 +499,56 @@ class TestReplay:
             replay(ops, "paper", self.START)
         states, _ = replay(ops, "exact", self.START)
         np.testing.assert_array_equal(states[1].amplitudes, u_eff_exact(theta).apply(self.START).amplitudes)
+
+
+class TestResume:
+    """A run resumed after another's trace is the fresh run, from the states they share."""
+
+    @staticmethod
+    def assert_same_run(resumed, fresh):
+        assert list(resumed.states) == list(fresh.states)
+        for name, state in fresh.states.items():
+            assert np.array_equal(resumed.states[name].amplitudes, state.amplitudes), name
+        assert resumed.post_selection_probability == fresh.post_selection_probability
+        assert resumed.ensemble_evolution_calls == fresh.ensemble_evolution_calls
+
+    @pytest.mark.parametrize("mode", protocol.MODES)
+    def test_every_ordered_catalog_pair_resumes_to_the_fresh_run(self, mode):
+        for f, g in itertools.product(table1_functions(), repeat=2):
+            before = run_protocol(f, mode, THETA)
+            resumed = run_protocol(g, mode, THETA, after=before)
+            self.assert_same_run(resumed, run_protocol(g, mode, THETA))
+            # the opening Hadamards are shared by every pair, so psi1 is the earlier run's object
+            assert resumed.states["psi1"] is before.states["psi1"], (f.id, g.id)
+
+    @pytest.mark.parametrize("mode", protocol.MODES)
+    def test_balanced_runs_share_the_medium_step(self, mode):
+        f3 = run_protocol(table1_function("f3"), mode, THETA)
+        for fid in ("f5", "f7"):
+            resumed = run_protocol(table1_function(fid), mode, THETA, after=f3)
+            # psi1_double_prime follows the medium step, psi2 the closing rotations
+            assert resumed.states["psi1_double_prime"] is f3.states["psi1_double_prime"]
+            assert resumed.states["psi2"] is not f3.states["psi2"]
+
+    def test_another_medium_angle_is_not_shared(self):
+        f3 = table1_function("f3")
+        before = run_protocol(f3, "exact", THETA)
+        resumed = run_protocol(f3, "exact", THETA + 1e-12, after=before)
+        assert resumed.states["psi1_prime"] is before.states["psi1_prime"]
+        assert resumed.states["psi1_double_prime"] is not before.states["psi1_double_prime"]
+        self.assert_same_run(resumed, run_protocol(f3, "exact", THETA + 1e-12))
+
+    @pytest.mark.parametrize("mode, other", [("exact", "paper"), ("paper", "exact")])
+    def test_a_trace_of_the_other_mode_is_refused(self, mode, other):
+        before = run_protocol(table1_function("f3"), other, THETA)
+        with pytest.raises(ValueError, match=f"^a replay in '{other}' mode cannot be resumed in '{mode}' mode$"):
+            run_protocol(table1_function("f5"), mode, THETA, after=before)
+
+    def test_resume_data_stays_out_of_repr_and_comparison(self):
+        trace = run_protocol(table1_function("f1"), "exact", THETA)
+        assert "steps" not in repr(trace)
+        clone = dataclasses.replace(trace, steps=run_protocol(table1_function("f2"), "paper", THETA).steps)
+        assert clone == trace
 
 
 class TestClassify:

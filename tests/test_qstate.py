@@ -760,6 +760,27 @@ class TestSampleShots:
             order = rng.permutation(len(dists))
             assert sample_shots([dists[i] for i in order], shots, 21) == [alone[i] for i in order]
 
+    @pytest.mark.parametrize("shots", [10_000, _SHOT_BLOCK + 1])
+    def test_shared_edges_are_counted_once_for_every_table(self, monkeypatch, shots):
+        # nine table entries share the edges 0.25, 0.5 and 0.75, and 1e-33 is a tenth
+        quarters = {i: 0.25 for i in range(4)}
+        dists = [quarters, {"a": 0.5, "b": 0.5}, quarters, {0: 0.25, 1: 0.25, 2: 0.5}, {0: 1e-33, 1: 1.0}, {"x": 1.0}]
+        alone = [sample_shots([dist], shots, 13)[0] for dist in dists]
+        passes = []
+        count_nonzero = np.count_nonzero
+
+        def counted(below):
+            passes.append(below.size)
+            return count_nonzero(below)
+
+        monkeypatch.setattr(np, "count_nonzero", counted)
+        assert sample_shots(dists, shots, 13) == alone
+        # one pass per distinct edge and block
+        assert len(passes) == 4 * -(-shots // _SHOT_BLOCK)
+
+    def test_no_tables_no_counts(self):
+        assert sample_shots([], 10, seed=1) == []
+
     @pytest.mark.parametrize("dists", [{0: 0.5, 1: 0.5}, {}], ids=["table", "empty-table"])
     def test_bare_table_is_refused(self, dists):
         # a table's keys would otherwise be read as its tables
